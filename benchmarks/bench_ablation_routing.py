@@ -13,10 +13,11 @@ from benchmarks.conftest import print_block, run_once
 from repro.analysis.reporting import format_table
 from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, build_scenario, initial_configuration
 from repro.game.model import ClusterGame
+from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter
-from repro.overlay.simulator import OverlaySimulator
 from repro.strategies.base import StrategyContext
 from repro.strategies.selfish import SelfishStrategy
+from repro.traffic.simulator import observe_period
 
 
 def run_routing_ablation(config):
@@ -38,9 +39,11 @@ def run_routing_ablation(config):
 
     rows = []
     for label, factory in routers:
-        simulator = OverlaySimulator(data.network, configuration, router=factory(data.network))
-        report = simulator.run_period()
-        context = StrategyContext(game=game, statistics=simulator.statistics)
+        bus = MessageBus()
+        statistics = observe_period(
+            data.network, configuration, router=factory(data.network), bus=bus
+        )
+        context = StrategyContext(game=game, statistics=statistics)
         agreements = sum(
             1
             for peer_id in data.peer_ids()
@@ -51,8 +54,8 @@ def run_routing_ablation(config):
             (
                 label,
                 f"{agreements}/{len(data.peer_ids())}",
-                report.messages.get("QueryMessage", 0),
-                report.messages.get("ResultMessage", 0),
+                bus.count("QueryMessage"),
+                bus.count("ResultMessage"),
             )
         )
     return rows

@@ -6,23 +6,14 @@ setting (ground-truth clustering), once with the broadcast router and once
 with ``probe-k`` — the batched ``R @ M`` routing path end to end, including
 workload generation and the heap-ordered event loop.
 
-The speedup test also routes one observation period through the legacy
-per-query :class:`~repro.overlay.simulator.OverlaySimulator` and records the
-per-query cost ratio in the benchmark JSON (``extra_info``): the vectorised
-replay must be at least 10x faster per query than the Python-loop baseline.
-
 Run with ``--benchmark-json BENCH_traffic.json`` (CI does) to produce the
 artifact the trend job compares across runs.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from benchmarks.conftest import print_block
-from repro.analysis.reporting import format_table
 from repro.datasets.scenarios import (
     SCENARIO_SAME_CATEGORY,
     ScenarioConfig,
@@ -30,7 +21,6 @@ from repro.datasets.scenarios import (
     initial_configuration,
 )
 from repro.overlay.routing import ProbeKRouter
-from repro.overlay.simulator import OverlaySimulator
 from repro.traffic.simulator import TrafficSimulator
 
 #: The paper's evaluation population.
@@ -84,40 +74,3 @@ def test_traffic_probe_k_100k(benchmark, overlay):
     assert report.events == NUM_EVENTS
     benchmark.extra_info["events"] = report.events
     benchmark.extra_info["query_messages"] = report.query_messages
-
-
-def test_traffic_speedup_vs_legacy(benchmark, overlay):
-    """Acceptance: >=10x faster per query than the legacy per-query loop."""
-    network, configuration = overlay
-    legacy = OverlaySimulator(network, configuration)
-    started = time.perf_counter()
-    period = legacy.run_period()
-    legacy_seconds = time.perf_counter() - started
-    legacy_per_query = legacy_seconds / period.queries_routed
-
-    report = benchmark.pedantic(
-        lambda: replay(network, configuration), iterations=1, rounds=3
-    )
-    traffic_per_query = report.wall_seconds / report.events
-    speedup = legacy_per_query / traffic_per_query
-
-    benchmark.extra_info["legacy_queries"] = period.queries_routed
-    benchmark.extra_info["legacy_us_per_query"] = legacy_per_query * 1e6
-    benchmark.extra_info["traffic_us_per_query"] = traffic_per_query * 1e6
-    benchmark.extra_info["speedup_vs_legacy"] = speedup
-
-    print_block(
-        f"Traffic replay vs legacy per-query routing ({NUM_PEERS} peers)",
-        format_table(
-            ("path", "queries", "us / query"),
-            [
-                ("OverlaySimulator.run_period", period.queries_routed,
-                 f"{legacy_per_query * 1e6:.1f}"),
-                ("TrafficSimulator (broadcast)", report.events,
-                 f"{traffic_per_query * 1e6:.2f}"),
-                ("speedup", "", f"{speedup:.1f}x"),
-            ],
-        ),
-    )
-    assert report.wall_seconds < 10.0, "100k events must finish in single-digit seconds"
-    assert speedup >= 10.0, f"expected >=10x over the legacy loop, got {speedup:.1f}x"

@@ -3,10 +3,10 @@
 The paper's strategies are defined over quantities a peer can observe
 locally: every query result is annotated with the cluster id (cid) that
 provided it, and every peer tracks how much it serves queries coming from
-each cluster.  This example runs one observation period ``T`` through the
-overlay simulator and then lets peers decide with the *observed* variants of
-the selfish and altruistic strategies, comparing the decisions against the
-exact (global-knowledge) variants.
+each cluster.  This example observes one period ``T`` (``observe_period``:
+every recorded query occurrence routed once) and then lets peers decide with
+the *observed* variants of the selfish and altruistic strategies, comparing
+the decisions against the exact (global-knowledge) variants.
 
 It also shows what happens when routing is restricted (probe-k router): the
 observed recall under-estimates clusters the query never reached.
@@ -23,20 +23,20 @@ from repro import (
     BroadcastRouter,
     ClusterGame,
     ExperimentConfig,
-    OverlaySimulator,
+    MessageBus,
     ProbeKRouter,
     build_scenario,
     initial_configuration,
+    observe_period,
 )
 from repro.strategies import AltruisticStrategy, SelfishStrategy, StrategyContext
 
 
-def run_period(data, configuration, router_factory):
-    simulator = OverlaySimulator(
-        data.network, configuration, router=router_factory(data.network)
-    )
-    report = simulator.run_period()
-    return simulator, report
+def run_period(data, configuration, router):
+    """One observation period: the per-peer statistics and the message bus."""
+    bus = MessageBus()
+    statistics = observe_period(data.network, configuration, router=router, bus=bus)
+    return statistics, bus
 
 
 def main() -> None:
@@ -46,13 +46,16 @@ def main() -> None:
     cost_model = data.network.cost_model(theta=config.theta(), alpha=config.alpha)
     game = ClusterGame(cost_model, configuration, allow_new_clusters=False)
 
-    simulator, report = run_period(data, configuration, lambda network: BroadcastRouter(network))
+    statistics, bus = run_period(data, configuration, BroadcastRouter(data.network))
+    trackers = [stats.recall_tracker for stats in statistics.values()]
     print(
-        f"period with broadcast routing: {report.queries_routed} queries routed, "
-        f"{report.results_returned} results, {sum(report.messages.values())} messages"
+        "period with broadcast routing: "
+        f"{sum(tracker.queries_observed() for tracker in trackers)} queries routed, "
+        f"{sum(tracker.total_results() for tracker in trackers)} results, "
+        f"{bus.total()} messages"
     )
 
-    context = StrategyContext(game=game, statistics=simulator.statistics)
+    context = StrategyContext(game=game, statistics=statistics)
     exact_selfish = SelfishStrategy(mode="exact")
     observed_selfish = SelfishStrategy(mode="observed")
     exact_altruistic = AltruisticStrategy(mode="exact")
@@ -77,10 +80,8 @@ def main() -> None:
         f"selfish {agree_selfish}/{len(peer_ids)}, altruistic {agree_altruistic}/{len(peer_ids)}"
     )
 
-    simulator_k, report_k = run_period(
-        data, configuration, lambda network: ProbeKRouter(network, k=2)
-    )
-    context_k = StrategyContext(game=game, statistics=simulator_k.statistics)
+    statistics_k, bus_k = run_period(data, configuration, ProbeKRouter(data.network, k=2))
+    context_k = StrategyContext(game=game, statistics=statistics_k)
     agree_probe = sum(
         1
         for peer_id in peer_ids
@@ -88,8 +89,8 @@ def main() -> None:
         == exact_selfish.propose(peer_id, context).target_cluster
     )
     print(
-        f"period with probe-2 routing: {sum(report_k.messages.values())} messages "
-        f"(vs {sum(report.messages.values())} for broadcast); "
+        f"period with probe-2 routing: {bus_k.total()} messages "
+        f"(vs {bus.total()} for broadcast); "
         f"selfish agreement drops to {agree_probe}/{len(peer_ids)}"
     )
 

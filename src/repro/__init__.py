@@ -6,7 +6,8 @@ different cluster.  It provides:
 
 * the data/recall/cost model of the paper (``repro.core``),
 * the peer and cluster substrate (``repro.peers``),
-* the overlay simulation with cid-annotated query results (``repro.overlay``),
+* the overlay substrate: routers, topologies and message accounting
+  (``repro.overlay``),
 * the game-theoretic view of cluster formation (``repro.game``),
 * the selfish / altruistic / hybrid relocation strategies (``repro.strategies``),
 * the round-based reformulation protocol (``repro.protocol``),
@@ -19,7 +20,9 @@ different cluster.  It provides:
 * the event-driven query-traffic simulator: ``TrafficSimulator`` /
   ``TrafficReport`` / registered arrival workloads (``repro.traffic``)
   replaying hundreds of thousands of queries against a clustering and
-  reporting latency/hops/bandwidth/recall distributions,
+  reporting latency/hops/bandwidth/recall distributions, and
+  ``observe_period`` feeding the cid-annotated observations of one period
+  to the ``observed`` strategy mode,
 * dataset generators, dynamics, baselines, analysis utilities and the
   experiment drivers that regenerate every table and figure of the paper.
 
@@ -138,7 +141,7 @@ from repro.game import (
     find_pure_nash_equilibria,
     run_best_response_dynamics,
 )
-from repro.overlay import BroadcastRouter, MessageBus, OverlaySimulator, ProbeKRouter
+from repro.overlay import BroadcastRouter, MessageBus, ProbeKRouter
 from repro.peers import Cluster, ClusterConfiguration, Peer, PeerNetwork
 from repro.protocol import ProtocolResult, ReformulationProtocol
 from repro.registry import (
@@ -180,6 +183,7 @@ from repro.traffic import (
     WorkloadContext,
     WorkloadGenerator,
     build_workload,
+    observe_period,
 )
 
 #: Kept in sync with ``pyproject.toml``.
@@ -221,6 +225,7 @@ __all__ = [
     "WorkloadContext",
     "WorkloadGenerator",
     "build_workload",
+    "observe_period",
     # dynamics
     "DriftModel",
     "DriftReport",
@@ -264,7 +269,6 @@ __all__ = [
     "MessageBus",
     "BroadcastRouter",
     "ProbeKRouter",
-    "OverlaySimulator",
     # game
     "ClusterGame",
     "BestResponse",

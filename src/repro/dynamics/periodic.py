@@ -6,19 +6,15 @@ reformulation protocol runs one maintenance pass.  :class:`PeriodicMaintenanceLo
 drives that loop end-to-end:
 
 1. optionally apply the period's exogenous changes (workload drift, content
-   drift, churn) — declaratively through a
-   :class:`~repro.dynamics.schedule.DynamicsSchedule` of registered drift
-   models (each application publishes a ``drift_applied`` event), or through
-   the deprecated raw-callback interface,
-2. simulate the period's query traffic over the overlay (collecting the
-   per-peer observations the strategies need),
+   drift, churn) through a :class:`~repro.dynamics.schedule.DynamicsSchedule`
+   of registered drift models (each application publishes a
+   ``drift_applied`` event),
+2. observe the period's query traffic over the overlay
+   (:func:`~repro.traffic.simulator.observe_period`) when the strategy runs
+   in ``observed`` mode — the oracle (``exact``) mode needs no observation,
 3. rebuild the cost model against the updated network state,
 4. run the reformulation protocol until it quiesces,
 5. record the social/workload cost before and after maintenance.
-
-The loop works with both the observation-driven ("observed") and the oracle
-("exact") strategy modes; in the latter case the query simulation can be
-skipped to save time.
 """
 
 from __future__ import annotations
@@ -37,20 +33,13 @@ from repro.events import (
 )
 from repro.overlay.messages import MessageBus
 from repro.overlay.routing import QueryRouter
-from repro.overlay.simulator import OverlaySimulator
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.protocol.reformulation import ProtocolResult, ReformulationProtocol
 from repro.strategies.base import RelocationStrategy
+from repro.traffic.simulator import observe_period
 
 __all__ = ["PeriodRecord", "PeriodicMaintenanceLoop"]
-
-#: Callback applying one period's exogenous changes.  It receives the network
-#: and the configuration and may mutate both (e.g. apply updates, churn).
-#: Deprecated in favour of registered drift models scheduled through a
-#: :class:`~repro.dynamics.schedule.DynamicsSchedule` — callbacks cannot be
-#: serialised, so sweeps cannot express them.
-UpdateCallback = Callable[[PeerNetwork, ClusterConfiguration], None]
 
 
 @dataclass
@@ -87,7 +76,6 @@ class PeriodicMaintenanceLoop:
         allow_cluster_creation: bool = False,
         restrict_to_nonempty: bool = True,
         max_rounds_per_period: int = 100,
-        simulate_queries: Optional[bool] = None,
         router_factory: Optional[Callable[[PeerNetwork], QueryRouter]] = None,
         hooks: Optional[EventHooks] = None,
         schedule: Optional[DynamicsSchedule] = None,
@@ -107,11 +95,6 @@ class PeriodicMaintenanceLoop:
         self.allow_cluster_creation = allow_cluster_creation
         self.restrict_to_nonempty = restrict_to_nonempty
         self.max_rounds_per_period = max_rounds_per_period
-        # Observation-driven strategies need the query simulation; oracle
-        # strategies do not, unless explicitly requested.
-        if simulate_queries is None:
-            simulate_queries = getattr(strategy, "mode", "exact") == "observed"
-        self.simulate_queries = simulate_queries
         self.router_factory = router_factory
         #: Event hub shared with the per-period protocol runs, so round and
         #: relocation events flow from maintenance too; ``period_end`` fires
@@ -124,6 +107,7 @@ class PeriodicMaintenanceLoop:
         #: does this automatically.
         self.schedule = schedule
         self.records: List[PeriodRecord] = []
+        #: Messages of every period so far: observation and protocol alike.
         self.bus = MessageBus()
 
     # -- internals ---------------------------------------------------------------
@@ -134,18 +118,10 @@ class PeriodicMaintenanceLoop:
             theta=self.theta, alpha=self.alpha, matrix_mode=matrix_mode
         )
 
-    def _run_observation(self) -> Optional[OverlaySimulator]:
-        if not self.simulate_queries:
-            return None
-        router = self.router_factory(self.network) if self.router_factory else None
-        simulator = OverlaySimulator(self.network, self.configuration, router=router, bus=self.bus)
-        simulator.run_period()
-        return simulator
-
     # -- public API ------------------------------------------------------------------
 
-    def run_period(self, update: Optional[UpdateCallback] = None) -> PeriodRecord:
-        """Run one full period: apply the scheduled drift (and *update*), observe, maintain, record."""
+    def run_period(self) -> PeriodRecord:
+        """Run one full period: apply the scheduled drift, observe, maintain, record."""
         period_index = len(self.records)
         if self.schedule is not None:
             reports = self.schedule.apply_period(
@@ -157,11 +133,13 @@ class PeriodicMaintenanceLoop:
                 )
             if reports:
                 self.network.invalidate()
-        if update is not None:
-            update(self.network, self.configuration)
-            self.network.invalidate()
 
-        simulator = self._run_observation()
+        statistics = None
+        if getattr(self.strategy, "mode", "exact") == "observed":
+            router = self.router_factory(self.network) if self.router_factory else None
+            statistics = observe_period(
+                self.network, self.configuration, router=router, bus=self.bus
+            )
         cost_model = self._cost_model()
         before = cost_model.social_cost(self.configuration, normalized=True)
 
@@ -177,7 +155,6 @@ class PeriodicMaintenanceLoop:
             kernel_backend=self.kernel_backend,
             kernel_dtype=self.kernel_dtype,
         )
-        statistics = simulator.statistics if simulator is not None else None
         result: ProtocolResult = protocol.run(
             max_rounds=self.max_rounds_per_period, statistics=statistics
         )
@@ -190,35 +167,20 @@ class PeriodicMaintenanceLoop:
             moves=result.total_moves,
             rounds=result.num_rounds,
             converged=result.converged and not result.cycle_detected,
-            queries_routed=0 if simulator is None else sum(
-                stats.recall_tracker.queries_observed()
-                for stats in simulator.statistics.values()
+            queries_routed=0 if statistics is None else sum(
+                stats.recall_tracker.queries_observed() for stats in statistics.values()
             ),
         )
         self.records.append(record)
         self.hooks.emit(PERIOD_END, PeriodEndEvent(record=record, protocol_result=result))
         return record
 
-    def run(
-        self,
-        periods: int,
-        *,
-        updates: Optional[List[Optional[UpdateCallback]]] = None,
-    ) -> List[PeriodRecord]:
-        """Run *periods* consecutive periods.
-
-        ``updates[i]`` (if given) is applied before period ``i`` — the
-        deprecated raw-callback interface; prefer a declarative
-        :class:`~repro.dynamics.schedule.DynamicsSchedule` passed to the
-        constructor (callbacks cannot cross sweep process boundaries).
-        """
+    def run(self, periods: int) -> List[PeriodRecord]:
+        """Run *periods* consecutive periods."""
         if periods < 0:
             raise ValueError(f"periods must be non-negative, got {periods}")
-        if updates is not None and len(updates) < periods:
-            raise ValueError("updates must provide one (possibly None) entry per period")
-        for period in range(periods):
-            update = updates[period] if updates is not None else None
-            self.run_period(update)
+        for _period in range(periods):
+            self.run_period()
         return list(self.records)
 
     def social_cost_trace(self) -> List[float]:

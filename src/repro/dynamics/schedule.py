@@ -1,8 +1,7 @@
 """Dynamics schedules: mapping maintenance periods to drift-model invocations.
 
-A :class:`DynamicsSchedule` is the declarative replacement for the old
-``updates=[callback, ...]`` lists: it says *which* registered drift models
-run *when*, as a plain bag of strings/numbers that round-trips through JSON
+A :class:`DynamicsSchedule` says *which* registered drift models run
+*when*, as a plain bag of strings/numbers that round-trips through JSON
 (``from_dict`` / ``to_dict``) and therefore travels inside a
 :class:`~repro.session.config.SessionConfig` across the sweep engine's
 process boundaries.
@@ -30,17 +29,13 @@ Determinism: every (period, rule) invocation draws from its own
 session's master seed — a pure function of ``(seed, period, rule index)``,
 never of scheduling or worker count, so sweeps over drifting sessions stay
 byte-identical for any ``workers`` value.
-
-Plain callbacks (the deprecated pre-registry interface) are still accepted
-through :meth:`DynamicsSchedule.from_callbacks`; such a schedule works but
-cannot be serialised.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +47,6 @@ from repro.peers.network import PeerNetwork
 from repro.registry import drift_registry
 
 __all__ = ["DriftRule", "DynamicsSchedule"]
-
-#: The deprecated per-period callback shape (kept for the adapter).
-UpdateCallback = Callable[[PeerNetwork, ClusterConfiguration], None]
 
 #: Domain-separation constant so drift streams never collide with the seed
 #: streams the sweep engine spawns for scenario builds / initial configurations.
@@ -178,18 +170,8 @@ class DynamicsSchedule:
     publishes one ``drift_applied`` event per returned report).
     """
 
-    def __init__(
-        self,
-        rules: Sequence[DriftRule] = (),
-        *,
-        callbacks: Optional[Sequence[Optional[UpdateCallback]]] = None,
-    ) -> None:
+    def __init__(self, rules: Sequence[DriftRule] = ()) -> None:
         self.rules: List[DriftRule] = list(rules)
-        if callbacks is not None and self.rules:
-            raise ConfigurationError(
-                "a schedule holds either declarative rules or legacy callbacks, not both"
-            )
-        self._callbacks = list(callbacks) if callbacks is not None else None
         self._data: Optional[ScenarioData] = None
         self._seed = 0
 
@@ -225,25 +207,7 @@ class DynamicsSchedule:
             f"expected a DynamicsSchedule or mapping, got {type(value).__name__}"
         )
 
-    @classmethod
-    def from_callbacks(
-        cls, updates: Sequence[Optional[UpdateCallback]]
-    ) -> "DynamicsSchedule":
-        """Adapter for the deprecated raw-callback interface.
-
-        ``updates[i]`` (when not ``None``) is invoked before period ``i``
-        exactly as :meth:`PeriodicMaintenanceLoop.run` always did.  The
-        resulting schedule is not serialisable — migrate to registered drift
-        models to sweep it.
-        """
-        return cls((), callbacks=list(updates))
-
     # -- binding -------------------------------------------------------------
-
-    @property
-    def is_callback_schedule(self) -> bool:
-        """Whether this schedule wraps deprecated raw callbacks."""
-        return self._callbacks is not None
 
     def bind(
         self,
@@ -267,14 +231,6 @@ class DynamicsSchedule:
         period: int,
     ) -> List[DriftReport]:
         """Apply every rule scheduled for *period*; returns their reports."""
-        if self._callbacks is not None:
-            if period >= len(self._callbacks):
-                return []
-            callback = self._callbacks[period]
-            if callback is None:
-                return []
-            callback(network, configuration)
-            return [DriftReport(model="callback", period=period)]
         reports: List[DriftReport] = []
         for rule_index, rule in enumerate(self.rules):
             invocation = rule.invocation_index(period)
@@ -299,16 +255,9 @@ class DynamicsSchedule:
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON form (single rule flattened; round-trips through :meth:`from_dict`)."""
-        if self._callbacks is not None:
-            raise ConfigurationError(
-                "callback-based schedules cannot be serialised; define the drift "
-                "as registered models (see repro.dynamics.models)"
-            )
         if len(self.rules) == 1:
             return self.rules[0].to_dict()
         return {"rules": [rule.to_dict() for rule in self.rules]}
 
     def __repr__(self) -> str:
-        if self._callbacks is not None:
-            return f"DynamicsSchedule(callbacks={len(self._callbacks)})"
         return f"DynamicsSchedule(rules={[rule.model for rule in self.rules]})"

@@ -1,12 +1,11 @@
-"""Overlay substrate: topologies, messages, routing and the period simulator.
+"""Overlay substrate: topologies, messages and routing.
 
-The routers defined here serve two consumers: the per-query observation
-path in this package (:class:`OverlaySimulator`, one Python call per routed
-query, feeding :class:`~repro.peers.statistics.PeerStatistics`) and the
-batched replay path in :mod:`repro.traffic`, which resolves whole event
-batches against a router's :meth:`~repro.overlay.routing.QueryRouter.target_clusters`
-through recall-matrix products.  Both paths share the message accounting
-conventions of :class:`MessageBus`, so their totals agree query for query.
+The routers defined here decide which clusters a query reaches
+(:meth:`~repro.overlay.routing.QueryRouter.target_clusters`); the one
+query-serving path in :mod:`repro.traffic` resolves the providers through
+recall-matrix products, both to serve event streams and to observe a period
+for :class:`~repro.peers.statistics.PeerStatistics`.  Both count messages
+with the conventions of :class:`MessageBus`.
 """
 
 from repro.overlay.messages import (
@@ -18,8 +17,7 @@ from repro.overlay.messages import (
     RelocationRequestMessage,
     ResultMessage,
 )
-from repro.overlay.routing import AnnotatedResult, BroadcastRouter, ProbeKRouter, QueryRouter
-from repro.overlay.simulator import OverlaySimulator, PeriodReport
+from repro.overlay.routing import BroadcastRouter, ProbeKRouter, QueryRouter
 from repro.overlay.topology import (
     ClusterTopology,
     FullMeshTopology,
@@ -38,9 +36,6 @@ __all__ = [
     "QueryRouter",
     "BroadcastRouter",
     "ProbeKRouter",
-    "AnnotatedResult",
-    "OverlaySimulator",
-    "PeriodReport",
     "ClusterTopology",
     "FullMeshTopology",
     "RingTopology",

@@ -8,16 +8,17 @@ Two parts of the system exchange messages:
   relocation requests among representatives, grant notifications).
 
 The paper's motivation for local maintenance is precisely communication
-cost, so :class:`MessageBus` records every message by type.  The simulator
-and the protocol both publish to a bus, and the experiment layer reads the
-per-type counters when reporting overheads (an ablation bench compares the
-protocol's traffic with the global re-clustering baseline).
+cost, so :class:`MessageBus` records every message by type.  The protocol
+publishes each message; period observation
+(:func:`~repro.traffic.simulator.observe_period`) adds its query-layer
+totals in bulk through :meth:`MessageBus.add`.  The experiment layer reads
+the per-type counters when reporting overheads (an ablation bench compares
+the protocol's traffic with the global re-clustering baseline).
 
-The bus counts one :class:`QueryMessage` per reached cluster and one
-:class:`ResultMessage` per provider holding results.  The batched
-:class:`~repro.traffic.simulator.TrafficSimulator` reproduces exactly these
-conventions vectorised (its totals match a :meth:`MessageBus.snapshot` of
-the same replay), so message studies can move between the two paths freely.
+The query layer counts one :class:`QueryMessage` per reached cluster and
+one :class:`ResultMessage` per provider holding results, per query; the
+:class:`~repro.traffic.simulator.TrafficSimulator` reports its totals with
+the same conventions.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ class MessageBus:
         self.counts[message.kind] = self.counts.get(message.kind, 0) + 1
         if self.keep_log:
             self.log.append(message)
+
+    def add(self, kind: str, count: int) -> None:
+        """Record *count* messages of type *kind* at once (counted, never logged)."""
+        if count:
+            self.counts[kind] = self.counts.get(kind, 0) + count
 
     def count(self, kind: str) -> int:
         """Number of messages of the given type name recorded so far."""

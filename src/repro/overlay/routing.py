@@ -17,31 +17,24 @@ Two routers are provided:
   scheme; observed cluster recall then under-estimates remote clusters,
   which is exactly the approximation the local strategies have to live with.
 
-Both routers return :class:`AnnotatedResult` records and publish query /
-result messages to an optional :class:`~repro.overlay.messages.MessageBus`.
-
-:meth:`QueryRouter.route` evaluates one query at a time — the observation
-path of :class:`~repro.overlay.simulator.OverlaySimulator`.  For serving
-whole workloads, :class:`~repro.traffic.simulator.TrafficSimulator` reuses
-only :meth:`QueryRouter.target_clusters` (once per issuer cluster when the
-router declares :attr:`QueryRouter.cluster_invariant`) and resolves the
-providers vectorised; custom routers work on both paths automatically.
+A router only decides :meth:`QueryRouter.target_clusters`.  The providers
+are resolved vectorised in :mod:`repro.traffic.simulator`, once per issuer
+cluster when the router declares :attr:`QueryRouter.cluster_invariant`:
+:class:`~repro.traffic.simulator.TrafficSimulator` serves event streams and
+:func:`~repro.traffic.simulator.observe_period` fills the per-peer
+observation trackers.  Custom routers work on both automatically.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.core.queries import Query
-from repro.overlay.messages import MessageBus, QueryMessage, ResultMessage
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.registry import register_router, router_registry
 
 __all__ = [
-    "AnnotatedResult",
     "QueryRouter",
     "BroadcastRouter",
     "ProbeKRouter",
@@ -52,111 +45,23 @@ PeerId = Hashable
 ClusterId = Hashable
 
 
-@dataclass(frozen=True)
-class AnnotatedResult:
-    """Results for one query served by one peer, annotated with the providing cluster's cid."""
-
-    query: Query
-    issuer: PeerId
-    provider: PeerId
-    cluster_id: ClusterId
-    result_count: int
-
-
 class QueryRouter:
     """Base class for routing a query from its issuer over the clustered overlay."""
 
     #: Whether :meth:`target_clusters` depends only on the issuer's *cluster*
     #: (not on the issuer's identity or the query).  Both built-in routers
-    #: qualify; the traffic simulator uses the flag to collapse its routing
-    #: tables to one row per cluster instead of one per peer.
+    #: qualify; the routing tables use the flag to collapse to one row per
+    #: cluster instead of one per peer.
     cluster_invariant = False
 
-    def __init__(self, network: PeerNetwork, bus: Optional[MessageBus] = None) -> None:
+    def __init__(self, network: PeerNetwork) -> None:
         self.network = network
-        self.bus = bus
-        self._peer_rank: Dict[PeerId, int] = {}
-
-    def _ordered_members(self, members: List[PeerId]) -> List[PeerId]:
-        """Sort *members* by the network's stable peer order without repr calls.
-
-        ``network.peer_ids()`` is already repr-sorted, so ranking by its
-        cached index array reproduces the historical ``sorted(members,
-        key=repr)`` order while costing one dict lookup per member instead of
-        a repr per comparison (this loop runs once per cluster per query).
-        The rank cache rebuilds lazily when it meets a member it has never
-        seen (churn); members missing from the network fall back to the repr
-        sort.
-        """
-        rank = self._peer_rank
-        try:
-            return sorted(members, key=rank.__getitem__)
-        except KeyError:
-            self._peer_rank = rank = {
-                peer_id: position for position, peer_id in enumerate(self.network.peer_ids())
-            }
-            try:
-                return sorted(members, key=rank.__getitem__)
-            except KeyError:
-                return sorted(members, key=repr)
 
     def target_clusters(
         self, issuer: PeerId, configuration: ClusterConfiguration
     ) -> List[ClusterId]:
         """The clusters the query will reach (routing policy); implemented by subclasses."""
         raise NotImplementedError
-
-    def route(
-        self, issuer: PeerId, query: Query, configuration: ClusterConfiguration
-    ) -> List[AnnotatedResult]:
-        """Evaluate *query* issued by *issuer* and return the annotated results."""
-        results: List[AnnotatedResult] = []
-        for cluster_id in self.target_clusters(issuer, configuration):
-            members = configuration.members(cluster_id)
-            if self.bus is not None:
-                self.bus.publish(
-                    QueryMessage(
-                        sender=issuer,
-                        receiver=cluster_id,
-                        query=query,
-                        target_cluster=cluster_id,
-                    )
-                )
-            for provider in self._ordered_members(members):
-                count = self.network.peer(provider).result_count(query)
-                if count == 0:
-                    continue
-                results.append(
-                    AnnotatedResult(
-                        query=query,
-                        issuer=issuer,
-                        provider=provider,
-                        cluster_id=cluster_id,
-                        result_count=count,
-                    )
-                )
-                if self.bus is not None:
-                    self.bus.publish(
-                        ResultMessage(
-                            sender=provider,
-                            receiver=issuer,
-                            query=query,
-                            cluster_id=cluster_id,
-                            result_count=count,
-                        )
-                    )
-        return results
-
-    @staticmethod
-    def cluster_recall(results: List[AnnotatedResult], cluster_id: ClusterId) -> float:
-        """Observed cluster recall: share of the returned results provided by *cluster_id*."""
-        total = sum(result.result_count for result in results)
-        if total == 0:
-            return 0.0
-        from_cluster = sum(
-            result.result_count for result in results if result.cluster_id == cluster_id
-        )
-        return from_cluster / total
 
 
 @register_router("broadcast")
@@ -177,10 +82,8 @@ class ProbeKRouter(QueryRouter):
 
     cluster_invariant = True
 
-    def __init__(
-        self, network: PeerNetwork, k: int, bus: Optional[MessageBus] = None
-    ) -> None:
-        super().__init__(network, bus)
+    def __init__(self, network: PeerNetwork, k: int) -> None:
+        super().__init__(network)
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         self.k = k
@@ -198,16 +101,10 @@ class ProbeKRouter(QueryRouter):
         return [own_cluster] + others[: self.k - 1]
 
 
-def build_router(
-    name: str,
-    network: PeerNetwork,
-    *,
-    bus: Optional[MessageBus] = None,
-    **kwargs: object,
-) -> QueryRouter:
+def build_router(name: str, network: PeerNetwork, **kwargs: object) -> QueryRouter:
     """Construct a query router by its registered *name*.
 
     Built-ins: ``broadcast`` and ``probe-k`` (the latter takes ``k``); new
     routers plug in through :func:`repro.registry.register_router`.
     """
-    return router_registry.create(name, network, bus=bus, **kwargs)
+    return router_registry.create(name, network, **kwargs)

@@ -3,13 +3,12 @@
 The paper leaves the internal organisation of a cluster abstract and only
 requires that the membership cost function ``theta`` reflects it: a fully
 connected cluster gives a linear ``theta``, a structured (DHT-like) cluster a
-logarithmic one.  The overlay simulator additionally needs a notion of how
+logarithmic one.  The traffic simulator additionally needs a notion of how
 many hops a query travels inside a cluster, so each topology exposes both:
 
 * :meth:`ClusterTopology.theta` — the matching membership cost function,
 * :meth:`ClusterTopology.lookup_hops` — expected intra-cluster hops to reach
-  all members (used for the message accounting of the simulator and for the
-  per-query hop/latency charges of :mod:`repro.traffic`),
+  all members (the per-query hop/latency charges of :mod:`repro.traffic`),
 * :meth:`ClusterTopology.maintenance_messages` — messages needed per
   join/leave event.
 """

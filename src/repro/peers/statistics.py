@@ -11,8 +11,9 @@ not by global knowledge:
   coming from each cluster — the **altruistic** strategy's ``contribution``
   measure (:class:`ContributionTracker`).
 
-The trackers are deliberately oblivious to how results were routed; the
-overlay simulator feeds them, and the strategies read them.
+The trackers are deliberately oblivious to how results were routed;
+:func:`~repro.traffic.simulator.observe_period` fills them for one period,
+and the strategies read them.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ class ClusterRecallTracker:
         per_query[cluster_id] = per_query.get(cluster_id, 0) + result_count
         self._total_results += result_count
 
-    def record_query(self) -> None:
-        """Note that one query of the local workload was evaluated during the period."""
-        self._queries_observed += 1
+    def record_query(self, count: int = 1) -> None:
+        """Note that *count* queries of the local workload were evaluated during the period."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        self._queries_observed += count
 
     def cluster_recall(self, query: Query, cluster_id: ClusterId) -> float:
         """Observed *cluster recall*: fraction of the results of *query* that came from *cluster_id*."""
@@ -159,7 +162,7 @@ class ContributionTracker:
 
 
 class PeerStatistics:
-    """Bundle of the two per-peer trackers, keyed by peer in the overlay simulator."""
+    """Bundle of the two per-peer trackers; one period's observations of one peer."""
 
     def __init__(self) -> None:
         self.recall_tracker = ClusterRecallTracker()

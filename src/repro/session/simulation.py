@@ -35,21 +35,20 @@ and :meth:`Simulation.on_period_end`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.metrics import cluster_purity
 from repro.core.costs import CostModel
 from repro.core.theta import ThetaFunction, theta_from_name
 from repro.datasets.scenarios import ScenarioData, build_scenario, initial_configuration
-from repro.dynamics.periodic import PeriodicMaintenanceLoop, UpdateCallback
+from repro.dynamics.periodic import PeriodicMaintenanceLoop
 from repro.dynamics.schedule import DynamicsSchedule
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
 from repro.overlay.routing import QueryRouter, build_router
-from repro.overlay.simulator import OverlaySimulator
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
+from repro.peers.statistics import PeerStatistics
 from repro.protocol.reformulation import ProtocolResult, ReformulationProtocol
 from repro.session.config import SessionConfig
 from repro.session.result import (
@@ -61,7 +60,7 @@ from repro.session.result import (
 from repro.strategies import build_strategy
 from repro.strategies.base import RelocationStrategy
 from repro.traffic.report import TrafficReport
-from repro.traffic.simulator import TrafficSimulator
+from repro.traffic.simulator import TrafficSimulator, observe_period
 
 __all__ = ["Simulation", "SimulationBuilder"]
 
@@ -224,15 +223,13 @@ class Simulation:
             return None
         return cluster_purity(self.configuration, categories)
 
-    def _observe(self) -> Optional[OverlaySimulator]:
-        """Run one observation period when the strategy needs observed statistics."""
+    def _observe(self) -> Optional[Dict[Any, PeerStatistics]]:
+        """Observe one period when the strategy needs observed statistics."""
         if getattr(self.strategy, "mode", "exact") != "observed":
             return None
         factory = self.router_factory()
         router = factory(self.network) if factory is not None else None
-        simulator = OverlaySimulator(self.network, self.configuration, router=router)
-        simulator.run_period()
-        return simulator
+        return observe_period(self.network, self.configuration, router=router)
 
     def run(self, *, max_rounds: Optional[int] = None) -> RunResult:
         """Run the reformulation protocol to quiescence (a discovery run).
@@ -242,7 +239,7 @@ class Simulation:
         for the full periodic loop with observation and exogenous updates.
         """
         config = self.experiment_config
-        simulator = self._observe()
+        statistics = self._observe()
         protocol = ReformulationProtocol(
             self.cost_model,
             self.configuration,
@@ -257,16 +254,14 @@ class Simulation:
             kernel_dtype=self.config.kernel_dtype,
         )
         self.last_protocol = protocol
-        statistics = simulator.statistics if simulator is not None else None
         result: ProtocolResult = protocol.run(
             max_rounds=max_rounds if max_rounds is not None else config.max_rounds,
             statistics=statistics,
         )
         queries_routed = 0
-        if simulator is not None:
+        if statistics is not None:
             queries_routed = sum(
-                stats.recall_tracker.queries_observed()
-                for stats in simulator.statistics.values()
+                stats.recall_tracker.queries_observed() for stats in statistics.values()
             )
         return RunResult(
             kind=KIND_DISCOVERY,
@@ -288,42 +283,18 @@ class Simulation:
         )
 
     def _resolve_schedule(
-        self,
-        periods: int,
-        updates: Optional[List[Optional[UpdateCallback]]],
-        dynamics: Any,
-        schedule: Optional[DynamicsSchedule],
+        self, dynamics: Any, schedule: Optional[DynamicsSchedule]
     ) -> Optional[DynamicsSchedule]:
         """The maintenance run's dynamics schedule, bound to this session.
 
         Precedence: an explicit *schedule* > a *dynamics* spec > the config's
-        ``dynamics`` field.  Deprecated raw *updates* callbacks are adapted
-        via :meth:`DynamicsSchedule.from_callbacks` and cannot be combined
-        with declarative dynamics.
+        ``dynamics`` field.
         """
         resolved = schedule
         if resolved is None:
             spec = dynamics if dynamics is not None else self.config.dynamics
             if spec is not None:
                 resolved = DynamicsSchedule.from_any(spec)
-        if updates is not None:
-            warnings.warn(
-                "run_maintenance(updates=[...]) is deprecated; declare the drift "
-                "as registered models via SessionConfig(dynamics=...) or a "
-                "DynamicsSchedule so it can be swept and serialised",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if resolved is not None:
-                raise ConfigurationError(
-                    "updates callbacks cannot be combined with a dynamics schedule; "
-                    "pass one or the other"
-                )
-            if len(updates) < periods:
-                raise ValueError(
-                    "updates must provide one (possibly None) entry per period"
-                )
-            resolved = DynamicsSchedule.from_callbacks(updates)
         if resolved is not None:
             resolved.bind(data=self.data, seed=self.experiment_config.seed)
         return resolved
@@ -332,7 +303,6 @@ class Simulation:
         self,
         periods: int,
         *,
-        updates: Optional[List[Optional[UpdateCallback]]] = None,
         dynamics: Any = None,
         schedule: Optional[DynamicsSchedule] = None,
         max_rounds_per_period: Optional[int] = None,
@@ -349,13 +319,14 @@ class Simulation:
         :class:`~repro.dynamics.schedule.DynamicsSchedule` via *schedule* to
         share one across runs.  Every applied drift publishes a
         ``drift_applied`` event and is summarised in ``extras["drift"]``.
-        ``updates[i]`` (deprecated) applies period *i*'s changes as a raw
-        callback.
+        In ``observed`` strategy mode every period is observed first, and the
+        result's ``message_counts`` add up the observation and protocol
+        messages of all periods.
         """
         if periods < 0:
             raise ConfigurationError(f"periods must be non-negative, got {periods}")
         config = self.experiment_config
-        resolved = self._resolve_schedule(periods, updates, dynamics, schedule)
+        resolved = self._resolve_schedule(dynamics, schedule)
         loop_kwargs: Dict[str, Any] = {}
         if max_rounds_per_period is not None:
             loop_kwargs["max_rounds_per_period"] = max_rounds_per_period

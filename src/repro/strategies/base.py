@@ -15,8 +15,10 @@ Strategies can work in two modes:
   nothing is lost.
 * **observed** — the gain is computed from the peer's own
   :class:`~repro.peers.statistics.PeerStatistics`, i.e. from the cid-annotated
-  results it saw during the period.  This is the faithful, purely local mode;
-  it is exercised by the integration tests and an ablation bench.
+  results it saw during the period
+  (:func:`~repro.traffic.simulator.observe_period`).  This is the faithful,
+  purely local mode; ``Simulation`` and the maintenance loop observe a
+  period before every protocol run in this mode.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ class StrategyContext:
     game:
         The cluster game (cost model + current configuration).
     statistics:
-        Optional per-peer observation trackers filled by the overlay
-        simulator; required by the ``observed`` strategy mode.
+        Optional per-peer observation trackers filled by
+        :func:`~repro.traffic.simulator.observe_period`; required by the
+        ``observed`` strategy mode.
     previous_costs:
         Optional mapping of peer id to its individual cost at the end of the
         *previous* period, used by the new-cluster creation rule ("its cost

@@ -273,26 +273,6 @@ def execute_task(
     return result, duration
 
 
-def _execute_payload(
-    payload: Dict[str, object],
-    scenario_cache: bool = True,
-    store_path: Optional[str] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
-) -> Tuple[RunResult, float]:
-    """Process-pool entry point: rebuild the task from its dict form and run it.
-
-    Kept for third-party executors built against the PR-6 protocol; the
-    built-in pool executors now go through :func:`_execute_payload_envelope`
-    so failures cross the process boundary as data instead of exceptions.
-    """
-    return execute_task(
-        SweepTask.from_dict(payload),
-        scenario_cache=scenario_cache,
-        store=store_path,
-        shm_manifest=shm_manifest,
-    )
-
-
 def _execute_payload_envelope(
     payload: Dict[str, object],
     scenario_cache: bool = True,
@@ -346,9 +326,10 @@ class SweepExecutor(ABC):
     tasks with stored results) and an :class:`ExecutorContext`, and yield one
     :class:`TaskOutcome` per task in any order.  They must honour the event
     ordering contract documented in the module docstring, run every task
-    through :func:`execute_task` (or :func:`_execute_payload` across a
-    process boundary) so durations and store persistence behave identically
-    everywhere, and never let scheduling feed back into task inputs.
+    through :func:`execute_task` (or :func:`_execute_payload_envelope`
+    across a process boundary) so durations and store persistence behave
+    identically everywhere, and never let scheduling feed back into task
+    inputs.
     """
 
     #: Registered name, for display and the ``SweepResult.executor`` field.

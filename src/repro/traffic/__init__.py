@@ -11,6 +11,10 @@ Entry points:
 
 * :class:`TrafficSimulator` — the batched event loop (or
   ``Simulation.run_traffic`` / the ``repro traffic`` CLI for the high-level path).
+* :func:`observe_period` — one observation period ``T`` over the same
+  routing tables: every recorded workload occurrence routed once, filling
+  the per-peer :class:`~repro.peers.statistics.PeerStatistics` the
+  ``observed`` strategy mode decides from.
 * :func:`build_workload` / :data:`repro.registry.workload_registry` — the
   arrival-pattern axis (``uniform``, ``zipf``, ``flash-crowd``, ``replay``).
 * :class:`LinkModel` — per-hop latency and per-message byte costs.
@@ -21,7 +25,7 @@ Entry points:
 from repro.traffic.events import QueryEvent, QueryEventStream, TrafficLog, merge_streams
 from repro.traffic.link import LinkModel
 from repro.traffic.report import TrafficReport
-from repro.traffic.simulator import TrafficSimulator
+from repro.traffic.simulator import TrafficSimulator, observe_period
 from repro.traffic.workloads import (
     FlashCrowdWorkload,
     ReplayWorkload,
@@ -40,6 +44,7 @@ __all__ = [
     "LinkModel",
     "TrafficReport",
     "TrafficSimulator",
+    "observe_period",
     "WorkloadContext",
     "WorkloadGenerator",
     "UniformWorkload",

@@ -3,9 +3,9 @@
 A report condenses a full event replay into four per-query distributions
 (latency, hops, bandwidth, recall — p50/p95/p99 plus histograms via
 :func:`repro.analysis.reporting.distribution_summary`), message/byte totals
-that line up with the legacy :class:`~repro.overlay.messages.MessageBus`
-accounting, and the per-(issuer, cluster) observed recall the paper's Eq. 6
-observation model aggregates.  Everything except the observation matrices is
+that follow the :class:`~repro.overlay.messages.MessageBus` conventions, and
+the per-(issuer, cluster) observed recall the paper's Eq. 6 observation
+model aggregates.  Everything except the observation matrices is
 JSON-safe through :meth:`TrafficReport.to_dict`.
 """
 
@@ -97,7 +97,7 @@ class TrafficReport:
 
     @property
     def message_counts(self) -> Dict[str, int]:
-        """Message totals keyed like the legacy :class:`MessageBus` snapshot."""
+        """Message totals keyed like a :class:`MessageBus` snapshot."""
         return {
             "QueryMessage": self.query_messages,
             "ResultMessage": self.result_messages,

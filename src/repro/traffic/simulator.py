@@ -23,7 +23,7 @@ matrix products ``R @ M`` (per-query recall / provider counts / result items
 per cluster), so a whole batch reduces to a handful of fancy-indexed numpy
 gathers; no per-provider Python loop survives on the hot path.
 
-**Accounting.**  Messages and bytes follow the legacy
+**Accounting.**  Messages and bytes follow the
 :class:`~repro.overlay.messages.MessageBus` convention — one query message
 per reached cluster, one result message per provider holding results — with
 latency and bandwidth charged through a pluggable
@@ -32,6 +32,12 @@ latency and bandwidth charged through a pluggable
 stay in lockstep with the append stream, and the per-(issuer, cluster)
 observed recall of the paper's Eq. 6 observation model is accumulated as an
 event-count matrix multiplied back through ``R @ M`` at the end.
+
+**Observation.**  :func:`observe_period` builds the same routing tables for
+one observation period ``T`` and fills every peer's
+:class:`~repro.peers.statistics.PeerStatistics` — the input of the
+``observed`` strategy mode — with the integer counts that routing each
+recorded workload occurrence once would record, without an event stream.
 """
 
 from __future__ import annotations
@@ -51,10 +57,12 @@ from repro.events import (
     QueryRoutedEvent,
     TrafficSummaryEvent,
 )
+from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, QueryRouter
 from repro.overlay.topology import ClusterTopology, FullMeshTopology
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
+from repro.peers.statistics import PeerStatistics
 from repro.traffic.events import QueryEventStream, TrafficLog
 from repro.traffic.link import LinkModel
 from repro.traffic.report import TrafficReport, empty_distribution
@@ -65,7 +73,7 @@ from repro.traffic.workloads import (
 )
 from repro.analysis.reporting import distribution_summary
 
-__all__ = ["TrafficSimulator"]
+__all__ = ["TrafficSimulator", "observe_period"]
 
 PeerId = Hashable
 
@@ -74,11 +82,16 @@ DEFAULT_BATCH_SIZE = 8192
 
 
 class _RoutingTables:
-    """Per-run vectorised routing state: group tables over the recall matrix.
+    """Per-run routing state: integer result counts, membership and router groups.
 
-    One group per issuer cluster (cluster-invariant routers) or per issuer
-    (fallback); each group row aggregates the ``R @ M`` column slice of the
-    clusters the router targets for that group.
+    ``counts`` is ``R`` (|Q| x |P| result counts over the context's peer
+    order) and ``membership`` is ``M`` (|P| x |C| 0/1 over
+    :attr:`cluster_order`).  Issuers are grouped — one group per issuer
+    cluster (cluster-invariant routers) or per issuer (fallback) — and
+    ``group_columns[g]`` lists the cluster columns the router targets for
+    group ``g``.  :func:`observe_period` works on this integer state alone;
+    :meth:`build_serving_tables` adds the float per-group tables the event
+    loop gathers from.
     """
 
     def __init__(
@@ -86,36 +99,14 @@ class _RoutingTables:
         network: PeerNetwork,
         configuration: ClusterConfiguration,
         router: QueryRouter,
-        link: LinkModel,
-        topology: ClusterTopology,
         context: WorkloadContext,
     ) -> None:
         peers = context.peers
-        queries = context.queries
-        model = network.recall_model()
-        # R: per-distinct-query result counts / recall over the peer order.
-        counts = np.empty((len(queries), len(peers)), dtype=np.float64)
-        for row, query in enumerate(queries):
-            for column, peer_id in enumerate(peers):
-                counts[row, column] = model.result(query, peer_id)
-        totals = counts.sum(axis=1)
-        recall = np.divide(
-            counts,
-            totals[:, None],
-            out=np.zeros_like(counts),
-            where=totals[:, None] > 0,
-        )
+        self.counts, _ = network.recall_model().result_count_matrix(context.queries, peers)
         membership, cluster_order = configuration.membership_matrix(peers)
+        self.membership = membership.astype(np.int64)
         self.cluster_order = cluster_order
         column_of = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-        # Q x C products: per-cluster recall, provider count and result items.
-        cluster_recall = recall @ membership
-        cluster_providers = (counts > 0).astype(np.float64) @ membership
-        cluster_items = counts @ membership
-        sizes = membership.sum(axis=0).astype(int)
-        intra_hops = np.array(
-            [topology.lookup_hops(int(size)) for size in sizes], dtype=np.float64
-        )
 
         # Group the issuers: by cluster when the router's targets only depend
         # on the issuer's cluster, by issuer otherwise.
@@ -143,17 +134,39 @@ class _RoutingTables:
                 group_columns.append(columns)
             group_of[row] = group
         self.group_of = group_of
+        self.group_columns = group_columns
 
-        num_groups = len(group_columns)
-        num_queries = len(queries)
+    def build_serving_tables(self, link: LinkModel, topology: ClusterTopology) -> None:
+        """Aggregate each group's ``R @ M`` column slice into per-(group, query) tables."""
+        # Recall over the row sums of R: every peer of the context is a provider.
+        counts = self.counts.astype(np.float64)
+        totals = counts.sum(axis=1)
+        recall = np.divide(
+            counts,
+            totals[:, None],
+            out=np.zeros_like(counts),
+            where=totals[:, None] > 0,
+        )
+        membership = self.membership.astype(np.float64)
+        # Q x C products: per-cluster recall, provider count and result items.
+        cluster_recall = recall @ membership
+        cluster_providers = (counts > 0).astype(np.float64) @ membership
+        cluster_items = counts @ membership
+        sizes = self.membership.sum(axis=0)
+        intra_hops = np.array(
+            [topology.lookup_hops(int(size)) for size in sizes], dtype=np.float64
+        )
+
+        num_groups = len(self.group_columns)
+        num_queries = counts.shape[0]
         self.recall_table = np.zeros((num_groups, num_queries))
         self.provider_table = np.zeros((num_groups, num_queries))
         self.item_table = np.zeros((num_groups, num_queries))
         self.query_messages = np.zeros(num_groups)
         self.hops = np.zeros(num_groups)
         self.base_latency_ms = np.zeros(num_groups)
-        self.target_mask = np.zeros((num_groups, len(cluster_order)))
-        for group, columns in enumerate(group_columns):
+        self.target_mask = np.zeros((num_groups, len(self.cluster_order)))
+        for group, columns in enumerate(self.group_columns):
             if columns.size == 0:
                 continue
             self.recall_table[group] = cluster_recall[:, columns].sum(axis=1)
@@ -169,6 +182,94 @@ class _RoutingTables:
             )
             self.target_mask[group, columns] = 1.0
         self.cluster_recall = cluster_recall
+
+
+def observe_period(
+    network: PeerNetwork,
+    configuration: ClusterConfiguration,
+    *,
+    router: Optional[QueryRouter] = None,
+    bus: Optional[MessageBus] = None,
+) -> Dict[PeerId, PeerStatistics]:
+    """Observe one period ``T``: route every recorded workload occurrence once.
+
+    Returns one :class:`~repro.peers.statistics.PeerStatistics` per peer of
+    *network*, holding the cid-annotated result counts of the period (Section
+    3.1).  With ``W[i, q]`` how often peer ``i``'s recorded workload holds
+    query ``q``, ``R`` and ``M`` as in :class:`_RoutingTables` and
+    ``T[g, c]`` how often the router sends group ``g``'s queries to cluster
+    ``c``:
+
+    * issuer ``i`` records ``W[i, q] * T[g(i), c] * (R @ M)[q, c]`` results
+      of query ``q`` from cluster ``c`` (only non-zero counts, as results
+      are annotated only when a provider holds some);
+    * provider ``p`` records ``(W_g @ R)[g, p] * (T @ M.T)[g, p]`` results
+      served to the cluster of group ``g``'s issuers, ``W_g`` being ``W``
+      summed per group.
+
+    Every value is an integer sum, so the trackers equal those of routing
+    each occurrence one at a time, under any router.  When *bus* is given,
+    it gains one ``QueryMessage`` per reached cluster and one
+    ``ResultMessage`` per provider holding results, per occurrence.
+    """
+    router = router if router is not None else BroadcastRouter(network)
+    context = WorkloadContext.from_network(network, num_events=0)
+    peers, queries = context.peers, context.queries
+    # Raises for an issuer in several clusters: its served results would
+    # have no single requesting cluster to be credited to.
+    issuer_clusters = [configuration.cluster_of(peer_id) for peer_id in peers]
+    tables = _RoutingTables(network, configuration, router, context)
+    workload = context.counts
+    counts = tables.counts
+
+    num_groups = len(tables.group_columns)
+    targets = np.zeros((num_groups, len(tables.cluster_order)), dtype=np.int64)
+    for group, columns in enumerate(tables.group_columns):
+        np.add.at(targets[group], columns, 1)
+    # Keep only targeted clusters: the slots include every empty cluster, and
+    # integer products over all of them would dominate the observation.
+    used = np.flatnonzero(targets.any(axis=0))
+    targets = targets[:, used]
+    membership = tables.membership[:, used]
+    group_workload = np.zeros((num_groups, len(queries)), dtype=np.int64)
+    np.add.at(group_workload, tables.group_of, workload)
+
+    if bus is not None:
+        holders = (counts > 0).astype(np.int64) @ membership
+        bus.add("QueryMessage", int(group_workload.sum(axis=1) @ targets.sum(axis=1)))
+        bus.add("ResultMessage", int((group_workload * (targets @ holders.T)).sum()))
+
+    statistics = {peer_id: PeerStatistics() for peer_id in peers}
+    for peer_id, occurrences in zip(peers, workload.sum(axis=1).tolist()):
+        statistics[peer_id].recall_tracker.record_query(occurrences)
+
+    issuer_rows, query_rows = np.nonzero(workload)  # (issuer, query) pairs that occur
+    results = (
+        workload[issuer_rows, query_rows, None]
+        * targets[tables.group_of[issuer_rows]]
+        * (counts @ membership)[query_rows]
+    )
+    pairs, targeted = np.nonzero(results)
+    for issuer, query, cluster, count in zip(
+        issuer_rows[pairs].tolist(),
+        query_rows[pairs].tolist(),
+        used[targeted].tolist(),
+        results[pairs, targeted].tolist(),
+    ):
+        statistics[peers[issuer]].recall_tracker.record(
+            queries[query], tables.cluster_order[cluster], count
+        )
+
+    group_cluster = dict(zip(tables.group_of.tolist(), issuer_clusters))
+    served = (group_workload @ counts) * (targets @ membership.T)
+    groups, providers = np.nonzero(served)
+    for group, provider, count in zip(
+        groups.tolist(), providers.tolist(), served[groups, providers].tolist()
+    ):
+        statistics[peers[provider]].contribution_tracker.record_served(
+            group_cluster[group], count
+        )
+    return statistics
 
 
 class TrafficSimulator:
@@ -266,14 +367,8 @@ class TrafficSimulator:
     ) -> TrafficReport:
         """Replay pre-built *streams* (sharing *context*'s index space)."""
         started = time.perf_counter()
-        tables = _RoutingTables(
-            self.network,
-            self.configuration,
-            self.router,
-            self.link,
-            self.topology,
-            context,
-        )
+        tables = _RoutingTables(self.network, self.configuration, self.router, context)
+        tables.build_serving_tables(self.link, self.topology)
         log = TrafficLog() if self.keep_log else None
         self.log = log
         num_peers = len(context.peers)

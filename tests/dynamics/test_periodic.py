@@ -47,7 +47,9 @@ class TestRunPeriod:
             update_workload_full(network, members, categories[-1], scenario.generator, rng=rng)
 
         baseline = loop.run_period()
-        drifted = loop.run_period(drift)
+        drift(scenario.network, loop.configuration)
+        scenario.network.invalidate()
+        drifted = loop.run_period()
         assert drifted.social_cost_before > baseline.social_cost_after
         assert drifted.social_cost_after <= drifted.social_cost_before + 1e-9
         assert drifted.period == 1
@@ -57,10 +59,20 @@ class TestRunPeriod:
         record = loop.run_period()
         assert record.queries_routed > 0
 
-    def test_exact_mode_skips_the_query_simulation_by_default(self, scenario):
+    def test_exact_mode_skips_the_query_simulation(self, scenario):
         loop = make_loop(scenario)
         record = loop.run_period()
         assert record.queries_routed == 0
+        assert "QueryMessage" not in loop.bus.snapshot()
+
+    def test_observed_messages_accumulate_across_periods(self, scenario):
+        loop = make_loop(scenario, strategy=SelfishStrategy(mode="observed"))
+        loop.run_period()
+        first = loop.bus.snapshot()
+        loop.run_period()
+        second = loop.bus.snapshot()
+        assert second["QueryMessage"] == 2 * first["QueryMessage"]  # no drift: same traffic
+        assert all(second[kind] >= count for kind, count in first.items())
 
 
 class TestRun:
@@ -70,10 +82,8 @@ class TestRun:
         assert len(records) == 3
         assert loop.social_cost_trace() == [record.social_cost_after for record in records]
 
-    def test_updates_list_is_validated(self, scenario):
+    def test_negative_periods_are_rejected(self, scenario):
         loop = make_loop(scenario)
-        with pytest.raises(ValueError):
-            loop.run(3, updates=[None])
         with pytest.raises(ValueError):
             loop.run(-1)
 
@@ -97,16 +107,3 @@ class TestScheduledDynamics:
         assert [event.period for event in events] == [1]
         assert events[0].report.model == "workload-full"
         assert records[1].social_cost_before > records[0].social_cost_after
-
-    def test_schedule_and_callback_updates_compose(self, scenario):
-        from repro.dynamics.schedule import DynamicsSchedule
-
-        schedule = DynamicsSchedule.from_dict(
-            {"model": "churn", "options": {"departures": 1}}
-        ).bind(data=scenario, seed=3)
-        loop = make_loop(scenario, schedule=schedule)
-        population = len(scenario.network)
-        calls = []
-        loop.run_period(lambda network, configuration: calls.append(len(network)))
-        # the schedule fires first, then the explicit callback sees the result
-        assert calls == [population - 1]

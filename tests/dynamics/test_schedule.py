@@ -105,12 +105,6 @@ class TestScheduleConstruction:
                 {"model": "workload-full", "options": {"warp": 1}}
             ).validate()
 
-    def test_callback_schedules_do_not_serialise(self):
-        schedule = DynamicsSchedule.from_callbacks([None])
-        assert schedule.is_callback_schedule
-        with pytest.raises(ConfigurationError, match="callback"):
-            schedule.to_dict()
-
 
 class TestScheduleApplication:
     def _bound(self, spec, seed=7):
@@ -170,20 +164,6 @@ class TestScheduleApplication:
         assert outcomes[0] == outcomes[1]  # same seed -> same drift
         first, second = outcomes[0]
         assert first != second  # periods draw from distinct streams
-
-    def test_callback_adapter_invokes_callbacks_per_period(self):
-        data = make_small_scenario()
-        configuration = category_configuration(data)
-        seen = []
-        schedule = DynamicsSchedule.from_callbacks(
-            [None, lambda network, conf: seen.append(len(network))]
-        )
-        assert schedule.apply_period(data.network, configuration, 0) == []
-        reports = schedule.apply_period(data.network, configuration, 1)
-        assert seen == [len(data.network)]
-        assert reports[0].model == "callback"
-        # beyond the callback list the schedule is silent
-        assert schedule.apply_period(data.network, configuration, 5) == []
 
 
 class TestDerivedStreams:

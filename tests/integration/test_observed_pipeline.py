@@ -1,9 +1,9 @@
 """Integration test of the observation-driven (purely local) decision pipeline.
 
-Runs the overlay simulator for a period T (broadcast routing), feeds the
-observed statistics into the *observed* strategy variants and executes the
-protocol with them — the faithful end-to-end path of the paper, as opposed to
-the oracle path used at experiment scale.
+Observes a period T (broadcast routing), feeds the observed statistics into
+the *observed* strategy variants and executes the protocol with them — the
+faithful end-to-end path of the paper, as opposed to the oracle path used at
+experiment scale.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.game.model import ClusterGame
-from repro.overlay.simulator import OverlaySimulator
 from repro.protocol.reformulation import ReformulationProtocol
 from repro.strategies.altruistic import AltruisticStrategy
 from repro.strategies.selfish import SelfishStrategy
+from repro.traffic.simulator import observe_period
 from tests.conftest import make_small_scenario
 
 
@@ -31,13 +31,12 @@ class TestObservedProtocolRound:
         cost_model = scenario.network.cost_model()
         before = cost_model.social_cost(configuration, normalized=True)
 
-        simulator = OverlaySimulator(scenario.network, configuration)
-        simulator.run_period()
+        statistics = observe_period(scenario.network, configuration)
 
         protocol = ReformulationProtocol(
             cost_model, configuration, SelfishStrategy(mode="observed")
         )
-        round_result = protocol.run_round(0, statistics=simulator.statistics)
+        round_result = protocol.run_round(0, statistics=statistics)
         after = cost_model.social_cost(configuration, normalized=True)
         assert round_result.num_granted > 0
         assert after <= before
@@ -48,11 +47,10 @@ class TestObservedProtocolRound:
 
         configuration = initial_configuration(scenario, "random", seed=4)
         cost_model = scenario.network.cost_model()
-        simulator = OverlaySimulator(scenario.network, configuration)
-        simulator.run_period()
+        statistics = observe_period(scenario.network, configuration)
 
         game = ClusterGame(cost_model, configuration, allow_new_clusters=False)
-        context = StrategyContext(game=game, statistics=simulator.statistics)
+        context = StrategyContext(game=game, statistics=statistics)
         exact = SelfishStrategy(mode="exact")
         observed = SelfishStrategy(mode="observed")
         agreements = sum(
@@ -72,9 +70,8 @@ class TestObservedProtocolRound:
 
         # Alternate observation periods and protocol rounds for a few cycles.
         for _period in range(3):
-            simulator = OverlaySimulator(scenario.network, configuration)
-            simulator.run_period()
+            statistics = observe_period(scenario.network, configuration)
             protocol = ReformulationProtocol(cost_model, configuration, strategy)
-            protocol.run_round(0, statistics=simulator.statistics)
+            protocol.run_round(0, statistics=statistics)
 
         assert sorted(configuration.peer_ids()) == scenario.peer_ids()

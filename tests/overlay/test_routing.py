@@ -1,12 +1,14 @@
-"""Tests for query routing and cid-annotated results."""
+"""Tests for the routers' target-cluster policies.
+
+The cid-annotated results the targets lead to are tested with the
+observation path in ``tests/traffic/test_observation.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.queries import Query
-from repro.overlay.messages import MessageBus
-from repro.overlay.routing import BroadcastRouter, ProbeKRouter, QueryRouter
+from repro.overlay.routing import BroadcastRouter, ProbeKRouter, build_router
 
 
 class TestBroadcastRouter:
@@ -14,40 +16,10 @@ class TestBroadcastRouter:
         router = BroadcastRouter(tiny_network)
         assert router.target_clusters("alice", tiny_configuration) == ["c1", "c2"]
 
-    def test_results_are_annotated_with_cids(self, tiny_network, tiny_configuration):
-        router = BroadcastRouter(tiny_network)
-        results = router.route("alice", Query(["movies"]), tiny_configuration)
-        by_provider = {result.provider: result for result in results}
-        assert by_provider["bob"].cluster_id == "c2"
-        assert by_provider["carol"].cluster_id == "c1"
-        assert by_provider["bob"].result_count == 1
-
-    def test_zero_count_results_are_omitted(self, tiny_network, tiny_configuration):
-        router = BroadcastRouter(tiny_network)
-        results = router.route("bob", Query(["music"]), tiny_configuration)
-        providers = {result.provider for result in results}
-        assert "bob" not in providers
-        assert providers == {"alice", "carol"}
-
-    def test_cluster_recall_matches_global_recall_under_broadcast(
-        self, tiny_network, tiny_configuration
-    ):
-        router = BroadcastRouter(tiny_network)
-        query = Query(["music"])
-        results = router.route("bob", query, tiny_configuration)
-        model = tiny_network.recall_model()
-        expected_c1 = model.recall(query, "alice") + model.recall(query, "carol")
-        assert QueryRouter.cluster_recall(results, "c1") == pytest.approx(expected_c1)
-
-    def test_cluster_recall_of_empty_results_is_zero(self):
-        assert QueryRouter.cluster_recall([], "c1") == 0.0
-
-    def test_messages_are_accounted(self, tiny_network, tiny_configuration):
-        bus = MessageBus()
-        router = BroadcastRouter(tiny_network, bus)
-        router.route("alice", Query(["movies"]), tiny_configuration)
-        assert bus.count("QueryMessage") == 2  # one per non-empty cluster
-        assert bus.count("ResultMessage") == 2  # bob and carol both answered
+    def test_build_router_by_registered_name(self, tiny_network, tiny_configuration):
+        router = build_router("probe-k", tiny_network, k=2)
+        assert isinstance(router, ProbeKRouter)
+        assert router.target_clusters("bob", tiny_configuration) == ["c2", "c1"]
 
 
 class TestProbeKRouter:
@@ -62,14 +34,6 @@ class TestProbeKRouter:
     def test_k2_adds_largest_other_cluster(self, tiny_network, tiny_configuration):
         router = ProbeKRouter(tiny_network, k=2)
         assert router.target_clusters("bob", tiny_configuration) == ["c2", "c1"]
-
-    def test_probe_results_are_subset_of_broadcast(self, tiny_network, tiny_configuration):
-        query = Query(["music"])
-        broadcast = BroadcastRouter(tiny_network).route("bob", query, tiny_configuration)
-        probed = ProbeKRouter(tiny_network, k=1).route("bob", query, tiny_configuration)
-        broadcast_pairs = {(result.provider, result.result_count) for result in broadcast}
-        probed_pairs = {(result.provider, result.result_count) for result in probed}
-        assert probed_pairs <= broadcast_pairs
 
     def test_equal_size_clusters_tie_break_by_repr(self, tiny_network):
         # Three singleton clusters: every "other" cluster ties on size, so
@@ -92,21 +56,3 @@ class TestProbeKRouter:
         # c1 (two members) outranks the repr-smaller singleton c2.
         router = ProbeKRouter(tiny_network, k=2)
         assert router.target_clusters("bob", tiny_configuration) == ["c2", "c1"]
-
-
-class TestOrderedMembers:
-    def test_route_order_matches_the_historical_repr_sort(
-        self, tiny_network, tiny_configuration
-    ):
-        router = BroadcastRouter(tiny_network)
-        results = router.route("bob", Query(["music"]), tiny_configuration)
-        providers = [result.provider for result in results]
-        assert providers == sorted(providers, key=repr)
-
-    def test_rank_cache_rebuilds_after_churn(self, tiny_network, tiny_configuration):
-        router = BroadcastRouter(tiny_network)
-        router.route("bob", Query(["music"]), tiny_configuration)  # warm the cache
-        members = ["carol", "alice", "bob"]
-        assert router._ordered_members(members) == ["alice", "bob", "carol"]
-        # A member the network has never seen falls back to the repr sort.
-        assert router._ordered_members(["zed", "alice"]) == ["alice", "zed"]

@@ -18,11 +18,27 @@ from repro import (
     initial_configuration,
     register_strategy,
 )
+from repro.dynamics import DriftReport, DynamicsSchedule
 from repro.dynamics.updates import update_workload_full
 from repro.registry import strategy_registry
 from repro.strategies.base import RelocationStrategy
 
 QUICK = SessionConfig(scenario="same_category", strategy="selfish", scale="quick")
+
+
+class PeriodHook(DynamicsSchedule):
+    """A schedule that calls ``hooks[period](network, configuration)`` — no registry."""
+
+    def __init__(self, hooks):
+        super().__init__()
+        self.hooks = hooks
+
+    def apply_period(self, network, configuration, period):
+        hook = self.hooks.get(period)
+        if hook is None:
+            return []
+        hook(network, configuration)
+        return [DriftReport(model="hook", period=period)]
 
 
 class TestAcceptance:
@@ -110,6 +126,8 @@ class TestDiscoveryRuns:
             QUICK.with_options(strategy_mode="observed", initial="category")
         ).run()
         assert result.queries_routed > 0
+        # discovery reports the protocol's messages only, not the observation's
+        assert "QueryMessage" not in result.message_counts
 
     def test_events_flow_through_the_facade(self):
         simulation = Simulation.from_config(QUICK)
@@ -150,15 +168,16 @@ class TestMaintenanceRuns:
             for peer_id in list(configuration.members(second)):
                 configuration.move(peer_id, second, first)
 
-        with pytest.warns(DeprecationWarning, match="updates"):
-            result = simulation.run_maintenance(2, updates=[None, merge_first_two])
+        result = simulation.run_maintenance(
+            2, schedule=PeriodHook({1: merge_first_two})
+        )
         counts = result.cluster_count_trace
         assert len(counts) == 2
         # Period 0 keeps the ground-truth clustering; period 1 starts with one
         # cluster merged away, which maintenance does not resurrect.
         assert counts[0] == counts[1] + 1
 
-    def test_run_maintenance_with_updates(self):
+    def test_run_maintenance_with_a_custom_schedule(self):
         simulation = self._simulation()
         data = simulation.data
         categories = sorted({c for c in data.data_categories.values() if c})
@@ -169,8 +188,7 @@ class TestMaintenanceRuns:
             members = sorted(configuration.members(cluster_id), key=repr)
             update_workload_full(network, members[:2], categories[-1], data.generator, rng=rng)
 
-        with pytest.warns(DeprecationWarning, match="updates"):
-            result = simulation.run_maintenance(2, updates=[None, drift])
+        result = simulation.run_maintenance(2, schedule=PeriodHook({1: drift}))
         assert result.num_periods == 2
         # the drift perturbs the cost before period 1's maintenance pass
         assert result.periods[1].social_cost_before >= result.periods[0].social_cost_after
@@ -180,6 +198,18 @@ class TestMaintenanceRuns:
 
         with pytest.raises(ConfigurationError):
             self._simulation().run_maintenance(-1)
+
+    def test_observed_message_counts_accumulate_across_periods(self):
+        config = QUICK.with_options(
+            initial="category", strategy_mode="observed", dynamics={"model": "workload-full"}
+        )
+        counts = [
+            Simulation.from_config(config).run_maintenance(periods).message_counts
+            for periods in (1, 2, 3)
+        ]
+        for fewer, more in zip(counts, counts[1:]):
+            for kind, count in fewer.items():
+                assert more.get(kind, 0) >= count, (kind, fewer, more)
 
 
 class TestDeclarativeDynamics:
@@ -220,14 +250,6 @@ class TestDeclarativeDynamics:
         schedule = DynamicsSchedule.from_dict({"model": "churn", "options": {"departures": 2}})
         result = simulation.run_maintenance(1, schedule=schedule)
         assert len(result.extras["drift"][0]["peer_ids"]) == 2
-
-    def test_updates_cannot_be_combined_with_dynamics(self):
-        from repro.errors import ConfigurationError
-
-        simulation = self._simulation()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="updates"):
-                simulation.run_maintenance(2, updates=[None, None])
 
     def test_drift_is_reproducible_across_simulations(self):
         costs = [self._simulation().run_maintenance(3).social_cost_trace for _ in range(2)]

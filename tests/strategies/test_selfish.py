@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import StrategyError
 from repro.game.model import ClusterGame
-from repro.overlay.simulator import OverlaySimulator
 from repro.strategies.base import StrategyContext
+from repro.traffic.simulator import observe_period
 from repro.strategies.selfish import SelfishStrategy
 
 
@@ -19,10 +19,9 @@ def exact_context(tiny_network, tiny_configuration):
 
 @pytest.fixture
 def observed_context(tiny_network, tiny_configuration):
-    simulator = OverlaySimulator(tiny_network, tiny_configuration)
-    simulator.run_period()
+    statistics = observe_period(tiny_network, tiny_configuration)
     game = ClusterGame(tiny_network.cost_model(use_matrix=False), tiny_configuration)
-    return StrategyContext(game=game, statistics=simulator.statistics)
+    return StrategyContext(game=game, statistics=statistics)
 
 
 class TestConstruction:

@@ -15,9 +15,9 @@ from repro.datasets.scenarios import (
 )
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
+from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter
-from repro.overlay.simulator import OverlaySimulator
-from repro.traffic.simulator import TrafficSimulator
+from repro.traffic.simulator import TrafficSimulator, observe_period
 from repro.traffic.workloads import ReplayWorkload
 
 #: Small enough that a broadcast replay runs in milliseconds per scenario.
@@ -67,47 +67,57 @@ class TestBroadcastReplayParity:
         )
 
 
-class TestLegacyMessageParity:
-    """The vectorised accounting reproduces the per-query MessageBus totals."""
+class TestObservationParity:
+    """A ``replay`` pass serves exactly what :func:`observe_period` observes."""
 
-    def test_tiny_network_replay_matches_run_period(
+    @staticmethod
+    def observed_totals(network, configuration, router=None):
+        bus = MessageBus()
+        statistics = observe_period(network, configuration, router=router, bus=bus)
+        trackers = [stats.recall_tracker for stats in statistics.values()]
+        return (
+            sum(tracker.queries_observed() for tracker in trackers),
+            bus.snapshot(),
+            sum(tracker.total_results() for tracker in trackers),
+        )
+
+    def test_tiny_network_replay_matches_observation(
         self, tiny_network, tiny_configuration
     ):
-        legacy = OverlaySimulator(tiny_network, tiny_configuration)
-        period = legacy.run_period()
+        routed, messages, results = self.observed_totals(tiny_network, tiny_configuration)
         report = TrafficSimulator(tiny_network, tiny_configuration).run(
             workload="replay"
         )
-        assert report.events == period.queries_routed
-        assert report.message_counts == period.messages
-        assert report.result_items == period.results_returned
+        assert report.events == routed
+        assert report.message_counts == messages
+        assert report.result_items == results
 
-    def test_scenario_replay_matches_run_period(self, small_scenario):
+    def test_scenario_replay_matches_observation(self, small_scenario):
         configuration = initial_configuration(small_scenario, "category")
-        legacy = OverlaySimulator(small_scenario.network, configuration)
-        period = legacy.run_period()
+        routed, messages, results = self.observed_totals(
+            small_scenario.network, configuration
+        )
         report = TrafficSimulator(small_scenario.network, configuration).run(
             workload="replay"
         )
-        assert report.events == period.queries_routed
-        assert report.message_counts == period.messages
-        assert report.result_items == period.results_returned
+        assert report.events == routed
+        assert report.message_counts == messages
+        assert report.result_items == results
 
     def test_probe_k_message_parity(self, small_scenario):
         configuration = initial_configuration(small_scenario, "category")
-        legacy = OverlaySimulator(
+        _, messages, results = self.observed_totals(
             small_scenario.network,
             configuration,
             router=ProbeKRouter(small_scenario.network, k=2),
         )
-        period = legacy.run_period()
         report = TrafficSimulator(
             small_scenario.network,
             configuration,
             router=ProbeKRouter(small_scenario.network, k=2),
         ).run(workload="replay")
-        assert report.message_counts == period.messages
-        assert report.result_items == period.results_returned
+        assert report.message_counts == messages
+        assert report.result_items == results
 
 
 class TestBatchInvariance:
