@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.overlay.messages import MessageBus, QueryMessage, ResultMessage
+from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 
@@ -84,13 +84,9 @@ class GlobalReclustering:
             peer_id: self.peer_profile(network, peer_id) for peer_id in peer_ids
         }
 
-        messages = 0
+        # Every peer ships its profile to the coordinator ...
         if bus is not None:
-            for peer_id in peer_ids:
-                bus.publish(
-                    QueryMessage(sender=peer_id, receiver="coordinator", query="profile")
-                )
-        messages += len(peer_ids)
+            bus.add("QueryMessage", len(peer_ids))
 
         rng = random.Random(self.seed)
         medoids: List[PeerId] = rng.sample(peer_ids, clusters)
@@ -113,14 +109,11 @@ class GlobalReclustering:
         for peer_id in peer_ids:
             configuration.assign(peer_id, slots[assignment[peer_id]])
 
+        # ... and receives its assignment back.
         if bus is not None:
-            for peer_id in peer_ids:
-                bus.publish(
-                    ResultMessage(sender="coordinator", receiver=peer_id, result_count=1)
-                )
-        messages += len(peer_ids)
+            bus.add("ResultMessage", len(peer_ids))
         return ReclusteringResult(
-            configuration=configuration, iterations=iterations, messages=messages
+            configuration=configuration, iterations=iterations, messages=2 * len(peer_ids)
         )
 
     def _closest_medoid(

@@ -93,8 +93,20 @@ class QueryWorkload:
         Merging the local workloads of all peers yields the global workload
         ``Q`` used by the workload cost.
         """
-        merged = QueryWorkload()
-        merged._counts = self._counts + other._counts
+        return QueryWorkload.merge_all((self, other))
+
+    @classmethod
+    def merge_all(cls, workloads: Iterable["QueryWorkload"]) -> "QueryWorkload":
+        """One workload holding the queries of every workload in *workloads*.
+
+        The counts add up (only positive totals are kept) in one linear
+        pass, instead of copying the growing total once per workload as
+        folding :meth:`merge` would.
+        """
+        merged = cls()
+        for workload in workloads:
+            merged._counts.update(workload._counts)
+        merged._counts = +merged._counts
         return merged
 
     def copy(self) -> "QueryWorkload":

@@ -8,15 +8,7 @@ for :class:`~repro.peers.statistics.PeerStatistics`.  Both count messages
 with the conventions of :class:`MessageBus`.
 """
 
-from repro.overlay.messages import (
-    GainReportMessage,
-    GrantMessage,
-    Message,
-    MessageBus,
-    QueryMessage,
-    RelocationRequestMessage,
-    ResultMessage,
-)
+from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter, QueryRouter
 from repro.overlay.topology import (
     ClusterTopology,
@@ -26,13 +18,7 @@ from repro.overlay.topology import (
 )
 
 __all__ = [
-    "Message",
     "MessageBus",
-    "QueryMessage",
-    "ResultMessage",
-    "GainReportMessage",
-    "RelocationRequestMessage",
-    "GrantMessage",
     "QueryRouter",
     "BroadcastRouter",
     "ProbeKRouter",

@@ -16,6 +16,7 @@ exactly what the cluster-creation rule of Section 3.2 needs.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, insort
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -55,9 +56,7 @@ class ClusterConfiguration:
             self._clusters[cluster_id] = Cluster(cluster_id)
         self._strategies: Dict[PeerId, Set[ClusterId]] = {}
         self._listeners: List["weakref.ref"] = []
-        self._sorted_cluster_ids: Optional[List[ClusterId]] = None
-        self._nonempty_cache: Optional[List[ClusterId]] = None
-        self._empty_cache: Optional[List[ClusterId]] = None
+        self._index_slots()
         if assignment is not None:
             for peer_id, clusters in assignment.items():
                 if isinstance(clusters, (str, bytes)) or not isinstance(clusters, Iterable):
@@ -117,9 +116,29 @@ class ClusterConfiguration:
             reference for reference in self._listeners if reference() not in (None, listener)
         ]
 
-    def _invalidate_partition_caches(self) -> None:
-        self._nonempty_cache = None
-        self._empty_cache = None
+    def _index_slots(self) -> None:
+        """Rebuild the ``repr``-ordered slot list and its non-empty/empty split."""
+        self._sorted_cluster_ids: List[ClusterId] = sorted(self._clusters, key=repr)
+        self._slot_rank: Dict[ClusterId, int] = {
+            cluster_id: rank for rank, cluster_id in enumerate(self._sorted_cluster_ids)
+        }
+        self._nonempty: List[ClusterId] = []
+        self._empty: List[ClusterId] = []
+        for cluster_id in self._sorted_cluster_ids:
+            if self._clusters[cluster_id].is_empty:
+                self._empty.append(cluster_id)
+            else:
+                self._nonempty.append(cluster_id)
+
+    def _slot_turned(self, cluster_id: ClusterId, *, nonempty: bool) -> None:
+        """Move *cluster_id* to the other side of the split, keeping ``repr`` order."""
+        if nonempty:
+            source, target = self._empty, self._nonempty
+        else:
+            source, target = self._nonempty, self._empty
+        rank = self._slot_rank.__getitem__
+        del source[bisect_left(source, rank(cluster_id), key=rank)]
+        insort(target, cluster_id, key=rank)
 
     def _notify(self, method: str, *args: object) -> None:
         if not self._listeners:
@@ -143,8 +162,7 @@ class ClusterConfiguration:
         if cluster_id in self._clusters:
             raise ConfigurationError(f"cluster {cluster_id!r} already exists")
         self._clusters[cluster_id] = Cluster(cluster_id)
-        self._sorted_cluster_ids = None
-        self._invalidate_partition_caches()
+        self._index_slots()
         self._notify("configuration_cluster_added", cluster_id)
 
     def cluster(self, cluster_id: ClusterId) -> Cluster:
@@ -155,30 +173,16 @@ class ClusterConfiguration:
             raise UnknownClusterError(cluster_id) from None
 
     def cluster_ids(self) -> List[ClusterId]:
-        """All cluster slot identifiers (including empty slots), deterministic order."""
-        if self._sorted_cluster_ids is None:
-            self._sorted_cluster_ids = sorted(self._clusters, key=repr)
+        """All cluster slot identifiers (including empty slots), in ``repr`` order."""
         return list(self._sorted_cluster_ids)
 
     def nonempty_clusters(self) -> List[ClusterId]:
-        """Identifiers of clusters with at least one member."""
-        if self._nonempty_cache is None:
-            self._nonempty_cache = [
-                cluster_id
-                for cluster_id in self.cluster_ids()
-                if not self._clusters[cluster_id].is_empty
-            ]
-        return list(self._nonempty_cache)
+        """Identifiers of clusters with at least one member, in ``repr`` order."""
+        return list(self._nonempty)
 
     def empty_clusters(self) -> List[ClusterId]:
-        """Identifiers of empty cluster slots (candidates for cluster creation)."""
-        if self._empty_cache is None:
-            self._empty_cache = [
-                cluster_id
-                for cluster_id in self.cluster_ids()
-                if self._clusters[cluster_id].is_empty
-            ]
-        return list(self._empty_cache)
+        """Identifiers of empty cluster slots (candidates for cluster creation), ``repr`` order."""
+        return list(self._empty)
 
     def size(self, cluster_id: ClusterId) -> int:
         """``|c|`` for the given cluster."""
@@ -202,6 +206,10 @@ class ClusterConfiguration:
         """Number of assigned peers (cheap — no sort)."""
         return len(self._strategies)
 
+    def num_memberships(self) -> int:
+        """Number of (peer, cluster) memberships (:meth:`num_peers` without multi-membership)."""
+        return sum(map(len, self._strategies.values()))
+
     def assign(self, peer_id: PeerId, cluster_id: ClusterId) -> None:
         """Add *cluster_id* to the strategy of *peer_id*."""
         cluster = self.cluster(cluster_id)
@@ -211,8 +219,9 @@ class ClusterConfiguration:
                 f"peer {peer_id!r} already belongs to cluster {cluster_id!r}"
             )
         strategy.add(cluster_id)
+        if cluster.is_empty:
+            self._slot_turned(cluster_id, nonempty=True)
         cluster.add(peer_id)
-        self._invalidate_partition_caches()
         self._notify("configuration_assigned", peer_id, cluster_id)
 
     def remove_peer(self, peer_id: PeerId) -> None:
@@ -221,11 +230,10 @@ class ClusterConfiguration:
         if strategy is None:
             raise UnknownPeerError(peer_id)
         for cluster_id in sorted(strategy, key=repr):
-            self._clusters[cluster_id].remove(peer_id)
-            # Invalidate after every removal: a listener may (re)populate the
-            # partition caches from inside its callback, and the caches must
-            # never outlive a later membership change of this same loop.
-            self._invalidate_partition_caches()
+            cluster = self._clusters[cluster_id]
+            cluster.remove(peer_id)
+            if cluster.is_empty:
+                self._slot_turned(cluster_id, nonempty=False)
             self._notify("configuration_unassigned", peer_id, cluster_id)
 
     def move(self, peer_id: PeerId, from_cluster: ClusterId, to_cluster: ClusterId) -> None:
@@ -242,11 +250,15 @@ class ClusterConfiguration:
                 f"peer {peer_id!r} does not belong to cluster {from_cluster!r}"
             )
         destination = self.cluster(to_cluster)
-        self._clusters[from_cluster].remove(peer_id)
+        source = self._clusters[from_cluster]
+        source.remove(peer_id)
+        if source.is_empty:
+            self._slot_turned(from_cluster, nonempty=False)
         strategy.remove(from_cluster)
         strategy.add(to_cluster)
+        if destination.is_empty:
+            self._slot_turned(to_cluster, nonempty=True)
         destination.add(peer_id)
-        self._invalidate_partition_caches()
         self._notify("configuration_unassigned", peer_id, from_cluster)
         self._notify("configuration_assigned", peer_id, to_cluster)
 
@@ -290,7 +302,7 @@ class ClusterConfiguration:
 
     def num_nonempty_clusters(self) -> int:
         """Number of clusters with at least one member (the paper's ``#Clusters``)."""
-        return len(self.nonempty_clusters())
+        return len(self._nonempty)
 
     def as_partition(self) -> Dict[ClusterId, FrozenSet[PeerId]]:
         """The non-empty clusters as a mapping ``cluster id -> members``."""

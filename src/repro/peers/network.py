@@ -125,10 +125,7 @@ class PeerNetwork:
 
     def global_workload(self) -> QueryWorkload:
         """The global query list ``Q`` (merge of every local workload)."""
-        merged = QueryWorkload()
-        for peer in self._peers.values():
-            merged = merged.merge(peer.workload)
-        return merged
+        return QueryWorkload.merge_all(peer.workload for peer in self._peers.values())
 
     def recall_matrix(
         self, *, rebuild: bool = False, mode: Optional[str] = None

@@ -187,10 +187,11 @@ class ReformulationProtocol:
     ) -> Dict[PeerId, RelocationProposal]:
         """Apply the paper's cluster-creation precondition.
 
-        A proposal targeting a fresh cluster is kept only if the peer's cost
-        has increased by at least ``creation_cost_increase`` since the end of
-        the previous period (always kept when no previous period is known and
-        the threshold is zero).
+        A proposal targeting a fresh cluster is dropped when cluster creation
+        is disabled.  Otherwise it is kept when no previous period is known,
+        when ``creation_cost_increase`` is zero, or when the peer's cost has
+        increased by at least ``creation_cost_increase`` since the end of the
+        previous period.
         """
         if not self.allow_cluster_creation:
             return {
@@ -252,16 +253,30 @@ class ReformulationProtocol:
         *,
         statistics: Optional[Mapping[PeerId, PeerStatistics]] = None,
     ) -> RoundResult:
-        """Run a single two-phase round against the current configuration."""
+        """Run a single two-phase round against the current configuration.
+
+        Every assigned peer reports its gain to the representative of each
+        cluster it belongs to, so the round counts one ``GainReportMessage``
+        per cluster membership, less the memberships of the movers whose
+        proposal the cluster-creation precondition drops (those never
+        report).  The movers left go to :func:`execute_round`.
+        """
+        configuration = self.configuration
         game = self._build_game()
         context = StrategyContext(
             game=game, statistics=statistics, previous_costs=self._previous_costs
         )
-        proposals = self.strategy.propose_all(self.configuration.peer_ids(), context)
-        proposals = self._filter_new_cluster_proposals(proposals, game)
+        movers = self.strategy.propose_all(configuration.peer_ids(), context)
+        kept = self._filter_new_cluster_proposals(movers, game)
+        dropped = sum(
+            len(configuration.clusters_of(peer_id))
+            for peer_id in movers
+            if peer_id not in kept and peer_id in configuration
+        )
+        self.bus.add("GainReportMessage", configuration.num_memberships() - dropped)
         return execute_round(
-            self.configuration,
-            proposals,
+            configuration,
+            kept,
             round_number=round_number,
             gain_threshold=self.gain_threshold,
             bus=self.bus,

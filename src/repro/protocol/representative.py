@@ -1,81 +1,31 @@
-"""Cluster representatives: per-cluster aggregation of relocation proposals.
+"""Phase one of a protocol round at the cluster representatives.
 
-One peer per cluster acts as the cluster representative for a protocol
-round.  In phase one it receives the gain reports of the cluster's members
-and keeps only the proposal with the highest gain (provided the gain exceeds
-the system threshold ε); in phase two it participates in serving the ordered
-request list.  Representatives need not be the same across rounds — the
-election here is deterministic (smallest member id) simply to make runs
-reproducible.
+One peer per cluster acts as the cluster representative for a round.  Every
+member reports its gain to the representative of each cluster it belongs
+to; the representative keeps the proposal with the highest gain, provided
+the gain exceeds the system threshold ε, and advertises it to the other
+representatives.  A stay has nothing to advertise, so only the movers
+matter: :func:`gather_requests` keeps the best mover per cluster in one
+pass over them.  Which member acts as representative does not change the
+outcome, so no representative is elected here; the protocol counts the
+reports (:meth:`~repro.protocol.reformulation.ReformulationProtocol.run_round`)
+and the advertisements (here) on the message bus.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Hashable, Mapping
 from typing import Dict, List, Optional
 
-from repro.overlay.messages import GainReportMessage, MessageBus, RelocationRequestMessage
+from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.protocol.requests import RelocationRequest
 from repro.strategies.base import RelocationProposal
 
-__all__ = ["Representative", "elect_representatives", "gather_requests"]
+__all__ = ["gather_requests"]
 
 PeerId = Hashable
 ClusterId = Hashable
-
-
-@dataclass
-class Representative:
-    """The representative of one cluster for one protocol round."""
-
-    cluster_id: ClusterId
-    peer_id: PeerId
-
-    def select_request(
-        self,
-        proposals: Iterable[RelocationProposal],
-        *,
-        gain_threshold: float = 0.0,
-        bus: Optional[MessageBus] = None,
-    ) -> Optional[RelocationRequest]:
-        """Keep the member proposal with the highest gain above the threshold.
-
-        Proposals that do not actually move the peer are ignored (the paper's
-        "no peer needs to relocate" case, in which the representative only
-        advertises its cid).
-        """
-        best: Optional[RelocationProposal] = None
-        for proposal in proposals:
-            if bus is not None:
-                bus.publish(
-                    GainReportMessage(
-                        sender=proposal.peer_id,
-                        receiver=self.peer_id,
-                        gain=proposal.gain,
-                        target_cluster=proposal.target_cluster,
-                    )
-                )
-            if not proposal.is_move or proposal.gain <= gain_threshold:
-                continue
-            if best is None or proposal.gain > best.gain or (
-                proposal.gain == best.gain and repr(proposal.peer_id) < repr(best.peer_id)
-            ):
-                best = proposal
-        if best is None:
-            return None
-        return RelocationRequest.from_proposal(best)
-
-
-def elect_representatives(configuration: ClusterConfiguration) -> Dict[ClusterId, Representative]:
-    """Elect one representative per non-empty cluster (deterministically)."""
-    representatives: Dict[ClusterId, Representative] = {}
-    for cluster_id in configuration.nonempty_clusters():
-        cluster = configuration.cluster(cluster_id)
-        peer_id = cluster.elect_representative()
-        representatives[cluster_id] = Representative(cluster_id=cluster_id, peer_id=peer_id)
-    return representatives
 
 
 def gather_requests(
@@ -87,35 +37,38 @@ def gather_requests(
 ) -> List[RelocationRequest]:
     """Phase one of a round: every representative selects its cluster's best request.
 
-    Returns the advertised requests (at most one per cluster).  The broadcast
-    of each request to the other representatives is accounted on *bus*.
+    *proposals* maps each moving peer to its proposal; stays and peers
+    outside the configuration are ignored.  A cluster's request is its
+    member proposal with the highest gain above *gain_threshold*, ties going
+    to the smaller ``repr`` of the peer id; a peer in several clusters
+    competes in each of them.  Returns the advertised requests (at most one
+    per cluster) in ``repr`` order of their cluster, and counts on *bus* the
+    advertisement of each request to the other non-empty clusters'
+    representatives.
     """
-    representatives = elect_representatives(configuration)
-    requests: List[RelocationRequest] = []
-    for cluster_id, representative in sorted(representatives.items(), key=lambda item: repr(item[0])):
-        member_proposals = [
-            proposals[peer_id]
-            for peer_id in sorted(configuration.members(cluster_id), key=repr)
-            if peer_id in proposals
-        ]
-        request = representative.select_request(
-            member_proposals, gain_threshold=gain_threshold, bus=bus
-        )
-        if request is None:
+    best: Dict[ClusterId, RelocationProposal] = {}
+    for peer_id, proposal in proposals.items():
+        if not proposal.is_move or proposal.gain <= gain_threshold:
             continue
-        requests.append(request)
-        if bus is not None:
-            for other_cluster, other_representative in representatives.items():
-                if other_cluster == cluster_id:
-                    continue
-                bus.publish(
-                    RelocationRequestMessage(
-                        sender=representative.peer_id,
-                        receiver=other_representative.peer_id,
-                        source_cluster=request.source_cluster,
-                        target_cluster=request.target_cluster,
-                        gain=request.gain,
-                        peer_id=request.peer_id,
-                    )
+        if peer_id not in configuration:
+            continue
+        for cluster_id in configuration.clusters_of(peer_id):
+            incumbent = best.get(cluster_id)
+            if (
+                incumbent is None
+                or proposal.gain > incumbent.gain
+                or (
+                    proposal.gain == incumbent.gain
+                    and repr(proposal.peer_id) < repr(incumbent.peer_id)
                 )
+            ):
+                best[cluster_id] = proposal
+    requests = [
+        RelocationRequest.from_proposal(best[cluster_id]) for cluster_id in sorted(best, key=repr)
+    ]
+    if bus is not None:
+        bus.add(
+            "RelocationRequestMessage",
+            len(requests) * (configuration.num_nonempty_clusters() - 1),
+        )
     return requests

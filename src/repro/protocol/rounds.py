@@ -10,6 +10,14 @@ A round has two phases (Section 3.2):
    one subject to the cycle-avoiding lock rule; requests that would violate
    a lock are discarded for this round.
 
+:func:`execute_round` takes the round's movers only (the strategies'
+``propose_all`` returns no stays), gathers their requests with
+:func:`~repro.protocol.representative.gather_requests` and serves them.  It
+counts one ``GrantMessage`` per granted move on the bus; the gather phase
+counts the advertisements, and
+:class:`~repro.protocol.reformulation.ReformulationProtocol` counts the gain
+reports, which only it can see.
+
 Requests whose target is :data:`~repro.core.costs.NEW_CLUSTER` are resolved
 to a concrete empty cluster slot at grant time (the relocating peer becomes
 the representative of the newly formed cluster).
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.costs import NEW_CLUSTER
-from repro.overlay.messages import GrantMessage, MessageBus
+from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.protocol.locks import LockTable
 from repro.protocol.representative import gather_requests
@@ -82,6 +90,9 @@ def execute_round(
 ) -> RoundResult:
     """Run one two-phase round, mutating *configuration* in place.
 
+    *proposals* maps each moving peer to its proposal (stays may be left
+    out: they never become requests).
+
     ``enforce_locks=False`` disables the paper's cycle-avoiding lock rule
     (every request is served as long as it is still applicable); it exists for
     the ablation benchmark that measures what the rule buys.
@@ -133,14 +144,6 @@ def execute_round(
                 created_cluster=created_cluster,
             )
         )
-        if bus is not None:
-            bus.publish(
-                GrantMessage(
-                    sender=request.source_cluster,
-                    receiver=target_cluster,
-                    peer_id=request.peer_id,
-                    source_cluster=request.source_cluster,
-                    target_cluster=target_cluster,
-                )
-            )
+    if bus is not None:
+        bus.add("GrantMessage", len(result.granted))
     return result

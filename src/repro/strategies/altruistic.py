@@ -45,7 +45,7 @@ mode uses the peer's :class:`~repro.peers.statistics.ContributionTracker`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from typing import Dict, Optional
 
 import numpy as np
@@ -201,12 +201,14 @@ class AltruisticStrategy(RelocationStrategy):
     def batch_state(self, context: StrategyContext, cluster_order):
         """Shared vectorised scaffolding of the batch (exact-mode) paths.
 
-        Returns ``(contributions, join_increases, leave_decreases)`` over the
-        *cluster_order* columns — the peer x cluster contribution matrix
-        (Eq. 6) plus the per-cluster maintenance-cost deltas — or ``None``
-        when no recall matrix is attached.  The hybrid strategy builds its
-        altruistic term from exactly this state, so the two batch paths can
-        never diverge.
+        Returns ``(contributions, join_increases, leave_decreases,
+        current_columns)`` over the *cluster_order* columns and the recall
+        matrix's peer rows — the peer x cluster contribution matrix (Eq. 6),
+        the per-cluster maintenance-cost deltas, and each peer's current
+        column (``-1`` when the peer belongs to none or to several of the
+        clusters) — or ``None`` when no recall matrix is attached.  The
+        hybrid strategy builds its altruistic term from exactly this state,
+        so the two batch paths can never diverge.
         """
         matrix = context.game.cost_model.matrix
         if matrix is None:
@@ -221,6 +223,9 @@ class AltruisticStrategy(RelocationStrategy):
         else:
             membership, _ = configuration.membership_matrix(matrix.peer_order, cluster_order)
             sizes = membership.sum(axis=0)
+        current_columns = np.where(
+            membership.sum(axis=1) == 1.0, np.argmax(membership, axis=1), -1
+        )
         contributions = matrix.contribution_matrix(membership)
         join_increases = np.array(
             [self.join_cost_increase(cost_model, int(size)) for size in sizes], dtype=float
@@ -228,55 +233,52 @@ class AltruisticStrategy(RelocationStrategy):
         leave_decreases = np.array(
             [self.leave_cost_decrease(cost_model, int(size)) for size in sizes], dtype=float
         )
-        return contributions, join_increases, leave_decreases
+        return contributions, join_increases, leave_decreases, current_columns
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Vectorised batch evaluation in exact mode (per-peer fallback otherwise)."""
+    def propose_all(
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
+    ) -> Dict[PeerId, RelocationProposal]:
+        """The movers among *peer_ids*, from the contribution arrays in exact mode.
+
+        Every peer in exactly one cluster is decided in one array pass with
+        :meth:`propose`'s rules; the others, and every other mode, go
+        through :meth:`propose`.
+        """
         matrix = context.game.cost_model.matrix
-        if self.mode != "exact" or matrix is None:
-            return super().propose_all(peer_ids, context)
         configuration = context.game.configuration
-        peer_order = matrix.peer_order
         cluster_order = configuration.nonempty_clusters()
-        contributions, join_increases, leave_decreases = self.batch_state(
+        if self.mode != "exact" or matrix is None or not cluster_order:
+            return super().propose_all(peer_ids, context)
+        contributions, join_increases, leave_decreases, current = self.batch_state(
             context, cluster_order
         )
-        cluster_index = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-        wanted = set(peer_ids)
-        proposals = {}
-        for row, peer_id in enumerate(peer_order):
-            if peer_id not in wanted or peer_id not in configuration:
-                continue
-            current_cluster = configuration.cluster_of(peer_id)
-            current_column = cluster_index.get(current_cluster)
-            row_contributions = contributions[row]
-            best_column = int(np.argmax(row_contributions))
-            best_cluster = cluster_order[best_column]
-            stay = self._stay(peer_id, context)
-            if (
-                best_cluster == current_cluster
-                or current_column is None
-                or row_contributions[best_column] <= row_contributions[current_column]
-            ):
-                proposals[peer_id] = stay
-                continue
-            benefit = float(row_contributions[best_column] - row_contributions[current_column])
-            net_increase = float(join_increases[best_column] - leave_decreases[current_column])
-            gain = benefit - net_increase
-            if gain <= 0.0:
-                proposals[peer_id] = stay
-                continue
-            proposals[peer_id] = RelocationProposal(
-                peer_id=peer_id,
-                source_cluster=current_cluster,
-                target_cluster=best_cluster,
-                gain=gain,
-            )
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+        rows = np.arange(current.size)
+        decided = current >= 0
+        current = np.where(decided, current, 0)
+        current_contributions = contributions[rows, current]
+        best = np.argmax(contributions, axis=1)
+        best_contributions = contributions[rows, best]
+        # clgain: the contribution difference minus the net maintenance-cost increase.
+        gains = (best_contributions - current_contributions) - (
+            join_increases[best] - leave_decreases[current]
+        )
+        moving = (
+            decided
+            & (best != current)
+            & (best_contributions > current_contributions)
+            & (gains > 0.0)
+        )
+        return self._movers_from_arrays(
+            peer_ids,
+            context,
+            peer_order=matrix.peer_order,
+            decided=decided,
+            moving=moving,
+            clusters=cluster_order,
+            sources=current,
+            targets=best,
+            gains=gains,
+        )
 
     def __repr__(self) -> str:
         return f"AltruisticStrategy(mode={self.mode!r})"

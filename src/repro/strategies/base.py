@@ -4,8 +4,9 @@ At the end of every observation period ``T`` each peer runs its relocation
 strategy to decide whether it should move to another cluster and how much it
 (or the system) would gain.  A strategy produces a
 :class:`RelocationProposal`; the reformulation protocol then gathers the
-proposals, keeps the best one per cluster and serves them subject to the
-lock rule.
+moving proposals, keeps the best one per cluster and serves them subject to
+the lock rule.  A peer that stays has nothing to request, so the batch entry
+point :meth:`RelocationStrategy.propose_all` returns the movers only.
 
 Strategies can work in two modes:
 
@@ -23,9 +24,12 @@ Strategies can work in two modes:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional
+from itertools import compress
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.game.model import ClusterGame
 from repro.peers.statistics import PeerStatistics
@@ -94,23 +98,83 @@ class RelocationStrategy:
     name = "strategy"
 
     def propose(self, peer_id: PeerId, context: StrategyContext) -> Optional[RelocationProposal]:
-        """Return the peer's relocation proposal, or ``None`` if it prefers to stay."""
+        """Return the peer's relocation proposal.
+
+        ``None`` means the peer stays, exactly like a zero-gain stay
+        proposal (:meth:`_stay`): the protocol still counts its gain report.
+        """
         raise NotImplementedError
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Proposals for many peers at once.
+    def propose_all(
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
+    ) -> Dict[PeerId, RelocationProposal]:
+        """The proposals of the peers among *peer_ids* that move.
 
-        The default implementation simply calls :meth:`propose` per peer;
-        the selfish and altruistic strategies override it with vectorised
-        evaluations (identical results, verified by tests) because the
-        reformulation protocol calls this every round at experiment scale.
+        Returns ``{peer_id: proposal}`` for every peer whose proposal is a
+        move; a peer that stays (a non-move proposal or ``None``) is left
+        out.  The default implementation calls :meth:`propose` per peer; the
+        selfish, altruistic and hybrid strategies override it in exact mode
+        with array evaluations that select the same movers (verified by
+        tests), because the reformulation protocol calls this every round at
+        experiment scale.
         """
-        proposals = {}
+        return self._propose_each(peer_ids, context, {})
+
+    def _movers_from_arrays(
+        self,
+        peer_ids: Iterable[PeerId],
+        context: StrategyContext,
+        *,
+        peer_order: Sequence[PeerId],
+        decided: np.ndarray,
+        moving: np.ndarray,
+        clusters: Sequence[ClusterId],
+        sources: np.ndarray,
+        targets: np.ndarray,
+        gains: np.ndarray,
+    ) -> Dict[PeerId, RelocationProposal]:
+        """The movers of a batch evaluated over the peer rows *peer_order*.
+
+        Row ``i`` of each array belongs to ``peer_order[i]``: ``decided[i]``
+        says the arrays settle that peer, ``moving[i]`` that it moves from
+        ``clusters[sources[i]]`` to ``clusters[targets[i]]`` with gain
+        ``gains[i]``.  Only moving rows become proposals; every peer of
+        *peer_ids* the arrays do not settle goes through :meth:`propose`.
+        """
+        peer_ids = list(peer_ids)
+        wanted = set(peer_ids)
+        movers: Dict[PeerId, RelocationProposal] = {}
+        rows = np.flatnonzero(moving)
+        for row, source, target, gain in zip(
+            rows.tolist(), sources[rows].tolist(), targets[rows].tolist(), gains[rows].tolist()
+        ):
+            peer_id = peer_order[row]
+            if peer_id in wanted:
+                movers[peer_id] = RelocationProposal(
+                    peer_id=peer_id,
+                    source_cluster=clusters[source],
+                    target_cluster=clusters[target],
+                    gain=gain,
+                )
+        undecided = wanted.difference(compress(peer_order, decided.tolist()))
+        if undecided:
+            self._propose_each(
+                [peer_id for peer_id in peer_ids if peer_id in undecided], context, movers
+            )
+        return movers
+
+    def _propose_each(
+        self,
+        peer_ids: Iterable[PeerId],
+        context: StrategyContext,
+        movers: Dict[PeerId, RelocationProposal],
+    ) -> Dict[PeerId, RelocationProposal]:
+        """Add the moving :meth:`propose` results of *peer_ids* to *movers*."""
         for peer_id in peer_ids:
             proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+            if proposal is not None and proposal.is_move:
+                movers[peer_id] = proposal
+        return movers
 
     def _stay(self, peer_id: PeerId, context: StrategyContext) -> RelocationProposal:
         """A zero-gain proposal that keeps the peer where it is."""

@@ -15,7 +15,7 @@ variant that evaluates every cluster (not only the top-contribution one).
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from typing import Dict, Optional
 
 import numpy as np
@@ -82,60 +82,57 @@ class HybridStrategy(RelocationStrategy):
             gain=best_score,
         )
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Vectorised batch evaluation on the best-response kernel.
+    def propose_all(
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
+    ) -> Dict[PeerId, RelocationProposal]:
+        """The movers among *peer_ids*, from the kernel and contribution arrays.
 
         Scores every peer against every non-empty cluster in one shot: the
         selfish gains come from the kernel's prospective cost table, the
-        altruistic gains from the vectorised contribution matrix.  Falls back
-        to the per-peer path in observed mode or without a kernel; decisions
-        match :meth:`propose` (verified by the test suite).
+        altruistic gains from the vectorised contribution matrix, combined
+        in place in the cost table.  Falls back to the per-peer path in
+        observed mode or without a kernel; decisions match :meth:`propose`
+        (verified by the test suite).
         """
         game = context.game
         kernel = game._active_kernel()
-        matrix = game.cost_model.matrix
-        if self.mode != "exact" or kernel is None or matrix is None:
+        cluster_order = game.configuration.nonempty_clusters()
+        if (
+            self.mode != "exact"
+            or kernel is None
+            or game.cost_model.matrix is None
+            or not cluster_order
+        ):
             return super().propose_all(peer_ids, context)
-        configuration = game.configuration
-        cluster_order = configuration.nonempty_clusters()
-        if not cluster_order:
-            return super().propose_all(peer_ids, context)
-        costs = kernel.cost_table(cluster_order)
-        contributions, join_increases, leave_decreases = self._altruistic.batch_state(
+        scores = kernel.cost_table(cluster_order)
+        contributions, join_increases, leave_decreases, current = self._altruistic.batch_state(
             context, cluster_order
         )
-        cluster_index = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-        wanted = set(peer_ids)
-        proposals = {}
-        for row, peer_id in enumerate(matrix.peer_order):
-            if peer_id not in wanted or peer_id not in configuration:
-                continue
-            current_cluster = configuration.cluster_of(peer_id)
-            current_column = cluster_index.get(current_cluster)
-            if current_column is None:
-                continue  # handled by the per-peer fallback below
-            selfish_gains = costs[row, current_column] - costs[row]
-            altruistic_gains = (
-                contributions[row] - contributions[row, current_column]
-            ) - (join_increases - leave_decreases[current_column])
-            scores = self.weight * selfish_gains + (1.0 - self.weight) * altruistic_gains
-            scores[current_column] = -np.inf
-            best_column = int(np.argmax(scores))
-            best_score = float(scores[best_column])
-            if best_score <= 0.0:
-                proposals[peer_id] = self._stay(peer_id, context)
-                continue
-            proposals[peer_id] = RelocationProposal(
-                peer_id=peer_id,
-                source_cluster=current_cluster,
-                target_cluster=cluster_order[best_column],
-                gain=best_score,
-            )
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+        rows = np.arange(current.size)
+        decided = current >= 0
+        current = np.where(decided, current, 0)
+        # weight * pgain, with pgain = pcost(current) - pcost(candidate) ...
+        np.subtract(scores[rows, current][:, None], scores, out=scores)
+        scores *= self.weight
+        # ... plus (1 - weight) * clgain, exactly as AltruisticStrategy.cluster_gain.
+        contributions -= contributions[rows, current][:, None]
+        contributions -= join_increases[None, :] - leave_decreases[current][:, None]
+        contributions *= 1.0 - self.weight
+        scores += contributions
+        scores[rows, current] = -np.inf
+        best = np.argmax(scores, axis=1)
+        best_scores = scores[rows, best]
+        return self._movers_from_arrays(
+            peer_ids,
+            context,
+            peer_order=kernel.peer_order,
+            decided=decided,
+            moving=decided & (best_scores > 0.0),
+            clusters=cluster_order,
+            sources=current,
+            targets=best,
+            gains=best_scores,
+        )
 
     def __repr__(self) -> str:
         return f"HybridStrategy(weight={self.weight}, mode={self.mode!r})"

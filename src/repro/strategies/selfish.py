@@ -16,9 +16,12 @@ counted as reachable regardless, since its content moves with it).
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.core.costs import NEW_CLUSTER
 from repro.registry import register_strategy
 from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
 from repro.errors import StrategyError
@@ -118,30 +121,37 @@ class SelfishStrategy(RelocationStrategy):
             return self._propose_exact(peer_id, context)
         return self._propose_observed(peer_id, context)
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Vectorised batch evaluation in exact mode (per-peer fallback otherwise)."""
-        if self.mode != "exact" or context.game.cost_model.matrix is None:
+    def propose_all(
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
+    ) -> Dict[PeerId, RelocationProposal]:
+        """The movers among *peer_ids*, straight from the kernel's selection arrays.
+
+        Exact mode on a best-response kernel scores every peer in one
+        vectorized selection and turns only the moving rows into proposals;
+        the peers the kernel cannot score (outside the single-cluster regime
+        or unknown to the recall matrix) and every other mode go through
+        :meth:`propose`.
+        """
+        game = context.game
+        kernel = game._active_kernel()
+        if self.mode != "exact" or kernel is None or game.cost_model.matrix is None:
             return super().propose_all(peer_ids, context)
-        responses = context.game.best_responses()
-        wanted = set(peer_ids)
-        proposals = {}
-        for peer_id, response in responses.items():
-            if peer_id not in wanted:
-                continue
-            if response.wants_to_move:
-                proposals[peer_id] = RelocationProposal(
-                    peer_id=peer_id,
-                    source_cluster=response.current_cluster,
-                    target_cluster=response.best_cluster,
-                    gain=response.gain,
-                )
-            else:
-                proposals[peer_id] = self._stay(peer_id, context)
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+        candidates, include_new = game._candidate_set(kernel.peer_order)
+        if not candidates:
+            return super().propose_all(peer_ids, context)
+        selection = kernel._select(candidates, include_new_cluster=include_new, tolerance=1e-12)
+        return self._movers_from_arrays(
+            peer_ids,
+            context,
+            peer_order=kernel.peer_order,
+            decided=selection.eligible,
+            moving=selection.eligible & ~selection.stay,
+            clusters=[*candidates, NEW_CLUSTER],
+            sources=selection.current_columns,
+            targets=np.where(selection.use_new, len(candidates), selection.best_columns),
+            # pgain in float64, whatever the kernel's dtype.
+            gains=np.subtract(selection.current_costs, selection.best_costs, dtype=np.float64),
+        )
 
     def __repr__(self) -> str:
         return f"SelfishStrategy(mode={self.mode!r})"

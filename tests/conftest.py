@@ -105,3 +105,27 @@ def make_small_scenario(**overrides):
 def counterexample():
     """The paper's two-peer no-equilibrium instance (alpha = 1)."""
     return build_two_peer_counterexample(alpha=1.0)
+
+
+def assert_movers_match(batch, propose, peer_ids, *, abs=None):
+    """Check ``propose_all``'s movers-only contract against per-peer ``propose``.
+
+    Every entry of *batch* is a move equal to ``propose(peer_id)`` (source,
+    target, and gain up to *abs*); every peer of *peer_ids* left out of
+    *batch* stays (``propose`` returns ``None`` or a non-move).
+    """
+    peer_ids = list(peer_ids)
+    assert set(batch) <= set(peer_ids)
+    for peer_id in peer_ids:
+        single = propose(peer_id)
+        if peer_id not in batch:
+            assert single is None or not single.is_move, peer_id
+            continue
+        mover = batch[peer_id]
+        assert mover.is_move
+        assert (mover.peer_id, mover.source_cluster, mover.target_cluster) == (
+            single.peer_id,
+            single.source_cluster,
+            single.target_cluster,
+        )
+        assert mover.gain == pytest.approx(single.gain, abs=abs)

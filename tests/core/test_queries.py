@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,29 @@ class TestQueryWorkload:
         assert merged.count(Query(["b"])) == 1
         # The inputs are untouched.
         assert left.total() == 1
+
+    @given(
+        st.lists(
+            st.dictionaries(st.sampled_from("abcde"), st.integers(0, 3), max_size=4),
+            max_size=6,
+        )
+    )
+    def test_merge_all_adds_every_workload(self, counts):
+        workloads = []
+        for per_query in counts:
+            workload = QueryWorkload()
+            for term, count in per_query.items():
+                workload.add(Query([term]), count)
+            workloads.append(workload)
+        totals = Counter()
+        for per_query in counts:
+            totals.update(per_query)
+        expected = [(Query([term]), totals[term]) for term in sorted(totals) if totals[term]]
+        total_before = [workload.total() for workload in workloads]
+        merged = QueryWorkload.merge_all(workloads)
+        assert list(merged.items()) == expected
+        assert merged.distinct() == [query for query, _ in expected]
+        assert total_before == [workload.total() for workload in workloads]
 
     def test_copy_is_independent(self):
         original = QueryWorkload([Query(["a"])])

@@ -1,60 +1,45 @@
-"""Tests for protocol messages and the message bus accounting."""
+"""Tests for the message bus accounting."""
 
 from __future__ import annotations
 
-from repro.overlay.messages import (
-    GainReportMessage,
-    GrantMessage,
-    MessageBus,
-    QueryMessage,
-    RelocationRequestMessage,
-    ResultMessage,
-)
-
-
-class TestMessageKinds:
-    def test_kind_is_class_name(self):
-        assert QueryMessage(sender="a", receiver="b").kind == "QueryMessage"
-        assert GrantMessage(sender="a", receiver="b").kind == "GrantMessage"
-
-    def test_fields_are_carried(self):
-        message = ResultMessage(
-            sender="p", receiver="q", query="x", cluster_id="c1", result_count=4
-        )
-        assert message.cluster_id == "c1"
-        assert message.result_count == 4
-
-    def test_relocation_request_defaults(self):
-        message = RelocationRequestMessage(sender="rep1", receiver="rep2")
-        assert message.gain == 0.0
-        assert message.peer_id is None
+from repro.overlay.messages import MessageBus
 
 
 class TestMessageBus:
     def test_counts_by_kind(self):
         bus = MessageBus()
-        bus.publish(QueryMessage(sender="a", receiver="b"))
-        bus.publish(QueryMessage(sender="a", receiver="c"))
-        bus.publish(GainReportMessage(sender="a", receiver="b", gain=0.5))
+        bus.add("QueryMessage", 2)
+        bus.add("GainReportMessage", 1)
         assert bus.count("QueryMessage") == 2
         assert bus.count("GainReportMessage") == 1
         assert bus.count("GrantMessage") == 0
         assert bus.total() == 3
 
-    def test_log_disabled_by_default(self):
+    def test_counts_accumulate(self):
         bus = MessageBus()
-        bus.publish(QueryMessage(sender="a", receiver="b"))
-        assert bus.log == []
+        bus.add("GrantMessage", 2)
+        bus.add("GrantMessage", 3)
+        assert bus.count("GrantMessage") == 5
 
-    def test_log_when_enabled(self):
-        bus = MessageBus(keep_log=True)
-        message = QueryMessage(sender="a", receiver="b")
-        bus.publish(message)
-        assert bus.log == [message]
+    def test_zero_count_records_no_kind(self):
+        bus = MessageBus()
+        bus.add("RelocationRequestMessage", 0)
+        assert bus.snapshot() == {}
+
+    def test_kinds_keep_first_seen_order(self):
+        bus = MessageBus()
+        for kind in ("GainReportMessage", "RelocationRequestMessage", "GrantMessage"):
+            bus.add(kind, 1)
+        bus.add("GainReportMessage", 4)
+        assert list(bus.snapshot()) == [
+            "GainReportMessage",
+            "RelocationRequestMessage",
+            "GrantMessage",
+        ]
 
     def test_reset_and_snapshot(self):
         bus = MessageBus()
-        bus.publish(QueryMessage(sender="a", receiver="b"))
+        bus.add("QueryMessage", 1)
         snapshot = bus.snapshot()
         bus.reset()
         assert snapshot == {"QueryMessage": 1}

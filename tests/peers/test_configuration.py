@@ -256,3 +256,56 @@ class TestListenerCacheConsistency:
         configuration.remove_peer("p0")
         assert configuration.empty_clusters() == ["c1", "c2"]
         assert configuration.nonempty_clusters() == []
+
+
+# One operation of a random mutation sequence: (kind, peer index, cluster index).
+_OPERATIONS = st.tuples(
+    st.sampled_from(("assign", "move", "remove_peer", "add_cluster")),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=20),
+)
+
+
+class TestIncrementalSlotLists:
+    @staticmethod
+    def _rescan(configuration):
+        slots = sorted(configuration._clusters, key=repr)
+        nonempty = [c for c in slots if configuration.cluster(c).size > 0]
+        empty = [c for c in slots if configuration.cluster(c).size == 0]
+        return nonempty, empty
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_OPERATIONS, max_size=40))
+    def test_slot_lists_equal_a_full_rescan_after_every_step(self, operations):
+        # Slot ids whose repr order differs from their creation order.
+        configuration = ClusterConfiguration(["c2", "c10", "c1"], {"p0": "c10"})
+        added = 0
+        for kind, peer_index, cluster_index in operations:
+            peer_id = f"p{peer_index}"
+            slots = configuration.cluster_ids()
+            cluster_id = slots[cluster_index % len(slots)]
+            if kind == "assign":
+                if peer_id in configuration and cluster_id in configuration.clusters_of(peer_id):
+                    continue
+                configuration.assign(peer_id, cluster_id)
+            elif kind == "move":
+                if peer_id not in configuration:
+                    continue
+                source = sorted(configuration.clusters_of(peer_id), key=repr)[0]
+                if cluster_id in configuration.clusters_of(peer_id):
+                    continue
+                configuration.move(peer_id, source, cluster_id)
+            elif kind == "remove_peer":
+                if peer_id not in configuration:
+                    continue
+                configuration.remove_peer(peer_id)
+            else:
+                added += 1
+                configuration.add_cluster(f"c{cluster_index}x{added}")
+            nonempty, empty = self._rescan(configuration)
+            assert configuration.nonempty_clusters() == nonempty
+            assert configuration.empty_clusters() == empty
+            assert configuration.num_nonempty_clusters() == len(nonempty)
+            assert configuration.num_memberships() == sum(
+                configuration.size(c) for c in nonempty
+            )

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.costs import NEW_CLUSTER
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.protocol.reformulation import ReformulationProtocol
 from repro.strategies.selfish import SelfishStrategy
 from repro.strategies.altruistic import AltruisticStrategy
+from repro.strategies.base import RelocationProposal, RelocationStrategy
 from repro.baselines.static import StaticStrategy
 from tests.conftest import make_small_scenario, make_tiny_network
 
@@ -142,3 +144,81 @@ class TestScenarioRuns:
             if move.created_cluster
         ]
         assert created == []
+
+
+class NewClusterStrategy(RelocationStrategy):
+    """Every peer sharing its cluster asks for a fresh one; lone peers stay."""
+
+    def propose(self, peer_id, context):
+        configuration = context.game.configuration
+        current = configuration.cluster_of(peer_id)
+        if configuration.size(current) < 2:
+            return self._stay(peer_id, context)
+        return RelocationProposal(
+            peer_id=peer_id, source_cluster=current, target_cluster=NEW_CLUSTER, gain=1.0
+        )
+
+
+class SilentStrategy(RelocationStrategy):
+    """Answers ``None`` for every peer: every peer stays."""
+
+    def propose(self, peer_id, context):
+        return None
+
+
+def _reports_of_one_round(protocol, round_number=0):
+    before = protocol.bus.count("GainReportMessage")
+    round_result = protocol.run_round(round_number)
+    return protocol.bus.count("GainReportMessage") - before, round_result
+
+
+class TestGainReports:
+    """One gain report per cluster membership of every assigned peer, less the creation-gate drops."""
+
+    def _protocol(self, strategy, configuration, **options):
+        network = make_tiny_network()
+        return ReformulationProtocol(
+            network.cost_model(use_matrix=False), configuration, strategy, **options
+        )
+
+    def test_every_membership_reports_once_per_round(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"alice": "c1", "carol": "c1", "bob": "c2"}
+        )
+        protocol = self._protocol(SelfishStrategy(), configuration)
+        result = protocol.run(max_rounds=20)
+        assert result.message_counts["GainReportMessage"] == 3 * len(result.rounds)
+
+    def test_creation_gate_drops_are_not_reported(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3", "c4"], {"alice": "c1", "bob": "c1", "carol": "c1"}
+        )
+        protocol = self._protocol(
+            NewClusterStrategy(), configuration, creation_cost_increase=0.5
+        )
+        protocol.remember_current_costs()
+        # Only alice's cost rose enough since the previous period.
+        protocol._previous_costs["alice"] -= 1.0
+        reports, round_result = _reports_of_one_round(protocol)
+        assert [request.peer_id for request in round_result.requests] == ["alice"]
+        assert reports == 3 - 2
+
+    def test_disabled_creation_drops_every_new_cluster_proposal(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3", "c4"], {"alice": "c1", "bob": "c1", "carol": "c2"}
+        )
+        protocol = self._protocol(
+            NewClusterStrategy(), configuration, allow_cluster_creation=False
+        )
+        reports, round_result = _reports_of_one_round(protocol)
+        assert round_result.quiescent
+        assert reports == 3 - 2  # carol stays and reports; alice and bob are dropped
+
+    def test_none_counts_as_a_zero_gain_report(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"alice": ["c1", "c2"], "bob": "c1", "carol": "c3"}
+        )
+        protocol = self._protocol(SilentStrategy(), configuration)
+        reports, round_result = _reports_of_one_round(protocol)
+        assert round_result.quiescent
+        assert reports == 4  # alice reports to both of her clusters

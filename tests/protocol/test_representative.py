@@ -1,54 +1,20 @@
-"""Tests for representative election and the gather (phase-1) logic."""
+"""Tests for the gather (phase-1) logic at the cluster representatives."""
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.costs import NEW_CLUSTER
 from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
-from repro.protocol.representative import Representative, elect_representatives, gather_requests
+from repro.protocol.representative import gather_requests
 from repro.strategies.base import RelocationProposal
+from tests.protocol_oracle import gather_per_message
 
 
 def proposal(peer, source, target, gain):
     return RelocationProposal(peer_id=peer, source_cluster=source, target_cluster=target, gain=gain)
-
-
-class TestElection:
-    def test_one_representative_per_nonempty_cluster(self, tiny_configuration):
-        representatives = elect_representatives(tiny_configuration)
-        assert set(representatives) == {"c1", "c2"}
-        assert representatives["c1"].peer_id == "alice"
-        assert representatives["c2"].peer_id == "bob"
-
-
-class TestSelectRequest:
-    def test_highest_gain_wins(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        selected = representative.select_request(
-            [proposal("alice", "c1", "c2", 0.2), proposal("carol", "c1", "c3", 0.7)]
-        )
-        assert selected.peer_id == "carol"
-        assert selected.gain == 0.7
-
-    def test_threshold_filters_requests(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        assert (
-            representative.select_request(
-                [proposal("alice", "c1", "c2", 0.2)], gain_threshold=0.5
-            )
-            is None
-        )
-
-    def test_stay_proposals_are_ignored(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        assert representative.select_request([proposal("alice", "c1", "c1", 0.0)]) is None
-
-    def test_gain_reports_are_accounted(self):
-        bus = MessageBus()
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        representative.select_request(
-            [proposal("alice", "c1", "c2", 0.2), proposal("carol", "c1", "c1", 0.0)], bus=bus
-        )
-        assert bus.count("GainReportMessage") == 2
 
 
 class TestGatherRequests:
@@ -71,6 +37,60 @@ class TestGatherRequests:
         assert by_source["c1"].peer_id == "p2"
         assert by_source["c2"].peer_id == "p3"
 
+    def test_highest_gain_wins(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"alice": "c1", "carol": "c1", "bob": "c2"}
+        )
+        requests = gather_requests(
+            configuration,
+            {
+                "alice": proposal("alice", "c1", "c2", 0.2),
+                "carol": proposal("carol", "c1", "c3", 0.7),
+            },
+        )
+        assert [(request.peer_id, request.gain) for request in requests] == [("carol", 0.7)]
+
+    def test_threshold_filters_requests(self):
+        configuration = self._configuration()
+        proposals = {"p1": proposal("p1", "c1", "c2", 0.2), "p3": proposal("p3", "c2", "c1", 0.5)}
+        assert gather_requests(configuration, proposals, gain_threshold=0.5) == []
+
+    def test_stay_proposals_are_ignored(self):
+        configuration = self._configuration()
+        assert gather_requests(configuration, {"p1": proposal("p1", "c1", "c1", 0.3)}) == []
+
+    def test_gain_ties_go_to_the_smaller_repr(self):
+        configuration = ClusterConfiguration(["c1", "c2"], {"p9": "c1", "p10": "c1", "q": "c2"})
+        # Inserted p9 first; repr("p10") < repr("p9") decides the tie.
+        proposals = {
+            "p9": proposal("p9", "c1", "c2", 0.5),
+            "p10": proposal("p10", "c1", "c2", 0.5),
+        }
+        [request] = gather_requests(configuration, proposals)
+        assert request.peer_id == "p10"
+
+    def test_requests_come_out_in_cluster_repr_order(self):
+        configuration = ClusterConfiguration(["c2", "c10", "c1"], {"a": "c2", "b": "c10", "c": "c1"})
+        proposals = {
+            "a": proposal("a", "c2", "c1", 0.9),
+            "b": proposal("b", "c10", "c2", 0.1),
+            "c": proposal("c", "c1", "c10", 0.5),
+        }
+        requests = gather_requests(configuration, proposals)
+        assert [request.source_cluster for request in requests] == ["c1", "c10", "c2"]
+
+    def test_multi_cluster_member_competes_in_each_cluster(self):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"a": ["c1", "c2"], "b": "c1", "c": "c2"}
+        )
+        proposals = {
+            "a": proposal("a", "c1", "c3", 0.4),
+            "b": proposal("b", "c1", "c3", 0.6),
+        }
+        requests = gather_requests(configuration, proposals)
+        # a loses c1 to b but is still c2's best (and only) mover.
+        assert [request.peer_id for request in requests] == ["b", "a"]
+
     def test_request_broadcast_is_accounted(self):
         configuration = self._configuration()
         proposals = {"p1": proposal("p1", "c1", "c2", 0.3)}
@@ -82,3 +102,60 @@ class TestGatherRequests:
     def test_missing_proposals_are_tolerated(self):
         configuration = self._configuration()
         assert gather_requests(configuration, {}) == []
+
+    def test_peers_outside_the_configuration_are_ignored(self):
+        configuration = self._configuration()
+        assert gather_requests(configuration, {"ghost": proposal("ghost", "c1", "c2", 0.9)}) == []
+
+
+# Listed in an order their repr order does not follow, so insertion-order
+# bugs and repr tie-breaking both show.
+PEERS = ("p9", "p10", "b", "a", "p2")
+CLUSTERS = ("c2", "c10", "c1", "c3")
+GAINS = (0.0, 0.1, 0.25, 0.5)
+
+
+@st.composite
+def gather_cases(draw):
+    """A tiny configuration, every peer's proposal (or none) and a threshold."""
+    peers = PEERS[: draw(st.integers(1, len(PEERS)))]
+    clusters = CLUSTERS[: draw(st.integers(1, len(CLUSTERS)))]
+    memberships = {
+        peer: sorted(draw(st.sets(st.sampled_from(clusters), min_size=1, max_size=2)))
+        for peer in peers
+    }
+    configuration = ClusterConfiguration([*clusters, "spare"], memberships)
+    proposals = {}
+    for peer in draw(st.permutations(peers)):
+        kind = draw(st.sampled_from(("none", "stay", "move", "new")))
+        if kind == "none":
+            continue
+        source = draw(st.sampled_from(memberships[peer]))
+        if kind == "stay":
+            target = source
+        elif kind == "new":
+            target = NEW_CLUSTER
+        else:
+            target = draw(st.sampled_from([c for c in (*clusters, "spare") if c != source]))
+        proposals[peer] = proposal(peer, source, target, draw(st.sampled_from(GAINS)))
+    return configuration, proposals, draw(st.sampled_from(GAINS[:3]))
+
+
+class TestGatherMatchesPerMessageOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(gather_cases())
+    def test_movers_only_gather_matches_the_oracle(self, case):
+        configuration, proposals, threshold = case
+        expected, messages = gather_per_message(
+            configuration, proposals, gain_threshold=threshold
+        )
+        movers = {peer: p for peer, p in proposals.items() if p.is_move}
+        bus = MessageBus()
+        requests = gather_requests(configuration, movers, gain_threshold=threshold, bus=bus)
+        assert requests == expected
+        assert bus.count("RelocationRequestMessage") == messages["RelocationRequestMessage"]
+        # One gain report per membership of every reporting peer: the count
+        # ReformulationProtocol.run_round adds without building the reports.
+        assert messages["GainReportMessage"] == sum(
+            len(configuration.clusters_of(peer)) for peer in proposals
+        )

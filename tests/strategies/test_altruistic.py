@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StrategyError
+from repro.core.documents import Document
+from repro.errors import ConfigurationError, StrategyError
 from repro.game.model import ClusterGame
+from repro.peers.configuration import ClusterConfiguration
+from repro.peers.peer import Peer
 from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
 from repro.strategies.base import StrategyContext
 from repro.traffic.simulator import observe_period
+from tests.conftest import assert_movers_match
 
 
 @pytest.fixture
@@ -94,10 +98,44 @@ class TestBatchEquivalence:
             game=ClusterGame(tiny_network.cost_model(use_matrix=False), tiny_configuration)
         )
         batch = strategy.propose_all(tiny_configuration.peer_ids(), fast_context)
-        for peer_id in tiny_configuration.peer_ids():
-            single = strategy.propose(peer_id, slow_context)
-            assert batch[peer_id].target_cluster == single.target_cluster
-            assert batch[peer_id].gain == pytest.approx(single.gain)
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, slow_context),
+            tiny_configuration.peer_ids(),
+        )
+
+    def test_propose_all_keeps_a_peer_that_serves_nobody(self, tiny_network):
+        """dave serves nobody, so all of dave's contributions tie at zero: dave stays,
+        even though leaving the crowded cluster for bob's would cut the maintenance cost."""
+        tiny_network.add_peer(Peer("dave", documents=[Document(["cooking"], doc_id="d1")]))
+        configuration = ClusterConfiguration(
+            ["c0", "c1"], {"bob": "c0", "alice": "c1", "carol": "c1", "dave": "c1"}
+        )
+        strategy = AltruisticStrategy()
+        fast_context = StrategyContext(
+            game=ClusterGame(tiny_network.cost_model(use_matrix=True), configuration)
+        )
+        slow_context = StrategyContext(
+            game=ClusterGame(tiny_network.cost_model(use_matrix=False), configuration)
+        )
+        batch = strategy.propose_all(configuration.peer_ids(), fast_context)
+        assert "dave" not in batch
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
+        )
+
+    def test_multi_cluster_peers_go_through_propose(self, tiny_network):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"alice": ["c1", "c2"], "carol": "c1", "bob": "c2"}
+        )
+        context = StrategyContext(
+            game=ClusterGame(tiny_network.cost_model(use_matrix=True), configuration)
+        )
+        strategy = AltruisticStrategy()
+        with pytest.raises(ConfigurationError):
+            strategy.propose("alice", context)
+        with pytest.raises(ConfigurationError):
+            strategy.propose_all(configuration.peer_ids(), context)
 
     def test_propose_all_on_scenario(self, small_scenario):
         """Vectorised and scalar altruistic proposals agree on a realistic scenario."""
@@ -110,7 +148,7 @@ class TestBatchEquivalence:
             game=ClusterGame(small_scenario.network.cost_model(use_matrix=False), configuration)
         )
         batch = strategy.propose_all(configuration.peer_ids(), fast_context)
-        for peer_id in list(configuration.peer_ids())[:6]:
-            single = strategy.propose(peer_id, slow_context)
-            assert batch[peer_id].target_cluster == single.target_cluster
-            assert batch[peer_id].gain == pytest.approx(single.gain)
+        assert batch
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
+        )

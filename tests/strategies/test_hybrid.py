@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StrategyError
+from repro.core.theta import ThetaFunction
+from repro.errors import ConfigurationError, StrategyError
 from repro.game.model import ClusterGame
+from repro.peers.configuration import ClusterConfiguration
 from repro.strategies.base import StrategyContext
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.selfish import SelfishStrategy
+from tests.conftest import assert_movers_match
 
 
 @pytest.fixture
@@ -74,16 +77,49 @@ class TestVectorisedProposeAll:
         peer_ids = configuration.peer_ids()
         batch = strategy.propose_all(peer_ids, context)
         assert game._active_kernel() is not None
-        assert set(batch) == set(peer_ids)
-        for peer_id in peer_ids:
-            scalar = strategy.propose(peer_id, context)
-            assert batch[peer_id].is_move == scalar.is_move
-            assert batch[peer_id].target_cluster == scalar.target_cluster
-            assert batch[peer_id].gain == pytest.approx(scalar.gain, abs=1e-9)
+        assert batch
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, context), peer_ids, abs=1e-9
+        )
+
+    def test_batch_never_targets_the_current_cluster(self, small_scenario):
+        """With a capped theta, leaving a pair saves more maintenance than joining one costs,
+        so a peer's own cluster can score highest; like propose, the batch picks the best *other* cluster."""
+
+        class CappedTheta(ThetaFunction):
+            def cost(self, size):
+                return float(min(size, 2))
+
+        peer_ids = small_scenario.network.peer_ids()
+        # Eight same-category pairs.
+        configuration = ClusterConfiguration(
+            [f"c{index}" for index in range(len(peer_ids))],
+            {peer_id: f"c{(index % 4) * 2 + index // 8}" for index, peer_id in enumerate(peer_ids)},
+        )
+        cost_model = small_scenario.network.cost_model(theta=CappedTheta(), use_matrix=True)
+        context = StrategyContext(game=ClusterGame(cost_model, configuration))
+        strategy = HybridStrategy(weight=0.5)
+        batch = strategy.propose_all(peer_ids, context)
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, context), peer_ids, abs=1e-9
+        )
+
+    def test_multi_cluster_peers_go_through_propose(self, small_scenario):
+        peer_ids = small_scenario.network.peer_ids()
+        configuration = small_scenario.network.singleton_configuration()
+        configuration.assign(peer_ids[0], configuration.cluster_of(peer_ids[1]))
+        context = StrategyContext(
+            game=ClusterGame(small_scenario.network.cost_model(use_matrix=True), configuration)
+        )
+        strategy = HybridStrategy(weight=0.5)
+        with pytest.raises(ConfigurationError):
+            strategy.propose(peer_ids[0], context)
+        with pytest.raises(ConfigurationError):
+            strategy.propose_all(configuration.peer_ids(), context)
 
     def test_batch_falls_back_without_matrix(self, context):
         strategy = HybridStrategy(weight=0.5)
         batch = strategy.propose_all(["alice", "bob", "carol"], context)
-        for peer_id in ("alice", "bob", "carol"):
-            scalar = strategy.propose(peer_id, context)
-            assert batch[peer_id].target_cluster == scalar.target_cluster
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, context), ["alice", "bob", "carol"]
+        )

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StrategyError
+from repro.core.costs import NEW_CLUSTER
+from repro.errors import ConfigurationError, StrategyError
 from repro.game.model import ClusterGame
+from repro.peers.configuration import ClusterConfiguration
 from repro.strategies.base import StrategyContext
 from repro.traffic.simulator import observe_period
 from repro.strategies.selfish import SelfishStrategy
+from tests.conftest import assert_movers_match
 
 
 @pytest.fixture
@@ -62,10 +65,48 @@ class TestExactMode:
             game=ClusterGame(tiny_network.cost_model(use_matrix=False), tiny_configuration)
         )
         batch = strategy.propose_all(tiny_configuration.peer_ids(), fast_context)
-        for peer_id in tiny_configuration.peer_ids():
-            single = strategy.propose(peer_id, slow_context)
-            assert batch[peer_id].target_cluster == single.target_cluster
-            assert batch[peer_id].gain == pytest.approx(single.gain)
+        assert set(batch) == {"bob", "carol"}
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, slow_context),
+            tiny_configuration.peer_ids(),
+        )
+
+    def test_propose_all_matches_individual_proposals_on_scenario(self, small_scenario):
+        """Kernel movers (including fresh-cluster moves) equal the scalar best responses."""
+        peer_ids = small_scenario.network.peer_ids()
+        # Two crowded clusters: some peers join the other one, some leave for a fresh slot.
+        configuration = ClusterConfiguration(
+            [f"c{index}" for index in range(len(peer_ids))],
+            {peer_id: "c0" if index < 10 else "c1" for index, peer_id in enumerate(peer_ids)},
+        )
+        strategy = SelfishStrategy()
+        fast_context = StrategyContext(
+            game=ClusterGame(small_scenario.network.cost_model(use_matrix=True), configuration)
+        )
+        slow_context = StrategyContext(
+            game=ClusterGame(small_scenario.network.cost_model(use_matrix=False), configuration)
+        )
+        batch = strategy.propose_all(configuration.peer_ids(), fast_context)
+        assert fast_context.game._active_kernel() is not None
+        assert {"c0", "c1", NEW_CLUSTER} <= {mover.target_cluster for mover in batch.values()}
+        assert_movers_match(
+            batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
+        )
+
+
+    def test_multi_cluster_peers_go_through_propose(self, tiny_network):
+        configuration = ClusterConfiguration(
+            ["c1", "c2", "c3"], {"alice": ["c1", "c2"], "carol": "c1", "bob": "c2"}
+        )
+        context = StrategyContext(
+            game=ClusterGame(tiny_network.cost_model(use_matrix=True), configuration)
+        )
+        strategy = SelfishStrategy()
+        with pytest.raises(ConfigurationError):
+            strategy.propose("alice", context)
+        with pytest.raises(ConfigurationError):
+            strategy.propose_all(configuration.peer_ids(), context)
 
 
 class TestObservedMode:
@@ -87,4 +128,9 @@ class TestObservedMode:
     def test_propose_all_falls_back_to_per_peer(self, observed_context):
         strategy = SelfishStrategy(mode="observed")
         batch = strategy.propose_all(["alice", "bob", "carol"], observed_context)
-        assert set(batch) == {"alice", "bob", "carol"}
+        assert "bob" in batch
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, observed_context),
+            ["alice", "bob", "carol"],
+        )
