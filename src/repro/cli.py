@@ -13,8 +13,8 @@ Usage (after ``pip install -e .`` the ``repro`` entry point is equivalent)::
     repro report     --scale benchmark --output report.md
     repro sweep      --scale quick --strategy selfish --strategy altruistic \
                      --replications 8 --workers 4 --output sweep.jsonl
-    repro sweep      --spec sweep.json --executor chunked-streaming \
-                     --executor-options '{"max_workers": 8, "window": 16}'
+    repro sweep      --spec sweep.json --executor process-pool \
+                     --executor-options '{"max_workers": 8}'
     repro sweep      --spec sweep.json --workers 8 --store .sweep-store
     repro sweep      --scale quick --runner maintain --replications 5 \
                      --runner-options '{"periods": 3}' \
@@ -30,7 +30,7 @@ Every subcommand prints a plain-text table/series; ``report`` runs the whole
 suite and renders the markdown that EXPERIMENTS.md is derived from, and
 ``sweep`` fans a :class:`repro.sweep.SweepSpec` (from a JSON file or flags)
 out over a pluggable executor (``--executor serial`` / ``process-pool`` /
-``chunked-streaming``; ``--workers N`` is shorthand for a process pool),
+``distributed``; ``--workers N`` is shorthand for a process pool),
 streaming per-task progress and printing mean/stddev/CI summaries over the
 replications.  With ``--store DIR`` every finished task is persisted under
 the sha256 of its canonical config and re-runs skip what is already stored —
@@ -49,8 +49,8 @@ daemons — spawned by the coordinator or started by hand on hosts sharing the
 store directory — claim tasks through atomic lease files (see
 :mod:`repro.sweep.distributed`).  ``repro sweep --status --store DIR``
 reports queue depth, live workers and quarantine counts without touching
-anything, and ``--prune-store`` garbage-collects orphaned scenario pickles
-and stale queue/lease files left behind by killed workers.
+anything, and ``--prune-store`` garbage-collects stale queue/lease files
+left behind by killed workers.
 
 The ``discover`` and ``maintain`` commands drive the :class:`repro.Simulation`
 facade, and the ``--strategy``/``--initial``/``--scenario`` choices are read
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor-options",
         default=None,
         help="JSON (or @file) options for --executor, "
-        'e.g. \'{"max_workers": 4, "window": 8}\' for chunked-streaming',
+        'e.g. \'{"max_workers": 4}\' for process-pool',
     )
     sweep.add_argument(
         "--store",
@@ -444,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--prune-store",
         action="store_true",
-        help="with --store: garbage-collect orphaned scenario pickles and "
-        "stale queue/lease/worker files left behind by killed workers "
-        "(results and quarantine records are never touched)",
+        help="with --store: garbage-collect stale queue/lease/worker files "
+        "left behind by killed workers (results and quarantine records are "
+        "never touched)",
     )
     sweep.add_argument(
         "--stale-after",
@@ -766,14 +766,13 @@ def _sweep_status(arguments: argparse.Namespace, store: Optional[ResultStore]) -
 
 
 def _prune_store(arguments: argparse.Namespace, store: Optional[ResultStore]) -> int:
-    """``repro sweep --prune-store``: garbage-collect caches and queue debris."""
+    """``repro sweep --prune-store``: garbage-collect queue debris."""
     if store is None:
         raise ConfigurationError("--prune-store requires --store")
     report = store.prune(stale_after=arguments.stale_after)
     print(
         f"store {str(store.root)!r}: pruned {report.removed} files "
-        f"({report.scenarios_removed}/{report.scenarios_checked} scenario pickles, "
-        f"{report.queue_files_removed} queue files, "
+        f"({report.queue_files_removed} queue files, "
         f"{report.worker_files_removed} worker files, "
         f"{report.temp_files_removed} temp files)"
     )
@@ -829,12 +828,6 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                 f"{event.failure.attempts} attempt"
                 f"{'s' if event.failure.attempts != 1 else ''} "
                 f"({event.failure.error_type}: {event.failure.message})"
-            )
-        )
-        hooks.on_shm_degraded(
-            lambda event: print(
-                f"task {event.index}: shared-memory tier degraded for "
-                f"scenario {event.scenario_key[:12]} (task still ran)"
             )
         )
         hooks.on_sweep_end(

@@ -301,49 +301,6 @@ class WeightedRecallMatrix:
             self._ensure_global()
             self._ensure_service()
 
-    @classmethod
-    def from_arrays(
-        cls,
-        recall_model: RecallModel,
-        workloads: Mapping[PeerId, QueryWorkload],
-        peer_order: Sequence[PeerId],
-        *,
-        local: np.ndarray,
-        global_matrix: np.ndarray,
-        service: np.ndarray,
-    ) -> "WeightedRecallMatrix":
-        """Adopt pre-built dense matrices instead of building them.
-
-        This is the attach side of the shared-memory scenario tier
-        (:mod:`repro.sweep.shm`): sweep workers wrap read-only views over a
-        coordinator-published buffer, so every worker shares one physical
-        copy.  The arrays are adopted as-is (no copy); the accessor methods
-        still return copies, so callers cannot tell the difference.
-        """
-        matrix = cls.__new__(cls)
-        matrix._recall_model = recall_model
-        matrix._workloads = workloads
-        matrix._peer_order = list(peer_order)
-        matrix._index_of = {
-            peer_id: index for index, peer_id in enumerate(matrix._peer_order)
-        }
-        if len(matrix._index_of) != len(matrix._peer_order):
-            raise ValueError("peer_order contains duplicate peer ids")
-        population = len(matrix._peer_order)
-        for name, array in (("local", local), ("global_matrix", global_matrix), ("service", service)):
-            if array.shape != (population, population):
-                raise ValueError(
-                    f"{name} has shape {array.shape}, expected {(population, population)}"
-                )
-        matrix._indices_cache = {}
-        matrix._mode = "dense"
-        matrix._factored = None
-        matrix._factored_cast = {}
-        matrix._local = np.asarray(local)
-        matrix._global = np.asarray(global_matrix)
-        matrix._service = np.asarray(service)
-        return matrix
-
     # -- construction -------------------------------------------------------
 
     def factored(self, dtype: Optional[object] = None) -> FactoredRecall:
@@ -437,12 +394,6 @@ class WeightedRecallMatrix:
     def global_view(self) -> np.ndarray:
         """Read-only (non-copying) view of ``V``."""
         view = self._ensure_global().view()
-        view.flags.writeable = False
-        return view
-
-    def service_view(self) -> np.ndarray:
-        """Read-only (non-copying) view of ``S``."""
-        view = self._ensure_service().view()
         view.flags.writeable = False
         return view
 

@@ -25,9 +25,9 @@ drains a query-event stream:
 The sweep engine (:mod:`repro.sweep`) publishes three more events from the
 coordinating process while a sweep runs:
 
-* :data:`TASK_STARTED` — when a task is submitted for execution (under
-  ``workers > 1`` every task is submitted to the pool up front, so these
-  arrive in a burst; it is not a worker-pickup signal);
+* :data:`TASK_STARTED` — when a task is submitted for execution (a process
+  pool keeps up to ``2 × workers`` attempts submitted ahead of the workers,
+  so it is not a worker-pickup signal);
 * :data:`TASK_FINISHED` — when a task's result arrives (in completion order,
   which under a parallel executor need not be task order);
 * :data:`TASK_SKIPPED` — when resume finds a task's content hash already in
@@ -46,8 +46,6 @@ The fault-tolerance layer (:mod:`repro.sweep.faults`) adds failure events:
   deterministic backoff delay;
 * :data:`TASK_QUARANTINED` — a task exhausted its retry budget and the sweep
   continues without it (the failure also lands in ``SweepResult.failures``);
-* :data:`SHM_DEGRADED` — a task fell back from the shared-memory scenario
-  tier to the ordinary per-worker build path (results are unaffected);
 * :data:`STORE_CORRUPT` — ``ResultStore.verify()`` found an unreadable or
   hash-mismatched store entry;
 * :data:`LEASE_RECLAIMED` — the distributed coordinator
@@ -98,7 +96,6 @@ __all__ = [
     "TASK_FAILED",
     "TASK_RETRIED",
     "TASK_QUARANTINED",
-    "SHM_DEGRADED",
     "STORE_CORRUPT",
     "LEASE_RECLAIMED",
     "SWEEP_END",
@@ -115,7 +112,6 @@ __all__ = [
     "TaskFailedEvent",
     "TaskRetriedEvent",
     "TaskQuarantinedEvent",
-    "ShmDegradedEvent",
     "StoreCorruptEvent",
     "LeaseReclaimedEvent",
     "SweepEndEvent",
@@ -136,7 +132,6 @@ TASK_LOADED = "task_loaded"
 TASK_FAILED = "task_failed"
 TASK_RETRIED = "task_retried"
 TASK_QUARANTINED = "task_quarantined"
-SHM_DEGRADED = "shm_degraded"
 STORE_CORRUPT = "store_corrupt"
 LEASE_RECLAIMED = "lease_reclaimed"
 SWEEP_END = "sweep_end"
@@ -209,9 +204,10 @@ class TrafficSummaryEvent:
 class TaskStartedEvent:
     """Published when the sweep engine submits a task for execution.
 
-    With ``workers > 1`` all tasks are submitted to the pool up front, so
-    these events arrive in one burst before the first ``task_finished`` —
-    they signal enqueueing, not a worker picking the task up.
+    A process pool keeps up to ``2 × workers`` attempts submitted, so the
+    first of these events arrive in a burst before the first
+    ``task_finished`` — they signal enqueueing, not a worker picking the
+    task up.
     """
 
     index: int
@@ -304,20 +300,6 @@ class TaskQuarantinedEvent:
     task: Any
     total: int
     failure: Any  # a repro.sweep.faults.TaskFailure
-
-
-@dataclass(frozen=True)
-class ShmDegradedEvent:
-    """Published when a task fell back from the shared-memory scenario tier.
-
-    The task still ran (against a privately built scenario), so results are
-    unaffected — this is an observability signal that the zero-copy path was
-    lost for ``scenario_key``, e.g. because a segment was unlinked mid-sweep.
-    """
-
-    index: int
-    task: Any
-    scenario_key: str
 
 
 @dataclass(frozen=True)
@@ -443,10 +425,6 @@ class EventHooks:
     def on_task_quarantined(self, callback: EventCallback) -> Callable[[], None]:
         """Subscribe to :data:`TASK_QUARANTINED` (receives a :class:`TaskQuarantinedEvent`)."""
         return self.subscribe(TASK_QUARANTINED, callback)
-
-    def on_shm_degraded(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`SHM_DEGRADED` (receives a :class:`ShmDegradedEvent`)."""
-        return self.subscribe(SHM_DEGRADED, callback)
 
     def on_store_corrupt(self, callback: EventCallback) -> Callable[[], None]:
         """Subscribe to :data:`STORE_CORRUPT` (receives a :class:`StoreCorruptEvent`)."""

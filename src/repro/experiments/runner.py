@@ -140,7 +140,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        help="sweep executor name (overrides --workers), e.g. chunked-streaming",
+        help="sweep executor name (overrides --workers), e.g. process-pool",
     )
     arguments = parser.parse_args(argv)
     config = ExperimentConfig.from_scale(arguments.scale)

@@ -149,24 +149,6 @@ class PeerNetwork:
             )
         return self._matrix
 
-    def adopt_recall_matrix(self, matrix: WeightedRecallMatrix) -> None:
-        """Install an externally-built matrix as the cached one.
-
-        The shared-memory sweep tier builds matrices whose arrays live in a
-        shared segment published by the coordinator; workers adopt them so
-        :meth:`recall_matrix` / :meth:`cost_model` reuse the shared arrays
-        instead of recomputing |P| x |P| products per process.  The matrix
-        must describe exactly this network's population.
-        """
-        if matrix.peer_order != self.peer_ids():
-            raise ConfigurationError(
-                "adopted recall matrix does not match the network's peer population"
-            )
-        # Prime the version snapshot so the adopted matrix is not immediately
-        # discarded by the staleness check in recall_model().
-        self.recall_model()
-        self._matrix = matrix
-
     def cost_model(
         self,
         *,

@@ -191,13 +191,12 @@ drift_registry = ComponentRegistry("drift model")
 #: constructible from a plain dict of strings/numbers, so arrival patterns
 #: sweep and JSON-round-trip like every other component reference.
 workload_registry = ComponentRegistry("traffic workload")
-#: Sweep executors (``serial``, ``process-pool``, ``chunked-streaming``,
+#: Sweep executors (``serial``, ``process-pool``, ``distributed``,
 #: plugins).  An executor is a factory/class whose instances implement the
 #: :class:`~repro.sweep.executors.SweepExecutor` protocol (``run(tasks,
 #: context) -> iterator of task outcomes``) and are constructible from a
 #: plain dict of strings/numbers, so execution backends are selected by name
-#: or JSON spec like every other component — a distributed backend is a
-#: drop-in registration away.
+#: or JSON spec like every other component.
 executor_registry = ComponentRegistry("sweep executor")
 
 

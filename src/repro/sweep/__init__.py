@@ -6,7 +6,7 @@ package is the layer that produces those distributions fast.  A
 initial configurations × strategies × thetas × dynamics × workloads × seeds
 (plus explicit task lists), :func:`~repro.sweep.engine.run_sweep` hands the
 tasks to a pluggable :class:`~repro.sweep.executors.SweepExecutor`
-(``serial`` / ``process-pool`` / ``chunked-streaming``, or any registered
+(``serial`` / ``process-pool`` / ``distributed``, or any registered
 backend), and :class:`~repro.sweep.result.SweepResult` aggregates the
 per-task :class:`~repro.session.result.RunResult`\\ s (JSONL persistence,
 mean/stddev/CI summaries).
@@ -50,7 +50,11 @@ only the in-flight tasks, and tasks that exhaust their budget are
 quarantined (``SweepResult.failures`` + the store's quarantine tier) so a
 sweep completes with partial results instead of aborting.  A
 :class:`~repro.sweep.faults.FaultPlan` injects deterministic chaos
-(exceptions, hangs, worker kills, shm unlinks) for testing all of it.
+(exceptions, hangs, worker kills) for testing all of it.
+
+Scenario reuse has one tier: the per-process memo of
+:mod:`repro.sweep.cache`, one built scenario per ``(scenario,
+ScenarioConfig)`` key in each worker.
 
 The ``distributed`` backend (:mod:`repro.sweep.distributed`) extends all of
 this across processes and hosts: a coordinator enqueues the grid into a
@@ -75,7 +79,6 @@ from repro.sweep.cache import (
 from repro.sweep.distributed import DistributedSweepExecutor, run_worker
 from repro.sweep.engine import run_sweep
 from repro.sweep.executors import (
-    ChunkedStreamingExecutor,
     ExecutorContext,
     ProcessPoolSweepExecutor,
     SerialExecutor,
@@ -107,7 +110,6 @@ __all__ = [
     "ExecutorContext",
     "SerialExecutor",
     "ProcessPoolSweepExecutor",
-    "ChunkedStreamingExecutor",
     "DistributedSweepExecutor",
     "run_worker",
     "TaskQueue",

@@ -22,23 +22,19 @@ Because the cached build is deterministic in the key, a cache hit and a cache
 miss produce byte-identical task results — so sweeps stay reproducible for
 any worker count, which the engine's parity tests assert with the cache on.
 
-When the sweep runs with a content-addressed store
-(:class:`~repro.sweep.store.ResultStore`), this memo grows a second, on-disk
-tier: a miss first consults the store's ``scenarios/`` directory (pickled
-:class:`ScenarioData` keyed by the sha256 of the scenario name + resolved
-config) before building, and every fresh build is persisted there — so
-scenario construction is shared across worker processes, cold starts and CI
-runs, not just within one worker's lifetime.
+This memo is the only way a sweep reuses a built scenario: the coordinator
+of a multi-process sweep builds nothing, and nothing is persisted beyond
+the worker process.
 
 Set ``REPRO_SWEEP_SCENARIO_CACHE=0`` to disable the cache globally (every
-task then rebuilds, the pre-cache behaviour; the store tier is skipped too).
+task then rebuilds, the pre-cache behaviour).
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.datasets.scenarios import ScenarioConfig, ScenarioData, build_scenario
 from repro.registry import scenario_registry
@@ -53,7 +49,7 @@ __all__ = [
 _CacheKey = Tuple[str, ScenarioConfig]
 
 _CACHE: Dict[_CacheKey, ScenarioData] = {}
-_STATS = {"hits": 0, "misses": 0, "copies": 0, "store_hits": 0}
+_STATS = {"hits": 0, "misses": 0, "copies": 0}
 
 #: Environment switch disabling the cache ("0"/"false"/"no"/"off").
 ENV_FLAG = "REPRO_SWEEP_SCENARIO_CACHE"
@@ -69,9 +65,7 @@ def runner_mutates_scenario(runner: object) -> bool:
     return bool(getattr(runner, "mutates_scenario", True))
 
 
-def scenario_data_for(
-    session_config, *, mutates: bool, store: Optional[object] = None
-) -> ScenarioData:
+def scenario_data_for(session_config, *, mutates: bool) -> ScenarioData:
     """The scenario data for *session_config*, memoised per worker process.
 
     Parameters
@@ -84,27 +78,13 @@ def scenario_data_for(
     mutates:
         ``True`` returns a private deep copy (copy-on-write for runners that
         perturb the network); ``False`` returns the shared instance.
-    store:
-        Optional :class:`~repro.sweep.store.ResultStore`: on an in-memory
-        miss the store's scenario tier is consulted before building, and a
-        fresh build is persisted back, sharing construction across workers
-        and cold starts.  A loaded scenario is byte-equivalent to a rebuilt
-        one (the pickle is taken cache-free), so results do not depend on
-        which tier answered.
     """
     name = scenario_registry.canonical_name(session_config.scenario)
     key: _CacheKey = (name, session_config.experiment_config().scenario)
     data = _CACHE.get(key)
     if data is None:
-        if store is not None:
-            data = store.load_scenario(name, key[1])
-        if data is not None:
-            _STATS["store_hits"] += 1
-        else:
-            data = build_scenario(name, key[1])
-            _STATS["misses"] += 1
-            if store is not None:
-                store.save_scenario(name, key[1], data)
+        data = build_scenario(name, key[1])
+        _STATS["misses"] += 1
         _CACHE[key] = data
     else:
         _STATS["hits"] += 1
@@ -122,8 +102,8 @@ def clear_scenario_cache() -> None:
 
 
 def scenario_cache_info() -> Dict[str, int]:
-    """Cache statistics of this process: ``size``, ``hits``, ``misses``,
-    ``copies`` and ``store_hits`` (misses answered by the on-disk tier)."""
+    """Cache statistics of this process: ``size``, ``hits``, ``misses`` and
+    ``copies``."""
     return {"size": len(_CACHE), **_STATS}
 
 

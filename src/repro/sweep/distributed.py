@@ -11,7 +11,7 @@ Coordinator (:class:`DistributedSweepExecutor`, registered as
 ``distributed``):
 
 * writes the sweep's execution policy (retry policy, task timeout, fault
-  plan, shm manifest, lease timings) into ``queue/config.json``;
+  plan, lease timings) into ``queue/config.json``;
 * enqueues every pending task as a claimable entry;
 * optionally spawns N local ``repro sweep-worker`` daemons (tests, CI,
   single-host runs) and respawns them if they die;
@@ -53,7 +53,6 @@ is harmless for the same reason: both executions write the same bytes.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import shutil
@@ -165,7 +164,6 @@ def _run_claimed(store: ResultStore, queue: TaskQueue, lease: Lease, worker_id: 
             task,
             scenario_cache=bool(config.get("scenario_cache", True)),
             store=store,
-            shm_manifest=config.get("shm_manifest"),
             timeout=config.get("task_timeout"),
             faults=faults,
             attempt=attempt,
@@ -203,9 +201,6 @@ def _run_claimed(store: ResultStore, queue: TaskQueue, lease: Lease, worker_id: 
         lease.release()
         return "failed"
     renewer.stop()
-    from repro.sweep.shm import consume_degraded_keys
-
-    consume_degraded_keys()  # worker-side observability only; drop the buffer
     lease.release()
     return "ok"
 
@@ -727,7 +722,7 @@ class DistributedSweepExecutor(SweepExecutor):
 
     def worker_config(self, context: ExecutorContext) -> Dict[str, Any]:
         """The execution policy published to workers via ``queue/config.json``."""
-        config: Dict[str, Any] = {
+        return {
             "retry_policy": asdict(context.retry_policy),
             "task_timeout": context.task_timeout,
             "scenario_cache": context.scenario_cache,
@@ -735,14 +730,6 @@ class DistributedSweepExecutor(SweepExecutor):
             "lease_timeout": self.lease_timeout,
             "heartbeat_interval": self.heartbeat_interval or self.lease_timeout / 4.0,
         }
-        manifest = context.shm_manifest
-        if manifest is not None:
-            try:
-                json.dumps(manifest)
-            except (TypeError, ValueError):  # pragma: no cover - defensive
-                manifest = None
-        config["shm_manifest"] = manifest
-        return config
 
     def run(
         self, tasks: Iterable[SweepTask], context: ExecutorContext

@@ -5,8 +5,7 @@ ordered task list, skips every task whose content hash already has a result
 in the (optional) :class:`~repro.sweep.store.ResultStore` — **resume** —
 and hands the remaining tasks to a pluggable
 :class:`~repro.sweep.executors.SweepExecutor` (``serial``, ``process-pool``,
-``chunked-streaming``, ``distributed``, or any registered/constructed
-executor).  Outcomes
+``distributed``, or any registered/constructed executor).  Outcomes
 are re-ordered by task index, so the final :class:`SweepResult` is
 independent of executor choice, worker count, completion order and of how
 many tasks were loaded versus executed.
@@ -24,8 +23,7 @@ when the executor admits a task attempt to its in-flight window (see
 ``task_skipped`` + ``task_loaded`` for store hits (before any execution
 starts, in task order), ``task_failed`` / ``task_retried`` /
 ``task_quarantined`` for the fault-tolerance layer
-(:mod:`repro.sweep.faults`), ``shm_degraded`` when a task lost the
-shared-memory scenario tier, and ``sweep_end`` once at the end.
+(:mod:`repro.sweep.faults`), and ``sweep_end`` once at the end.
 
 Fault tolerance: with ``retries``/``task_timeout`` (or their spec fields) a
 failed task is re-executed up to the policy's budget and otherwise
@@ -38,13 +36,10 @@ environment variable) injects deterministic chaos for testing.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, List, Optional
 
-from repro.errors import ConfigurationError
 from repro.events import (
     LEASE_RECLAIMED,
-    SHM_DEGRADED,
     SWEEP_END,
     TASK_FAILED,
     TASK_FINISHED,
@@ -55,7 +50,6 @@ from repro.events import (
     TASK_STARTED,
     EventHooks,
     LeaseReclaimedEvent,
-    ShmDegradedEvent,
     SweepEndEvent,
     TaskFailedEvent,
     TaskFinishedEvent,
@@ -84,13 +78,11 @@ def run_sweep(
     spec: SweepSpec,
     *,
     executor: Optional[Any] = None,
-    workers: Optional[int] = None,
     hooks: Optional[EventHooks] = None,
     jsonl_path: Optional[str] = None,
     scenario_cache: bool = True,
     store: Optional[Any] = None,
     resume: bool = True,
-    shm: Optional[bool] = None,
     retries: Optional[Any] = None,
     task_timeout: Optional[float] = None,
     faults: Optional[Any] = None,
@@ -101,18 +93,10 @@ def run_sweep(
     ----------
     executor:
         How tasks execute: a registered executor name (``"serial"``,
-        ``"process-pool"``, ``"chunked-streaming"``, ``"distributed"``), a
-        JSON-style spec
+        ``"process-pool"``, ``"distributed"``), a JSON-style spec
         (``{"name": "process-pool", "options": {"max_workers": 8}}``) or a
         :class:`~repro.sweep.executors.SweepExecutor` instance.  Default:
         the serial executor.  Results are identical for every executor.
-    workers:
-        Deprecated alias, kept only for old call sites: ``1`` maps to
-        ``serial``, ``N > 1`` to ``process-pool`` with ``N`` workers, and a
-        ``DeprecationWarning`` is emitted.  Pass an ``executor=`` spec
-        instead — ``executor={"name": "process-pool", "options":
-        {"max_workers": N}}`` — which is also where every other backend's
-        options live.  Mutually exclusive with ``executor``.
     hooks:
         Event hub receiving ``task_started`` / ``task_finished`` /
         ``task_skipped`` / ``task_loaded`` / ``sweep_end``; a private one is
@@ -125,22 +109,12 @@ def run_sweep(
         mutating runners).  On by default; results do not depend on it.
     store:
         A :class:`~repro.sweep.store.ResultStore` (or its root path).  Every
-        finished task is persisted under its content hash as it completes,
-        and built scenario data is shared across workers and cold starts
-        through the store's scenario tier.
+        finished task is persisted under its content hash as it completes.
     resume:
         With a store: skip every task whose content hash already has a
         stored result, loading it instead (default).  ``resume=False``
         re-executes everything (and refreshes the store).  The merged
         result is byte-identical either way.
-    shm:
-        Shared-memory scenario tier (:mod:`repro.sweep.shm`): the
-        coordinator publishes each pending scenario's dense recall arrays
-        once and workers attach read-only views instead of rebuilding them
-        per process.  ``None`` (default) auto-enables for multi-process
-        executors when the platform supports it; ``True`` forces it on
-        (still skipped when unsupported); ``False`` disables it.  Results
-        are byte-identical either way.
     retries:
         Retry budget for failed tasks: an integer retry count, a mapping of
         :class:`~repro.sweep.faults.RetryPolicy` fields (``backoff``,
@@ -160,16 +134,7 @@ def run_sweep(
         Default: the ``REPRO_SWEEP_FAULTS`` environment variable, else
         nothing.  Test-only machinery — never set in production sweeps.
     """
-    if workers is not None:
-        warnings.warn(
-            "run_sweep(workers=N) is deprecated; pass executor='process-pool' "
-            "(or an executor spec with max_workers) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    executor_obj: SweepExecutor = resolve_executor(executor, workers=workers)
+    executor_obj: SweepExecutor = resolve_executor(executor)
     hooks = hooks if hooks is not None else EventHooks()
     result_store = ResultStore.from_any(store)
     retry_policy = RetryPolicy.from_any(retries if retries is not None else spec.retries)
@@ -267,67 +232,44 @@ def run_sweep(
             ),
         )
 
-    shm_server = None
-    shm_manifest = None
-    if pending and scenario_cache and shm is not False and executor_obj.workers > 1:
-        from repro.sweep.shm import ScenarioArrayServer, shared_memory_available
-
-        if shared_memory_available():
-            shm_server = ScenarioArrayServer()
-            shm_manifest = shm_server.publish_for_tasks(pending, store=result_store)
-            if not shm_manifest:
-                shm_server.close()
-                shm_server = None
-                shm_manifest = None
-
     context = ExecutorContext(
         scenario_cache=scenario_cache,
         store_path=str(result_store.root) if result_store is not None else None,
         on_started=on_started,
-        shm_manifest=shm_manifest,
         retry_policy=retry_policy,
         task_timeout=timeout,
         faults=fault_plan,
         on_task_failed=on_task_failed,
         on_lease_reclaimed=on_lease_reclaimed,
     )
-    try:
-        for outcome in executor_obj.run(pending, context):
-            task = outcome.task
-            if outcome.failure is not None:
-                failures.append(outcome.failure)
-                if result_store is not None:
-                    result_store.put_failure(task, outcome.failure)
-                hooks.emit(
-                    TASK_QUARANTINED,
-                    TaskQuarantinedEvent(
-                        index=task.index, task=task, total=total, failure=outcome.failure
-                    ),
-                )
-                continue
-            for scenario_key in outcome.degraded:
-                hooks.emit(
-                    SHM_DEGRADED,
-                    ShmDegradedEvent(index=task.index, task=task, scenario_key=scenario_key),
-                )
-            results[task.index] = outcome.result
-            durations[task.index] = outcome.duration
-            completed += 1
+    for outcome in executor_obj.run(pending, context):
+        task = outcome.task
+        if outcome.failure is not None:
+            failures.append(outcome.failure)
+            if result_store is not None:
+                result_store.put_failure(task, outcome.failure)
             hooks.emit(
-                TASK_FINISHED,
-                TaskFinishedEvent(
-                    index=task.index,
-                    task=task,
-                    result=outcome.result,
-                    total=total,
-                    completed=completed,
-                    duration=outcome.duration,
-                    attempt=outcome.attempt,
+                TASK_QUARANTINED,
+                TaskQuarantinedEvent(
+                    index=task.index, task=task, total=total, failure=outcome.failure
                 ),
             )
-    finally:
-        if shm_server is not None:
-            shm_server.close()
+            continue
+        results[task.index] = outcome.result
+        durations[task.index] = outcome.duration
+        completed += 1
+        hooks.emit(
+            TASK_FINISHED,
+            TaskFinishedEvent(
+                index=task.index,
+                task=task,
+                result=outcome.result,
+                total=total,
+                completed=completed,
+                duration=outcome.duration,
+                attempt=outcome.attempt,
+            ),
+        )
 
     sweep_duration = time.perf_counter() - sweep_started
     executed = total - loaded - len(failures)

@@ -9,35 +9,26 @@ instance::
 
     run_sweep(spec, executor="serial")
     run_sweep(spec, executor={"name": "process-pool", "options": {"max_workers": 8}})
-    run_sweep(spec, executor=ChunkedStreamingExecutor(max_workers=8, window=32))
+    run_sweep(spec, executor=ProcessPoolSweepExecutor(max_workers=8))
 
-Three executors ship here:
+Two executors ship here:
 
 * ``serial`` — every task inline in the coordinating process, in task order.
   The deterministic reference path and the default.
-* ``process-pool`` — every task submitted to a
-  :class:`concurrent.futures.ProcessPoolExecutor` up front; results stream
-  back in completion order.  ``run_sweep(workers=N)`` is a deprecated alias
-  for this executor.
-* ``chunked-streaming`` — a process pool with a *bounded in-flight window*:
-  at most ``window`` tasks are submitted-but-unfinished at any moment, and a
-  new task is submitted as each one completes.  For very large grids this
-  keeps coordinator memory (futures, pickled payloads) proportional to the
-  window, not the grid.
+* ``process-pool`` — a :class:`concurrent.futures.ProcessPoolExecutor` with
+  a fixed in-flight window: at most ``2 × workers`` task attempts are
+  submitted-but-unfinished at any moment, a new one is submitted as each
+  completes, and results stream back in completion order.  Coordinator
+  memory (futures, pickled payloads) stays proportional to the window, not
+  the grid.
 
-A fourth backend, ``distributed`` (:mod:`repro.sweep.distributed`), runs
+A third backend, ``distributed`` (:mod:`repro.sweep.distributed`), runs
 tasks in separate worker *daemons* — spawned locally or started by hand on
 any host sharing the store directory — coordinated entirely through the
 store's filesystem work queue (:mod:`repro.sweep.queue`).  It honours the
 same contract below; its ``task_started`` events are reconstructed from
 queue observations and it additionally reports reclaimed leases through
 ``on_lease_reclaimed``.
-
-The legacy ``run_sweep(workers=N)`` parameter is a deprecated alias for the
-process pool; prefer an executor spec — ``--executor process-pool``
-``--executor-options '{"max_workers": N}'`` on the CLI, or
-``executor={"name": "process-pool", "options": {"max_workers": N}}`` in
-code.
 
 Event ordering contract (all executors)
 ---------------------------------------
@@ -54,10 +45,9 @@ guarantee, and the built-ins do:
 3. *first-attempt* ``task_started`` events are emitted in task-index order
    (retries re-enter the window as slots free up and may interleave);
 4. ``task_started`` marks *submission into the executor's in-flight window*
-   — serial's window is 1 (strict start/finish interleave, task order),
-   process-pool's is unbounded (all starts burst before the first finish),
-   chunked-streaming's is ``window`` (at most ``window`` started-but-
-   unfinished tasks at any moment);
+   — serial's window is 1 (strict start/finish interleave, task order) and
+   process-pool's is ``2 × workers`` (at most that many started-but-
+   unfinished attempts at any moment);
 5. per-task ``duration`` is measured worker-side around the task's actual
    execution (:func:`execute_task`), identically for every executor.
 
@@ -68,10 +58,12 @@ Fault tolerance (:mod:`repro.sweep.faults`): a failed attempt (exception or
 worker-side timeout) is reported through the context's ``on_task_failed``
 callback and re-enqueued while the :class:`~repro.sweep.faults.RetryPolicy`
 allows, then surfaced as a quarantine outcome (``outcome.failure`` set,
-``outcome.result`` ``None``) instead of aborting the sweep.  The pool-backed
-executors additionally survive worker death: on ``BrokenProcessPool`` they
-respawn the pool and requeue only the in-flight attempts (budgeted by
-``RetryPolicy.crash_requeues``, separate from failure retries).
+``outcome.result`` ``None``) instead of aborting the sweep.  The process
+pool additionally survives worker death: on ``BrokenProcessPool`` it
+respawns the pool and requeues only the in-flight attempts (budgeted by
+``RetryPolicy.crash_requeues``, separate from failure retries), each of
+which then runs alone, so only the attempt that really kills its worker is
+charged again.
 
 Determinism: executors only schedule — every task carries its own seed and
 nothing about placement, completion order or retry history feeds back into
@@ -116,7 +108,6 @@ __all__ = [
     "TaskOutcome",
     "SerialExecutor",
     "ProcessPoolSweepExecutor",
-    "ChunkedStreamingExecutor",
     "resolve_executor",
     "executor_from_any",
     "execute_task",
@@ -127,10 +118,9 @@ class TaskOutcome(NamedTuple):
     """One terminal task outcome as streamed back by an executor.
 
     Success sets ``result``; quarantine (the task exhausted its retry
-    budget) sets ``failure`` and leaves ``result`` ``None``.  ``degraded``
-    lists the shared-memory scenario keys this task fell back from (empty
-    in the ordinary case); ``attempt`` is the attempt number that produced
-    the outcome (1 unless the task was retried or crash-requeued).
+    budget) sets ``failure`` and leaves ``result`` ``None``.  ``attempt`` is
+    the attempt number that produced the outcome (1 unless the task was
+    retried or crash-requeued).
     """
 
     task: SweepTask
@@ -138,7 +128,6 @@ class TaskOutcome(NamedTuple):
     #: Worker-side wall-clock seconds for this task.
     duration: float
     failure: Optional[TaskFailure] = None
-    degraded: Tuple[str, ...] = ()
     attempt: int = 1
 
 
@@ -167,11 +156,7 @@ class ExecutorContext:
     attempt with the structured error payload, whether the task will be
     retried, and the deterministic backoff delay; the engine turns it into
     ``task_failed`` (+ ``task_retried``) events.  ``store_path`` is the
-    content-addressed result store the workers persist into (and read cached
-    scenario data from), or ``None``.  ``shm_manifest`` is the shared-memory
-    scenario-array manifest published by the engine's
-    :class:`~repro.sweep.shm.ScenarioArrayServer` (or ``None`` when the tier
-    is off); it is a plain dict so it pickles to workers cheaply.
+    content-addressed result store the workers persist into, or ``None``.
     ``retry_policy``/``task_timeout``/``faults`` configure the resilience
     layer (:mod:`repro.sweep.faults`) identically for every executor.
     """
@@ -179,7 +164,6 @@ class ExecutorContext:
     scenario_cache: bool = True
     store_path: Optional[str] = None
     on_started: Callable[..., None] = field(default=_noop_started)
-    shm_manifest: Optional[Dict[str, Any]] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     task_timeout: Optional[float] = None
     faults: Optional[FaultPlan] = None
@@ -196,7 +180,6 @@ def execute_task(
     *,
     scenario_cache: bool = True,
     store: Optional[Any] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     attempt: int = 1,
@@ -205,8 +188,7 @@ def execute_task(
 
     This is the whole per-worker protocol: materialise the task's
     :class:`~repro.session.config.SessionConfig`, fetch (or build) the
-    scenario data through the per-worker memo (backed by the store's
-    scenario tier when one is given), assemble a
+    scenario data through the per-worker memo, assemble a
     :class:`~repro.session.simulation.Simulation`, hand it to the task's
     registered runner, and return the runner's JSON-exportable
     :class:`RunResult`.  The raw ``protocol_result`` is dropped — it is not
@@ -245,25 +227,10 @@ def execute_task(
         if faults:
             rule = faults.match(task_hash(task), task.index, attempt)
             if rule is not None:
-                from repro.sweep.shm import scenario_shm_key
-
-                trigger_fault(
-                    rule,
-                    scenario_key=scenario_shm_key(config),
-                    shm_manifest=shm_manifest,
-                )
+                trigger_fault(rule)
         data = None
         if scenario_cache and scenario_cache_enabled():
-            mutates = runner_mutates_scenario(runner)
-            data = scenario_data_for(config, mutates=mutates, store=store_obj)
-            if shm_manifest and not mutates:
-                # Shared-memory tier: reuse the coordinator-published recall
-                # arrays instead of rebuilding |P| x |P| products per process.
-                # Best-effort — on any failure the ordinary build path applies
-                # and the degraded key is recorded for the caller to report.
-                from repro.sweep.shm import adopt_shared_matrix, scenario_shm_key
-
-                adopt_shared_matrix(data.network, scenario_shm_key(config), shm_manifest)
+            data = scenario_data_for(config, mutates=runner_mutates_scenario(runner))
         simulation = Simulation.from_config(config, data=data)
         result = runner(simulation, dict(task.options))
     result.protocol_result = None
@@ -277,7 +244,6 @@ def _execute_payload_envelope(
     payload: Dict[str, object],
     scenario_cache: bool = True,
     store_path: Optional[str] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     attempt: int = 1,
@@ -286,13 +252,10 @@ def _execute_payload_envelope(
 
     Exceptions (organic, injected, or timeout) are converted into an
     ``{"status": "error", ...}`` envelope worker-side so the coordinator can
-    apply retry policy without the pool treating the task as poisonous; a
-    success envelope additionally carries the shared-memory scenario keys
-    the attempt degraded on.  Marks the process as a pool worker first, so
-    an injected ``worker-kill`` rule takes the real ``os._exit`` path.
+    apply retry policy without the pool treating the task as poisonous.
+    Marks the process as a pool worker first, so an injected ``worker-kill``
+    rule takes the real ``os._exit`` path.
     """
-    from repro.sweep.shm import consume_degraded_keys
-
     mark_worker_process()
     started = time.perf_counter()
     try:
@@ -300,7 +263,6 @@ def _execute_payload_envelope(
             SweepTask.from_dict(payload),
             scenario_cache=scenario_cache,
             store=store_path,
-            shm_manifest=shm_manifest,
             timeout=timeout,
             faults=faults,
             attempt=attempt,
@@ -311,12 +273,7 @@ def _execute_payload_envelope(
             "duration": time.perf_counter() - started,
             "error": failure_payload(error, attempt),
         }
-    return {
-        "status": "ok",
-        "result": result,
-        "duration": duration,
-        "degraded": consume_degraded_keys(),
-    }
+    return {"status": "ok", "result": result, "duration": duration}
 
 
 class SweepExecutor(ABC):
@@ -364,7 +321,6 @@ class SerialExecutor(SweepExecutor):
     def run(
         self, tasks: Iterable[SweepTask], context: ExecutorContext
     ) -> Iterator[TaskOutcome]:
-        from repro.sweep.shm import consume_degraded_keys
         from repro.sweep.store import task_hash
 
         policy = context.retry_policy
@@ -380,7 +336,6 @@ class SerialExecutor(SweepExecutor):
                         task,
                         scenario_cache=context.scenario_cache,
                         store=context.store_path,
-                        shm_manifest=context.shm_manifest,
                         timeout=context.task_timeout,
                         faults=context.faults,
                         attempt=attempt,
@@ -410,13 +365,7 @@ class SerialExecutor(SweepExecutor):
                         attempt=attempt,
                     )
                     break
-                yield TaskOutcome(
-                    task,
-                    result,
-                    duration,
-                    degraded=tuple(consume_degraded_keys()),
-                    attempt=attempt,
-                )
+                yield TaskOutcome(task, result, duration, attempt=attempt)
                 break
 
 
@@ -449,12 +398,11 @@ class _Attempt:
 
 
 class _PoolRun:
-    """The shared fault-tolerant process-pool driver.
+    """The fault-tolerant process-pool driver.
 
-    Both pool executors reduce to this loop; they differ only in the
-    in-flight ``window`` (``None`` = unbounded, the process-pool burst;
-    an integer = chunked streaming).  The driver owns retry/quarantine
-    bookkeeping and crash recovery:
+    At most ``2 × workers`` attempts are in flight; each completion tops the
+    window up, queued retries first, then fresh tasks in index order.  The
+    driver owns retry/quarantine bookkeeping and crash recovery:
 
     * a worker-side failure arrives as an error envelope — while the retry
       policy allows, the attempt is re-enqueued (ahead of fresh tasks, after
@@ -463,7 +411,11 @@ class _PoolRun:
       every in-flight future fails with ``BrokenProcessPool`` at once) — the
       driver salvages envelopes that completed before the break, respawns
       the pool, and requeues exactly the in-flight attempts, each charged
-      one crash against ``RetryPolicy.crash_requeues``.
+      one crash against ``RetryPolicy.crash_requeues``;
+    * an attempt of a task that has been charged a crash runs alone: it waits
+      for an empty window and nothing else is submitted while it is in
+      flight, so a later break is charged to the task that caused it and to
+      no bystander.
 
     All pending futures always belong to the current pool: a break fails
     them all simultaneously and recovery respawns before anything new is
@@ -472,17 +424,13 @@ class _PoolRun:
     """
 
     def __init__(
-        self,
-        tasks: Iterable[SweepTask],
-        context: ExecutorContext,
-        workers: int,
-        window: Optional[int],
+        self, tasks: Iterable[SweepTask], context: ExecutorContext, workers: int
     ) -> None:
         self.iterator = iter(tasks)
         self.context = context
         self.policy = context.retry_policy
         self.workers = workers
-        self.window = window
+        self.window = 2 * workers
         self.pool: Optional[ProcessPoolExecutor] = None
         self.pending: Dict[Any, _Attempt] = {}
         self.ready: "deque[_Attempt]" = deque()
@@ -519,8 +467,12 @@ class _PoolRun:
 
     def _fill(self) -> None:
         """Top the in-flight window up: queued retries first, then fresh tasks."""
-        while self.window is None or len(self.pending) < self.window:
+        while len(self.pending) < self.window:
+            if any(state.crashes for state in self.pending.values()):
+                return
             if self.ready:
+                if self.ready[0].crashes and self.pending:
+                    return
                 state = self.ready.popleft()
                 if state.delay > 0:
                     time.sleep(state.delay)
@@ -540,7 +492,6 @@ class _PoolRun:
                 state.task.to_dict(),
                 self.context.scenario_cache,
                 self.context.store_path,
-                self.context.shm_manifest,
                 self.context.task_timeout,
                 self.context.faults,
                 state.attempt,
@@ -557,7 +508,6 @@ class _PoolRun:
                 state.task.to_dict(),
                 self.context.scenario_cache,
                 self.context.store_path,
-                self.context.shm_manifest,
                 self.context.task_timeout,
                 self.context.faults,
                 state.attempt,
@@ -568,11 +518,7 @@ class _PoolRun:
         if envelope["status"] == "ok":
             self.out.append(
                 TaskOutcome(
-                    state.task,
-                    envelope["result"],
-                    envelope["duration"],
-                    degraded=tuple(envelope.get("degraded", ())),
-                    attempt=state.attempt,
+                    state.task, envelope["result"], envelope["duration"], attempt=state.attempt
                 )
             )
             return
@@ -640,10 +586,11 @@ class _PoolRun:
 class ProcessPoolSweepExecutor(SweepExecutor):
     """Fan tasks out over a ``concurrent.futures`` process pool.
 
-    Every task is submitted up front (``task_started`` bursts), outcomes
-    stream back in completion order.  ``max_workers=None`` uses the CPU
-    count; with one worker (or one task) it degrades to the serial path —
-    same results, no pool overhead.
+    The pool has ``min(max_workers, tasks)`` processes (``max_workers=None``
+    uses the CPU count) and at most ``2 × workers`` attempts in flight; a
+    new attempt is submitted as each one completes, and outcomes stream back
+    in completion order.  With one worker (or one task) it degrades to the
+    serial path — same results, no pool overhead.
     """
 
     name = "process-pool"
@@ -665,85 +612,21 @@ class ProcessPoolSweepExecutor(SweepExecutor):
     ) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
         workers = _effective_workers(self.max_workers, len(tasks))
-        if workers == 1 or len(tasks) <= 1:
+        if workers == 1:
             yield from SerialExecutor().run(tasks, context)
             return
-        yield from _PoolRun(tasks, context, workers, window=None).outcomes()
+        yield from _PoolRun(tasks, context, workers).outcomes()
 
 
-@register_executor("chunked-streaming", aliases=("chunked",))
-class ChunkedStreamingExecutor(SweepExecutor):
-    """A process pool with a bounded in-flight window, for very large grids.
+def resolve_executor(executor: Optional[Any] = None) -> SweepExecutor:
+    """The :class:`SweepExecutor` for an ``executor=`` argument.
 
-    At most ``window`` tasks (default: ``2 * max_workers``, never below the
-    worker count) are submitted-but-unfinished at any moment; each completion
-    refills the window from the task iterator.  Coordinator-side memory —
-    futures, pickled task payloads — stays proportional to the window rather
-    than the grid, which is what lets a million-task spec stream through a
-    box that could never hold a million futures.
+    *executor* may be ``None`` (the serial executor), an executor instance
+    (returned as-is), a registered name (``"serial"``, ``"process-pool"``,
+    ``"distributed"``) or a JSON-style spec ``{"name": ..., "options": {...}}``.
     """
-
-    name = "chunked-streaming"
-
-    def __init__(
-        self, max_workers: Optional[int] = None, window: Optional[int] = None
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(f"max_workers must be at least 1, got {max_workers}")
-        if window is not None and window < 1:
-            raise ConfigurationError(f"window must be at least 1, got {window}")
-        self.max_workers = max_workers
-        self._window = window
-
-    @property
-    def workers(self) -> int:
-        return self.max_workers if self.max_workers is not None else (os.cpu_count() or 1)
-
-    def window_size(self, workers: int) -> int:
-        """The in-flight window for *workers* pool processes."""
-        if self._window is not None:
-            return max(self._window, workers)
-        return 2 * workers
-
-    def describe(self) -> str:
-        return f"{self.name}({self.workers}, window={self.window_size(self.workers)})"
-
-    def run(
-        self, tasks: Iterable[SweepTask], context: ExecutorContext
-    ) -> Iterator[TaskOutcome]:
-        # Deliberately no list(tasks): the iterator is consumed lazily so a
-        # huge grid is never fully materialised on the coordinator.  The
-        # worker count falls back to the configured/CPU limit (the total is
-        # unknown up front) and the pool drains naturally when fewer tasks
-        # than workers exist.
-        workers = _effective_workers(self.max_workers, self.workers)
-        window = self.window_size(workers)
-        yield from _PoolRun(iter(tasks), context, workers, window=window).outcomes()
-
-
-def resolve_executor(
-    executor: Optional[Any] = None, *, workers: Optional[int] = None
-) -> SweepExecutor:
-    """The :class:`SweepExecutor` for an ``executor=`` / ``workers=`` pair.
-
-    *executor* may be an executor instance (returned as-is), a registered
-    name (``"serial"``, ``"process-pool"``, ``"chunked-streaming"``) or a
-    JSON-style spec ``{"name": ..., "options": {...}}``.  *workers* is the
-    legacy knob: ``None``/``1`` resolve to the serial executor, ``N > 1`` to
-    a process pool with ``N`` workers.  Giving both is ambiguous and raises.
-    """
-    if executor is not None and workers is not None:
-        raise ConfigurationError(
-            "executor= and workers= are mutually exclusive; "
-            "pass the worker count inside the executor spec, e.g. "
-            '{"name": "process-pool", "options": {"max_workers": N}}'
-        )
     if executor is None:
-        if workers is None or workers == 1:
-            return SerialExecutor()
-        if workers < 1:
-            raise ConfigurationError(f"workers must be at least 1, got {workers}")
-        return ProcessPoolSweepExecutor(max_workers=workers)
+        return SerialExecutor()
     if isinstance(executor, SweepExecutor):
         return executor
     if isinstance(executor, str):
@@ -767,12 +650,17 @@ def resolve_executor(
 def executor_from_any(
     executor: Optional[Any] = None, workers: Optional[int] = None
 ) -> SweepExecutor:
-    """Like :func:`resolve_executor`, but *executor* wins when both are given.
+    """Like :func:`resolve_executor`, plus the drivers' ``workers`` count.
 
-    The experiment drivers keep their long-standing ``workers=N`` parameter
-    as a convenience and additionally accept ``executor=``; this helper
-    implements that precedence without tripping the mutual-exclusion check.
+    The experiment drivers and their CLIs keep ``workers=N`` / ``--workers
+    N`` as their parallelism flag: without *executor*, ``None`` or ``1``
+    resolves to the serial executor and ``N > 1`` to a process pool with
+    ``N`` workers.  *executor* wins when both are given.
     """
     if executor is not None:
         return resolve_executor(executor)
-    return resolve_executor(workers=workers)
+    if workers is None or workers == 1:
+        return SerialExecutor()
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+    return ProcessPoolSweepExecutor(max_workers=workers)

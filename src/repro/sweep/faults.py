@@ -21,7 +21,7 @@ resilience.  Three pieces:
   :class:`FaultRule`\\ s keyed by canonical task hash (or task index) plus
   attempt number, naming one of the registered fault models
   (:data:`FAULT_TASK_EXCEPTION`, :data:`FAULT_TASK_HANG`,
-  :data:`FAULT_WORKER_KILL`, :data:`FAULT_SHM_UNLINK`).  Because the key is
+  :data:`FAULT_WORKER_KILL`).  Because the key is
   the task's *content* hash and the attempt counter — never scheduling state
   — an injected plan fires identically under every executor, which is what
   lets the chaos suite assert byte-identical results between a fault-free
@@ -44,7 +44,7 @@ import time
 import traceback as traceback_module
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "FAULT_TASK_EXCEPTION",
     "FAULT_TASK_HANG",
     "FAULT_WORKER_KILL",
-    "FAULT_SHM_UNLINK",
     "FAULT_MODELS",
     "ENV_FAULTS",
 ]
@@ -76,15 +75,9 @@ ENV_FAULTS = "REPRO_SWEEP_FAULTS"
 FAULT_TASK_EXCEPTION = "task-exception"
 FAULT_TASK_HANG = "task-hang"
 FAULT_WORKER_KILL = "worker-kill"
-FAULT_SHM_UNLINK = "shm-unlink"
 
 #: The registered fault models a :class:`FaultRule` may name.
-FAULT_MODELS: Tuple[str, ...] = (
-    FAULT_TASK_EXCEPTION,
-    FAULT_TASK_HANG,
-    FAULT_WORKER_KILL,
-    FAULT_SHM_UNLINK,
-)
+FAULT_MODELS: Tuple[str, ...] = (FAULT_TASK_EXCEPTION, FAULT_TASK_HANG, FAULT_WORKER_KILL)
 
 #: Failure kinds recorded on :class:`TaskFailure` / failure payloads.
 KIND_EXCEPTION = "exception"
@@ -512,12 +505,7 @@ class FaultPlan:
         return cls.from_any(payload)
 
 
-def trigger_fault(
-    rule: FaultRule,
-    *,
-    scenario_key: Optional[str] = None,
-    shm_manifest: Optional[Mapping[str, Any]] = None,
-) -> None:
+def trigger_fault(rule: FaultRule) -> None:
     """Fire *rule* in the current (worker or coordinator) process.
 
     * ``task-exception`` raises :class:`InjectedFaultError`;
@@ -529,10 +517,7 @@ def trigger_fault(
       path: no cleanup, no exception propagation); outside a worker it
       degrades to an injected exception so a serial chaos run is not
       killed — results are identical either way, only the failure kind
-      differs;
-    * ``shm-unlink`` unlinks the task's published shared-memory scenario
-      segments (all segments when the task has none), exercising the
-      degraded fallback to the per-worker build path.
+      differs.
     """
     if rule.fault == FAULT_TASK_EXCEPTION:
         raise InjectedFaultError(str(rule.options.get("message", "injected task fault")))
@@ -545,14 +530,4 @@ def trigger_fault(
         raise InjectedFaultError(
             "injected worker-kill (degraded to a task exception outside a pool worker)"
         )
-    if rule.fault == FAULT_SHM_UNLINK:
-        if shm_manifest:
-            from repro.sweep.shm import unlink_segments
-
-            keys: List[str] = (
-                [scenario_key] if scenario_key in shm_manifest else list(shm_manifest)
-            )
-            for key in keys:
-                unlink_segments(shm_manifest, key)
-        return
     raise ConfigurationError(f"unknown fault model {rule.fault!r}")  # pragma: no cover

@@ -27,7 +27,7 @@ sharing the directory — with nothing but atomic filesystem operations:
   mtime-touched alongside lease renewals; ``repro sweep --status`` counts
   fresh ones as live.
 * ``config.json`` — the coordinator-written execution policy (retry policy,
-  task timeout, fault plan, shm manifest, lease timings) every worker reads
+  task timeout, fault plan, lease timings) every worker reads
   per claim, so external daemons run tasks under exactly the sweep's
   resilience settings.
 * ``STOP`` — a marker file; workers exit their poll loop when it appears.

@@ -1,4 +1,4 @@
-"""On-disk content-addressed store for sweep results and scenario data.
+"""On-disk content-addressed store for sweep results.
 
 Every :class:`~repro.sweep.spec.SweepTask` has a deterministic identity: the
 sha256 of its canonical JSON (:meth:`SweepTask.canonical_key` — resolved
@@ -12,25 +12,21 @@ keys everything by that hash:
   ``os.replace``) by whichever worker finishes the task, so concurrent
   workers, CI shards and repeated runs can all share one store directory —
   equal hashes mean equal work, so last-writer-wins is harmless.
-* ``<root>/scenarios/<hh>/<hash>.pkl`` — built
-  :class:`~repro.datasets.scenarios.ScenarioData`, keyed by the sha256 of
-  ``(scenario name, resolved ScenarioConfig)``.  The per-worker in-memory
-  scenario memo (:mod:`repro.sweep.cache`) consults this tier on a miss, so
-  scenario construction survives worker restarts, cold starts and crosses
-  CI runs.
-
 * ``<root>/quarantine/<hh>/<hash>.json`` — tasks the fault-tolerance layer
   (:mod:`repro.sweep.faults`) gave up on: the terminal
   :class:`~repro.sweep.faults.TaskFailure` payload under the task's
   canonical hash.  A later successful :meth:`ResultStore.put` for the same
   hash clears the quarantine record, so resume naturally retries
   quarantined tasks.
+* ``<root>/queue/`` — the distributed backend's work queue
+  (:mod:`repro.sweep.queue`).
 
-The two-level ``<hh>/`` fan-out (first two hex digits) keeps directories
-small on million-task grids.  Corrupt or unreadable entries are treated as
-missing — resume then simply re-runs the task — never as errors; they are
-logged (``repro.sweep.store``) and :meth:`ResultStore.verify` scans for and
-optionally purges them, emitting ``store_corrupt`` events.
+Records are JSON: nothing is unpickled from a directory that other hosts
+may write to.  The two-level ``<hh>/`` fan-out (first two hex digits) keeps
+directories small on million-task grids.  Corrupt or unreadable entries are
+treated as missing — resume then simply re-runs the task — never as errors;
+they are logged (``repro.sweep.store``) and :meth:`ResultStore.verify` scans
+for and optionally purges them, emitting ``store_corrupt`` events.
 
 This is what makes **sweep resume** work: :func:`~repro.sweep.engine.run_sweep`
 with a store skips every task whose hash already has a stored result,
@@ -41,15 +37,13 @@ one uninterrupted run.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
 import os
-import pickle
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -89,12 +83,6 @@ def task_hash(task: SweepTask) -> str:
     return _sha256(canonical_json(task.canonical_key()))
 
 
-def scenario_hash(scenario: str, scenario_config: Any) -> str:
-    """The sha256 content hash of a ``(scenario name, ScenarioConfig)`` pair."""
-    key = {"scenario": scenario, "config": asdict(scenario_config)}
-    return _sha256(canonical_json(key))
-
-
 @dataclass(frozen=True)
 class StoredResult:
     """One task's stored outcome, as loaded back from the store."""
@@ -127,10 +115,6 @@ class StoreVerification:
 class PruneReport:
     """What :meth:`ResultStore.prune` removed in one pass."""
 
-    #: Scenario pickles examined.
-    scenarios_checked: int = 0
-    #: Scenario pickles no stored task references (a rebuildable cache).
-    scenarios_removed: int = 0
     #: Stale queue files removed: superseded pending entries, dead leases,
     #: processed failure records, leftover config/STOP/fatal markers.
     queue_files_removed: int = 0
@@ -142,12 +126,7 @@ class PruneReport:
     @property
     def removed(self) -> int:
         """Total files removed."""
-        return (
-            self.scenarios_removed
-            + self.queue_files_removed
-            + self.worker_files_removed
-            + self.temp_files_removed
-        )
+        return self.queue_files_removed + self.worker_files_removed + self.temp_files_removed
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -193,10 +172,6 @@ class ResultStore:
     def task_path(self, hash_hex: str) -> Path:
         """Where the result for content hash *hash_hex* lives."""
         return self.root / "tasks" / hash_hex[:2] / f"{hash_hex}.json"
-
-    def scenario_path(self, hash_hex: str) -> Path:
-        """Where the scenario data for content hash *hash_hex* lives."""
-        return self.root / "scenarios" / hash_hex[:2] / f"{hash_hex}.pkl"
 
     def failure_path(self, hash_hex: str) -> Path:
         """Where the quarantine record for content hash *hash_hex* lives."""
@@ -389,16 +364,10 @@ class ResultStore:
     # -- pruning -------------------------------------------------------------------
 
     def prune(self, *, stale_after: float = 1800.0, now: Optional[float] = None) -> PruneReport:
-        """Garbage-collect derived state; never touches results or quarantine.
+        """Garbage-collect queue debris; never touches results or quarantine.
 
         Removes, in one pass:
 
-        * **orphaned scenario pickles** — scenario-tier entries no stored
-          task references.  The referenced set is computed by rebuilding
-          each stored task's resolved config and hashing its scenario key
-          exactly as the cache does; records that fail to rebuild simply
-          contribute no references, which is safe because the scenario tier
-          is a cache (a deleted pickle is rebuilt on demand);
         * **stale queue debris** left behind by killed workers and
           coordinators: pending entries whose task already has a stored
           result, leases and failure-journal records untouched for longer
@@ -414,31 +383,10 @@ class ResultStore:
         older than *stale_after*, which is why everything age-gated
         defaults to a generous 30 minutes.
         """
-        from repro.registry import scenario_registry
         from repro.sweep.queue import TaskQueue  # local: queue.py imports this module
 
         clock = time.time() if now is None else now
         report = PruneReport()
-
-        # Scenario pickles referenced by at least one stored task record.
-        referenced = set()
-        for hash_hex in self.task_hashes():
-            try:
-                with open(self.task_path(hash_hex), "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-                config = SweepTask.from_dict(record["task"]).session_config()
-                name = scenario_registry.canonical_name(config.scenario)
-                referenced.add(scenario_hash(name, config.experiment_config().scenario))
-            except Exception:  # noqa: BLE001 - unresolvable record = no reference
-                continue
-        scenarios_root = self.root / "scenarios"
-        if scenarios_root.is_dir():
-            for path in sorted(scenarios_root.glob("*/*.pkl")):
-                report.scenarios_checked += 1
-                if path.stem in referenced:
-                    continue
-                if self._prune_unlink(path):
-                    report.scenarios_removed += 1
 
         # Queue debris.  Entry/record filenames start with the task index;
         # the content hash is the second dot-separated component.
@@ -487,31 +435,3 @@ class ResultStore:
         if clock - mtime <= stale_after:
             return False
         return cls._prune_unlink(path)
-
-    # -- scenario data -------------------------------------------------------------
-
-    def load_scenario(self, scenario: str, scenario_config: Any) -> Optional[Any]:
-        """The stored :class:`ScenarioData` for the pair, or ``None``.
-
-        Corrupt/unreadable pickles count as missing (the scenario is then
-        rebuilt and re-stored).
-        """
-        path = self.scenario_path(scenario_hash(scenario, scenario_config))
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, AttributeError, EOFError, ImportError):
-            return None
-
-    def save_scenario(self, scenario: str, scenario_config: Any, data: Any) -> str:
-        """Persist built scenario *data* for the pair; returns the content hash.
-
-        The pickle is taken from a deep copy: the network's ``__deepcopy__``
-        drops its derived-model caches, so what lands on disk is exactly the
-        freshly built state — a loaded scenario behaves byte-identically to
-        a rebuilt one.
-        """
-        hash_hex = scenario_hash(scenario, scenario_config)
-        payload = pickle.dumps(copy.deepcopy(data), protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(self.scenario_path(hash_hex), payload)
-        return hash_hex

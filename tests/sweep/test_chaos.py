@@ -2,12 +2,14 @@
 
 The contract under test is the package's design center extended to faults —
 whatever chaos a :class:`FaultPlan` injects (exceptions, hangs, worker
-kills, shm unlinks), a sweep that survives it produces a ``SweepResult``
+kills), a sweep that survives it produces a ``SweepResult``
 byte-identical to a fault-free serial run, and a killed sweep resumes
 through the store without re-executing completed tasks.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,11 +22,7 @@ from repro.sweep import (
     run_sweep,
     task_hash,
 )
-from repro.sweep.executors import (
-    ChunkedStreamingExecutor,
-    ProcessPoolSweepExecutor,
-    SerialExecutor,
-)
+from repro.sweep.executors import ProcessPoolSweepExecutor, SerialExecutor
 
 TINY_SCENARIO = {
     "num_peers": 12,
@@ -50,8 +48,17 @@ def tiny_spec(**overrides) -> SweepSpec:
 ALL_EXECUTORS = (
     SerialExecutor(),
     ProcessPoolSweepExecutor(max_workers=2),
-    ChunkedStreamingExecutor(max_workers=2, window=2),
 )
+
+#: Each executor with the seeds of its grid (two tasks per seed).  The
+#: 2-worker pool also runs a 6-task grid, wider than its 4-attempt window,
+#: so retries and crash requeues compete with fresh tasks for free slots.
+EXECUTOR_CASES = (
+    pytest.param(ALL_EXECUTORS[0], (7, 11), id="serial"),
+    pytest.param(ALL_EXECUTORS[1], (7, 11), id="process-pool"),
+    pytest.param(ALL_EXECUTORS[1], (7, 11, 13), id="process-pool-refill"),
+)
+POOL_CASES = EXECUTOR_CASES[1:]
 
 #: One rule per fault model that a retry can absorb: a first-attempt
 #: exception, a first-attempt worker kill and a first-attempt hang cut
@@ -70,11 +77,9 @@ def payload(sweep_result):
 
 
 class TestChaosParity:
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_every_executor_is_byte_identical_under_the_combined_plan(self, executor):
-        spec = tiny_spec()
+    @pytest.mark.parametrize("executor, seeds", EXECUTOR_CASES)
+    def test_every_executor_is_byte_identical_under_the_combined_plan(self, executor, seeds):
+        spec = tiny_spec(seeds=seeds)
         reference = run_sweep(spec)  # fault-free serial
         chaotic = run_sweep(
             spec, executor=executor, retries=2, task_timeout=3.0, faults=COMBINED_PLAN
@@ -107,14 +112,12 @@ class TestChaosParity:
 
 
 class TestQuarantine:
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_a_persistent_failure_quarantines_without_aborting(self, executor):
-        spec = tiny_spec()
+    @pytest.mark.parametrize("executor, seeds", EXECUTOR_CASES)
+    def test_a_persistent_failure_quarantines_without_aborting(self, executor, seeds):
+        spec = tiny_spec(seeds=seeds)
         plan = FaultPlan(rules=(FaultRule(fault="task-exception", index=1, attempts=()),))
         result = run_sweep(spec, executor=executor, retries=1, faults=plan)
-        assert len(result.results) == 3
+        assert len(result.results) == len(result.tasks) - 1
         (failure,) = result.failures
         assert failure.index == 1
         assert failure.attempts == 2
@@ -164,13 +167,9 @@ class TestQuarantine:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize(
-        "executor",
-        ALL_EXECUTORS[1:],
-        ids=lambda executor: executor.name,
-    )
-    def test_worker_kill_respawns_the_pool_and_finishes(self, executor):
-        spec = tiny_spec()
+    @pytest.mark.parametrize("executor, seeds", POOL_CASES)
+    def test_worker_kill_respawns_the_pool_and_finishes(self, executor, seeds):
+        spec = tiny_spec(seeds=seeds)
         reference = run_sweep(spec)
         plan = FaultPlan(rules=(FaultRule(fault="worker-kill", index=2, attempts=(1,)),))
         crash_events = []
@@ -228,25 +227,108 @@ class TestCrashRecovery:
         assert resumed.executed == 0 and resumed.loaded == len(resumed)
         assert payload(resumed) == payload(reference)
 
-
-class TestShmChaos:
-    def test_shm_unlink_degrades_without_changing_results(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.sweep.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no usable /dev/shm")
-        spec = tiny_spec()
+    def test_a_task_that_keeps_killing_its_worker_is_the_only_one_quarantined(self):
+        # Every break fails all in-flight futures at once; the bystanders are
+        # charged that one crash and then run alone, so only task 0 exhausts
+        # the default three crash requeues.
+        spec = SweepSpec(
+            strategies=("selfish", "altruistic"),
+            initials=("singletons", "random", "more", "category"),
+            scale="quick",
+            seeds=(7, 11),
+        )
         reference = run_sweep(spec)
-        plan = FaultPlan(rules=(FaultRule(fault="shm-unlink", index=0, attempts=(1,)),))
-        degraded = []
+        plan = FaultPlan(
+            rules=(FaultRule(fault="worker-kill", index=0, attempts=(1, 2, 3, 4)),)
+        )
+        crashes = []
         hooks = EventHooks()
-        hooks.on_shm_degraded(lambda event: degraded.append(event.index))
+        hooks.on_task_failed(lambda event: crashes.append(event.index))
         result = run_sweep(
             spec,
             executor=ProcessPoolSweepExecutor(max_workers=2),
             faults=plan,
             hooks=hooks,
         )
+        assert len(result.tasks) == 16
+        assert [failure.index for failure in result.failures] == [0]
+        assert result.failures[0].kind == "crash"
+        assert crashes.count(0) == 4
+        assert all(crashes.count(index) <= 1 for index in range(1, 16))
+        expected = [
+            json.dumps(run.to_dict(), sort_keys=True)
+            for task, run in zip(reference.tasks, reference.results)
+            if task.index != 0
+        ]
+        assert [json.dumps(run.to_dict(), sort_keys=True) for run in result.results] == expected
+
+    @pytest.mark.parametrize(
+        "workers, index",
+        ((2, 2), (2, 6), (3, 4)),
+        ids=("2-workers-2", "2-workers-6", "3-workers-4"),
+    )
+    def test_only_the_killing_task_is_quarantined_wherever_it_sits(self, workers, index):
+        # Index 6 is admitted by a window refill, not with the first window.
+        spec = tiny_spec(seeds=(7, 11, 13, 17))
+        reference = run_sweep(spec)
+        plan = FaultPlan(
+            rules=(FaultRule(fault="worker-kill", index=index, attempts=(1, 2, 3, 4)),)
+        )
+        crashes = []
+        hooks = EventHooks()
+        hooks.on_task_failed(lambda event: crashes.append(event.index))
+        result = run_sweep(
+            spec,
+            executor=ProcessPoolSweepExecutor(max_workers=workers),
+            faults=plan,
+            hooks=hooks,
+        )
+        assert [failure.index for failure in result.failures] == [index]
+        assert crashes.count(index) == 4
+        assert all(crashes.count(other) <= 1 for other in range(8) if other != index)
+        expected = [
+            run.to_dict()
+            for task, run in zip(reference.tasks, reference.results)
+            if task.index != index
+        ]
+        assert payload(result) == expected
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_an_attempt_requeued_after_a_crash_runs_alone(self, workers):
+        spec = tiny_spec(seeds=(7, 11, 13, 17))
+        reference = run_sweep(spec)
+        plan = FaultPlan(rules=(FaultRule(fault="worker-kill", index=1, attempts=(1, 2)),))
+        events = []
+        hooks = EventHooks()
+        hooks.on_task_started(lambda event: events.append(("start", event.index, event.attempt)))
+        hooks.on_task_finished(lambda event: events.append(("end", event.index, event.attempt)))
+        hooks.on_task_failed(
+            lambda event: events.append(("crash", event.index, event.attempt))
+        )
+        result = run_sweep(
+            spec,
+            executor=ProcessPoolSweepExecutor(max_workers=workers),
+            faults=plan,
+            hooks=hooks,
+        )
         assert not result.failures
         assert payload(result) == payload(reference)
+
+        in_flight, alone, charged, alone_runs = set(), None, set(), []
+        for kind, index, attempt in events:
+            if kind == "start":
+                assert alone is None, f"{index} joined the lone attempt {alone}"
+                if index in charged:
+                    assert not in_flight, f"{index} was requeued beside {in_flight}"
+                    alone = (index, attempt)
+                    alone_runs.append(index)
+                in_flight.add((index, attempt))
+                continue
+            in_flight.discard((index, attempt))
+            if alone == (index, attempt):
+                alone = None
+            if kind == "crash":
+                charged.add(index)
+        # Task 1 ran alone twice (attempts 2 and 3), every bystander once.
+        assert alone_runs.count(1) == 2
+        assert sorted(set(alone_runs)) == sorted(charged)

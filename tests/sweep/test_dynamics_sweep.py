@@ -2,7 +2,8 @@
 
 The ISSUE's acceptance criterion: ``repro sweep --runner maintain`` with a
 JSON dynamics spec sweeps a drift grid (scenario-(a) peers-updated axis x
-seeds) in parallel, byte-identical for ``workers=1`` vs ``workers=4``.
+seeds) in parallel, byte-identical for ``serial`` vs a 4-worker
+``process-pool``.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ class TestDynamicsAxis:
 class TestParallelDriftGrid:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_sweep(drift_grid_spec(), workers=1)
+        return run_sweep(drift_grid_spec(), executor="serial")
 
     def test_drift_grid_is_byte_identical_across_worker_counts(self, serial):
-        pooled = run_sweep(drift_grid_spec(), workers=4)
+        pooled = run_sweep(
+            drift_grid_spec(), executor={"name": "process-pool", "options": {"max_workers": 4}}
+        )
         serial_payloads = [result.to_dict() for result in serial.results]
         pooled_payloads = [result.to_dict() for result in pooled.results]
         assert serial_payloads == pooled_payloads
@@ -118,7 +121,7 @@ class TestMaintenancePointRunner:
 
     def _run(self, task):
         spec = SweepSpec(tasks=(task,))
-        return run_sweep(spec, workers=1).results[0]
+        return run_sweep(spec, executor="serial").results[0]
 
     def test_dynamics_only_options_work_without_legacy_keys(self):
         result = self._run(
@@ -200,6 +203,6 @@ class TestMaintainRunnerOptions:
                 "dynamics": {"model": "churn", "options": {"departures": 2}},
             },
         )
-        result = run_sweep(spec, workers=1).results[0]
+        result = run_sweep(spec, executor="serial").results[0]
         assert result.extras["drift"][0]["model"] == "churn"
         assert len(result.extras["drift"][0]["peer_ids"]) == 2

@@ -1,5 +1,6 @@
 """Tests for the pluggable sweep executors: resolution, registry, event
-ordering contract, cross-executor parity and the deprecation shims."""
+ordering contract, pool sizing, cross-executor parity and the removed
+shims."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ import warnings
 
 import pytest
 
+import repro.sweep.executors as executors_module
 from repro.errors import ConfigurationError, UnknownComponentError
 from repro.events import EventHooks
 from repro.registry import executor_registry, register_executor
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import ResultStore, SweepSpec, run_sweep
 from repro.sweep.executors import (
-    ChunkedStreamingExecutor,
     ExecutorContext,
     ProcessPoolSweepExecutor,
     SerialExecutor,
@@ -47,20 +48,29 @@ def tiny_spec(**overrides) -> SweepSpec:
 ALL_EXECUTORS = (
     SerialExecutor(),
     ProcessPoolSweepExecutor(max_workers=2),
-    ChunkedStreamingExecutor(max_workers=2, window=2),
 )
+
+#: The executors of the contract tests, each with the seeds of its grid (two
+#: tasks per seed).  The 2-worker pool runs twice: on the 4-task grid, which
+#: fits its 4-attempt window, and on a 6-task grid, which does not, so
+#: admission waits for free slots and retries compete with fresh tasks.
+CONTRACT_CASES = (
+    pytest.param(ALL_EXECUTORS[0], (7, 11), id="serial"),
+    pytest.param(ALL_EXECUTORS[1], (7, 11), id="process-pool"),
+    pytest.param(ALL_EXECUTORS[1], (7, 11, 13), id="process-pool-refill"),
+)
+POOL_CASES = CONTRACT_CASES[1:]
 
 
 class TestRegistry:
     def test_builtin_executors_are_registered(self):
         names = executor_registry.names()
-        for name in ("serial", "process-pool", "chunked-streaming"):
+        for name in ("serial", "process-pool", "distributed"):
             assert name in names
 
     def test_aliases_resolve_to_the_same_component(self):
         assert executor_registry.canonical_name("inline") == "serial"
         assert executor_registry.canonical_name("pool") == "process-pool"
-        assert executor_registry.canonical_name("chunked") == "chunked-streaming"
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownComponentError):
@@ -83,27 +93,25 @@ class TestRegistry:
 class TestResolution:
     def test_default_is_serial(self):
         assert isinstance(resolve_executor(), SerialExecutor)
-        assert isinstance(resolve_executor(workers=1), SerialExecutor)
+        assert isinstance(executor_from_any(None, 1), SerialExecutor)
 
     def test_workers_map_to_a_process_pool(self):
-        executor = resolve_executor(workers=3)
+        executor = executor_from_any(None, 3)
         assert isinstance(executor, ProcessPoolSweepExecutor)
         assert executor.workers == 3
 
     def test_name_and_spec_forms(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        executor = resolve_executor(
-            {"name": "chunked-streaming", "options": {"max_workers": 2, "window": 5}}
-        )
-        assert isinstance(executor, ChunkedStreamingExecutor)
-        assert executor.window_size(2) == 5
+        executor = resolve_executor({"name": "process-pool", "options": {"max_workers": 2}})
+        assert isinstance(executor, ProcessPoolSweepExecutor)
+        assert executor.workers == 2
 
     def test_instance_passes_through(self):
         executor = SerialExecutor()
         assert resolve_executor(executor) is executor
 
-    def test_executor_and_workers_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
+    def test_resolve_executor_has_no_workers_keyword(self):
+        with pytest.raises(TypeError, match="workers"):
             resolve_executor("serial", workers=2)
 
     def test_bad_spec_keys_raise(self):
@@ -114,11 +122,9 @@ class TestResolution:
 
     def test_bad_worker_counts_raise(self):
         with pytest.raises(ConfigurationError, match="workers"):
-            resolve_executor(workers=0)
+            executor_from_any(None, 0)
         with pytest.raises(ConfigurationError, match="max_workers"):
             ProcessPoolSweepExecutor(max_workers=0)
-        with pytest.raises(ConfigurationError, match="window"):
-            ChunkedStreamingExecutor(window=0)
 
     def test_executor_from_any_gives_executor_precedence(self):
         executor = executor_from_any("serial", 8)
@@ -130,23 +136,92 @@ class TestResolution:
     def test_describe_strings(self):
         assert SerialExecutor().describe() == "serial"
         assert ProcessPoolSweepExecutor(max_workers=3).describe() == "process-pool(3)"
-        assert (
-            ChunkedStreamingExecutor(max_workers=2, window=6).describe()
-            == "chunked-streaming(2, window=6)"
-        )
 
-    def test_chunked_window_never_drops_below_workers(self):
-        executor = ChunkedStreamingExecutor(max_workers=4, window=2)
-        assert executor.window_size(4) == 4
-        assert ChunkedStreamingExecutor(max_workers=4).window_size(4) == 8
+
+class TestPoolSizing:
+    @staticmethod
+    def _record_pool_sizes(monkeypatch) -> list:
+        """The ``max_workers`` of every process pool opened from now on."""
+        sizes = []
+        real_pool = executors_module.ProcessPoolExecutor
+
+        class RecordingPool(real_pool):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executors_module, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_for_a_two_task_grid_has_at_most_two_processes(self, monkeypatch):
+        sizes = self._record_pool_sizes(monkeypatch)
+        result = run_sweep(
+            tiny_spec(seeds=(7,)), executor=ProcessPoolSweepExecutor(max_workers=8)
+        )
+        assert len(result) == 2
+        assert sizes and max(sizes) <= 2
+
+    @pytest.mark.parametrize(
+        "max_workers, cpus, seeds, expected",
+        (
+            (3, 8, (7, 11), 3),
+            (None, 3, (7, 11), 3),
+            (None, 8, (7,), 2),
+        ),
+        ids=("max-workers", "cpu-count", "task-count"),
+    )
+    def test_pool_size_is_the_least_of_the_limit_and_the_task_count(
+        self, monkeypatch, max_workers, cpus, seeds, expected
+    ):
+        # The limit is max_workers, or the CPU count when it is None.
+        sizes = self._record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: cpus)
+        result = run_sweep(
+            tiny_spec(seeds=seeds), executor=ProcessPoolSweepExecutor(max_workers=max_workers)
+        )
+        assert len(result) == 2 * len(seeds)
+        assert sizes == [expected]
+
+    def test_a_resumed_sweep_sizes_the_pool_from_the_pending_tasks(
+        self, monkeypatch, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+        run_sweep(tiny_spec(seeds=(7,)), store=store)
+        sizes = self._record_pool_sizes(monkeypatch)
+        resumed = run_sweep(
+            tiny_spec(seeds=(7, 11, 13)),
+            executor=ProcessPoolSweepExecutor(max_workers=8),
+            store=store,
+        )
+        assert resumed.loaded == 2 and resumed.executed == 4
+        assert sizes == [4]
+
+    def test_a_single_pending_task_runs_without_a_pool(self, monkeypatch, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        run_sweep(tiny_spec(strategies=("selfish",), seeds=(7,)), store=store)
+        sizes = self._record_pool_sizes(monkeypatch)
+        resumed = run_sweep(
+            tiny_spec(seeds=(7,)),
+            executor=ProcessPoolSweepExecutor(max_workers=8),
+            store=store,
+        )
+        assert resumed.loaded == 1 and resumed.executed == 1
+        assert sizes == []
+
+    def test_the_window_is_not_an_option(self):
+        # The in-flight window is always twice the pool size.
+        with pytest.raises(TypeError, match="window"):
+            resolve_executor(
+                {"name": "process-pool", "options": {"max_workers": 2, "window": 4}}
+            )
 
 
 class TestEventOrderingContract:
     """The five rules documented in repro.sweep.executors."""
 
     @staticmethod
-    def _record(executor: SweepExecutor):
-        spec = tiny_spec()
+    def _record(executor: SweepExecutor, seeds=(7, 11)):
+        spec = tiny_spec(seeds=seeds)
         events = []
         hooks = EventHooks()
         hooks.on_task_started(lambda event: events.append(("start", event.index)))
@@ -154,13 +229,11 @@ class TestEventOrderingContract:
         result = run_sweep(spec, executor=executor, hooks=hooks)
         return events, len(result)
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES)
     def test_exactly_one_start_and_finish_per_task_and_start_precedes_finish(
-        self, executor
+        self, executor, seeds
     ):
-        events, total = self._record(executor)
+        events, total = self._record(executor, seeds)
         starts = [index for kind, index in events if kind == "start"]
         finishes = [index for kind, index in events if kind == "finish"]
         assert sorted(starts) == list(range(total))
@@ -168,11 +241,9 @@ class TestEventOrderingContract:
         for index in range(total):
             assert events.index(("start", index)) < events.index(("finish", index))
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_starts_are_in_task_index_order(self, executor):
-        events, total = self._record(executor)
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES)
+    def test_starts_are_in_task_index_order(self, executor, seeds):
+        events, total = self._record(executor, seeds)
         starts = [index for kind, index in events if kind == "start"]
         assert starts == list(range(total))
 
@@ -183,13 +254,21 @@ class TestEventOrderingContract:
             expected.extend([("start", index), ("finish", index)])
         assert events == expected
 
-    def test_chunked_in_flight_never_exceeds_the_window(self):
-        window = 2
-        events, _ = self._record(ChunkedStreamingExecutor(max_workers=2, window=window))
-        in_flight = 0
-        for kind, _index in events:
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_pool_in_flight_never_exceeds_twice_the_workers(self, workers):
+        # 16 tasks: more than the window, so the bound is actually reached.
+        spec = tiny_spec(seeds=(7, 11, 13, 17, 19, 23, 29, 31))
+        events = []
+        hooks = EventHooks()
+        hooks.on_task_started(lambda event: events.append("start"))
+        hooks.on_task_finished(lambda event: events.append("finish"))
+        run_sweep(spec, executor=ProcessPoolSweepExecutor(max_workers=workers), hooks=hooks)
+        in_flight, peak = 0, 0
+        for kind in events:
             in_flight += 1 if kind == "start" else -1
-            assert 0 <= in_flight <= window
+            peak = max(peak, in_flight)
+            assert 0 <= in_flight <= 2 * workers
+        assert peak == 2 * workers
 
     def test_durations_are_worker_side_for_every_executor(self):
         for executor in ALL_EXECUTORS:
@@ -203,7 +282,7 @@ class TestEventOrderingUnderFaults:
     finish-or-quarantine per task, first-attempt starts in index order."""
 
     @staticmethod
-    def _record(executor: SweepExecutor, *, retries: int, faults) -> dict:
+    def _record(executor: SweepExecutor, seeds, *, retries: int, faults) -> dict:
         events = []
         hooks = EventHooks()
         hooks.on_task_started(
@@ -222,7 +301,11 @@ class TestEventOrderingUnderFaults:
             lambda event: events.append(("quarantined", event.index, None))
         )
         result = run_sweep(
-            tiny_spec(), executor=executor, hooks=hooks, retries=retries, faults=faults
+            tiny_spec(seeds=seeds),
+            executor=executor,
+            hooks=hooks,
+            retries=retries,
+            faults=faults,
         )
         return {"events": events, "total": len(result.tasks)}
 
@@ -246,40 +329,35 @@ class TestEventOrderingUnderFaults:
         first_starts = [e[1] for e in events if e[0] == "start" and e[2] == 1]
         assert first_starts == list(range(total))
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_contract_holds_with_a_retried_task(self, executor):
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES)
+    def test_contract_holds_with_a_retried_task(self, executor, seeds):
         from repro.sweep import FaultPlan, FaultRule
 
         plan = FaultPlan(rules=(FaultRule(fault="task-exception", index=0, attempts=(1,)),))
-        recorded = self._record(executor, retries=1, faults=plan)
+        recorded = self._record(executor, seeds, retries=1, faults=plan)
         self._assert_contract(recorded)
         events = recorded["events"]
         assert ("retried", 0, 2) in events
         assert ("finish", 0, 2) in events
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_contract_holds_with_a_quarantined_task(self, executor):
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES)
+    def test_contract_holds_with_a_quarantined_task(self, executor, seeds):
         from repro.sweep import FaultPlan, FaultRule
 
         plan = FaultPlan(rules=(FaultRule(fault="task-exception", index=2, attempts=()),))
-        recorded = self._record(executor, retries=1, faults=plan)
+        recorded = self._record(executor, seeds, retries=1, faults=plan)
         self._assert_contract(recorded)
         events = recorded["events"]
         assert ("quarantined", 2, None) in events
         assert ("finish", 2, 1) not in events
         assert len([e for e in events if e[0] == "failed" and e[1] == 2]) == 2
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS, ids=lambda executor: executor.name
-    )
-    def test_fatal_misconfiguration_aborts_instead_of_quarantining(self, executor):
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES)
+    def test_fatal_misconfiguration_aborts_instead_of_quarantining(self, executor, seeds):
         # A ConfigurationError is a deterministic user error, not a task
         # fault: no retry budget is spent and the sweep raises.
         spec = tiny_spec(
+            seeds=seeds,
             workloads=("uniform",),
             runner="traffic",
             runner_options={"after": "tea-break", "num_events": 50},
@@ -287,14 +365,12 @@ class TestEventOrderingUnderFaults:
         with pytest.raises(ConfigurationError, match="phase"):
             run_sweep(spec, executor=executor, retries=3)
 
-    @pytest.mark.parametrize(
-        "executor", ALL_EXECUTORS[1:], ids=lambda executor: executor.name
-    )
-    def test_contract_holds_through_a_pool_crash(self, executor):
+    @pytest.mark.parametrize("executor, seeds", POOL_CASES)
+    def test_contract_holds_through_a_pool_crash(self, executor, seeds):
         from repro.sweep import FaultPlan, FaultRule
 
         plan = FaultPlan(rules=(FaultRule(fault="worker-kill", index=1, attempts=(1,)),))
-        recorded = self._record(executor, retries=0, faults=plan)
+        recorded = self._record(executor, seeds, retries=0, faults=plan)
         self._assert_contract(recorded)
         crash_failed = [
             e for e in recorded["events"] if e[0] == "failed"
@@ -320,10 +396,9 @@ class TestParity:
 
 
 class TestDeprecations:
-    def test_run_sweep_workers_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            result = run_sweep(tiny_spec(seeds=(7,)), workers=1)
-        assert len(result) == 2
+    def test_run_sweep_has_no_workers_keyword(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_sweep(tiny_spec(seeds=(7,)), workers=1)
 
     def test_package_level_execute_task_removed(self):
         import repro.sweep

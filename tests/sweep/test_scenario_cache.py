@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.session.config import SessionConfig
+import repro.sweep.cache as cache_module
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cache import (
     ENV_FLAG,
@@ -33,6 +36,19 @@ def fresh_cache():
     clear_scenario_cache()
 
 
+def two_world_spec(**overrides) -> SweepSpec:
+    """Selfish/altruistic x singletons/random at seeds 7 and 11: 8 tasks, 2 worlds."""
+    values = {
+        "strategies": ("selfish", "altruistic"),
+        "initials": ("singletons", "random"),
+        "scale": "quick",
+        "overrides": {"scenario_overrides": dict(TINY_SCENARIO)},
+        "seeds": (7, 11),
+    }
+    values.update(overrides)
+    return SweepSpec(**values)
+
+
 def tiny_config(**overrides) -> SessionConfig:
     values = {"scale": "quick", "scenario_overrides": dict(TINY_SCENARIO)}
     values.update(overrides)
@@ -45,7 +61,7 @@ class TestMemoisation:
         second = scenario_data_for(tiny_config(), mutates=False)
         assert second is first
         info = scenario_cache_info()
-        assert info == {"size": 1, "hits": 1, "misses": 1, "copies": 0, "store_hits": 0}
+        assert info == {"size": 1, "hits": 1, "misses": 1, "copies": 0}
 
     def test_scenario_aliases_share_an_entry(self):
         first = scenario_data_for(tiny_config(scenario="same-category"), mutates=False)
@@ -139,8 +155,8 @@ class TestSweepParity:
 
     def test_mutating_runner_parity_across_workers_with_cache(self):
         spec = self.maintenance_spec()
-        serial = run_sweep(spec, workers=1)
-        pooled = run_sweep(spec, workers=3)
+        serial = run_sweep(spec, executor="serial")
+        pooled = run_sweep(spec, executor={"name": "process-pool", "options": {"max_workers": 3}})
         assert [r.to_dict() for r in serial.results] == [
             r.to_dict() for r in pooled.results
         ]
@@ -157,13 +173,26 @@ class TestSweepParity:
             overrides={"scenario_overrides": dict(TINY_SCENARIO)},
             seeds=(7, 11),
         )
-        with_cache = run_sweep(spec, workers=1)
+        with_cache = run_sweep(spec, executor="serial")
         clear_scenario_cache()
-        without_cache = run_sweep(spec, workers=1, scenario_cache=False)
+        without_cache = run_sweep(spec, executor="serial", scenario_cache=False)
         assert [r.to_dict() for r in with_cache.results] == [
             r.to_dict() for r in without_cache.results
         ]
         assert scenario_cache_info()["misses"] == 0  # cache really was off
+
+    def test_pool_with_the_cache_off_equals_serial_with_it_on(self):
+        spec = two_world_spec()
+        serial = run_sweep(spec, executor="serial")
+        clear_scenario_cache()
+        pooled = run_sweep(
+            spec,
+            executor={"name": "process-pool", "options": {"max_workers": 2}},
+            scenario_cache=False,
+        )
+        assert [r.to_dict() for r in pooled.results] == [
+            r.to_dict() for r in serial.results
+        ]
 
 
 class TestSharingSemantics:
@@ -175,8 +204,72 @@ class TestSharingSemantics:
             overrides={"scenario_overrides": dict(TINY_SCENARIO)},
             replications=2,
         )
-        run_sweep(spec, workers=1)
+        run_sweep(spec, executor="serial")
         info = scenario_cache_info()
         # 2 strategies x 2 replication seeds = 4 tasks over 2 distinct worlds.
         assert info["misses"] == 2
         assert info["hits"] == 2
+
+    def test_a_pool_sweep_builds_no_scenario_in_the_coordinator(self):
+        spec = SweepSpec(
+            strategies=("selfish", "altruistic"),
+            scale="quick",
+            overrides={"scenario_overrides": dict(TINY_SCENARIO)},
+            seeds=(7, 11),
+        )
+        result = run_sweep(
+            spec, executor={"name": "process-pool", "options": {"max_workers": 2}}
+        )
+        assert len(result) == 4
+        assert scenario_cache_info()["size"] == 0
+
+    def test_pool_workers_build_each_world_at_most_once(self, monkeypatch, tmp_path):
+        # Pool workers are forked, so they inherit this logging build.
+        log = tmp_path / "builds.log"
+        real_build = cache_module.build_scenario
+
+        def logging_build(name, config):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {name} {config.seed}\n")
+            return real_build(name, config)
+
+        monkeypatch.setattr(cache_module, "build_scenario", logging_build)
+        spec = two_world_spec()
+        result = run_sweep(
+            spec, executor={"name": "process-pool", "options": {"max_workers": 2}}
+        )
+        assert len(result) == 8
+        builds = log.read_text().splitlines()
+        assert len(builds) == len(set(builds))  # one build per world per worker
+        assert len({line.split(" ", 1)[1] for line in builds}) == 2
+        assert str(os.getpid()) not in {line.split(" ", 1)[0] for line in builds}
+
+    def test_a_distributed_sweep_builds_no_scenario_in_the_coordinator(self, tmp_path):
+        result = run_sweep(
+            two_world_spec(seeds=(7,)),
+            executor={"name": "distributed", "options": {"workers": 1, "poll_interval": 0.02}},
+            store=str(tmp_path / "store"),
+        )
+        assert len(result) == 4
+        assert scenario_cache_info()["size"] == 0
+
+    def test_a_rerun_over_a_store_rebuilds_its_worlds(self, tmp_path):
+        # The store holds results only: with resume off, every world is
+        # built again in this process.
+        spec = two_world_spec()
+        store = str(tmp_path / "store")
+        first = run_sweep(spec, executor="serial", store=store)
+        clear_scenario_cache()
+        rerun = run_sweep(spec, executor="serial", store=store, resume=False)
+        assert rerun.executed == 8
+        assert scenario_cache_info()["misses"] == 2
+        assert [r.to_dict() for r in rerun.results] == [r.to_dict() for r in first.results]
+
+    def test_a_resumed_sweep_builds_no_world(self, tmp_path):
+        spec = two_world_spec()
+        store = str(tmp_path / "store")
+        run_sweep(spec, executor="serial", store=store)
+        clear_scenario_cache()
+        resumed = run_sweep(spec, executor="serial", store=store)
+        assert resumed.loaded == 8 and resumed.executed == 0
+        assert scenario_cache_info() == {"size": 0, "hits": 0, "misses": 0, "copies": 0}

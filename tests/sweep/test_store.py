@@ -13,12 +13,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
 from repro.sweep import ResultStore, SweepResult, SweepSpec, read_jsonl, run_sweep
-from repro.sweep.cache import clear_scenario_cache, scenario_cache_info, scenario_data_for
-from repro.sweep.executors import (
-    ChunkedStreamingExecutor,
-    ProcessPoolSweepExecutor,
-    SerialExecutor,
-)
+from repro.sweep.executors import ProcessPoolSweepExecutor, SerialExecutor
 from repro.sweep.spec import SweepTask
 from repro.sweep.store import StoredResult, canonical_json, task_hash
 
@@ -168,24 +163,28 @@ class TestRoundTrip:
 
 class TestResume:
     @pytest.mark.parametrize(
-        "executor",
+        "executor, seeds",
         (
-            SerialExecutor(),
-            ProcessPoolSweepExecutor(max_workers=2),
-            ChunkedStreamingExecutor(max_workers=2, window=2),
+            pytest.param(SerialExecutor(), (7, 11), id="serial"),
+            pytest.param(ProcessPoolSweepExecutor(max_workers=2), (7, 11), id="process-pool"),
+            # Five pending tasks: more than the pool's 4-attempt window.
+            pytest.param(
+                ProcessPoolSweepExecutor(max_workers=2),
+                (7, 11, 13, 17, 19),
+                id="process-pool-refill",
+            ),
         ),
-        ids=lambda executor: executor.name,
     )
     def test_interrupted_sweep_resumes_exactly_the_missing_subset(
-        self, tmp_path, executor
+        self, tmp_path, executor, seeds
     ):
         store = ResultStore(tmp_path / "store")
-        spec = tiny_spec()
+        spec = tiny_spec(seeds=seeds)
         uninterrupted = run_sweep(spec)  # reference, no store involved
 
         # "Kill" the sweep half-way: only the selfish half of the grid ran.
-        partial = run_sweep(tiny_spec(strategies=("selfish",)), store=store)
-        assert partial.executed == 2
+        partial = run_sweep(tiny_spec(strategies=("selfish",), seeds=seeds), store=store)
+        assert partial.executed == len(seeds)
 
         skipped, loaded_events = [], []
         hooks = EventHooks()
@@ -193,15 +192,35 @@ class TestResume:
         hooks.on_task_loaded(lambda event: loaded_events.append(event))
         resumed = run_sweep(spec, executor=executor, store=store, hooks=hooks)
 
-        assert resumed.loaded == 2
-        assert resumed.executed == 2
+        assert resumed.loaded == len(seeds)
+        assert resumed.executed == len(seeds)
         assert skipped == [
             task.index for task in resumed.tasks if task.config["strategy"] == "selfish"
         ]
-        assert len(loaded_events) == 2
+        assert len(loaded_events) == len(seeds)
         assert [r.to_dict() for r in resumed.results] == [
             r.to_dict() for r in uninterrupted.results
         ]
+
+    def test_a_fresh_store_gains_only_tasks_and_quarantine(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        plan = {"rules": [{"fault": "task-exception", "index": 0, "attempts": []}]}
+        run_sweep(
+            tiny_spec(),
+            executor=ProcessPoolSweepExecutor(max_workers=2),
+            store=store,
+            faults=plan,
+        )
+        assert sorted(path.name for path in store.root.iterdir()) == ["quarantine", "tasks"]
+
+    def test_a_distributed_store_gains_only_tasks_and_the_queue(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        run_sweep(
+            tiny_spec(seeds=(7,)),
+            executor={"name": "distributed", "options": {"workers": 1, "poll_interval": 0.02}},
+            store=store,
+        )
+        assert sorted(path.name for path in store.root.iterdir()) == ["queue", "tasks"]
 
     def test_second_run_executes_nothing(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -431,72 +450,10 @@ class TestVerify:
         ]
 
 
-class TestScenarioTier:
-    def _config(self):
-        return tiny_spec(strategies=("selfish",), seeds=(7,)).validate()[0].session_config()
-
-    def test_store_round_trips_scenario_data(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        clear_scenario_cache()
-        try:
-            built = scenario_data_for(self._config(), mutates=False, store=store)
-            clear_scenario_cache()
-            loaded = scenario_data_for(self._config(), mutates=False, store=store)
-            assert scenario_cache_info()["store_hits"] == 1
-            assert loaded is not built
-            assert loaded.network.peer_ids() == built.network.peer_ids()
-        finally:
-            clear_scenario_cache()
-
-    def test_loaded_scenario_produces_identical_results(self, tmp_path):
-        spec = tiny_spec(strategies=("selfish",), seeds=(7,))
-        reference = run_sweep(spec)
-        store = str(tmp_path / "store")
-        run_sweep(spec, store=store)  # populates the scenario tier
-        clear_scenario_cache()
-        try:
-            loaded = run_sweep(spec, store=store, resume=False)
-        finally:
-            clear_scenario_cache()
-        assert [r.to_dict() for r in loaded.results] == [
-            r.to_dict() for r in reference.results
-        ]
-
-    def test_corrupt_scenario_pickle_reads_as_none(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = self._config()
-        name = config.scenario
-        scenario_config = config.experiment_config().scenario
-        digest = store.save_scenario(name, scenario_config, object())
-        store.scenario_path(digest).write_bytes(b"not a pickle")
-        assert store.load_scenario(name, scenario_config) is None
-
-
 class TestPrune:
     def test_prune_on_an_empty_store_is_a_no_op(self, tmp_path):
         report = ResultStore(tmp_path / "store").prune()
         assert report.removed == 0
-
-    def test_referenced_scenario_pickles_survive(self, tmp_path):
-        store_path = str(tmp_path / "store")
-        run_sweep(tiny_spec(seeds=(7,)), store=store_path)
-        store = ResultStore(store_path)
-        before = sorted((store.root / "scenarios").glob("*/*.pkl"))
-        assert before  # the run populated the scenario tier
-        report = store.prune()
-        assert report.scenarios_removed == 0
-        assert sorted((store.root / "scenarios").glob("*/*.pkl")) == before
-
-    def test_orphaned_scenario_pickles_are_removed(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = tiny_spec(strategies=("selfish",), seeds=(7,)).validate()[0].session_config()
-        store.save_scenario(
-            "same-category", config.experiment_config().scenario, {"orphan": True}
-        )
-        report = store.prune()
-        assert report.scenarios_checked == 1
-        assert report.scenarios_removed == 1
-        assert not list((store.root / "scenarios").glob("*/*.pkl"))
 
     def test_results_and_quarantine_are_never_touched(self, tmp_path):
         store_path = str(tmp_path / "store")
@@ -505,6 +462,21 @@ class TestPrune:
         stored_before = sorted(store.task_hashes())
         store.prune(stale_after=0.0, now=time.time() + 10_000)
         assert sorted(store.task_hashes()) == stored_before
+
+    def test_a_pool_sweep_leaves_nothing_to_prune(self, tmp_path):
+        # Results and quarantine records are all a pool sweep writes.
+        store = ResultStore(tmp_path / "store")
+        plan = {"rules": [{"fault": "task-exception", "index": 0, "attempts": []}]}
+        run_sweep(
+            tiny_spec(),
+            executor=ProcessPoolSweepExecutor(max_workers=2),
+            store=store,
+            faults=plan,
+        )
+        files_before = sorted(path for path in store.root.rglob("*") if path.is_file())
+        report = store.prune(stale_after=0.0, now=time.time() + 10_000)
+        assert report.removed == 0
+        assert sorted(path for path in store.root.rglob("*") if path.is_file()) == files_before
 
     def test_superseded_pending_entries_are_removed(self, tmp_path):
         from repro.sweep.queue import QueueEntry, TaskQueue

@@ -171,8 +171,8 @@ class TestSweepCommand:
     def test_sweep_executor_choices_come_from_the_registry(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--executor", "quantum"])
-        arguments = build_parser().parse_args(["sweep", "--executor", "chunked-streaming"])
-        assert arguments.executor == "chunked-streaming"
+        arguments = build_parser().parse_args(["sweep", "--executor", "process-pool"])
+        assert arguments.executor == "process-pool"
 
     def test_sweep_executor_options_require_executor(self, capsys):
         assert (
@@ -384,6 +384,38 @@ class TestFaultToleranceFlags:
         assert "quarantined after 1 attempt" in output
         assert "(1 executed, 0 loaded, 1 quarantined)" in output
         assert "1 task quarantined: 1" in output
+
+    def test_a_task_that_keeps_killing_its_worker_is_quarantined_alone(self, capsys):
+        assert (
+            main(
+                [
+                    "sweep",
+                    "--scale",
+                    "quick",
+                    "--strategy",
+                    "selfish",
+                    "--strategy",
+                    "altruistic",
+                    "--initial",
+                    "singletons",
+                    "--initial",
+                    "random",
+                    "--seeds",
+                    "7,11",
+                    "--executor",
+                    "process-pool",
+                    "--executor-options",
+                    '{"max_workers": 4}',
+                    "--faults",
+                    '{"rules": [{"fault": "worker-kill", "index": 2, '
+                    '"attempts": [1, 2, 3, 4]}]}',
+                ]
+            )
+            == 0
+        )
+        output = capsys.readouterr().out
+        assert "sweep finished: 8 tasks (7 executed, 0 loaded, 1 quarantined)" in output
+        assert "1 task quarantined: 2" in output.splitlines()
 
     def test_malformed_faults_json_reports_cleanly(self, capsys):
         assert main(["sweep", "--scale", "quick", "--seeds", "7", "--faults", "{nope"]) == 2
