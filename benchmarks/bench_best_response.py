@@ -21,7 +21,10 @@ assertion) runs everywhere; the 50k round is opted into with
 ``REPRO_BENCH_KERNEL_FULL=1`` because its scenario alone takes ~15s to
 build.  Peak RSS is ``ru_maxrss`` — a process-wide high-water mark, so it
 is monotone across the (deterministically ordered) benchmarks of a run and
-comparable between runs.
+comparable between runs.  The last benchmark times one 5k altruistic
+``propose_all`` (Eq. 6 contributions from the factored recall) and asserts
+that its ``tracemalloc`` peak stays below 128 MiB, far under the 191 MiB of
+a single 5k x 5k float64 array.
 
 Run with ``--benchmark-json BENCH_kernel.json`` (CI does) to produce the
 artifact the trend job compares across runs.
@@ -33,6 +36,7 @@ import gc
 import os
 import resource
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -48,6 +52,8 @@ from repro.datasets.scenarios import (
 from repro.game.dynamics import run_best_response_dynamics
 from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
+from repro.strategies.altruistic import AltruisticStrategy
+from repro.strategies.base import StrategyContext
 
 #: Population sizes (the paper's experiments use 200).
 SIZES = (50, 200, 500)
@@ -68,6 +74,9 @@ SCALED_SIZES = (
     ),
 )
 SCALED_CLUSTERS = {5000: 200, 50000: 500}
+#: Ceiling on the traced peak of the 5k altruistic round: one 5k x 5k float64
+#: array is 191 MiB, so no |P| x |P| array fits under it.
+ALTRUISTIC_PEAK_LIMIT_MB = 128
 
 
 def peak_rss_mb() -> float:
@@ -305,3 +314,42 @@ def test_labels_vs_dense_round_5k(benchmark, scaled_setups):
     # *improved* speedup.
     benchmark.extra_info["peak_rss_mb"] = round(peak_rss_mb(), 1)
     assert speedup >= 10.0, f"expected >=10x labels speedup, measured {speedup:.1f}x"
+
+
+def test_altruistic_round_5k(benchmark, scaled_setups):
+    """One altruistic ``propose_all`` at 5k peers: time and traced peak memory.
+
+    The first contribution request on the factored recall, so the measured
+    call includes fetching the result counts.  Its ``tracemalloc`` peak must
+    stay below :data:`ALTRUISTIC_PEAK_LIMIT_MB`: a dense |P| x |P| service
+    matrix cannot come back unnoticed.
+    """
+    num_peers = 5000
+    configuration, cost_model = scaled_setups(num_peers)
+    game = ClusterGame(cost_model, configuration.copy(), kernel_backend="labels")
+    assert game.kernel is not None  # built here, outside the measured call
+    context = StrategyContext(game=game)
+    strategy = AltruisticStrategy()
+
+    def traced_round():
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            movers = strategy.propose_all(game.configuration.peer_ids(), context)
+            seconds = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return movers, seconds, peak / 2**20
+
+    with scenario_frozen():
+        movers, seconds, peak_mb = benchmark.pedantic(traced_round, iterations=1, rounds=1)
+
+    assert movers
+    benchmark.extra_info["num_peers"] = num_peers
+    benchmark.extra_info["propose_all_s"] = round(seconds, 3)
+    benchmark.extra_info["tracemalloc_peak_mb"] = round(peak_mb, 1)
+    assert peak_mb < ALTRUISTIC_PEAK_LIMIT_MB, (
+        f"altruistic round traced {peak_mb:.0f} MiB at {num_peers} peers; "
+        f"limit {ALTRUISTIC_PEAK_LIMIT_MB} MiB"
+    )

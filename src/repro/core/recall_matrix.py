@@ -16,10 +16,10 @@ An analogous matrix with global query frequencies supports the workload cost::
 
     V[i, j] = sum over q in Q(p_i) of  num(q, Q(p_i)) / num(Q) * r(q, p_j)
 
-**The factored form.**  ``W`` (and ``V``, and the service matrix) factor
-through the much smaller recall table ``B[q, j] = r(q, p_j)`` over the
-*distinct* queries ``q`` (vocabulary-bounded — a few hundred for the paper's
-single-term workloads, regardless of population size)::
+**The factored form.**  ``W`` and ``V`` factor through the much smaller
+recall table ``B[q, j] = r(q, p_j)`` over the *distinct* queries ``q``
+(vocabulary-bounded — a few hundred for the paper's single-term workloads,
+regardless of population size)::
 
     W[i, j] = sum over k of  w[i, k] * B[qidx[i, k], j]
 
@@ -27,8 +27,11 @@ where ``qidx``/``w`` are per-peer padded query-index and weight arrays with
 at most ``kmax`` (queries per peer) columns.  :class:`FactoredRecall` holds
 exactly these arrays: O(|P| * kmax + |Q_u| * |P|) memory instead of O(|P|^2),
 with every column / covered-column of ``W`` recoverable as an O(|P| * kmax)
-gather.  This is what lets the label-vector best-response kernel and the
-100k-peer benchmarks run without ever materialising a |P| x |P| array.
+gather.  The altruistic contribution measure (Eq. 6) factors the same way,
+through the integer result counts ``R[q, j] = result(q, p_j)`` and the
+per-cluster query demand :meth:`FactoredRecall.query_demand`.  This is what
+lets the label-vector best-response kernel and the 100k-peer benchmarks run
+without ever materialising a |P| x |P| array.
 
 The dense matrices are now *built from* the factored form with a per-query
 accumulation that reproduces the historical per-row Python loop bit for bit
@@ -44,6 +47,7 @@ test suite cross-checks them against the reference (per-query) implementation.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -51,7 +55,7 @@ import numpy as np
 
 from repro.core.queries import Query, QueryWorkload
 from repro.core.recall import RecallModel
-from repro.errors import UnknownPeerError
+from repro.errors import ConfigurationError, UnknownPeerError
 
 __all__ = ["WeightedRecallMatrix", "FactoredRecall"]
 
@@ -204,6 +208,28 @@ class FactoredRecall:
         group = self.B[:, columns].sum(axis=1)
         return (self.w_global * group[self.qidx]).sum(axis=1)
 
+    def query_demand(self, membership: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(D, d)``: how often each cluster's members, and all peers, issue each query.
+
+        ``D[q, c]`` sums ``w_count[j, k] * membership[j, c]`` over the slots
+        ``k`` with ``qidx[j, k] == q`` — the ``(|Q_u|, |C|)`` demand of the
+        members of cluster ``c`` — and ``d[q]`` sums ``w_count`` over every
+        peer.  One ``np.bincount`` each, over the membership's nonzeros; for
+        a 0/1 membership every entry is an integer count, exact in float64.
+        """
+        num_queries = len(self.queries)
+        num_clusters = membership.shape[1]
+        issued = np.bincount(
+            self.qidx.ravel(), weights=self.w_count.ravel(), minlength=num_queries
+        )
+        rows, columns = np.nonzero(membership)
+        bins = self.qidx[rows] * num_clusters + columns[:, None]
+        weights = self.w_count[rows] * membership[rows, columns][:, None]
+        demand = np.bincount(
+            bins.ravel(), weights=weights.ravel(), minlength=num_queries * num_clusters
+        )
+        return demand.reshape(num_queries, num_clusters), issued
+
     # -- dense materialisation ----------------------------------------------
 
     def dense_local(self) -> np.ndarray:
@@ -259,10 +285,11 @@ class WeightedRecallMatrix:
         model's deterministic order).  The ordering fixes the matrix row /
         column layout.
     mode:
-        ``"dense"`` (default) materialises the |P| x |P| matrices eagerly —
-        the historical behaviour, byte-identical values.  ``"factored"``
-        keeps only the :class:`FactoredRecall` arrays; the dense matrices
-        build lazily if (and only if) a dense consumer asks, so label-vector
+        ``"dense"`` (default) materialises ``W`` and ``V`` eagerly — the
+        historical behaviour, byte-identical values — and the service matrix
+        on the first :meth:`contribution_matrix` call.  ``"factored"`` keeps
+        only the :class:`FactoredRecall` arrays; the dense matrices build
+        lazily if (and only if) a dense consumer asks, so label-vector
         kernels at 50k+ peers never pay O(|P|^2) memory.
     """
 
@@ -275,7 +302,9 @@ class WeightedRecallMatrix:
         mode: str = "dense",
     ) -> None:
         if mode not in ("dense", "factored"):
-            raise ValueError(f"mode must be 'dense' or 'factored', got {mode!r}")
+            raise ConfigurationError(
+                f"recall matrix mode must be 'dense' or 'factored', got {mode!r}"
+            )
         self._recall_model = recall_model
         self._workloads = workloads
         self._peer_order: List[PeerId] = list(peer_order) if peer_order is not None else list(
@@ -285,7 +314,13 @@ class WeightedRecallMatrix:
             peer_id: index for index, peer_id in enumerate(self._peer_order)
         }
         if len(self._index_of) != len(self._peer_order):
-            raise ValueError("peer_order contains duplicate peer ids")
+            repeated = sorted(
+                (peer_id for peer_id, count in Counter(self._peer_order).items() if count > 1),
+                key=repr,
+            )
+            raise ConfigurationError(
+                f"peer_order must list each peer id once; repeated: {repeated!r}"
+            )
         #: Memoised peer-set -> sorted row indices translation (frozenset keys
         #: only; member sets repeat across peers and rounds, so the same
         #: cluster never pays the dict-lookup translation twice).
@@ -296,10 +331,10 @@ class WeightedRecallMatrix:
         self._local: Optional[np.ndarray] = None
         self._global: Optional[np.ndarray] = None
         self._service: Optional[np.ndarray] = None
+        self._result_counts: Optional[np.ndarray] = None
         if mode == "dense":
             self._ensure_local()
             self._ensure_global()
-            self._ensure_service()
 
     # -- construction -------------------------------------------------------
 
@@ -338,6 +373,27 @@ class WeightedRecallMatrix:
         if self._service is None:
             self._service = self.factored().dense_service()
         return self._service
+
+    def _ensure_result_counts(self) -> np.ndarray:
+        """``R[q, j] = result(queries[q], peer_order[j])`` as float64 integers.
+
+        The counts :meth:`FactoredRecall.build` divides into ``B``, fetched
+        again on the first contribution request only, so sessions that never
+        ask (every selfish one) do not hold this ``(|Q_u|, |P|)`` array.
+        """
+        if self._result_counts is None:
+            counts, _ = self._recall_model.result_count_matrix(
+                self.factored().queries, self._peer_order
+            )
+            self._result_counts = counts.astype(float)
+        return self._result_counts
+
+    def _check_membership(self, membership: np.ndarray) -> None:
+        if membership.shape[0] != len(self._peer_order):
+            raise ConfigurationError(
+                f"membership must have one row per peer ({len(self._peer_order)} rows), "
+                f"got {membership.shape[0]} rows"
+            )
 
     # -- accessors -----------------------------------------------------------
 
@@ -412,14 +468,32 @@ class WeightedRecallMatrix:
             all results served by peer ``p`` that go to queries issued by
             members of cluster ``k``.  Rows of peers that serve no results are
             all zeros.
+
+        Notes
+        -----
+        Both result counts of Eq. 6 are integers.  Factored mode keeps them
+        integers: ``served = R.T @ D`` and ``totals = R.T @ d``, with the
+        result counts ``R`` and the query demand ``(D, d)`` of
+        :meth:`FactoredRecall.query_demand`.  These are result and query
+        counts, so every product and partial sum is an integer far below
+        2**53: BLAS adds them exactly in any order, and each entry is one
+        correctly rounded division: bit-identical to
+        the per-peer :func:`~repro.strategies.altruistic.exact_contributions`,
+        ties included, with no |P| x |P| array.  Dense mode multiplies the
+        service matrix ``S`` (built on the first call) by the membership;
+        ``S`` carries the recall table's rounding, so entries agree with the
+        exact ratio only to ~1e-16 and exact ties can break either way.
         """
-        if membership.shape[0] != len(self._peer_order):
-            raise ValueError(
-                f"membership has {membership.shape[0]} rows, expected {len(self._peer_order)}"
-            )
-        service = self._ensure_service()
-        served_per_cluster = service @ membership
-        totals = service.sum(axis=1, keepdims=True)
+        self._check_membership(membership)
+        if self._mode == "factored":
+            counts = self._ensure_result_counts()
+            demand, issued = self.factored().query_demand(membership)
+            served_per_cluster = counts.T @ demand
+            totals = (counts.T @ issued)[:, None]
+        else:
+            service = self._ensure_service()
+            served_per_cluster = service @ membership
+            totals = service.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             contributions = np.where(totals > 0, served_per_cluster / totals, 0.0)
         return contributions
@@ -505,10 +579,7 @@ class WeightedRecallMatrix:
             (with peer ``i`` itself counted as covered — a peer always reaches
             its own content).
         """
-        if membership.shape[0] != len(self._peer_order):
-            raise ValueError(
-                f"membership has {membership.shape[0]} rows, expected {len(self._peer_order)}"
-            )
+        self._check_membership(membership)
         local = self._ensure_local()
         covered = local @ membership
         own = np.diag(local)[:, None]

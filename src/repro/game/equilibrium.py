@@ -26,6 +26,7 @@ from repro.core.costs import CostModel
 from repro.core.documents import Document
 from repro.core.queries import Query
 from repro.core.theta import LinearTheta
+from repro.errors import ConfigurationError
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
@@ -74,7 +75,7 @@ def build_two_peer_counterexample(*, alpha: float = 1.0) -> CounterexampleInstan
     ``Q(p2) = [q2]``, both satisfied solely by ``p2``.
     """
     if alpha <= 0:
-        raise ValueError(f"the counterexample requires alpha > 0, got {alpha}")
+        raise ConfigurationError(f"the counterexample requires alpha > 0, got {alpha}")
     query_one = Query(["music"])
     query_two = Query(["movies"])
     peer_one = Peer("p1", documents=[Document(["gardening"], doc_id="d1", category="other")])

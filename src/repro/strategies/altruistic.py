@@ -209,6 +209,13 @@ class AltruisticStrategy(RelocationStrategy):
         clusters) — or ``None`` when no recall matrix is attached.  The
         hybrid strategy builds its altruistic term from exactly this state,
         so the two batch paths can never diverge.
+
+        The contributions come from
+        :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.contribution_matrix`.
+        On a factored matrix (what ``kernel_backend="labels"`` sessions
+        use) they are bit-identical to :func:`exact_contributions`, so
+        exact ties break as in :meth:`propose`.  On a dense matrix they agree to ~1e-16, and
+        an exact tie can break differently.
         """
         matrix = context.game.cost_model.matrix
         if matrix is None:

@@ -1,12 +1,21 @@
-"""Tests for the dense weighted recall matrices (fast path == exact path)."""
+"""Tests for the weighted recall matrices (fast path == exact path)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.documents import Document
+from repro.core.queries import Query
 from repro.core.recall_matrix import WeightedRecallMatrix
-from repro.errors import UnknownPeerError
+from repro.errors import ConfigurationError, UnknownPeerError
+from repro.game.model import ClusterGame
+from repro.peers.configuration import ClusterConfiguration
+from repro.peers.network import PeerNetwork
+from repro.peers.peer import Peer
+from repro.strategies.altruistic import exact_contributions
+from repro.strategies.base import StrategyContext
 
 
 @pytest.fixture
@@ -20,11 +29,17 @@ class TestConstruction:
         assert len(matrix) == 3
 
     def test_duplicate_peer_order_rejected(self, tiny_network):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="each peer id once; repeated: \\['alice'\\]"):
             WeightedRecallMatrix(
                 tiny_network.recall_model(),
                 tiny_network.workloads(),
                 peer_order=["alice", "alice", "bob"],
+            )
+
+    def test_unknown_mode_rejected(self, tiny_network):
+        with pytest.raises(ConfigurationError, match="'dense' or 'factored', got 'sparse'"):
+            WeightedRecallMatrix(
+                tiny_network.recall_model(), tiny_network.workloads(), mode="sparse"
             )
 
     def test_unknown_peer_raises(self, matrix):
@@ -99,8 +114,81 @@ class TestServiceMatrix:
             assert row_sum == pytest.approx(1.0) or row_sum == pytest.approx(0.0)
 
     def test_contribution_matrix_shape_validation(self, matrix):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"one row per peer \(3 rows\), got 2"):
             matrix.contribution_matrix(np.zeros((2, 2)))
+
+
+def eq6_reference(network, configuration, provider, clusters):
+    """``contribution(provider, c)`` (Eq. 6) per the definition, one cluster at a time.
+
+    :func:`exact_contributions`' arithmetic, read through ``clusters_of`` so
+    that an issuer in several clusters counts towards each of them.
+    """
+    recall_model = network.recall_model()
+    served = dict.fromkeys(clusters, 0.0)
+    total = 0.0
+    for issuer, workload in network.workloads().items():
+        served_to_issuer = 0.0
+        for query, count in workload.items():
+            served_to_issuer += count * recall_model.result(query, provider)
+        total += served_to_issuer
+        if issuer in configuration:
+            for cluster_id in configuration.clusters_of(issuer):
+                served[cluster_id] += served_to_issuer
+    return [served[cluster_id] / total if total else 0.0 for cluster_id in clusters]
+
+
+class TestContributionsProperty:
+    """Factored Eq. 6 is exact; dense Eq. 6 carries the recall table's rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_factored_contributions_equal_the_per_peer_ratio(self, data):
+        terms = ["a", "b", "c", "d"]
+        phrases = st.lists(st.sampled_from(terms), min_size=1, max_size=2, unique=True)
+        num_peers = data.draw(st.integers(min_value=1, max_value=6), label="peers")
+        peers = []
+        for index in range(num_peers):
+            # No documents, or none matching any query: a peer that serves nothing.
+            documents = data.draw(st.lists(phrases, max_size=3), label="documents")
+            peer = Peer(f"p{index}", documents=[Document(words) for words in documents])
+            for words in data.draw(st.lists(phrases, max_size=3), label="queries"):
+                peer.issue_query(Query(words), data.draw(st.integers(1, 3), label="count"))
+            peers.append(peer)
+        network = PeerNetwork(peers)
+        num_slots = data.draw(st.integers(min_value=1, max_value=num_peers + 1), label="slots")
+        clusters = [f"c{index}" for index in range(num_slots)]
+        configuration = ClusterConfiguration(clusters)
+        for peer in peers:
+            # No cluster: an issuer outside the configuration; two: a multi-membership row.
+            homes = st.lists(st.sampled_from(clusters), max_size=2, unique=True)
+            for cluster_id in data.draw(homes, label="homes"):
+                configuration.assign(peer.peer_id, cluster_id)
+
+        recall_model, workloads = network.recall_model(), network.workloads()
+        factored = WeightedRecallMatrix(recall_model, workloads, mode="factored")
+        dense = WeightedRecallMatrix(recall_model, workloads, mode="dense")
+        # Every slot is a column, so clusters left empty are covered too.
+        membership, _ = configuration.membership_matrix(factored.peer_order, clusters)
+        got = factored.contribution_matrix(membership)
+        want = np.array(
+            [eq6_reference(network, configuration, p, clusters) for p in factored.peer_order]
+        ).reshape(len(peers), len(clusters))
+        assert got.tolist() == want.tolist()
+        np.testing.assert_allclose(dense.contribution_matrix(membership), want, rtol=0, atol=1e-12)
+
+        single = all(
+            len(configuration.clusters_of(peer_id)) == 1
+            for peer_id in configuration.peer_ids()
+        )
+        if single:
+            context = StrategyContext(
+                game=ClusterGame(network.cost_model(use_matrix=False), configuration)
+            )
+            for row, peer_id in enumerate(factored.peer_order):
+                exact = exact_contributions(peer_id, context)
+                for column, cluster_id in enumerate(clusters):
+                    assert got[row, column] == exact.get(cluster_id, 0.0)
 
 
 class TestLossMatrix:
@@ -115,7 +203,7 @@ class TestLossMatrix:
                 assert losses[row, column] == pytest.approx(expected)
 
     def test_shape_validation(self, matrix):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"one row per peer \(3 rows\), got 1"):
             matrix.loss_matrix_for_clusters(np.zeros((1, 1)))
 
 

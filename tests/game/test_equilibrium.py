@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.game.equilibrium import (
     build_two_peer_counterexample,
     enumerate_single_cluster_configurations,
@@ -14,7 +15,7 @@ from repro.game.model import ClusterGame
 
 class TestCounterexample:
     def test_requires_positive_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="alpha > 0"):
             build_two_peer_counterexample(alpha=0.0)
 
     def test_three_distinct_configurations(self, counterexample):

@@ -9,8 +9,10 @@ from repro.errors import ConfigurationError, StrategyError
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.peer import Peer
+from repro.session import SessionConfig, Simulation
 from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
 from repro.strategies.base import StrategyContext
+from repro.strategies.hybrid import HybridStrategy
 from repro.traffic.simulator import observe_period
 from tests.conftest import assert_movers_match
 
@@ -152,3 +154,51 @@ class TestBatchEquivalence:
         assert_movers_match(
             batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
         )
+
+
+class TestExactTiesOnTheLabelsPath:
+    """Singleton clusters can tie exactly on Eq. 6; the batch must break such
+    ties like :meth:`propose`, which needs bit-identical contributions."""
+
+    @pytest.fixture(scope="class")
+    def tied_context(self):
+        seed = 199829066
+        simulation = Simulation.from_config(
+            SessionConfig(
+                scale="quick",
+                scenario="same-category",
+                initial="singletons",
+                seed=seed,
+                scenario_overrides={"seed": seed},
+                kernel_backend="labels",
+            )
+        )
+        game = ClusterGame(
+            simulation.cost_model, simulation.configuration, kernel_backend="labels"
+        )
+        return StrategyContext(game=game)
+
+    def test_five_peers_tie_at_their_maximum(self, tied_context):
+        tied = []
+        for peer_id in tied_context.game.configuration.peer_ids():
+            contributions = list(exact_contributions(peer_id, tied_context).values())
+            if contributions.count(max(contributions)) > 1:
+                tied.append(peer_id)
+        assert tied == ["peer009", "peer022", "peer024", "peer027", "peer034"]
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [AltruisticStrategy(), HybridStrategy(weight=0.0)],
+        ids=["altruistic", "hybrid"],
+    )
+    def test_batch_breaks_ties_like_propose(self, tied_context, strategy):
+        peer_ids = tied_context.game.configuration.peer_ids()
+        batch = strategy.propose_all(peer_ids, tied_context)
+        assert batch
+        for peer_id in peer_ids:
+            single = strategy.propose(peer_id, tied_context)
+            expected = (single.target_cluster, single.gain) if single.is_move else None
+            mover = batch.get(peer_id)
+            assert (None if mover is None else (mover.target_cluster, mover.gain)) == expected, (
+                peer_id
+            )
