@@ -157,7 +157,8 @@ def test_legacy_best_response_dynamics(benchmark, setups, num_peers):
         args=(cost_model, configuration, num_peers),
         kwargs={"use_kernel": False},
         iterations=1,
-        rounds=2,
+        rounds=5,
+        warmup_rounds=1,
     )
     assert result.num_steps > 0
 
@@ -258,7 +259,8 @@ def test_labels_kernel_round_scaled(benchmark, scaled_setups, num_peers):
             labels_round,
             args=(cost_model, configuration),
             iterations=1,
-            rounds=3 if num_peers <= 5000 else 1,
+            rounds=5 if num_peers <= 5000 else 1,
+            warmup_rounds=1 if num_peers <= 5000 else 0,
         )
     assert len(responses) == num_peers
     benchmark.extra_info["num_peers"] = num_peers

@@ -325,6 +325,7 @@ class WeightedRecallMatrix:
         #: only; member sets repeat across peers and rounds, so the same
         #: cluster never pays the dict-lookup translation twice).
         self._indices_cache: Dict[FrozenSet[PeerId], np.ndarray] = {}
+        self._repr_rank: Optional[np.ndarray] = None
         self._mode = mode
         self._factored: Optional[FactoredRecall] = None
         self._factored_cast: Dict[np.dtype, FactoredRecall] = {}
@@ -415,6 +416,22 @@ class WeightedRecallMatrix:
         exactly once per matrix — treat it as read-only.
         """
         return self._index_of
+
+    @property
+    def repr_rank(self) -> np.ndarray:
+        """Each row's rank in ``repr`` order of the peer ids (built once, read-only).
+
+        Ranks compare like the ``repr`` of the peer ids they stand for, so the
+        protocol's gather breaks gain ties between rows with one array sort.
+        """
+        if self._repr_rank is None:
+            peer_order = self._peer_order
+            order = sorted(range(len(peer_order)), key=lambda row: repr(peer_order[row]))
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            rank.flags.writeable = False
+            self._repr_rank = rank
+        return self._repr_rank
 
     def index_of(self, peer_id: PeerId) -> int:
         """Row index of *peer_id*."""

@@ -19,6 +19,8 @@ categories.  Term *ranks* determine their Zipf sampling weight.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.attributes import Vocabulary
@@ -88,6 +90,11 @@ class CategoryVocabularies:
         self._common_weights = (
             zipf_weights(common_size, zipf_exponent) if common_size else []
         )
+        # Cumulative weights, accumulated once per pool exactly as
+        # ``random.choices`` would on every call (scenario builds draw
+        # hundreds of thousands of terms).
+        self._category_cumulative = list(accumulate(self._category_weights))
+        self._common_cumulative = list(accumulate(self._common_weights))
 
     # -- accessors -----------------------------------------------------------
 
@@ -125,16 +132,28 @@ class CategoryVocabularies:
 
     # -- sampling --------------------------------------------------------------
 
+    @staticmethod
+    def _draw(terms: List[str], cumulative: List[float], rng: random.Random) -> str:
+        """``rng.choices(terms, cum_weights=cumulative)[0]``, step for step.
+
+        The same single ``rng.random()`` call and the same bisection, so the
+        draws and the generator's state match ``random.choices`` exactly.
+        """
+        total = cumulative[-1] + 0.0
+        return terms[bisect(cumulative, rng.random() * total, 0, len(terms) - 1)]
+
     def sample_category_term(self, category: str, rng: random.Random) -> str:
         """Sample one category-exclusive term of *category* with Zipf weights."""
-        terms = self.category_terms(category)
-        return rng.choices(terms, weights=self._category_weights, k=1)[0]
+        terms = self._category_terms.get(category)
+        if terms is None:
+            raise DatasetError(f"unknown category {category!r}")
+        return self._draw(terms, self._category_cumulative, rng)
 
     def sample_common_term(self, rng: random.Random) -> str:
         """Sample one shared term with Zipf weights (requires ``common_size > 0``)."""
         if not self._common_terms:
             raise DatasetError("no common terms were configured")
-        return rng.choices(self._common_terms, weights=self._common_weights, k=1)[0]
+        return self._draw(self._common_terms, self._common_cumulative, rng)
 
     def __repr__(self) -> str:
         return (

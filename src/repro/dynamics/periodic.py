@@ -31,6 +31,7 @@ from repro.events import (
     EventHooks,
     PeriodEndEvent,
 )
+from repro.game.kernel import BestResponseKernel
 from repro.overlay.messages import MessageBus
 from repro.overlay.routing import QueryRouter
 from repro.peers.configuration import ClusterConfiguration
@@ -113,7 +114,8 @@ class PeriodicMaintenanceLoop:
     # -- internals ---------------------------------------------------------------
 
     def _cost_model(self):
-        matrix_mode = "factored" if self.kernel_backend == "labels" else None
+        backend = BestResponseKernel.resolve_backend(self.kernel_backend, len(self.network))
+        matrix_mode = "factored" if backend == "labels" else None
         return self.network.cost_model(
             theta=self.theta, alpha=self.alpha, matrix_mode=matrix_mode
         )

@@ -28,12 +28,18 @@ in one of two backends:
   exists anywhere** — this is what makes best-response rounds at 10k-100k
   peers fit on one box.
 
+Both backends keep the label vector with its per-row membership counts and
+two counters over them (assigned rows, rows not in exactly one cluster), so
+the per-round cost traces check the membership regime in O(1).
+
 ``backend="auto"`` (the default) picks ``dense`` below
 :data:`~BestResponseKernel.AUTO_LABELS_THRESHOLD` peers and ``labels`` at or
-above it.  ``dtype="float32"`` halves the array memory of either backend;
-costs are then accurate to roughly 1e-3 relative (vs. the 1e-9 float64
-parity the test suite pins), which is plenty for best-response *decisions*
-but not for tight cost assertions — see the README's tolerance contract.
+above it (:meth:`~BestResponseKernel.resolve_backend`, which sessions also
+use to pick the recall matrix's mode).  ``dtype="float32"`` halves the array
+memory of either backend; costs are then accurate to roughly 1e-3 relative
+(vs. the 1e-9 float64 parity the test suite pins), which is plenty for
+best-response *decisions* but not for tight cost assertions — see the
+README's tolerance contract.
 
 The kernel registers itself as a configuration listener, so every
 ``assign`` / ``move`` / ``remove_peer`` updates the caches in ``O(|P|)``
@@ -114,16 +120,7 @@ class BestResponseKernel:
             raise ConfigurationError(
                 f"kernel dtype must be float64 or float32, got {dtype!r}"
             )
-        if backend == "auto":
-            backend = (
-                "labels"
-                if len(matrix.peer_order) >= self.AUTO_LABELS_THRESHOLD
-                else "dense"
-            )
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"kernel backend must be 'dense', 'labels' or 'auto', got {backend!r}"
-            )
+        backend = self.resolve_backend(backend, len(matrix.peer_order))
         self.backend = backend
         self.dtype = resolved_dtype
         self.cost_model = cost_model
@@ -153,50 +150,48 @@ class BestResponseKernel:
         self._rebuild()
         configuration.add_listener(self)
 
+    @classmethod
+    def resolve_backend(cls, backend: Optional[str], population: int) -> str:
+        """The backend that *backend* selects for a kernel over *population* peers.
+
+        ``None`` and ``"auto"`` pick ``dense`` below
+        :data:`AUTO_LABELS_THRESHOLD` peers and ``labels`` at or above it.
+        Sessions call this before they build the recall matrix, so a
+        ``labels`` kernel always gets the factored matrix it works from.
+        """
+        if backend is None or backend == "auto":
+            return "labels" if population >= cls.AUTO_LABELS_THRESHOLD else "dense"
+        if backend not in _BACKENDS:
+            raise ConfigurationError(
+                f"kernel backend must be 'dense', 'labels' or 'auto', got {backend!r}"
+            )
+        return backend
+
     # -- state construction --------------------------------------------------
 
     def _rebuild(self) -> None:
         """(Re)build every cache from the configuration.
 
-        Dense: O(|P|^2 |C|) (the ``W @ M`` product).  Labels: O(|P|) — the
-        covered columns materialise lazily per candidate cluster.
+        Both backends keep the label vector and the per-row membership
+        counts.  Dense adds ``M`` and the O(|P|^2 |C|) ``W @ M`` product;
+        labels builds nothing more — its covered columns materialise lazily
+        per candidate cluster.
         """
         self._cluster_order: List[ClusterId] = list(self.configuration.cluster_ids())
         self._cluster_index: Dict[ClusterId, int] = {
             cluster_id: column for column, cluster_id in enumerate(self._cluster_order)
         }
-        if self.backend == "labels":
-            self._rebuild_labels()
-            return
-        membership, _ = self.configuration.membership_matrix(
-            self._peer_order, self._cluster_order
-        )
-        if self.dtype != np.float64:
-            membership = membership.astype(self.dtype)
-        self._M = membership
-        self._sizes = membership.sum(axis=0, dtype=float)
-        self._CW = self._W @ membership
-        # The globally-weighted analogue (V @ M, backing the vectorized
-        # workload cost) is built on first access and maintained thereafter.
-        self._V: Optional[np.ndarray] = None
-        self._CV: Optional[np.ndarray] = None
-        self._V_totals: Optional[np.ndarray] = None
-
-    def _rebuild_labels(self) -> None:
         population = len(self._peer_order)
         #: Each tracked peer's cluster column: -1 unassigned, -2 when the
         #: peer joined several clusters (the actual set lives in _overflow).
         self._labels = np.full(population, -1, dtype=np.int64)
         self._counts = np.zeros(population, dtype=np.int64)
         self._overflow: Dict[int, Set[int]] = {}
+        #: Rows with a nonzero count, and rows whose count is not exactly 1:
+        #: the membership regime in O(1), kept by _assign_label/_unassign_label.
+        self._assigned_rows = 0
+        self._irregular_rows = population
         self._sizes = np.zeros(len(self._cluster_order), dtype=float)
-        #: Lazily-materialised covered columns: column -> (|P|,) array.  A
-        #: column is computed as a segmented reduction on first touch and
-        #: incrementally +/- updated from then on.
-        self._cw: Dict[int, np.ndarray] = {}
-        self._cv: Dict[int, np.ndarray] = {}
-        self._cv_active = False
-        self._V_totals = None
         for cluster_id in self.configuration.nonempty_clusters():
             column = self._cluster_index[cluster_id]
             for peer_id in self.configuration.members(cluster_id):
@@ -205,6 +200,27 @@ class BestResponseKernel:
                     continue
                 self._sizes[column] += 1.0
                 self._assign_label(row, column)
+        if self.backend == "labels":
+            #: Lazily-materialised covered columns: column -> (|P|,) array.  A
+            #: column is computed as a segmented reduction on first touch and
+            #: incrementally +/- updated from then on.
+            self._cw: Dict[int, np.ndarray] = {}
+            self._cv: Dict[int, np.ndarray] = {}
+            self._cv_active = False
+            self._V_totals = None
+            return
+        membership, _ = self.configuration.membership_matrix(
+            self._peer_order, self._cluster_order
+        )
+        if self.dtype != np.float64:
+            membership = membership.astype(self.dtype)
+        self._M = membership
+        self._CW = self._W @ membership
+        # The globally-weighted analogue (V @ M, backing the vectorized
+        # workload cost) is built on first access and maintained thereafter.
+        self._V: Optional[np.ndarray] = None
+        self._CV: Optional[np.ndarray] = None
+        self._V_totals: Optional[np.ndarray] = None
 
     def rebuild(self) -> None:
         """Public full rebuild (used by tests to cross-check the incremental state).
@@ -217,11 +233,7 @@ class BestResponseKernel:
 
     def _has_untracked_peers(self) -> bool:
         """Whether the configuration holds assigned peers outside the matrix."""
-        if self.backend == "labels":
-            tracked_assigned = int(np.count_nonzero(self._counts))
-        else:
-            tracked_assigned = int(np.count_nonzero(self._M.sum(axis=1)))
-        return self.configuration.num_peers() != tracked_assigned
+        return self.configuration.num_peers() != self._assigned_rows
 
     def _untracked_peers(self) -> List[PeerId]:
         """Assigned peers the recall matrix (and hence the kernel) cannot score."""
@@ -239,15 +251,24 @@ class BestResponseKernel:
         count = int(self._counts[row])
         if count == 0:
             self._labels[row] = column
+            self._assigned_rows += 1
+            self._irregular_rows -= 1
         elif count == 1:
             self._overflow[row] = {int(self._labels[row]), column}
             self._labels[row] = -2
+            self._irregular_rows += 1
         else:
             self._overflow[row].add(column)
         self._counts[row] = count + 1
 
     def _unassign_label(self, row: int, column: int) -> None:
-        self._counts[row] -= 1
+        count = int(self._counts[row])
+        self._counts[row] = count - 1
+        if count == 1:
+            self._assigned_rows -= 1
+            self._irregular_rows += 1
+        elif count == 2:
+            self._irregular_rows -= 1
         member_columns = self._overflow.get(row)
         if member_columns is not None:
             member_columns.discard(column)
@@ -313,10 +334,8 @@ class BestResponseKernel:
         return np.stack([self._cw_column(int(column)) for column in columns], axis=1)
 
     def _counts_all(self) -> np.ndarray:
-        """Per-peer cluster-membership counts (over every cluster slot)."""
-        if self.backend == "labels":
-            return self._counts.astype(float)
-        return self._M.sum(axis=1)
+        """Per-peer cluster-membership counts (over every cluster slot; live, read-only)."""
+        return self._counts
 
     def _covered_at(self, columns: np.ndarray) -> np.ndarray:
         """Per-peer covered recall from its *own* column: ``CW[i, columns[i]]``."""
@@ -350,9 +369,9 @@ class BestResponseKernel:
         column = self._cluster_index.get(cluster_id)
         if column is None:
             column = self._add_cluster_column(cluster_id)
+        self._sizes[column] += 1.0
+        self._assign_label(row, column)
         if self.backend == "labels":
-            self._sizes[column] += 1.0
-            self._assign_label(row, column)
             covered = self._cw.get(column)
             if covered is not None:
                 covered += self._source.column_local(row)
@@ -362,7 +381,6 @@ class BestResponseKernel:
                     covered_global += self._source.column_global(row)
             return
         self._M[row, column] = 1.0
-        self._sizes[column] += 1.0
         self._CW[:, column] += self._W[:, row]
         if self._CV is not None:
             self._CV[:, column] += self._V[:, row]
@@ -375,9 +393,9 @@ class BestResponseKernel:
         if column is None:
             self.stale = True
             return
+        self._sizes[column] -= 1.0
+        self._unassign_label(row, column)
         if self.backend == "labels":
-            self._sizes[column] -= 1.0
-            self._unassign_label(row, column)
             covered = self._cw.get(column)
             if covered is not None:
                 covered -= self._source.column_local(row)
@@ -387,7 +405,6 @@ class BestResponseKernel:
                     covered_global -= self._source.column_global(row)
             return
         self._M[row, column] = 0.0
-        self._sizes[column] -= 1.0
         self._CW[:, column] -= self._W[:, row]
         if self._CV is not None:
             self._CV[:, column] -= self._V[:, row]
@@ -510,18 +527,12 @@ class BestResponseKernel:
 
         ``None`` means some tracked peer belongs to zero or several clusters
         (multi-membership is legal in the model but outside the vector fast
-        path) — callers fall back to the per-peer reference evaluation.
+        path) — callers fall back to the per-peer reference evaluation.  The
+        returned label vector is live: callers only read it.
         """
-        if self.backend == "labels":
-            if self._counts.size == 0:
-                return None
-            if self._overflow or not bool(np.all(self._counts == 1)):
-                return None
-            return self._labels
-        counts = self._M.sum(axis=1)
-        if counts.size == 0 or not np.all(counts == 1.0):
+        if self._irregular_rows or not self._labels.size:
             return None
-        return np.argmax(self._M, axis=1)
+        return self._labels
 
     def _current_cost_vector(self, columns: np.ndarray) -> np.ndarray:
         sizes = self._sizes[columns]

@@ -1,17 +1,18 @@
 """Clusters: named groups of peers with a representative.
 
 Every cluster has a unique identifier ``cid`` known to all of its members
-(the paper assumes exactly this), a member set and, while the reformulation
-protocol runs, a *representative* peer that gathers and serves relocation
-requests on behalf of the cluster.  Representatives are not fixed — the
-protocol may elect a different representative in every round — so the class
-exposes a simple deterministic election helper.
+(the paper assumes exactly this), a member set and a *representative* peer
+that gathers and serves relocation requests on behalf of the cluster.  Which
+member represents a cluster does not change a protocol round's outcome, so
+the protocol elects none per round: it only names the peer that creates a
+cluster as its representative.  The class keeps a simple deterministic
+election helper for that and for callers that want one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -28,6 +29,7 @@ class Cluster:
         self.cluster_id = cluster_id
         self._members: Set[PeerId] = set(members) if members is not None else set()
         self._members_view: Optional[FrozenSet[PeerId]] = None
+        self._sorted_view: Optional[Tuple[PeerId, ...]] = None
         self._representative: Optional[PeerId] = None
 
     # -- membership -----------------------------------------------------------
@@ -38,6 +40,12 @@ class Cluster:
         if self._members_view is None:
             self._members_view = frozenset(self._members)
         return self._members_view
+
+    def sorted_members(self) -> Tuple[PeerId, ...]:
+        """The member peer ids in ``repr`` order (cached between mutations)."""
+        if self._sorted_view is None:
+            self._sorted_view = tuple(sorted(self._members, key=repr))
+        return self._sorted_view
 
     @property
     def size(self) -> int:
@@ -53,6 +61,7 @@ class Cluster:
         """Add *peer_id* to the cluster."""
         self._members.add(peer_id)
         self._members_view = None
+        self._sorted_view = None
 
     def remove(self, peer_id: PeerId) -> None:
         """Remove *peer_id* from the cluster, clearing the representative if it leaves."""
@@ -62,6 +71,7 @@ class Cluster:
             )
         self._members.remove(peer_id)
         self._members_view = None
+        self._sorted_view = None
         if self._representative == peer_id:
             self._representative = None
 
@@ -72,7 +82,7 @@ class Cluster:
         return len(self._members)
 
     def __iter__(self):
-        return iter(sorted(self._members, key=repr))
+        return iter(self.sorted_members())
 
     # -- representative ----------------------------------------------------------
 

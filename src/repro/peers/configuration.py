@@ -55,6 +55,8 @@ class ClusterConfiguration:
                 raise ConfigurationError(f"duplicate cluster id {cluster_id!r}")
             self._clusters[cluster_id] = Cluster(cluster_id)
         self._strategies: Dict[PeerId, Set[ClusterId]] = {}
+        #: ``repr``-ordered peer ids, kept until a peer arrives or departs.
+        self._sorted_peer_ids: Optional[List[PeerId]] = None
         self._listeners: List["weakref.ref"] = []
         self._index_slots()
         if assignment is not None:
@@ -199,8 +201,10 @@ class ClusterConfiguration:
     # -- peer management --------------------------------------------------------------
 
     def peer_ids(self) -> List[PeerId]:
-        """All assigned peer ids, deterministic order."""
-        return sorted(self._strategies, key=repr)
+        """All assigned peer ids, in ``repr`` order (a fresh list)."""
+        if self._sorted_peer_ids is None:
+            self._sorted_peer_ids = sorted(self._strategies, key=repr)
+        return list(self._sorted_peer_ids)
 
     def num_peers(self) -> int:
         """Number of assigned peers (cheap — no sort)."""
@@ -213,7 +217,10 @@ class ClusterConfiguration:
     def assign(self, peer_id: PeerId, cluster_id: ClusterId) -> None:
         """Add *cluster_id* to the strategy of *peer_id*."""
         cluster = self.cluster(cluster_id)
-        strategy = self._strategies.setdefault(peer_id, set())
+        strategy = self._strategies.get(peer_id)
+        if strategy is None:
+            strategy = self._strategies[peer_id] = set()
+            self._sorted_peer_ids = None
         if cluster_id in strategy:
             raise ConfigurationError(
                 f"peer {peer_id!r} already belongs to cluster {cluster_id!r}"
@@ -229,6 +236,7 @@ class ClusterConfiguration:
         strategy = self._strategies.pop(peer_id, None)
         if strategy is None:
             raise UnknownPeerError(peer_id)
+        self._sorted_peer_ids = None
         for cluster_id in sorted(strategy, key=repr):
             cluster = self._clusters[cluster_id]
             cluster.remove(peer_id)
@@ -327,9 +335,9 @@ class ClusterConfiguration:
 
     def signature(self) -> Tuple[Tuple[ClusterId, Tuple[PeerId, ...]], ...]:
         """A hashable snapshot of the partition, useful for convergence/cycle detection."""
+        clusters = self._clusters
         return tuple(
-            (cluster_id, tuple(sorted(self.members(cluster_id), key=repr)))
-            for cluster_id in self.nonempty_clusters()
+            (cluster_id, clusters[cluster_id].sorted_members()) for cluster_id in self._nonempty
         )
 
     def __eq__(self, other: object) -> bool:

@@ -23,7 +23,7 @@ from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.costs import NEW_CLUSTER, CostModel
+from repro.core.costs import CostModel
 from repro.events import (
     RELOCATION_GRANTED,
     ROUND_END,
@@ -37,7 +37,7 @@ from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.statistics import PeerStatistics
 from repro.protocol.rounds import RoundResult, execute_round
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import MoverBatch, RelocationStrategy, StrategyContext
 
 __all__ = ["ProtocolResult", "ReformulationProtocol"]
 
@@ -183,34 +183,47 @@ class ReformulationProtocol:
         }
 
     def _filter_new_cluster_proposals(
-        self, proposals: Dict[PeerId, RelocationProposal], game: ClusterGame
-    ) -> Dict[PeerId, RelocationProposal]:
+        self, movers: MoverBatch, game: ClusterGame
+    ) -> Tuple[MoverBatch, int]:
         """Apply the paper's cluster-creation precondition.
 
-        A proposal targeting a fresh cluster is dropped when cluster creation
+        A mover targeting a fresh cluster is dropped when cluster creation
         is disabled.  Otherwise it is kept when no previous period is known,
         when ``creation_cost_increase`` is zero, or when the peer's cost has
         increased by at least ``creation_cost_increase`` since the end of the
-        previous period.
+        previous period.  Only the movers that target
+        :data:`~repro.core.costs.NEW_CLUSTER` are looked at.
+
+        Returns the kept movers and the number of gain reports the dropped
+        ones do not send (one per cluster membership).
         """
-        if not self.allow_cluster_creation:
-            return {
-                peer_id: proposal
-                for peer_id, proposal in proposals.items()
-                if proposal.target_cluster != NEW_CLUSTER
-            }
-        if self.creation_cost_increase <= 0.0 or self._previous_costs is None:
-            return proposals
-        filtered: Dict[PeerId, RelocationProposal] = {}
-        for peer_id, proposal in proposals.items():
-            if proposal.target_cluster != NEW_CLUSTER:
-                filtered[peer_id] = proposal
-                continue
-            previous = self._previous_costs.get(peer_id)
-            current = game.current_cost(peer_id)
-            if previous is None or current - previous >= self.creation_cost_increase:
-                filtered[peer_id] = proposal
-        return filtered
+        previous_costs = self._previous_costs
+        if self.allow_cluster_creation and (
+            self.creation_cost_increase <= 0.0 or previous_costs is None
+        ):
+            return movers, 0
+        positions, peer_ids = movers.creating()
+        if self.allow_cluster_creation:
+
+            def may_create(peer_id: PeerId) -> bool:
+                previous = previous_costs.get(peer_id)
+                return (
+                    previous is None
+                    or game.current_cost(peer_id) - previous >= self.creation_cost_increase
+                )
+
+            positions = [k for k in positions if not may_create(movers.peer_at(k))]
+            peer_ids = [peer_id for peer_id in peer_ids if not may_create(peer_id)]
+        if not positions and not peer_ids:
+            return movers, 0
+        configuration = self.configuration
+        # An array mover belongs to exactly one cluster.
+        dropped = len(positions) + sum(
+            len(configuration.clusters_of(peer_id))
+            for peer_id in peer_ids
+            if peer_id in configuration
+        )
+        return movers.without(positions, peer_ids), dropped
 
     def _record_costs(self, result: ProtocolResult) -> None:
         # The kernel answers both global costs from its live vectorized state
@@ -266,13 +279,8 @@ class ReformulationProtocol:
         context = StrategyContext(
             game=game, statistics=statistics, previous_costs=self._previous_costs
         )
-        movers = self.strategy.propose_all(configuration.peer_ids(), context)
-        kept = self._filter_new_cluster_proposals(movers, game)
-        dropped = sum(
-            len(configuration.clusters_of(peer_id))
-            for peer_id in movers
-            if peer_id not in kept and peer_id in configuration
-        )
+        movers = MoverBatch.of(self.strategy.propose_all(configuration.peer_ids(), context))
+        kept, dropped = self._filter_new_cluster_proposals(movers, game)
         self.bus.add("GainReportMessage", configuration.num_memberships() - dropped)
         return execute_round(
             configuration,

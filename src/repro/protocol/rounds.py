@@ -11,7 +11,8 @@ A round has two phases (Section 3.2):
    a lock are discarded for this round.
 
 :func:`execute_round` takes the round's movers only (the strategies'
-``propose_all`` returns no stays), gathers their requests with
+``propose_all`` returns no stays, as a
+:class:`~repro.strategies.base.MoverBatch`), gathers their requests with
 :func:`~repro.protocol.representative.gather_requests` and serves them.  It
 counts one ``GrantMessage`` per granted move on the bus; the gather phase
 counts the advertisements, and
@@ -90,8 +91,9 @@ def execute_round(
 ) -> RoundResult:
     """Run one two-phase round, mutating *configuration* in place.
 
-    *proposals* maps each moving peer to its proposal (stays may be left
-    out: they never become requests).
+    *proposals* maps each moving peer to its proposal, as a
+    :class:`~repro.strategies.base.MoverBatch` or a plain mapping (stays may
+    be left out: they never become requests).
 
     ``enforce_locks=False`` disables the paper's cycle-avoiding lock rule
     (every request is served as long as it is still applicable); it exists for

@@ -19,7 +19,9 @@ can be wrapped directly with :meth:`SessionConfig.from_experiment_config`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional
 
 from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, ScenarioConfig
@@ -27,6 +29,84 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 
 __all__ = ["SessionConfig"]
+
+#: Protocol switches that must be real booleans ("no" is truthy).
+_FLAGS = ("allow_cluster_creation", "restrict_to_nonempty", "enforce_locks")
+#: Non-negative finite thresholds; the ``True`` ones may be ``None`` (the preset's).
+_THRESHOLDS = {
+    "gain_threshold": True,
+    "maintenance_gain_threshold": True,
+    "creation_cost_increase": False,
+}
+#: Fields restricted to a fixed set of names.
+_CHOICES = {
+    "strategy_mode": ("exact", "observed"),
+    "kernel_backend": (None, "dense", "labels", "auto"),
+    "kernel_dtype": (None, "float64", "float32"),
+}
+
+
+def _finite_non_negative(value: Any) -> bool:
+    """Whether *value* is a finite real number >= 0; a bool is not a number here."""
+    if type(value) is float or type(value) is int:
+        return 0 <= value < math.inf
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, Real)
+        and math.isfinite(value)
+        and value >= 0
+    )
+
+
+def _plainly_valid(config: "SessionConfig") -> bool:
+    """The common case of :func:`_check_protocol_settings` in one cheap expression.
+
+    Sweeps build hundreds of configs per grid; only a config this rejects
+    (a bad value, or a valid one of an unusual type) pays for the full check.
+    """
+    return (
+        type(config.allow_cluster_creation) is bool
+        and type(config.restrict_to_nonempty) is bool
+        and type(config.enforce_locks) is bool
+        and _finite_non_negative(config.creation_cost_increase)
+        and (config.gain_threshold is None or _finite_non_negative(config.gain_threshold))
+        and (
+            config.maintenance_gain_threshold is None
+            or _finite_non_negative(config.maintenance_gain_threshold)
+        )
+        and (
+            config.max_rounds is None
+            or (type(config.max_rounds) is int and config.max_rounds >= 1)
+        )
+        and config.strategy_mode in _CHOICES["strategy_mode"]
+        and config.kernel_backend in _CHOICES["kernel_backend"]
+        and config.kernel_dtype in _CHOICES["kernel_dtype"]
+    )
+
+
+def _check_protocol_settings(config: "SessionConfig") -> None:
+    """Raise a :class:`ConfigurationError` naming the first bad protocol setting."""
+
+    def invalid(name: str, value: Any, expected: str) -> ConfigurationError:
+        return ConfigurationError(f"session config {name}={value!r}: expected {expected}")
+
+    for name in _FLAGS:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise invalid(name, value, "True or False")
+    for name, optional in _THRESHOLDS.items():
+        value = getattr(config, name)
+        if not (_finite_non_negative(value) or (optional and value is None)):
+            raise invalid(name, value, "a finite number >= 0" + (" or None" if optional else ""))
+    max_rounds = config.max_rounds
+    if max_rounds is not None and (
+        isinstance(max_rounds, bool) or not isinstance(max_rounds, Integral) or max_rounds < 1
+    ):
+        raise invalid("max_rounds", max_rounds, "an integer >= 1 or None")
+    for name, choices in _CHOICES.items():
+        value = getattr(config, name)
+        if value not in choices:
+            raise invalid(name, value, "one of " + ", ".join(map(repr, choices)))
 
 
 @dataclass(frozen=True)
@@ -92,6 +172,12 @@ class SessionConfig:
     enforce_locks: bool = True
     #: Base experiment config taking the role of the scale preset when set.
     base: Optional[ExperimentConfig] = None
+
+    def __post_init__(self) -> None:
+        # One check for every way in: the constructor, from_dict, replace,
+        # the CLI and sweep specs.
+        if not _plainly_valid(self):
+            _check_protocol_settings(self)
 
     # -- constructors ------------------------------------------------------------
 

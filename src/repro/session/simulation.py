@@ -45,6 +45,7 @@ from repro.dynamics.periodic import PeriodicMaintenanceLoop
 from repro.dynamics.schedule import DynamicsSchedule
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
+from repro.game.kernel import BestResponseKernel
 from repro.overlay.routing import QueryRouter, build_router
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
@@ -168,9 +169,13 @@ class Simulation:
     def cost_model(self) -> CostModel:
         """The cost model over the network's current state (cached; see :meth:`invalidate`)."""
         if self._cost_model is None:
-            # The labels kernel backend works off the factored recall
-            # representation, so the |P| x |P| dense arrays are never built.
-            matrix_mode = "factored" if self.config.kernel_backend == "labels" else None
+            # The labels kernel backend (explicit, or what ``auto`` picks at
+            # this population) works off the factored recall representation,
+            # so the |P| x |P| dense arrays are never built.
+            backend = BestResponseKernel.resolve_backend(
+                self.config.kernel_backend, len(self.network)
+            )
+            matrix_mode = "factored" if backend == "labels" else None
             self._cost_model = self.network.cost_model(
                 theta=self.theta,
                 alpha=self.experiment_config.alpha,

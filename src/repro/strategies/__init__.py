@@ -12,13 +12,19 @@ from typing import Any
 
 from repro.registry import strategy_registry
 from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    MoverBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.selfish import SelfishStrategy
 
 __all__ = [
     "RelocationStrategy",
     "RelocationProposal",
+    "MoverBatch",
     "StrategyContext",
     "SelfishStrategy",
     "AltruisticStrategy",

@@ -52,7 +52,12 @@ import numpy as np
 
 from repro.errors import StrategyError
 from repro.registry import register_strategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    MoverBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 
 __all__ = ["AltruisticStrategy", "exact_contributions"]
 
@@ -242,9 +247,7 @@ class AltruisticStrategy(RelocationStrategy):
         )
         return contributions, join_increases, leave_decreases, current_columns
 
-    def propose_all(
-        self, peer_ids: Iterable[PeerId], context: StrategyContext
-    ) -> Dict[PeerId, RelocationProposal]:
+    def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
         """The movers among *peer_ids*, from the contribution arrays in exact mode.
 
         Every peer in exactly one cluster is decided in one array pass with
@@ -278,7 +281,6 @@ class AltruisticStrategy(RelocationStrategy):
         return self._movers_from_arrays(
             peer_ids,
             context,
-            peer_order=matrix.peer_order,
             decided=decided,
             moving=moving,
             clusters=cluster_order,

@@ -6,7 +6,10 @@ strategy to decide whether it should move to another cluster and how much it
 :class:`RelocationProposal`; the reformulation protocol then gathers the
 moving proposals, keeps the best one per cluster and serves them subject to
 the lock rule.  A peer that stays has nothing to request, so the batch entry
-point :meth:`RelocationStrategy.propose_all` returns the movers only.
+point :meth:`RelocationStrategy.propose_all` returns the movers only, as a
+:class:`MoverBatch`: the movers the strategy decided in arrays stay arrays,
+and a :class:`RelocationProposal` is built only for a mover that is read
+(the gather reads at most one per cluster).
 
 Strategies can work in two modes:
 
@@ -24,17 +27,18 @@ Strategies can work in two modes:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
-from typing import Dict, Optional
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.costs import NEW_CLUSTER
 from repro.game.model import ClusterGame
 from repro.peers.statistics import PeerStatistics
 
-__all__ = ["RelocationProposal", "StrategyContext", "RelocationStrategy"]
+__all__ = ["RelocationProposal", "MoverBatch", "StrategyContext", "RelocationStrategy"]
 
 PeerId = Hashable
 ClusterId = Hashable
@@ -67,6 +71,154 @@ class RelocationProposal:
     def is_move(self) -> bool:
         """``True`` when the proposal actually changes cluster."""
         return self.source_cluster != self.target_cluster
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+_NO_GAINS = np.zeros(0, dtype=np.float64)
+_NO_GAINS.flags.writeable = False
+
+
+class MoverBatch(Mapping):
+    """The movers of one :meth:`RelocationStrategy.propose_all` call.
+
+    A read-only ``Mapping[PeerId, RelocationProposal]`` with two parts:
+
+    * **array rows** — mover ``k`` is the peer ``peer_order[rows[k]]`` (the
+      recall matrix's rows, ascending), moving from
+      ``clusters[sources[k]]`` to ``clusters[targets[k]]`` with the float64
+      gain ``gains[k]``; ``repr_rank[row]`` ranks a row's peer id in
+      ``repr`` order.  A row becomes a :class:`RelocationProposal` only when
+      it is read.
+    * **per-peer entries** — ``proposals`` holds the proposals of the peers
+      the arrays cannot settle: peers in several clusters, peers unknown to
+      the recall matrix, and every peer in observed mode.
+
+    It iterates like the dict it stands for: array rows first, in row
+    order, then the per-peer entries in insertion order.
+    """
+
+    __slots__ = (
+        "proposals",
+        "peer_order",
+        "repr_rank",
+        "clusters",
+        "rows",
+        "sources",
+        "targets",
+        "gains",
+        "_positions",
+    )
+
+    def __init__(
+        self,
+        proposals: Optional[Dict[PeerId, RelocationProposal]] = None,
+        *,
+        peer_order: Sequence[PeerId] = (),
+        repr_rank: np.ndarray = _NO_ROWS,
+        clusters: Sequence[ClusterId] = (),
+        rows: np.ndarray = _NO_ROWS,
+        sources: np.ndarray = _NO_ROWS,
+        targets: np.ndarray = _NO_ROWS,
+        gains: np.ndarray = _NO_GAINS,
+    ) -> None:
+        self.proposals: Dict[PeerId, RelocationProposal] = {} if proposals is None else proposals
+        self.peer_order = peer_order
+        self.repr_rank = repr_rank
+        self.clusters = clusters
+        self.rows = rows
+        self.sources = sources
+        self.targets = targets
+        self.gains = gains
+        self._positions: Optional[Dict[PeerId, int]] = None
+
+    @classmethod
+    def of(cls, movers: Mapping[PeerId, RelocationProposal]) -> "MoverBatch":
+        """*movers* itself when it is a batch, else a batch of its per-peer entries."""
+        if isinstance(movers, cls):
+            return movers
+        return cls(dict(movers))
+
+    # -- reading rows --------------------------------------------------------------
+
+    def peer_at(self, position: int) -> PeerId:
+        """The peer of array mover *position*."""
+        return self.peer_order[self.rows[position]]
+
+    def proposal_at(self, position: int) -> RelocationProposal:
+        """Array mover *position* as a :class:`RelocationProposal`."""
+        return RelocationProposal(
+            peer_id=self.peer_at(position),
+            source_cluster=self.clusters[self.sources[position]],
+            target_cluster=self.clusters[self.targets[position]],
+            gain=float(self.gains[position]),
+        )
+
+    def _row_positions(self) -> Dict[PeerId, int]:
+        if self._positions is None:
+            peer_order = self.peer_order
+            self._positions = {
+                peer_order[row]: position for position, row in enumerate(self.rows.tolist())
+            }
+        return self._positions
+
+    # -- the cluster-creation precondition ------------------------------------------
+
+    def creating(self) -> Tuple[List[int], List[PeerId]]:
+        """The movers that target :data:`~repro.core.costs.NEW_CLUSTER`.
+
+        Returns their array positions and their per-peer entries' peer ids.
+        """
+        positions: List[int] = []
+        if self.rows.size and NEW_CLUSTER in self.clusters:
+            column = self.clusters.index(NEW_CLUSTER)
+            positions = np.flatnonzero(self.targets == column).tolist()
+        peer_ids = [
+            peer_id
+            for peer_id, proposal in self.proposals.items()
+            if proposal.target_cluster == NEW_CLUSTER
+        ]
+        return positions, peer_ids
+
+    def without(self, positions: Sequence[int], peer_ids: Iterable[PeerId]) -> "MoverBatch":
+        """A batch without the array movers at *positions* and the entries of *peer_ids*."""
+        keep = np.ones(self.rows.size, dtype=bool)
+        keep[positions] = False
+        dropped = set(peer_ids)
+        return MoverBatch(
+            {
+                peer_id: proposal
+                for peer_id, proposal in self.proposals.items()
+                if peer_id not in dropped
+            },
+            peer_order=self.peer_order,
+            repr_rank=self.repr_rank,
+            clusters=self.clusters,
+            rows=self.rows[keep],
+            sources=self.sources[keep],
+            targets=self.targets[keep],
+            gains=self.gains[keep],
+        )
+
+    # -- Mapping -----------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self.rows.size + len(self.proposals)
+
+    def __iter__(self) -> Iterator[PeerId]:
+        return chain(map(self.peer_order.__getitem__, self.rows.tolist()), self.proposals)
+
+    def __contains__(self, peer_id: object) -> bool:
+        return peer_id in self.proposals or peer_id in self._row_positions()
+
+    def __getitem__(self, peer_id: PeerId) -> RelocationProposal:
+        proposal = self.proposals.get(peer_id)
+        if proposal is not None:
+            return proposal
+        return self.proposal_at(self._row_positions()[peer_id])
+
+    def __repr__(self) -> str:
+        return f"MoverBatch(rows={self.rows.size}, proposals={len(self.proposals)})"
 
 
 @dataclass
@@ -105,71 +257,70 @@ class RelocationStrategy:
         """
         raise NotImplementedError
 
-    def propose_all(
-        self, peer_ids: Iterable[PeerId], context: StrategyContext
-    ) -> Dict[PeerId, RelocationProposal]:
-        """The proposals of the peers among *peer_ids* that move.
+    def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
+        """The proposals of the peers among *peer_ids* that move, as a :class:`MoverBatch`.
 
-        Returns ``{peer_id: proposal}`` for every peer whose proposal is a
-        move; a peer that stays (a non-move proposal or ``None``) is left
-        out.  The default implementation calls :meth:`propose` per peer; the
-        selfish, altruistic and hybrid strategies override it in exact mode
-        with array evaluations that select the same movers (verified by
-        tests), because the reformulation protocol calls this every round at
+        Every peer whose proposal is a move is in the batch; a peer that
+        stays (a non-move proposal or ``None``) is left out.  The default
+        implementation calls :meth:`propose` per peer, so its batch holds
+        per-peer entries only; the selfish, altruistic and hybrid
+        strategies override it in exact mode with array evaluations that
+        select the same movers (verified by tests) and keep them as array
+        rows, because the reformulation protocol calls this every round at
         experiment scale.
         """
-        return self._propose_each(peer_ids, context, {})
+        return MoverBatch(self._propose_each(peer_ids, context))
 
     def _movers_from_arrays(
         self,
         peer_ids: Iterable[PeerId],
         context: StrategyContext,
         *,
-        peer_order: Sequence[PeerId],
         decided: np.ndarray,
         moving: np.ndarray,
         clusters: Sequence[ClusterId],
         sources: np.ndarray,
         targets: np.ndarray,
         gains: np.ndarray,
-    ) -> Dict[PeerId, RelocationProposal]:
-        """The movers of a batch evaluated over the peer rows *peer_order*.
+    ) -> MoverBatch:
+        """The movers of a batch evaluated over the recall matrix's peer rows.
 
-        Row ``i`` of each array belongs to ``peer_order[i]``: ``decided[i]``
-        says the arrays settle that peer, ``moving[i]`` that it moves from
-        ``clusters[sources[i]]`` to ``clusters[targets[i]]`` with gain
-        ``gains[i]``.  Only moving rows become proposals; every peer of
-        *peer_ids* the arrays do not settle goes through :meth:`propose`.
+        Row ``i`` of each array belongs to the matrix's ``peer_order[i]``:
+        ``decided[i]`` says the arrays settle that peer, ``moving[i]`` that
+        it moves from ``clusters[sources[i]]`` to ``clusters[targets[i]]``
+        with gain ``gains[i]``.  The moving rows of *peer_ids* become the
+        batch's array rows; every peer of *peer_ids* the arrays do not
+        settle goes through :meth:`propose`.
         """
+        matrix = context.game.cost_model.matrix
         peer_ids = list(peer_ids)
-        wanted = set(peer_ids)
-        movers: Dict[PeerId, RelocationProposal] = {}
-        rows = np.flatnonzero(moving)
-        for row, source, target, gain in zip(
-            rows.tolist(), sources[rows].tolist(), targets[rows].tolist(), gains[rows].tolist()
-        ):
-            peer_id = peer_order[row]
-            if peer_id in wanted:
-                movers[peer_id] = RelocationProposal(
-                    peer_id=peer_id,
-                    source_cluster=clusters[source],
-                    target_cluster=clusters[target],
-                    gain=gain,
-                )
-        undecided = wanted.difference(compress(peer_order, decided.tolist()))
-        if undecided:
-            self._propose_each(
-                [peer_id for peer_id in peer_ids if peer_id in undecided], context, movers
-            )
-        return movers
+        rows = np.fromiter(
+            map(matrix.peer_index.get, peer_ids, repeat(-1)), dtype=np.intp, count=len(peer_ids)
+        )
+        known = rows >= 0
+        known_rows = rows[known]
+        wanted = np.zeros(decided.size, dtype=bool)
+        wanted[known_rows] = True
+        settled = np.zeros(rows.size, dtype=bool)
+        settled[known] = decided[known_rows]
+        undecided = [peer_ids[position] for position in np.flatnonzero(~settled).tolist()]
+        movers = np.flatnonzero(moving & wanted)
+        return MoverBatch(
+            self._propose_each(undecided, context),
+            peer_order=matrix.peer_order,
+            repr_rank=matrix.repr_rank,
+            clusters=clusters,
+            rows=movers,
+            sources=sources[movers],
+            targets=targets[movers],
+            gains=np.asarray(gains[movers], dtype=np.float64),
+        )
 
     def _propose_each(
-        self,
-        peer_ids: Iterable[PeerId],
-        context: StrategyContext,
-        movers: Dict[PeerId, RelocationProposal],
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
     ) -> Dict[PeerId, RelocationProposal]:
-        """Add the moving :meth:`propose` results of *peer_ids* to *movers*."""
+        """The moving :meth:`propose` results of *peer_ids*, in their order."""
+        movers: Dict[PeerId, RelocationProposal] = {}
         for peer_id in peer_ids:
             proposal = self.propose(peer_id, context)
             if proposal is not None and proposal.is_move:

@@ -23,7 +23,12 @@ import numpy as np
 from repro.errors import StrategyError
 from repro.registry import register_strategy
 from repro.strategies.altruistic import AltruisticStrategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    MoverBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 
 __all__ = ["HybridStrategy"]
 
@@ -82,9 +87,7 @@ class HybridStrategy(RelocationStrategy):
             gain=best_score,
         )
 
-    def propose_all(
-        self, peer_ids: Iterable[PeerId], context: StrategyContext
-    ) -> Dict[PeerId, RelocationProposal]:
+    def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
         """The movers among *peer_ids*, from the kernel and contribution arrays.
 
         Scores every peer against every non-empty cluster in one shot: the
@@ -125,7 +128,6 @@ class HybridStrategy(RelocationStrategy):
         return self._movers_from_arrays(
             peer_ids,
             context,
-            peer_order=kernel.peer_order,
             decided=decided,
             moving=decided & (best_scores > 0.0),
             clusters=cluster_order,

@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.core.costs import NEW_CLUSTER
 from repro.registry import register_strategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    MoverBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 from repro.errors import StrategyError
 
 __all__ = ["SelfishStrategy"]
@@ -121,9 +126,7 @@ class SelfishStrategy(RelocationStrategy):
             return self._propose_exact(peer_id, context)
         return self._propose_observed(peer_id, context)
 
-    def propose_all(
-        self, peer_ids: Iterable[PeerId], context: StrategyContext
-    ) -> Dict[PeerId, RelocationProposal]:
+    def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
         """The movers among *peer_ids*, straight from the kernel's selection arrays.
 
         Exact mode on a best-response kernel scores every peer in one
@@ -143,7 +146,6 @@ class SelfishStrategy(RelocationStrategy):
         return self._movers_from_arrays(
             peer_ids,
             context,
-            peer_order=kernel.peer_order,
             decided=selection.eligible,
             moving=selection.eligible & ~selection.stay,
             clusters=[*candidates, NEW_CLUSTER],

@@ -84,6 +84,24 @@ class TestCategoryVocabularies:
         bottom_term = vocabularies.category_terms("music")[-1]
         assert samples.count(top_term) > samples.count(bottom_term)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2024])
+    @pytest.mark.parametrize("pool", ["category", "common"])
+    def test_draws_match_random_choices(self, seed, pool):
+        """Draw for draw, and generator state for generator state."""
+        vocabularies = self._vocabularies(category_size=60, common_size=7, zipf_exponent=1.1)
+        if pool == "category":
+            terms = vocabularies.category_terms("movies")
+            weights = zipf_weights(60, 1.1)
+            draw = lambda rng: vocabularies.sample_category_term("movies", rng)  # noqa: E731
+        else:
+            terms = vocabularies.common_terms()
+            weights = zipf_weights(7, 1.1)
+            draw = vocabularies.sample_common_term
+        sampler, reference = random.Random(seed), random.Random(seed)
+        for _draw in range(300):
+            assert draw(sampler) == reference.choices(terms, weights=weights, k=1)[0]
+        assert sampler.getstate() == reference.getstate()
+
     def test_validation(self):
         with pytest.raises(DatasetError):
             CategoryVocabularies([])
@@ -95,3 +113,5 @@ class TestCategoryVocabularies:
             CategoryVocabularies(["a"], common_size=-1)
         with pytest.raises(DatasetError):
             self._vocabularies().category_terms("sports")
+        with pytest.raises(DatasetError):
+            self._vocabularies().sample_category_term("sports", random.Random(1))

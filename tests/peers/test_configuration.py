@@ -267,6 +267,12 @@ _OPERATIONS = st.tuples(
 
 
 class TestIncrementalSlotLists:
+    def test_cached_sort_orders_are_not_shared_with_callers(self):
+        configuration = ClusterConfiguration(["c1"], {"b": "c1", "a": "c1"})
+        configuration.peer_ids().append("zzz")
+        assert configuration.peer_ids() == ["a", "b"]
+        assert configuration.signature() == (("c1", ("a", "b")),)
+
     @staticmethod
     def _rescan(configuration):
         slots = sorted(configuration._clusters, key=repr)
@@ -308,4 +314,11 @@ class TestIncrementalSlotLists:
             assert configuration.num_nonempty_clusters() == len(nonempty)
             assert configuration.num_memberships() == sum(
                 configuration.size(c) for c in nonempty
+            )
+            # The cached sort orders equal a fresh sort.
+            assert configuration.signature() == tuple(
+                (c, tuple(sorted(configuration.members(c), key=repr))) for c in nonempty
+            )
+            assert configuration.peer_ids() == sorted(
+                {p for c in nonempty for p in configuration.members(c)}, key=repr
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from repro.core.costs import NEW_CLUSTER
 from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.protocol.representative import gather_requests
-from repro.strategies.base import RelocationProposal
+from repro.strategies.base import MoverBatch, RelocationProposal
 from tests.protocol_oracle import gather_per_message
 
 
@@ -141,6 +142,64 @@ def gather_cases(draw):
     return configuration, proposals, draw(st.sampled_from(GAINS[:3]))
 
 
+def repr_ranks(peer_order):
+    """Each row's rank in ``repr`` order, as the recall matrix caches it."""
+    order = sorted(range(len(peer_order)), key=lambda row: repr(peer_order[row]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+@st.composite
+def batch_cases(draw):
+    """A tiny configuration and a MoverBatch of array rows and per-peer entries.
+
+    Single-cluster peers may become array rows (the gains come from a small
+    set, so exact ties are common, and some rows target ``NEW_CLUSTER``);
+    multi-cluster peers, and single-cluster peers the arrays leave out,
+    may become per-peer entries.  The threshold is drawn from the gains
+    themselves, so it sits at or above some of them.
+    """
+    peers = PEERS[: draw(st.integers(1, len(PEERS)))]
+    clusters = CLUSTERS[: draw(st.integers(1, len(CLUSTERS)))]
+    memberships = {
+        peer: sorted(draw(st.sets(st.sampled_from(clusters), min_size=1, max_size=2)))
+        for peer in peers
+    }
+    configuration = ClusterConfiguration([*clusters, "spare"], memberships)
+    columns = [*draw(st.permutations([*clusters, "spare"])), NEW_CLUSTER]
+    # The matrix rows: the peers in a drawn order, then one outside the configuration.
+    peer_order = [*draw(st.permutations(peers)), "ghost"]
+    rows, sources, targets, gains = [], [], [], []
+    proposals = {}
+    for row, peer in enumerate(peer_order[:-1]):
+        single = len(memberships[peer]) == 1
+        kind = draw(st.sampled_from(("none", "row", "entry") if single else ("none", "entry")))
+        source = draw(st.sampled_from(memberships[peer]))
+        target = draw(st.sampled_from([c for c in columns if c != source]))
+        gain = draw(st.sampled_from(GAINS))
+        if kind == "row":
+            rows.append(row)
+            sources.append(columns.index(source))
+            targets.append(columns.index(target))
+            gains.append(gain)
+        elif kind == "entry":
+            proposals[peer] = proposal(peer, source, target, gain)
+    # Per-peer entries arrive in peer_ids order, after every array row.
+    proposals = {peer: proposals[peer] for peer in draw(st.permutations(list(proposals)))}
+    batch = MoverBatch(
+        proposals,
+        peer_order=peer_order,
+        repr_rank=repr_ranks(peer_order),
+        clusters=columns,
+        rows=np.array(rows, dtype=np.intp),
+        sources=np.array(sources, dtype=np.intp),
+        targets=np.array(targets, dtype=np.intp),
+        gains=np.array(gains, dtype=np.float64),
+    )
+    return configuration, batch, draw(st.sampled_from(GAINS))
+
+
 class TestGatherMatchesPerMessageOracle:
     @settings(max_examples=300, deadline=None)
     @given(gather_cases())
@@ -159,3 +218,61 @@ class TestGatherMatchesPerMessageOracle:
         assert messages["GainReportMessage"] == sum(
             len(configuration.clusters_of(peer)) for peer in proposals
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch_cases())
+    def test_batch_gather_matches_the_oracle(self, case):
+        configuration, batch, threshold = case
+        expected, messages = gather_per_message(
+            configuration, dict(batch), gain_threshold=threshold
+        )
+        bus = MessageBus()
+        requests = gather_requests(configuration, batch, gain_threshold=threshold, bus=bus)
+        assert requests == expected
+        assert bus.count("RelocationRequestMessage") == messages["RelocationRequestMessage"]
+        # The same movers as a plain mapping gather the same requests.
+        assert gather_requests(configuration, dict(batch), gain_threshold=threshold) == expected
+
+
+class TestMoverBatch:
+    def _batch(self):
+        peer_order = ["p9", "p10", "a", "b"]
+        return MoverBatch(
+            {"z": proposal("z", "c1", NEW_CLUSTER, 0.2), "y": proposal("y", "c2", "c1", 0.3)},
+            peer_order=peer_order,
+            repr_rank=repr_ranks(peer_order),
+            clusters=["c1", "c2", NEW_CLUSTER],
+            rows=np.array([0, 2, 3], dtype=np.intp),
+            sources=np.array([0, 1, 1], dtype=np.intp),
+            targets=np.array([1, 2, 0], dtype=np.intp),
+            gains=np.array([0.5, 0.25, 0.125]),
+        )
+
+    def test_reads_like_the_dict_it_stands_for(self):
+        batch = self._batch()
+        assert list(batch) == ["p9", "a", "b", "z", "y"]
+        assert len(batch) == 5
+        assert "a" in batch and "z" in batch and "p10" not in batch
+        assert batch["a"] == proposal("a", "c2", NEW_CLUSTER, 0.25)
+        assert batch["z"] == proposal("z", "c1", NEW_CLUSTER, 0.2)
+        assert dict(batch) == {
+            "p9": proposal("p9", "c1", "c2", 0.5),
+            "a": proposal("a", "c2", NEW_CLUSTER, 0.25),
+            "b": proposal("b", "c2", "c1", 0.125),
+            "z": proposal("z", "c1", NEW_CLUSTER, 0.2),
+            "y": proposal("y", "c2", "c1", 0.3),
+        }
+
+    def test_creating_and_without_select_new_cluster_movers(self):
+        batch = self._batch()
+        positions, peer_ids = batch.creating()
+        assert positions == [1] and peer_ids == ["z"]
+        kept = batch.without(positions, peer_ids)
+        assert list(kept) == ["p9", "b", "y"]
+        assert list(batch) == ["p9", "a", "b", "z", "y"]  # the original is untouched
+
+    def test_a_plain_mapping_becomes_per_peer_entries(self):
+        movers = {"z": proposal("z", "c1", "c2", 0.2)}
+        batch = MoverBatch.of(movers)
+        assert dict(batch) == movers and batch.rows.size == 0
+        assert MoverBatch.of(batch) is batch

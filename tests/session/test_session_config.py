@@ -108,3 +108,53 @@ class TestDynamicsField:
         config = SessionConfig()
         assert config.dynamics is None
         assert SessionConfig.from_dict(config.to_dict()).dynamics is None
+
+
+class TestProtocolSettingsValidation:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("enforce_locks", "no"),
+            ("allow_cluster_creation", 1),
+            ("restrict_to_nonempty", None),
+            ("gain_threshold", "0.01"),
+            ("gain_threshold", -0.1),
+            ("gain_threshold", float("nan")),
+            ("gain_threshold", True),
+            ("maintenance_gain_threshold", float("inf")),
+            ("creation_cost_increase", None),
+            ("creation_cost_increase", -1),
+            ("max_rounds", 0),
+            ("max_rounds", 2.5),
+            ("max_rounds", True),
+            ("strategy_mode", "telepathic"),
+            ("kernel_backend", "sparse"),
+            ("kernel_dtype", "float16"),
+        ],
+    )
+    def test_bad_values_are_named(self, field, value):
+        with pytest.raises(ConfigurationError) as raised:
+            SessionConfig.from_dict({field: value})
+        message = str(raised.value)
+        assert field in message and repr(value) in message and "expected" in message
+        with pytest.raises(ConfigurationError):
+            SessionConfig().with_options(**{field: value})
+
+    def test_good_values_pass(self):
+        config = SessionConfig(
+            gain_threshold=0,
+            maintenance_gain_threshold=0.5,
+            creation_cost_increase=0.05,
+            max_rounds=1,
+            enforce_locks=False,
+            strategy_mode="observed",
+            kernel_backend="auto",
+            kernel_dtype="float32",
+        )
+        assert SessionConfig.from_dict(config.to_dict()) == config
+
+    def test_numpy_numbers_pass(self):
+        import numpy as np
+
+        config = SessionConfig(gain_threshold=np.float64(0.01), max_rounds=np.int64(5))
+        assert config.gain_threshold == 0.01 and config.max_rounds == 5

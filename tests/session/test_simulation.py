@@ -212,6 +212,32 @@ class TestMaintenanceRuns:
                 assert more.get(kind, 0) >= count, (kind, fewer, more)
 
 
+class TestAutoBackendRecallMode:
+    """``auto`` picks ``labels`` at or above the threshold; the session then
+    builds the factored recall matrix that backend works from."""
+
+    @pytest.fixture
+    def low_threshold(self, monkeypatch):
+        from repro.game.kernel import BestResponseKernel
+
+        monkeypatch.setattr(BestResponseKernel, "AUTO_LABELS_THRESHOLD", 8)
+
+    def test_default_config_session_builds_a_factored_matrix(self, low_threshold):
+        simulation = Simulation.from_config(QUICK)
+        assert simulation.cost_model.matrix.mode == "factored"
+        simulation.run()
+        assert simulation.last_protocol._kernel.backend == "labels"
+
+    def test_maintenance_loop_builds_a_factored_matrix(self, low_threshold):
+        simulation = Simulation.from_config(QUICK.with_options(initial="category"))
+        simulation.run_maintenance(1)
+        assert simulation.last_loop._cost_model().matrix.mode == "factored"
+
+    def test_explicit_dense_keeps_the_dense_matrix(self, low_threshold):
+        simulation = Simulation.from_config(QUICK.with_options(kernel_backend="dense"))
+        assert simulation.cost_model.matrix.mode == "dense"
+
+
 class TestDeclarativeDynamics:
     DRIFT = {
         "model": "workload-full",
