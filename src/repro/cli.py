@@ -128,23 +128,6 @@ def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("auto", "dense", "labels"),
-        default=None,
-        help="best-response kernel backend (default: auto — labels at large "
-        "populations, dense otherwise)",
-    )
-    parser.add_argument(
-        "--kernel-dtype",
-        choices=("float64", "float32"),
-        default=None,
-        help="kernel array dtype (float32 halves memory at ~1e-3 relative "
-        "cost accuracy; default: float64)",
-    )
-
-
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
@@ -185,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="singletons",
         help="initial configuration (paper's cases i-iv)",
     )
-    _add_kernel_arguments(discover)
 
     maintain = subparsers.add_parser(
         "maintain", help="run periodic maintenance under declarative drift"
@@ -201,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drift schedule spec as inline JSON or @file "
         "(default: workload-full on a quarter of the first cluster from period 1)",
     )
-    _add_kernel_arguments(maintain)
 
     traffic = subparsers.add_parser(
         "traffic",
@@ -524,8 +505,6 @@ def _command_discover(arguments: argparse.Namespace) -> int:
             strategy=arguments.strategy,
             scale=arguments.scale,
             initial=arguments.initial,
-            kernel_backend=arguments.kernel_backend,
-            kernel_dtype=arguments.kernel_dtype,
         )
     )
     result = simulation.run()
@@ -556,8 +535,6 @@ def _command_maintain(arguments: argparse.Namespace) -> int:
             scale=arguments.scale,
             initial="category",
             dynamics=dynamics,
-            kernel_backend=arguments.kernel_backend,
-            kernel_dtype=arguments.kernel_dtype,
         )
     )
     result = simulation.run_maintenance(arguments.periods)

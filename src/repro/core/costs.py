@@ -41,6 +41,7 @@ recall-loss term; results are identical to the exact per-query evaluation
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Mapping
 from typing import Dict, Optional
 
@@ -48,7 +49,7 @@ from repro.core.queries import QueryWorkload
 from repro.core.recall import RecallModel
 from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.core.theta import LinearTheta, ThetaFunction
-from repro.errors import UnknownPeerError
+from repro.errors import ConfigurationError, UnknownPeerError
 
 __all__ = ["CostModel", "NEW_CLUSTER"]
 
@@ -72,7 +73,7 @@ class CostModel:
         Cluster membership cost function (defaults to the paper's linear
         function).
     alpha:
-        Weight of the membership term (``alpha >= 0``; the paper's
+        Weight of the membership term (finite, ``alpha >= 0``; the paper's
         experiments use 1).
     population_size:
         ``|P|`` used for normalising the membership term.  Defaults to the
@@ -92,15 +93,17 @@ class CostModel:
         population_size: Optional[int] = None,
         matrix: Optional[WeightedRecallMatrix] = None,
     ) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ConfigurationError(f"alpha must be a finite number >= 0, got {alpha!r}")
         self.recall_model = recall_model
         self.workloads = workloads
         self.theta = theta if theta is not None else LinearTheta()
         self.alpha = alpha
         self.population_size = population_size if population_size is not None else len(recall_model)
         if self.population_size <= 0:
-            raise ValueError("population_size must be positive")
+            raise ConfigurationError(
+                f"population_size must be positive, got {self.population_size!r}"
+            )
         self._matrix = matrix
 
     # -- matrix management ---------------------------------------------------

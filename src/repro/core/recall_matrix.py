@@ -37,9 +37,15 @@ The dense matrices are now *built from* the factored form with a per-query
 accumulation that reproduces the historical per-row Python loop bit for bit
 (same per-element accumulation order, same scalar divisions, exact +0.0
 padding), so dense consumers see byte-identical matrices at a fraction of the
-construction cost.  Construct with ``mode="factored"`` to skip the dense
-build entirely; the dense matrices then materialise lazily only if a dense
-consumer asks.
+construction cost.
+
+**Which form.**  The population decides, here and nowhere else: below
+:attr:`WeightedRecallMatrix.FACTORED_THRESHOLD` peers the matrix is dense
+(``W`` built up front, ``V`` on first use), at or above it factored (the
+dense matrices then materialise lazily only if a dense consumer asks).  The
+best-response kernel follows the matrix: its ``dense`` backend runs on a
+dense matrix, its ``labels`` backend on a factored one.  ``mode=`` forces a
+form; tests and benchmarks use it to run both at any population.
 
 Both representations are exact restatements of the paper's formulas; the
 test suite cross-checks them against the reference (per-query) implementation.
@@ -109,7 +115,7 @@ class FactoredRecall:
         workloads: Mapping[PeerId, QueryWorkload],
         peer_order: Sequence[PeerId],
     ) -> "FactoredRecall":
-        """Build the factored arrays (always float64; :meth:`cast` for float32)."""
+        """Build the factored arrays."""
         population = len(peer_order)
         queries: List[Query] = []
         query_rows: Dict[Query, int] = {}
@@ -150,18 +156,6 @@ class FactoredRecall:
                 if global_total:
                     w_global[row, k] = count / global_total
         return cls(queries, B, totals_f, qidx, w_local, w_global, w_count)
-
-    def cast(self, dtype: np.dtype) -> "FactoredRecall":
-        """A copy with the float arrays cast to *dtype* (``qidx`` is shared)."""
-        return FactoredRecall(
-            self.queries,
-            self.B.astype(dtype),
-            self.B_totals.astype(dtype),
-            self.qidx,
-            self.w_local.astype(dtype),
-            self.w_global.astype(dtype),
-            self.w_count.astype(dtype),
-        )
 
     # -- segmented reductions ------------------------------------------------
 
@@ -240,7 +234,7 @@ class FactoredRecall:
         Python loop performed (padding contributes exact ``+0.0`` terms).
         """
         population = self.population
-        out = np.zeros((population, population), dtype=self.B.dtype)
+        out = np.zeros((population, population))
         for k in range(self.qidx.shape[1]):
             out += self.w_local[:, k, None] * self.B[self.qidx[:, k], :]
         return out
@@ -248,7 +242,7 @@ class FactoredRecall:
     def dense_global(self) -> np.ndarray:
         """Materialise ``V`` (bit-identical to the historical loop)."""
         population = self.population
-        out = np.zeros((population, population), dtype=self.B.dtype)
+        out = np.zeros((population, population))
         for k in range(self.qidx.shape[1]):
             out += self.w_global[:, k, None] * self.B[self.qidx[:, k], :]
         return out
@@ -256,7 +250,7 @@ class FactoredRecall:
     def dense_service(self) -> np.ndarray:
         """Materialise the service matrix ``S`` (rows: providers)."""
         population = self.population
-        out = np.zeros((population, population), dtype=self.B.dtype)
+        out = np.zeros((population, population))
         for k in range(self.qidx.shape[1]):
             rows = self.qidx[:, k]
             term = self.w_count[:, k, None] * self.B[rows, :]
@@ -267,7 +261,7 @@ class FactoredRecall:
     def __repr__(self) -> str:
         return (
             f"FactoredRecall(peers={self.population}, queries={len(self.queries)}, "
-            f"kmax={self.qidx.shape[1]}, dtype={self.B.dtype})"
+            f"kmax={self.qidx.shape[1]})"
         )
 
 
@@ -285,13 +279,18 @@ class WeightedRecallMatrix:
         model's deterministic order).  The ordering fixes the matrix row /
         column layout.
     mode:
-        ``"dense"`` (default) materialises ``W`` and ``V`` eagerly — the
-        historical behaviour, byte-identical values — and the service matrix
-        on the first :meth:`contribution_matrix` call.  ``"factored"`` keeps
-        only the :class:`FactoredRecall` arrays; the dense matrices build
-        lazily if (and only if) a dense consumer asks, so label-vector
-        kernels at 50k+ peers never pay O(|P|^2) memory.
+        ``None`` (default) picks by population: ``"dense"`` below
+        :attr:`FACTORED_THRESHOLD` peers, ``"factored"`` at or above it.
+        ``"dense"`` materialises ``W`` at construction and ``V`` and the
+        service matrix on first use.  ``"factored"`` keeps only the
+        :class:`FactoredRecall` arrays; the dense matrices build lazily if
+        (and only if) a dense consumer asks, so label-vector kernels at 50k+
+        peers never pay O(|P|^2) memory.  Passing a mode forces that form
+        (tests and benchmarks do, to run both kernel backends).
     """
+
+    #: Population at or above which ``mode=None`` picks the factored form.
+    FACTORED_THRESHOLD = 2048
 
     def __init__(
         self,
@@ -299,11 +298,12 @@ class WeightedRecallMatrix:
         workloads: Mapping[PeerId, QueryWorkload],
         peer_order: Optional[Sequence[PeerId]] = None,
         *,
-        mode: str = "dense",
+        mode: Optional[str] = None,
     ) -> None:
-        if mode not in ("dense", "factored"):
+        if mode not in (None, "dense", "factored"):
             raise ConfigurationError(
-                f"recall matrix mode must be 'dense' or 'factored', got {mode!r}"
+                "recall matrix mode must be None (picked by population), "
+                f"'dense' or 'factored', got {mode!r}"
             )
         self._recall_model = recall_model
         self._workloads = workloads
@@ -326,39 +326,26 @@ class WeightedRecallMatrix:
         #: cluster never pays the dict-lookup translation twice).
         self._indices_cache: Dict[FrozenSet[PeerId], np.ndarray] = {}
         self._repr_rank: Optional[np.ndarray] = None
+        if mode is None:
+            mode = "factored" if len(self._peer_order) >= self.FACTORED_THRESHOLD else "dense"
         self._mode = mode
         self._factored: Optional[FactoredRecall] = None
-        self._factored_cast: Dict[np.dtype, FactoredRecall] = {}
         self._local: Optional[np.ndarray] = None
         self._global: Optional[np.ndarray] = None
         self._service: Optional[np.ndarray] = None
         self._result_counts: Optional[np.ndarray] = None
         if mode == "dense":
             self._ensure_local()
-            self._ensure_global()
 
     # -- construction -------------------------------------------------------
 
-    def factored(self, dtype: Optional[object] = None) -> FactoredRecall:
-        """The :class:`FactoredRecall` arrays (built once, then cached).
-
-        ``dtype`` other than float64 returns a cached cast copy — the
-        float32 kernel mode reads its arrays from here.
-        """
+    def factored(self) -> FactoredRecall:
+        """The :class:`FactoredRecall` arrays (built once, then cached)."""
         if self._factored is None:
             self._factored = FactoredRecall.build(
                 self._recall_model, self._workloads, self._peer_order
             )
-        if dtype is None:
-            return self._factored
-        key = np.dtype(dtype)
-        if key == np.float64:
-            return self._factored
-        cast = self._factored_cast.get(key)
-        if cast is None:
-            cast = self._factored.cast(key)
-            self._factored_cast[key] = cast
-        return cast
+        return self._factored
 
     def _ensure_local(self) -> np.ndarray:
         if self._local is None:
@@ -400,7 +387,7 @@ class WeightedRecallMatrix:
 
     @property
     def mode(self) -> str:
-        """``"dense"`` or ``"factored"`` (the construction-time choice)."""
+        """``"dense"`` or ``"factored"`` (forced, or picked by population at construction)."""
         return self._mode
 
     @property

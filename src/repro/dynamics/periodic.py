@@ -31,7 +31,6 @@ from repro.events import (
     EventHooks,
     PeriodEndEvent,
 )
-from repro.game.kernel import BestResponseKernel
 from repro.overlay.messages import MessageBus
 from repro.overlay.routing import QueryRouter
 from repro.peers.configuration import ClusterConfiguration
@@ -80,18 +79,12 @@ class PeriodicMaintenanceLoop:
         router_factory: Optional[Callable[[PeerNetwork], QueryRouter]] = None,
         hooks: Optional[EventHooks] = None,
         schedule: Optional[DynamicsSchedule] = None,
-        kernel_backend: Optional[str] = None,
-        kernel_dtype: Optional[str] = None,
     ) -> None:
         self.network = network
         self.configuration = configuration
         self.strategy = strategy
         self.alpha = alpha
         self.theta = theta
-        #: Kernel backend/dtype forwarded to every period's protocol run
-        #: (``None`` -> automatic backend by population, float64).
-        self.kernel_backend = kernel_backend
-        self.kernel_dtype = kernel_dtype
         self.gain_threshold = gain_threshold
         self.allow_cluster_creation = allow_cluster_creation
         self.restrict_to_nonempty = restrict_to_nonempty
@@ -114,11 +107,7 @@ class PeriodicMaintenanceLoop:
     # -- internals ---------------------------------------------------------------
 
     def _cost_model(self):
-        backend = BestResponseKernel.resolve_backend(self.kernel_backend, len(self.network))
-        matrix_mode = "factored" if backend == "labels" else None
-        return self.network.cost_model(
-            theta=self.theta, alpha=self.alpha, matrix_mode=matrix_mode
-        )
+        return self.network.cost_model(theta=self.theta, alpha=self.alpha)
 
     # -- public API ------------------------------------------------------------------
 
@@ -154,8 +143,6 @@ class PeriodicMaintenanceLoop:
             restrict_to_nonempty=self.restrict_to_nonempty,
             bus=self.bus,
             hooks=self.hooks,
-            kernel_backend=self.kernel_backend,
-            kernel_dtype=self.kernel_dtype,
         )
         result: ProtocolResult = protocol.run(
             max_rounds=self.max_rounds_per_period, statistics=statistics

@@ -8,38 +8,28 @@ plus a Python per-peer loop hundreds of times per run even though each round
 only moves a handful of peers.
 
 :class:`BestResponseKernel` keeps the pieces of that computation as *live*
-state tied to one :class:`~repro.peers.configuration.ClusterConfiguration`,
-in one of two backends:
+state tied to one :class:`~repro.peers.configuration.ClusterConfiguration`.
+Clusters partition peers, so membership is an integer *label vector* (one
+cluster column per peer; the rare multi-membership peers spill into a tiny
+overflow map) with per-row membership counts and two counters over them
+(assigned rows, rows not in exactly one cluster), so the per-round cost
+traces check the membership regime in O(1).  The covered recall ``CW``
+(and its globally weighted analogue ``CV``, built lazily) follows the
+attached :class:`~repro.core.recall_matrix.WeightedRecallMatrix`, whose
+form the population picks:
 
-* ``backend="dense"`` — the historical representation: ``M`` (the 0/1
-  peers x cluster-slots membership matrix), ``sizes`` and ``CW = W @ M``
-  over the dense :class:`~repro.core.recall_matrix.WeightedRecallMatrix`
-  (the globally weighted analogue ``CV = V @ M`` builds lazily).  O(|P| x
-  |C|) memory — exact, simple, and the right choice up to a few thousand
-  peers.
-* ``backend="labels"`` — clusters partition peers, so membership collapses
-  to an integer *label vector* (one cluster column per peer; the rare
-  multi-membership peers spill into a tiny overflow map) and ``CW``/``CV``
-  shrink to per-cluster covered columns computed as **segmented reductions**
-  over the :class:`~repro.core.recall_matrix.FactoredRecall` arrays: a
-  cluster's member columns collapse to a per-query group recall
-  (O(|Q_u| x |members|)), then one O(|P| x kmax) gather redistributes it.
-  A peer move updates two columns in O(|P|) and **no |P| x |C| matrix
-  exists anywhere** — this is what makes best-response rounds at 10k-100k
-  peers fit on one box.
-
-Both backends keep the label vector with its per-row membership counts and
-two counters over them (assigned rows, rows not in exactly one cluster), so
-the per-round cost traces check the membership regime in O(1).
-
-``backend="auto"`` (the default) picks ``dense`` below
-:data:`~BestResponseKernel.AUTO_LABELS_THRESHOLD` peers and ``labels`` at or
-above it (:meth:`~BestResponseKernel.resolve_backend`, which sessions also
-use to pick the recall matrix's mode).  ``dtype="float32"`` halves the array
-memory of either backend; costs are then accurate to roughly 1e-3 relative
-(vs. the 1e-9 float64 parity the test suite pins), which is plenty for
-best-response *decisions* but not for tight cost assertions — see the
-README's tolerance contract.
+* ``dense`` (a dense matrix) — ``CW = W @ M`` over every cluster slot, ``M``
+  being the 0/1 peers x cluster-slots membership read off the label vector
+  when the product is built.  O(|P| x |C|) memory — exact, simple, and the
+  right choice up to a few thousand peers.
+* ``labels`` (a factored matrix) — ``CW``/``CV`` shrink to per-cluster
+  covered columns computed as **segmented reductions** over the
+  :class:`~repro.core.recall_matrix.FactoredRecall` arrays: a cluster's
+  member columns collapse to a per-query group recall (O(|Q_u| x
+  |members|)), then one O(|P| x kmax) gather redistributes it.  A peer move
+  updates two columns in O(|P|) and **no |P| x |C| matrix exists
+  anywhere** — this is what makes best-response rounds at 10k-100k peers
+  fit on one box.
 
 The kernel registers itself as a configuration listener, so every
 ``assign`` / ``move`` / ``remove_peer`` updates the caches in ``O(|P|)``
@@ -73,9 +63,6 @@ __all__ = ["BestResponseKernel"]
 PeerId = Hashable
 ClusterId = Hashable
 
-#: Kernel backends accepted by :class:`BestResponseKernel`.
-_BACKENDS = ("dense", "labels")
-
 
 class BestResponseKernel:
     """Live vectorized cost state over one configuration and cost model.
@@ -91,55 +78,32 @@ class BestResponseKernel:
         the underlying recall matrix describes the network (content changes
         require a fresh cost model and hence a fresh kernel, exactly like the
         matrix itself).
-    backend:
-        ``"dense"``, ``"labels"`` or ``"auto"`` (default: dense below
-        :data:`AUTO_LABELS_THRESHOLD` peers, labels at or above).
-    dtype:
-        ``"float64"`` (default) or ``"float32"``.  float32 halves memory and
-        relaxes cost accuracy to ~1e-3 relative.
+
+    The backend follows the matrix: ``labels`` on a factored matrix,
+    ``dense`` on a dense one (:attr:`backend` names it).
     """
 
-    #: Population at or above which ``backend="auto"`` switches to labels.
-    AUTO_LABELS_THRESHOLD = 2048
-
-    def __init__(
-        self,
-        cost_model: CostModel,
-        configuration: ClusterConfiguration,
-        *,
-        backend: str = "auto",
-        dtype: Optional[object] = None,
-    ) -> None:
+    def __init__(self, cost_model: CostModel, configuration: ClusterConfiguration) -> None:
         matrix = cost_model.matrix
         if matrix is None:
             raise ConfigurationError(
                 "BestResponseKernel requires a cost model with an attached WeightedRecallMatrix"
             )
-        resolved_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-        if resolved_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ConfigurationError(
-                f"kernel dtype must be float64 or float32, got {dtype!r}"
-            )
-        backend = self.resolve_backend(backend, len(matrix.peer_order))
-        self.backend = backend
-        self.dtype = resolved_dtype
+        self.backend = "labels" if matrix.mode == "factored" else "dense"
         self.cost_model = cost_model
         self.configuration = configuration
         self._recall_matrix = matrix
         self._peer_order: List[PeerId] = matrix.peer_order
         # Shared with the matrix (built exactly once per matrix, not per kernel).
         self._peer_index: Dict[PeerId, int] = matrix.peer_index
-        if backend == "labels":
-            self._source = matrix.factored(resolved_dtype)
+        if self.backend == "labels":
+            self._source = matrix.factored()
             self._W: Optional[np.ndarray] = None
             self._totals = self._source.totals_local()
             self._own = self._source.own_local()
         else:
             self._source = None
-            weights = matrix.local_view()
-            if resolved_dtype != np.float64:
-                weights = weights.astype(resolved_dtype)
-            self._W = weights
+            self._W = matrix.local_view()
             self._totals = self._W.sum(axis=1)
             self._own = np.ascontiguousarray(np.diag(self._W))
         self._theta_table = np.zeros(0, dtype=float)
@@ -150,32 +114,15 @@ class BestResponseKernel:
         self._rebuild()
         configuration.add_listener(self)
 
-    @classmethod
-    def resolve_backend(cls, backend: Optional[str], population: int) -> str:
-        """The backend that *backend* selects for a kernel over *population* peers.
-
-        ``None`` and ``"auto"`` pick ``dense`` below
-        :data:`AUTO_LABELS_THRESHOLD` peers and ``labels`` at or above it.
-        Sessions call this before they build the recall matrix, so a
-        ``labels`` kernel always gets the factored matrix it works from.
-        """
-        if backend is None or backend == "auto":
-            return "labels" if population >= cls.AUTO_LABELS_THRESHOLD else "dense"
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"kernel backend must be 'dense', 'labels' or 'auto', got {backend!r}"
-            )
-        return backend
-
     # -- state construction --------------------------------------------------
 
     def _rebuild(self) -> None:
         """(Re)build every cache from the configuration.
 
         Both backends keep the label vector and the per-row membership
-        counts.  Dense adds ``M`` and the O(|P|^2 |C|) ``W @ M`` product;
-        labels builds nothing more — its covered columns materialise lazily
-        per candidate cluster.
+        counts.  Dense adds the O(|P|^2 |C|) ``W @ M`` product; labels
+        builds nothing more — its covered columns materialise lazily per
+        candidate cluster.
         """
         self._cluster_order: List[ClusterId] = list(self.configuration.cluster_ids())
         self._cluster_index: Dict[ClusterId, int] = {
@@ -209,13 +156,7 @@ class BestResponseKernel:
             self._cv_active = False
             self._V_totals = None
             return
-        membership, _ = self.configuration.membership_matrix(
-            self._peer_order, self._cluster_order
-        )
-        if self.dtype != np.float64:
-            membership = membership.astype(self.dtype)
-        self._M = membership
-        self._CW = self._W @ membership
+        self._CW = self._W @ self._membership()
         # The globally-weighted analogue (V @ M, backing the vectorized
         # workload cost) is built on first access and maintained thereafter.
         self._V: Optional[np.ndarray] = None
@@ -311,8 +252,6 @@ class BestResponseKernel:
 
     def _membership_block(self, columns: Sequence[int]) -> np.ndarray:
         """0/1 membership of every peer against the given cluster columns."""
-        if self.backend != "labels":
-            return self._M[:, columns]
         cols = np.asarray(columns, dtype=np.int64)
         block = (self._labels[:, None] == cols[None, :]).astype(float)
         if self._overflow:
@@ -324,13 +263,17 @@ class BestResponseKernel:
                         block[row, k] = 1.0
         return block
 
+    def _membership(self) -> np.ndarray:
+        """``M``: the 0/1 membership over every cluster slot (a fresh array)."""
+        return self._membership_block(range(len(self._cluster_order)))
+
     def _covered_block(self, columns: Sequence[int]) -> np.ndarray:
         """``CW`` restricted to the given cluster columns."""
         if self.backend != "labels":
             return self._CW[:, columns]
         population = len(self._peer_order)
         if not len(columns):
-            return np.zeros((population, 0), dtype=self.dtype)
+            return np.zeros((population, 0))
         return np.stack([self._cw_column(int(column)) for column in columns], axis=1)
 
     def _counts_all(self) -> np.ndarray:
@@ -380,7 +323,6 @@ class BestResponseKernel:
                 if covered_global is not None:
                     covered_global += self._source.column_global(row)
             return
-        self._M[row, column] = 1.0
         self._CW[:, column] += self._W[:, row]
         if self._CV is not None:
             self._CV[:, column] += self._V[:, row]
@@ -404,7 +346,6 @@ class BestResponseKernel:
                 if covered_global is not None:
                     covered_global -= self._source.column_global(row)
             return
-        self._M[row, column] = 0.0
         self._CW[:, column] -= self._W[:, row]
         if self._CV is not None:
             self._CV[:, column] -= self._V[:, row]
@@ -421,12 +362,9 @@ class BestResponseKernel:
         if self.backend == "labels":
             return column
         population = len(self._peer_order)
-        self._M = np.hstack([self._M, np.zeros((population, 1), dtype=self._M.dtype)])
-        self._CW = np.hstack([self._CW, np.zeros((population, 1), dtype=self._CW.dtype)])
+        self._CW = np.hstack([self._CW, np.zeros((population, 1))])
         if self._CV is not None:
-            self._CV = np.hstack(
-                [self._CV, np.zeros((population, 1), dtype=self._CV.dtype)]
-            )
+            self._CV = np.hstack([self._CV, np.zeros((population, 1))])
         return column
 
     # -- accessors ------------------------------------------------------------
@@ -454,11 +392,8 @@ class BestResponseKernel:
                     out[:, column] = self._cv_column(column)
             return out
         if self._CV is None:
-            weights = self._recall_matrix.global_view()
-            if self.dtype != np.float64:
-                weights = weights.astype(self.dtype)
-            self._V = weights
-            self._CV = self._V @ self._M
+            self._V = self._recall_matrix.global_view()
+            self._CV = self._V @ self._membership()
             self._V_totals = self._V.sum(axis=1)
         return self._CV
 
@@ -471,9 +406,7 @@ class BestResponseKernel:
         sizes are the live cluster sizes gathered in the same order.
         """
         columns = [self._cluster_index[cluster_id] for cluster_id in cluster_order]
-        if self.backend == "labels":
-            return self._membership_block(columns), self._sizes[columns].copy()
-        return self._M[:, columns].copy(), self._sizes[columns].copy()
+        return self._membership_block(columns), self._sizes[columns].copy()
 
     def _theta_values(self, max_size: int) -> np.ndarray:
         if max_size >= self._theta_table.size:
@@ -794,5 +727,5 @@ class BestResponseKernel:
         return (
             f"BestResponseKernel(peers={len(self._peer_order)}, "
             f"clusters={len(self._cluster_order)}, backend={self.backend}, "
-            f"dtype={self.dtype}, stale={self.stale})"
+            f"stale={self.stale})"
         )

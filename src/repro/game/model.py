@@ -90,8 +90,6 @@ class ClusterGame:
         candidate_clusters: Optional[Iterable[ClusterId]] = None,
         kernel: Optional["object"] = None,
         use_kernel: bool = True,
-        kernel_backend: Optional[str] = None,
-        kernel_dtype: Optional[str] = None,
     ) -> None:
         self.cost_model = cost_model
         self.configuration = configuration
@@ -100,8 +98,6 @@ class ClusterGame:
             list(candidate_clusters) if candidate_clusters is not None else None
         )
         self.use_kernel = use_kernel
-        self.kernel_backend = kernel_backend
-        self.kernel_dtype = kernel_dtype
         self._kernel = kernel
 
     @property
@@ -117,12 +113,7 @@ class ClusterGame:
         if self._kernel is None and self.cost_model.matrix is not None:
             from repro.game.kernel import BestResponseKernel
 
-            self._kernel = BestResponseKernel(
-                self.cost_model,
-                self.configuration,
-                backend=self.kernel_backend or "auto",
-                dtype=self.kernel_dtype,
-            )
+            self._kernel = BestResponseKernel(self.cost_model, self.configuration)
         if self._kernel is not None and getattr(self._kernel, "stale", False):
             return None
         return self._kernel

@@ -127,26 +127,17 @@ class PeerNetwork:
         """The global query list ``Q`` (merge of every local workload)."""
         return QueryWorkload.merge_all(peer.workload for peer in self._peers.values())
 
-    def recall_matrix(
-        self, *, rebuild: bool = False, mode: Optional[str] = None
-    ) -> WeightedRecallMatrix:
+    def recall_matrix(self, *, rebuild: bool = False) -> WeightedRecallMatrix:
         """The weighted recall matrix over the current state (cached).
 
-        ``mode`` selects the matrix representation (``"dense"`` eagerly
-        builds the |P| x |P| arrays, ``"factored"`` keeps the compact
-        recall-table factorisation for the labels kernel backend); a cached
-        matrix of a different mode is rebuilt.
+        The population picks its form: dense below
+        :attr:`WeightedRecallMatrix.FACTORED_THRESHOLD` peers, factored (no
+        |P| x |P| array, what the labels kernel backend works from) at or
+        above it.
         """
         recall_model = self.recall_model()
-        if self._matrix is None or rebuild or (
-            mode is not None and self._matrix.mode != mode
-        ):
-            self._matrix = WeightedRecallMatrix(
-                recall_model,
-                self.workloads(),
-                self.peer_ids(),
-                mode=mode if mode is not None else "dense",
-            )
+        if self._matrix is None or rebuild:
+            self._matrix = WeightedRecallMatrix(recall_model, self.workloads(), self.peer_ids())
         return self._matrix
 
     def cost_model(
@@ -155,16 +146,12 @@ class PeerNetwork:
         theta: Optional[ThetaFunction] = None,
         alpha: float = 1.0,
         use_matrix: bool = True,
-        matrix_mode: Optional[str] = None,
     ) -> CostModel:
         """Build a :class:`CostModel` for the current network state.
 
         With ``use_matrix=True`` (the default) the weighted recall matrix is
         attached, which is what the experiment-scale runs need; passing
         ``False`` yields the exact per-query reference evaluation.
-        ``matrix_mode`` is forwarded to :meth:`recall_matrix` (use
-        ``"factored"`` for the labels kernel backend at large populations —
-        the dense |P| x |P| arrays are then never materialised).
         """
         model = CostModel(
             self.recall_model(),
@@ -174,7 +161,7 @@ class PeerNetwork:
             population_size=len(self._peers),
         )
         if use_matrix:
-            model.attach_matrix(self.recall_matrix(mode=matrix_mode))
+            model.attach_matrix(self.recall_matrix())
         return model
 
     # -- configuration helpers ---------------------------------------------------------

@@ -125,8 +125,6 @@ class ReformulationProtocol:
         enforce_locks: bool = True,
         bus: Optional[MessageBus] = None,
         hooks: Optional[EventHooks] = None,
-        kernel_backend: Optional[str] = None,
-        kernel_dtype: Optional[str] = None,
     ) -> None:
         self.cost_model = cost_model
         self.configuration = configuration
@@ -136,10 +134,6 @@ class ReformulationProtocol:
         self.creation_cost_increase = creation_cost_increase
         self.restrict_to_nonempty = restrict_to_nonempty
         self.enforce_locks = enforce_locks
-        #: Kernel backend/dtype forwarded to the shared BestResponseKernel
-        #: (``None`` -> automatic backend selection by population, float64).
-        self.kernel_backend = kernel_backend
-        self.kernel_dtype = kernel_dtype
         self.bus = bus if bus is not None else MessageBus()
         #: Event hub publishing ``round_end`` / ``relocation_granted`` events;
         #: subscribe via ``protocol.hooks.on_round_end(...)`` or pass a shared
@@ -155,12 +149,7 @@ class ReformulationProtocol:
         # games are throwaway views, the vectorized membership / covered-recall
         # caches persist and follow the configuration's moves in O(|P|).
         if self._kernel is None and self.cost_model.matrix is not None:
-            self._kernel = BestResponseKernel(
-                self.cost_model,
-                self.configuration,
-                backend=self.kernel_backend or "auto",
-                dtype=self.kernel_dtype,
-            )
+            self._kernel = BestResponseKernel(self.cost_model, self.configuration)
         return self._kernel
 
     def _build_game(self) -> ClusterGame:

@@ -32,8 +32,9 @@ __all__ = ["SessionConfig"]
 
 #: Protocol switches that must be real booleans ("no" is truthy).
 _FLAGS = ("allow_cluster_creation", "restrict_to_nonempty", "enforce_locks")
-#: Non-negative finite thresholds; the ``True`` ones may be ``None`` (the preset's).
+#: Non-negative finite numbers; the ``True`` ones may be ``None`` (the preset's).
 _THRESHOLDS = {
+    "alpha": True,
     "gain_threshold": True,
     "maintenance_gain_threshold": True,
     "creation_cost_increase": False,
@@ -41,8 +42,6 @@ _THRESHOLDS = {
 #: Fields restricted to a fixed set of names.
 _CHOICES = {
     "strategy_mode": ("exact", "observed"),
-    "kernel_backend": (None, "dense", "labels", "auto"),
-    "kernel_dtype": (None, "float64", "float32"),
 }
 
 
@@ -69,6 +68,7 @@ def _plainly_valid(config: "SessionConfig") -> bool:
         and type(config.restrict_to_nonempty) is bool
         and type(config.enforce_locks) is bool
         and _finite_non_negative(config.creation_cost_increase)
+        and (config.alpha is None or _finite_non_negative(config.alpha))
         and (config.gain_threshold is None or _finite_non_negative(config.gain_threshold))
         and (
             config.maintenance_gain_threshold is None
@@ -79,8 +79,6 @@ def _plainly_valid(config: "SessionConfig") -> bool:
             or (type(config.max_rounds) is int and config.max_rounds >= 1)
         )
         and config.strategy_mode in _CHOICES["strategy_mode"]
-        and config.kernel_backend in _CHOICES["kernel_backend"]
-        and config.kernel_dtype in _CHOICES["kernel_dtype"]
     )
 
 
@@ -157,14 +155,6 @@ class SessionConfig:
     traffic: Optional[Dict[str, Any]] = None
     #: Field overrides applied to the preset's :class:`ScenarioConfig`.
     scenario_overrides: Dict[str, Any] = field(default_factory=dict)
-    #: Best-response kernel backend (``dense``/``labels``/``auto``); ``None``
-    #: = automatic selection by population size.  ``labels`` additionally
-    #: switches the recall matrix to its factored representation so no
-    #: |P| x |P| array is materialised — the large-population mode.
-    kernel_backend: Optional[str] = None
-    #: Kernel dtype (``float64``/``float32``); ``None`` = float64.  float32
-    #: halves kernel memory at ~1e-3 relative cost accuracy.
-    kernel_dtype: Optional[str] = None
     #: Discovery-run protocol knobs (the paper's Section 4.1 defaults).
     allow_cluster_creation: bool = True
     creation_cost_increase: float = 0.0
@@ -282,10 +272,4 @@ class SessionConfig:
             values.pop("base")
         if self.traffic is None:
             values.pop("traffic")
-        # Defaults stay out of the dict so configs hash/compare identically
-        # across versions that did not know these keys.
-        if self.kernel_backend is None:
-            values.pop("kernel_backend")
-        if self.kernel_dtype is None:
-            values.pop("kernel_dtype")
         return values

@@ -45,7 +45,6 @@ from repro.dynamics.periodic import PeriodicMaintenanceLoop
 from repro.dynamics.schedule import DynamicsSchedule
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
-from repro.game.kernel import BestResponseKernel
 from repro.overlay.routing import QueryRouter, build_router
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
@@ -169,17 +168,8 @@ class Simulation:
     def cost_model(self) -> CostModel:
         """The cost model over the network's current state (cached; see :meth:`invalidate`)."""
         if self._cost_model is None:
-            # The labels kernel backend (explicit, or what ``auto`` picks at
-            # this population) works off the factored recall representation,
-            # so the |P| x |P| dense arrays are never built.
-            backend = BestResponseKernel.resolve_backend(
-                self.config.kernel_backend, len(self.network)
-            )
-            matrix_mode = "factored" if backend == "labels" else None
             self._cost_model = self.network.cost_model(
-                theta=self.theta,
-                alpha=self.experiment_config.alpha,
-                matrix_mode=matrix_mode,
+                theta=self.theta, alpha=self.experiment_config.alpha
             )
         return self._cost_model
 
@@ -255,8 +245,6 @@ class Simulation:
             restrict_to_nonempty=self.config.restrict_to_nonempty,
             enforce_locks=self.config.enforce_locks,
             hooks=self.hooks,
-            kernel_backend=self.config.kernel_backend,
-            kernel_dtype=self.config.kernel_dtype,
         )
         self.last_protocol = protocol
         result: ProtocolResult = protocol.run(
@@ -345,8 +333,6 @@ class Simulation:
             router_factory=self.router_factory(),
             hooks=self.hooks,
             schedule=resolved,
-            kernel_backend=self.config.kernel_backend,
-            kernel_dtype=self.config.kernel_dtype,
             **loop_kwargs,
         )
         self.last_loop = loop
@@ -606,21 +592,6 @@ class SimulationBuilder:
     def strategy_mode(self, mode: str) -> "SimulationBuilder":
         """Set the strategy evaluation mode (``exact`` or ``observed``)."""
         self._values["strategy_mode"] = mode
-        return self
-
-    def kernel(
-        self, backend: Optional[str] = None, *, dtype: Optional[str] = None
-    ) -> "SimulationBuilder":
-        """Select the best-response kernel backend and dtype.
-
-        ``backend="labels"`` is the large-population mode (label-vector
-        membership over the factored recall representation); ``dtype="float32"``
-        halves kernel memory at relaxed (~1e-3 relative) cost accuracy.
-        """
-        if backend is not None:
-            self._values["kernel_backend"] = backend
-        if dtype is not None:
-            self._values["kernel_dtype"] = dtype
         return self
 
     def protocol_options(

@@ -217,10 +217,12 @@ class AltruisticStrategy(RelocationStrategy):
 
         The contributions come from
         :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.contribution_matrix`.
-        On a factored matrix (what ``kernel_backend="labels"`` sessions
-        use) they are bit-identical to :func:`exact_contributions`, so
-        exact ties break as in :meth:`propose`.  On a dense matrix they agree to ~1e-16, and
-        an exact tie can break differently.
+        On a factored matrix (what populations of
+        :attr:`~repro.core.recall_matrix.WeightedRecallMatrix.FACTORED_THRESHOLD`
+        peers or more get) they are bit-identical to
+        :func:`exact_contributions`, so exact ties break as in
+        :meth:`propose`.  On a dense matrix they agree to ~1e-16, and an
+        exact tie can break differently.
         """
         matrix = context.game.cost_model.matrix
         if matrix is None:

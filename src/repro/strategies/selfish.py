@@ -151,8 +151,7 @@ class SelfishStrategy(RelocationStrategy):
             clusters=[*candidates, NEW_CLUSTER],
             sources=selection.current_columns,
             targets=np.where(selection.use_new, len(candidates), selection.best_columns),
-            # pgain in float64, whatever the kernel's dtype.
-            gains=np.subtract(selection.current_costs, selection.best_costs, dtype=np.float64),
+            gains=selection.current_costs - selection.best_costs,
         )
 
     def __repr__(self) -> str:

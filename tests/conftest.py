@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.costs import CostModel
 from repro.core.documents import Document
 from repro.core.queries import Query
+from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.datasets.scenarios import (
     SCENARIO_SAME_CATEGORY,
     ScenarioConfig,
@@ -99,6 +101,25 @@ def make_small_scenario(**overrides):
 
         config = replace(config, **overrides)
     return build_scenario(SCENARIO_SAME_CATEGORY, config)
+
+
+#: The recall matrix form each kernel backend runs on.
+BACKEND_MODES = {"dense": "dense", "labels": "factored"}
+
+
+def cost_model_in_mode(network: PeerNetwork, mode: str, **options) -> CostModel:
+    """A cost model over *network* whose recall matrix is forced to *mode*.
+
+    The population picks the form everywhere else; this is how a test runs
+    the ``labels`` kernel backend on a small network, or ``dense`` on a big one.
+    """
+    model = network.cost_model(use_matrix=False, **options)
+    model.attach_matrix(
+        WeightedRecallMatrix(
+            network.recall_model(), network.workloads(), network.peer_ids(), mode=mode
+        )
+    )
+    return model
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.costs import NEW_CLUSTER, CostModel
 from repro.core.theta import LinearTheta, LogarithmicTheta
+from repro.errors import ConfigurationError
 from repro.peers.configuration import ClusterConfiguration
 
 
@@ -56,9 +57,16 @@ class TestPaperTwoPeerExample:
 
 
 class TestCostModelBasics:
-    def test_alpha_must_be_non_negative(self, tiny_network):
-        with pytest.raises(ValueError):
-            CostModel(tiny_network.recall_model(), tiny_network.workloads(), alpha=-1.0)
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_alpha_must_be_non_negative(self, tiny_network, alpha):
+        with pytest.raises(ConfigurationError, match=f"alpha .* got {alpha!r}"):
+            CostModel(tiny_network.recall_model(), tiny_network.workloads(), alpha=alpha)
+
+    def test_population_size_must_be_positive(self, tiny_network):
+        with pytest.raises(ConfigurationError, match="population_size .* got 0"):
+            CostModel(
+                tiny_network.recall_model(), tiny_network.workloads(), population_size=0
+            )
 
     def test_membership_cost(self, tiny_network):
         cost_model = tiny_network.cost_model(alpha=2.0, use_matrix=False)

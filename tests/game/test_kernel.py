@@ -28,16 +28,19 @@ from repro.datasets.scenarios import (
 from repro.experiments.config import ExperimentConfig
 from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
+from tests.conftest import BACKEND_MODES, cost_model_in_mode
 
 #: The Table 1 / Figure 1 data distributions.
 SCENARIOS = (SCENARIO_SAME_CATEGORY, SCENARIO_DIFFERENT_CATEGORY, SCENARIO_UNIFORM)
 
 
-def build_setup(scenario_name: str, initial: str = "random"):
+def build_setup(scenario_name: str, initial: str = "random", backend: str = "dense"):
     config = ExperimentConfig.quick()
     data = build_scenario(scenario_name, config.scenario)
     configuration = initial_configuration(data, initial, seed=config.seed + 13)
-    fast_model = data.network.cost_model(theta=config.theta(), alpha=config.alpha)
+    fast_model = cost_model_in_mode(
+        data.network, BACKEND_MODES[backend], theta=config.theta(), alpha=config.alpha
+    )
     exact_model = data.network.cost_model(
         theta=config.theta(), alpha=config.alpha, use_matrix=False
     )
@@ -48,15 +51,16 @@ def build_setup(scenario_name: str, initial: str = "random"):
 class TestExactParity:
     """Kernel costs == exact per-query reference on the paper's scenarios.
 
-    Parametrized over both kernel backends: the label-vector backend must
-    satisfy the same 1e-9 contract against the exact reference as the dense
-    membership-matrix one.
+    Parametrized over both kernel backends (each on the recall matrix form
+    it runs on): the factored segmented reductions must satisfy the same
+    1e-9 contract against the exact reference as the dense ``W @ M`` product.
     """
 
     @pytest.mark.parametrize("scenario_name", SCENARIOS)
     def test_cost_table_matches_exact_prospective_costs(self, scenario_name, backend):
-        data, configuration, fast_model, exact_model = build_setup(scenario_name)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(scenario_name, backend=backend)
+        kernel = BestResponseKernel(fast_model, configuration)
+        assert kernel.backend == backend
         candidates = configuration.nonempty_clusters()
         table = kernel.cost_table(candidates)
         for row, peer_id in enumerate(kernel.peer_order):
@@ -66,8 +70,9 @@ class TestExactParity:
 
     @pytest.mark.parametrize("scenario_name", SCENARIOS)
     def test_new_cluster_and_current_costs_match_exact_reference(self, scenario_name, backend):
-        data, configuration, fast_model, exact_model = build_setup(scenario_name)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(scenario_name, backend=backend)
+        kernel = BestResponseKernel(fast_model, configuration)
+        assert kernel.backend == backend
         new_costs = kernel.new_cluster_costs()
         current = kernel.current_costs()
         for row, peer_id in enumerate(kernel.peer_order):
@@ -80,9 +85,9 @@ class TestExactParity:
     @pytest.mark.parametrize("initial", ["singletons", "random", "fewer"])
     def test_best_responses_match_exact_per_peer_reference(self, initial, backend):
         data, configuration, fast_model, exact_model = build_setup(
-            SCENARIO_SAME_CATEGORY, initial
+            SCENARIO_SAME_CATEGORY, initial, backend
         )
-        fast_game = ClusterGame(fast_model, configuration, kernel_backend=backend)
+        fast_game = ClusterGame(fast_model, configuration)
         exact_game = ClusterGame(exact_model, configuration, use_kernel=False)
         responses = fast_game.best_responses()
         assert fast_game._active_kernel() is not None
@@ -93,8 +98,10 @@ class TestExactParity:
             assert responses[peer_id].gain == pytest.approx(exact.gain, abs=1e-9)
 
     def test_social_cost_matches_exact_reference(self, backend):
-        data, configuration, fast_model, exact_model = build_setup(SCENARIO_SAME_CATEGORY)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(
+            SCENARIO_SAME_CATEGORY, backend=backend
+        )
+        kernel = BestResponseKernel(fast_model, configuration)
         assert kernel.social_cost(normalized=True) == pytest.approx(
             exact_model.social_cost(configuration, normalized=True), abs=1e-9
         )
@@ -105,8 +112,10 @@ class TestExactParity:
         """The vectorized CV-based workload cost == the per-peer reference loop."""
         if scenario_name == SCENARIO_UNIFORM and initial == "category":
             pytest.skip("uniform scenario has no per-peer categories")
-        data, configuration, fast_model, exact_model = build_setup(scenario_name, initial)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(
+            scenario_name, initial, backend
+        )
+        kernel = BestResponseKernel(fast_model, configuration)
         for normalized in (False, True):
             assert kernel.workload_cost(normalized=normalized) == pytest.approx(
                 exact_model.workload_cost(configuration, normalized=normalized), abs=1e-9
@@ -114,8 +123,10 @@ class TestExactParity:
 
     def test_workload_cost_stays_exact_across_incremental_moves(self, backend):
         """CV is maintained through moves; the cost never drifts from the reference."""
-        data, configuration, fast_model, exact_model = build_setup(SCENARIO_SAME_CATEGORY)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(
+            SCENARIO_SAME_CATEGORY, backend=backend
+        )
+        kernel = BestResponseKernel(fast_model, configuration)
         rng = random.Random(7)
         peers = list(configuration.peer_ids())
         for _step in range(25):
@@ -128,8 +139,10 @@ class TestExactParity:
             )
 
     def test_workload_cost_falls_back_outside_the_single_cluster_regime(self, backend):
-        data, configuration, fast_model, exact_model = build_setup(SCENARIO_SAME_CATEGORY)
-        kernel = BestResponseKernel(fast_model, configuration, backend=backend)
+        data, configuration, fast_model, exact_model = build_setup(
+            SCENARIO_SAME_CATEGORY, backend=backend
+        )
+        kernel = BestResponseKernel(fast_model, configuration)
         peer_id = configuration.peer_ids()[0]
         other = [
             c
@@ -143,10 +156,8 @@ class TestExactParity:
 
     def test_kernel_table_matches_reference_table_path(self, backend):
         """Kernel cost table == the legacy rebuild-everything matrix path."""
-        data, configuration, fast_model, _ = build_setup(SCENARIO_SAME_CATEGORY)
-        kernel_game = ClusterGame(
-            fast_model, configuration, allow_new_clusters=False, kernel_backend=backend
-        )
+        data, configuration, fast_model, _ = build_setup(SCENARIO_SAME_CATEGORY, backend=backend)
+        kernel_game = ClusterGame(fast_model, configuration, allow_new_clusters=False)
         reference_game = ClusterGame(
             fast_model, configuration, allow_new_clusters=False, use_kernel=False
         )
@@ -154,6 +165,13 @@ class TestExactParity:
         _, reference_clusters, reference_table = reference_game.prospective_cost_table()
         assert kernel_clusters == reference_clusters
         np.testing.assert_allclose(kernel_table, reference_table, atol=1e-9)
+
+
+def assert_same_membership(kernel, rebuilt):
+    """The label vector, per-row counts and overflow sets equal a rebuild's."""
+    np.testing.assert_array_equal(kernel._labels, rebuilt._labels)
+    np.testing.assert_array_equal(kernel._counts, rebuilt._counts)
+    assert kernel._overflow == rebuilt._overflow
 
 
 class TestIncrementalMaintenance:
@@ -186,7 +204,7 @@ class TestIncrementalMaintenance:
                 configuration.move(peer_id, source, rng.choice(targets))
 
         rebuilt = BestResponseKernel(cost_model, configuration)
-        np.testing.assert_array_equal(kernel._M, rebuilt._M)
+        assert_same_membership(kernel, rebuilt)
         np.testing.assert_allclose(kernel._sizes, rebuilt._sizes, atol=1e-9)
         np.testing.assert_allclose(kernel._CW, rebuilt._CW, atol=1e-9)
         np.testing.assert_allclose(kernel.global_covered(), rebuilt.global_covered(), atol=1e-9)
@@ -209,7 +227,7 @@ class TestIncrementalMaintenance:
         configuration.move(peer_id, source, target)
         kernel.rebuild()
         rebuilt = BestResponseKernel(cost_model, configuration)
-        np.testing.assert_array_equal(kernel._M, rebuilt._M)
+        assert_same_membership(kernel, rebuilt)
         np.testing.assert_allclose(kernel._CW, rebuilt._CW, atol=1e-12)
 
     def test_added_cluster_slot_gets_a_column(self, tiny_network, tiny_configuration):

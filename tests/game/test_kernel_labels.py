@@ -1,16 +1,12 @@
 """Randomized incremental parity: ``labels`` backend vs ``dense`` backend.
 
-Both kernels listen on the *same* configuration and absorb the same 200
+Both kernels listen on the *same* configuration, one over a factored and
+one over a dense recall matrix of the same network, and absorb the same 200
 random membership operations (moves, multi-membership assigns, removals,
-re-adds); after every batch each public API must agree:
+re-adds); after every batch each public API must agree to 1e-9 absolute,
+the same contract as the exact-reference parity suite.
 
-* ``float64``: 1e-9 absolute, the same contract as the exact-reference
-  parity suite;
-* ``float32``: rtol=1e-4 / atol=1e-3, the documented relaxation for the
-  single-precision mode (see the kernel docstring and the README
-  performance section).
-
-Only public APIs are exercised — the backends share no internal
+Only public APIs are exercised — the backends share no covered-recall
 representation (there is no |P| x |C| matrix in the labels kernel to
 compare), so parity on costs, tables and responses is the whole contract.
 """
@@ -27,55 +23,54 @@ from repro.datasets.scenarios import (
     build_scenario,
     initial_configuration,
 )
-from repro.errors import ConfigurationError
+from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.experiments.config import ExperimentConfig
 from repro.game.kernel import BestResponseKernel
-
-#: Documented float32 tolerance: recall weights are O(1) sums of O(1e-2)
-#: terms, so single precision carries ~1e-7 relative error per entry which
-#: accumulates across |P| incremental updates; rtol=1e-4/atol=1e-3 bounds it
-#: with two orders of margin (observed drift after 200 ops: ~1e-7).
-FLOAT32_RTOL = 1e-4
-FLOAT32_ATOL = 1e-3
+from tests.conftest import cost_model_in_mode
 
 
-def build_pair(dtype=None):
+def build_pair():
     config = ExperimentConfig.quick()
     data = build_scenario(SCENARIO_SAME_CATEGORY, config.scenario)
     configuration = initial_configuration(data, "random", seed=config.seed + 13)
-    cost_model = data.network.cost_model(theta=config.theta(), alpha=config.alpha)
-    dense = BestResponseKernel(cost_model, configuration, backend="dense")
-    labels = BestResponseKernel(cost_model, configuration, backend="labels", dtype=dtype)
+    options = {"theta": config.theta(), "alpha": config.alpha}
+    dense = BestResponseKernel(
+        cost_model_in_mode(data.network, "dense", **options), configuration
+    )
+    labels = BestResponseKernel(
+        cost_model_in_mode(data.network, "factored", **options), configuration
+    )
+    assert (dense.backend, labels.backend) == ("dense", "labels")
     return configuration, dense, labels
 
 
-def assert_parity(dense, labels, configuration, *, rtol=0.0, atol=1e-9):
+def assert_parity(dense, labels, configuration, *, atol=1e-9):
     candidates = configuration.nonempty_clusters()
     np.testing.assert_allclose(
-        labels.cost_table(candidates), dense.cost_table(candidates), rtol=rtol, atol=atol
+        labels.cost_table(candidates), dense.cost_table(candidates), rtol=0.0, atol=atol
     )
     np.testing.assert_allclose(
-        labels.new_cluster_costs(), dense.new_cluster_costs(), rtol=rtol, atol=atol
+        labels.new_cluster_costs(), dense.new_cluster_costs(), rtol=0.0, atol=atol
     )
     dense_current = dense.current_costs()
     for peer_id, cost in labels.current_costs().items():
-        assert cost == pytest.approx(dense_current[peer_id], rel=rtol, abs=atol)
+        assert cost == pytest.approx(dense_current[peer_id], abs=atol)
     # Aggregate costs iterate the matrix peer order, so they are only defined
     # while every matrix peer is still assigned (same for both backends).
     if set(configuration.peer_ids()) >= set(dense.peer_order):
         for normalized in (False, True):
             assert labels.social_cost(normalized=normalized) == pytest.approx(
-                dense.social_cost(normalized=normalized), rel=rtol, abs=atol
+                dense.social_cost(normalized=normalized), abs=atol
             )
             assert labels.workload_cost(normalized=normalized) == pytest.approx(
-                dense.workload_cost(normalized=normalized), rel=rtol, abs=atol
+                dense.workload_cost(normalized=normalized), abs=atol
             )
     dense_responses, _ = dense.best_response_all(candidate_clusters=candidates)
     labels_responses, _ = labels.best_response_all(candidate_clusters=candidates)
     assert set(labels_responses) == set(dense_responses)
     for peer_id, response in labels_responses.items():
         assert response.best_cost == pytest.approx(
-            dense_responses[peer_id].best_cost, rel=rtol, abs=atol
+            dense_responses[peer_id].best_cost, abs=atol
         )
 
 
@@ -133,54 +128,25 @@ class TestRandomizedBackendParity:
         )
         assert_parity(dense, labels, configuration, atol=1e-9)
         # Cross-check the incrementally maintained state against rebuilds.
-        rebuilt = BestResponseKernel(labels.cost_model, configuration, backend="labels")
+        rebuilt = BestResponseKernel(labels.cost_model, configuration)
+        assert rebuilt.backend == "labels"
         assert_parity(rebuilt, labels, configuration, atol=1e-9)
-
-    def test_float32_parity_within_documented_tolerance(self):
-        configuration, dense, labels = build_pair(dtype="float32")
-        rng = random.Random(4242)
-        churn(
-            configuration,
-            rng,
-            steps=200,
-            check_every=50,
-            on_check=lambda: assert_parity(
-                dense, labels, configuration, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL
-            ),
-        )
-        assert_parity(dense, labels, configuration, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
 
 
 class TestBackendSelection:
     def test_auto_resolves_by_population(self, tiny_network, tiny_configuration):
         kernel = BestResponseKernel(tiny_network.cost_model(), tiny_configuration)
-        assert kernel.backend == "dense"  # 3 peers < AUTO_LABELS_THRESHOLD
+        assert kernel.backend == "dense"  # 3 peers < FACTORED_THRESHOLD
 
-    def test_auto_threshold_is_configurable(self, tiny_network, tiny_configuration):
-        class Eager(BestResponseKernel):
-            AUTO_LABELS_THRESHOLD = 1
-
-        kernel = Eager(tiny_network.cost_model(), tiny_configuration)
+    def test_auto_threshold_is_configurable(
+        self, tiny_network, tiny_configuration, monkeypatch
+    ):
+        monkeypatch.setattr(WeightedRecallMatrix, "FACTORED_THRESHOLD", 1)
+        kernel = BestResponseKernel(tiny_network.cost_model(), tiny_configuration)
         assert kernel.backend == "labels"
 
-    def test_unknown_backend_is_rejected(self, tiny_network, tiny_configuration):
-        with pytest.raises(ConfigurationError):
-            BestResponseKernel(
-                tiny_network.cost_model(), tiny_configuration, backend="sparse"
-            )
-
-    def test_unknown_dtype_is_rejected(self, tiny_network, tiny_configuration):
-        with pytest.raises(ConfigurationError):
-            BestResponseKernel(
-                tiny_network.cost_model(), tiny_configuration, dtype="float16"
-            )
-
-    def test_repr_names_backend_and_dtype(self, tiny_network, tiny_configuration):
+    def test_repr_names_backend(self, tiny_network, tiny_configuration):
         kernel = BestResponseKernel(
-            tiny_network.cost_model(),
-            tiny_configuration,
-            backend="labels",
-            dtype="float32",
+            cost_model_in_mode(tiny_network, "factored"), tiny_configuration
         )
         assert "labels" in repr(kernel)
-        assert "float32" in repr(kernel)

@@ -3,7 +3,8 @@
 A Hypothesis :class:`RuleBasedStateMachine` drives one configuration through
 assigns, moves, peer departures, new cluster slots, extra memberships and a
 peer the recall matrix does not know, with a :class:`BestResponseKernel`
-listening, once per backend.  After every step:
+listening, once per backend (over a dense and over a factored recall
+matrix).  After every step:
 
 * the membership regime the kernel answers in O(1) —
   ``_single_cluster_columns()`` and ``_has_untracked_peers()`` — equals a
@@ -26,17 +27,20 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.errors import UnknownPeerError
 from repro.game.kernel import BestResponseKernel
 from repro.peers.configuration import ClusterConfiguration
-from tests.conftest import make_small_scenario
+from tests.conftest import BACKEND_MODES, cost_model_in_mode, make_small_scenario
 
 #: A peer the recall matrix does not know.
 STRANGER = "stranger"
 
 
 @lru_cache(maxsize=None)
-def shared_models():
-    """The small scenario's cost models: (with its recall matrix, per-query reference)."""
+def shared_models(backend):
+    """The small scenario's cost models: (over *backend*'s matrix form, per-query reference)."""
     network = make_small_scenario().network
-    return network.cost_model(), network.cost_model(use_matrix=False)
+    return (
+        cost_model_in_mode(network, BACKEND_MODES[backend]),
+        network.cost_model(use_matrix=False),
+    )
 
 
 class KernelMachine(RuleBasedStateMachine):
@@ -44,13 +48,14 @@ class KernelMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.cost_model, self.reference = shared_models()
+        self.cost_model, self.reference = shared_models(self.backend)
         self.matrix_peers = self.cost_model.matrix.peer_order
         self.configuration = ClusterConfiguration(
             [f"c{index}" for index in range(5)],
             {peer_id: f"c{row % 5}" for row, peer_id in enumerate(self.matrix_peers)},
         )
-        self.kernel = BestResponseKernel(self.cost_model, self.configuration, backend=self.backend)
+        self.kernel = BestResponseKernel(self.cost_model, self.configuration)
+        assert self.kernel.backend == self.backend
         self.slots_added = 0
 
     # -- steps ------------------------------------------------------------------

@@ -121,6 +121,10 @@ class TestProtocolSettingsValidation:
             ("gain_threshold", -0.1),
             ("gain_threshold", float("nan")),
             ("gain_threshold", True),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+            ("alpha", -1),
+            ("alpha", "1"),
             ("maintenance_gain_threshold", float("inf")),
             ("creation_cost_increase", None),
             ("creation_cost_increase", -1),
@@ -128,8 +132,6 @@ class TestProtocolSettingsValidation:
             ("max_rounds", 2.5),
             ("max_rounds", True),
             ("strategy_mode", "telepathic"),
-            ("kernel_backend", "sparse"),
-            ("kernel_dtype", "float16"),
         ],
     )
     def test_bad_values_are_named(self, field, value):
@@ -148,10 +150,16 @@ class TestProtocolSettingsValidation:
             max_rounds=1,
             enforce_locks=False,
             strategy_mode="observed",
-            kernel_backend="auto",
-            kernel_dtype="float32",
+            alpha=0,
         )
         assert SessionConfig.from_dict(config.to_dict()) == config
+
+    def test_kernel_fields_are_unknown_keys(self):
+        # The population picks the kernel's representation; no config field does.
+        for key, value in (("kernel_backend", "labels"), ("kernel_dtype", "float32")):
+            expected = f"unknown session config keys \\['{key}'\\]"
+            with pytest.raises(ConfigurationError, match=expected):
+                SessionConfig.from_dict({key: value})
 
     def test_numpy_numbers_pass(self):
         import numpy as np

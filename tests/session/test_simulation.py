@@ -213,14 +213,14 @@ class TestMaintenanceRuns:
 
 
 class TestAutoBackendRecallMode:
-    """``auto`` picks ``labels`` at or above the threshold; the session then
-    builds the factored recall matrix that backend works from."""
+    """At or above the threshold the recall matrix is factored, and the
+    kernel runs the ``labels`` backend on it; below it, both stay dense."""
 
     @pytest.fixture
     def low_threshold(self, monkeypatch):
-        from repro.game.kernel import BestResponseKernel
+        from repro.core.recall_matrix import WeightedRecallMatrix
 
-        monkeypatch.setattr(BestResponseKernel, "AUTO_LABELS_THRESHOLD", 8)
+        monkeypatch.setattr(WeightedRecallMatrix, "FACTORED_THRESHOLD", 8)
 
     def test_default_config_session_builds_a_factored_matrix(self, low_threshold):
         simulation = Simulation.from_config(QUICK)
@@ -233,9 +233,19 @@ class TestAutoBackendRecallMode:
         simulation.run_maintenance(1)
         assert simulation.last_loop._cost_model().matrix.mode == "factored"
 
-    def test_explicit_dense_keeps_the_dense_matrix(self, low_threshold):
-        simulation = Simulation.from_config(QUICK.with_options(kernel_backend="dense"))
+    def test_network_and_cost_model_build_a_factored_matrix(self, low_threshold):
+        network = Simulation.from_config(QUICK).network
+        assert len(network) >= 8
+        assert network.recall_matrix().mode == "factored"
+        cost_model = network.cost_model(use_matrix=False)
+        assert cost_model.build_matrix().mode == "factored"
+        assert cost_model.matrix.mode == "factored"
+
+    def test_below_the_threshold_the_matrix_stays_dense(self):
+        simulation = Simulation.from_config(QUICK)
         assert simulation.cost_model.matrix.mode == "dense"
+        simulation.run()
+        assert simulation.last_protocol._kernel.backend == "dense"
 
 
 class TestDeclarativeDynamics:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.documents import Document
+from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.errors import ConfigurationError, StrategyError
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
@@ -170,12 +171,14 @@ class TestExactTiesOnTheLabelsPath:
                 initial="singletons",
                 seed=seed,
                 scenario_overrides={"seed": seed},
-                kernel_backend="labels",
             )
         )
-        game = ClusterGame(
-            simulation.cost_model, simulation.configuration, kernel_backend="labels"
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            # The session's matrix is built here, factored as at 2,048+ peers.
+            patch.setattr(WeightedRecallMatrix, "FACTORED_THRESHOLD", 1)
+            cost_model = simulation.cost_model
+        game = ClusterGame(cost_model, simulation.configuration)
+        assert game.kernel.backend == "labels"
         return StrategyContext(game=game)
 
     def test_five_peers_tie_at_their_maximum(self, tied_context):
