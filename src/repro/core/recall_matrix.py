@@ -566,35 +566,6 @@ class WeightedRecallMatrix:
         covered = float(row[indices].sum()) if indices.size else 0.0
         return total - covered
 
-    def loss_matrix_for_clusters(self, membership: np.ndarray) -> np.ndarray:
-        """Vectorised recall loss of every peer against every cluster.
-
-        Parameters
-        ----------
-        membership:
-            A ``(|P|, |C|)`` 0/1 matrix whose entry ``[j, k]`` is 1 when peer
-            ``j`` belongs to cluster ``k``.
-
-        Returns
-        -------
-        numpy.ndarray
-            A ``(|P|, |C|)`` matrix whose entry ``[i, k]`` is the recall loss
-            peer ``i`` would suffer if its strategy were exactly cluster ``k``
-            (with peer ``i`` itself counted as covered — a peer always reaches
-            its own content).
-        """
-        self._check_membership(membership)
-        local = self._ensure_local()
-        covered = local @ membership
-        own = np.diag(local)[:, None]
-        # A peer that is not currently a member of cluster k would still reach
-        # its own results after joining; add its own weight unless the cluster
-        # already contains it (in which case the product already counted it).
-        own_counted = membership * np.diag(local)[:, None]
-        covered_adjusted = covered - own_counted + own
-        totals = local.sum(axis=1, keepdims=True)
-        return totals - covered_adjusted
-
     def __len__(self) -> int:
         return len(self._peer_order)
 

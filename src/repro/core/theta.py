@@ -19,7 +19,9 @@ experiment reports can label which function was used.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
+from repro.errors import ConfigurationError
 from repro.registry import register_theta, theta_registry
 
 __all__ = [
@@ -30,6 +32,17 @@ __all__ = [
     "PolynomialTheta",
     "theta_from_name",
 ]
+
+
+def _check_parameter(owner: str, name: str, value: float, *, positive: bool) -> None:
+    """Reject a parameter that is not a finite real number above (``positive``) or at zero."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (math.isfinite(value) and (value > 0 if positive else value >= 0))
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(f"{owner} {name} must be a finite number {bound}, got {value!r}")
 
 
 class ThetaFunction:
@@ -65,8 +78,7 @@ class LinearTheta(ThetaFunction):
     name = "linear"
 
     def __init__(self, slope: float = 1.0) -> None:
-        if slope <= 0:
-            raise ValueError(f"slope must be positive, got {slope}")
+        _check_parameter("LinearTheta", "slope", slope, positive=True)
         self.slope = slope
 
     def cost(self, size: int) -> float:
@@ -83,8 +95,7 @@ class LogarithmicTheta(ThetaFunction):
     name = "logarithmic"
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_parameter("LogarithmicTheta", "scale", scale, positive=True)
         self.scale = scale
 
     def cost(self, size: int) -> float:
@@ -101,8 +112,7 @@ class ConstantTheta(ThetaFunction):
     name = "constant"
 
     def __init__(self, value: float = 1.0) -> None:
-        if value < 0:
-            raise ValueError(f"value must be non-negative, got {value}")
+        _check_parameter("ConstantTheta", "value", value, positive=False)
         self.value = value
 
     def cost(self, size: int) -> float:
@@ -123,10 +133,8 @@ class PolynomialTheta(ThetaFunction):
     name = "polynomial"
 
     def __init__(self, exponent: float = 2.0, scale: float = 1.0) -> None:
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_parameter("PolynomialTheta", "exponent", exponent, positive=False)
+        _check_parameter("PolynomialTheta", "scale", scale, positive=True)
         self.exponent = exponent
         self.scale = scale
 

@@ -70,16 +70,7 @@ def run_best_response_dynamics(
     result = BestResponseResult(converged=False, reached_equilibrium=False, cycle_detected=False)
     seen_signatures: Set[Tuple] = set()
 
-    def social_cost() -> float:
-        # The kernel keeps the per-peer cost vector live across moves; the
-        # cost-model path recomputes it peer by peer.  Re-fetched every step
-        # so a kernel that goes stale mid-run is dropped automatically.
-        kernel = game._active_kernel()
-        if kernel is not None:
-            return kernel.social_cost(normalized=True)
-        return game.social_cost(normalized=True)
-
-    result.social_cost_trace.append(social_cost())
+    result.social_cost_trace.append(game.social_cost(normalized=True))
     if detect_cycles:
         seen_signatures.add(configuration.signature())
 
@@ -108,7 +99,7 @@ def run_best_response_dynamics(
                 gain=best.gain,
             )
         )
-        result.social_cost_trace.append(social_cost())
+        result.social_cost_trace.append(game.social_cost(normalized=True))
         if detect_cycles:
             signature = configuration.signature()
             if signature in seen_signatures:

@@ -1,11 +1,9 @@
 """Vectorized, incrementally-maintained best-response kernel.
 
 The per-round hot loop of every experiment is "score all candidate clusters
-for all peers".  The :class:`~repro.game.model.ClusterGame` reference path
-rebuilds the membership matrix and the ``W @ M`` covered-recall product from
-scratch on every call; at experiment scale that means re-doing a full GEMM
-plus a Python per-peer loop hundreds of times per run even though each round
-only moves a handful of peers.
+for all peers".  Rebuilding the membership matrix and the ``W @ M``
+covered-recall product for every call would re-do a full GEMM hundreds of
+times per run, although each round only moves a handful of peers.
 
 :class:`BestResponseKernel` keeps the pieces of that computation as *live*
 state tied to one :class:`~repro.peers.configuration.ClusterConfiguration`.
@@ -34,21 +32,24 @@ form the population picks:
 The kernel registers itself as a configuration listener, so every
 ``assign`` / ``move`` / ``remove_peer`` updates the caches in ``O(|P|)``
 (one column add/subtract) instead of triggering a full rebuild.
-:meth:`best_response_all` then scores *all* candidates for *all* peers with
-pure array arithmetic — including the :data:`~repro.core.costs.NEW_CLUSTER`
-option — reproducing the reference per-candidate evaluation exactly (the
-test suite pins both backends to the exact per-query
-:class:`~repro.core.costs.CostModel`).
+:meth:`select` then scores *all* candidates for *all* peers with pure
+array arithmetic, including the :data:`~repro.core.costs.NEW_CLUSTER`
+option when the candidate list holds it, and reproduces the per-peer
+evaluation exactly (the test suite pins both backends to the exact
+per-query :class:`~repro.core.costs.CostModel`).
 
-The kernel is used automatically by :meth:`ClusterGame.best_responses
-<repro.game.model.ClusterGame.best_responses>` whenever a recall matrix is
-attached; pass ``use_kernel=False`` to the game to force the reference path
-(the ablation benchmark does exactly that).
+A :class:`~repro.game.model.ClusterGame` builds and owns its kernel
+(:attr:`ClusterGame.kernel <repro.game.model.ClusterGame.kernel>`) and
+hands it its one candidate list,
+:meth:`~repro.game.model.ClusterGame.candidate_clusters`.  A protocol with
+``restrict_to_nonempty=True`` plays a game that allows no new cluster, so
+that list has no ``NEW_CLUSTER`` and the cluster count cannot rise whatever
+``allow_cluster_creation`` says.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -544,8 +545,15 @@ class BestResponseKernel:
 
     # -- best responses --------------------------------------------------------
 
-    class _Selection:
-        """Arrays of one vectorized best-response evaluation (internal)."""
+    class Selection:
+        """Arrays of one vectorized best-response evaluation, one entry per matrix row.
+
+        ``candidates`` are the scored existing clusters (the columns of
+        ``current_columns`` and ``best_columns``); ``use_new`` marks rows
+        whose best response is :data:`NEW_CLUSTER`.  Only ``eligible`` rows
+        (in exactly one cluster, a candidate) are settled by the arrays;
+        ``fallback_rows`` lists the other assigned rows.
+        """
 
         __slots__ = (
             "candidates",
@@ -560,22 +568,23 @@ class BestResponseKernel:
             "gains",
         )
 
-    def _select(
-        self,
-        candidates: Sequence[ClusterId],
-        *,
-        include_new_cluster: bool,
-        tolerance: float,
-    ) -> "BestResponseKernel._Selection":
-        """Vectorized best-response selection over every tracked peer.
+    def select(
+        self, candidates: Sequence[ClusterId], *, tolerance: float = 1e-12
+    ) -> Optional["BestResponseKernel.Selection"]:
+        """Vectorized best-response selection of every tracked peer over *candidates*.
 
-        Mirrors the reference semantics bit for bit: global argmin over the
-        candidate columns, a strictly-better-by-*tolerance* test for the
-        fresh-cluster option, and "stay unless strictly better than the
-        current cost".  Rows outside the single-cluster regime (or whose
-        cluster is not a candidate) land in ``fallback_rows``.
+        *candidates* lists existing clusters and, for the fresh-cluster
+        option, :data:`NEW_CLUSTER`.  Mirrors the per-peer semantics bit for
+        bit: global argmin over the existing candidates, a
+        strictly-better-by-*tolerance* test for the fresh cluster, and "stay
+        unless strictly better than the current cost".  Rows outside the
+        single-cluster regime (or whose cluster is not a candidate) land in
+        ``fallback_rows``.  ``None`` when no existing cluster is a candidate.
         """
-        columns = [self._cluster_index[cluster_id] for cluster_id in candidates]
+        existing = [cluster_id for cluster_id in candidates if cluster_id != NEW_CLUSTER]
+        if not existing:
+            return None
+        columns = [self._cluster_index[cluster_id] for cluster_id in existing]
         membership = self._membership_block(columns)
         costs = self._cost_table_for(membership, self._covered_block(columns), columns)
         counts_all = self._counts_all()
@@ -586,15 +595,15 @@ class BestResponseKernel:
         current_costs = costs[rows, current_columns]
         best_columns = np.argmin(costs, axis=1)
         best_costs = costs[rows, best_columns]
-        if include_new_cluster:
+        if len(existing) < len(candidates):  # NEW_CLUSTER is a candidate
             new_costs = self.new_cluster_costs()
             use_new = new_costs < best_costs - tolerance
             best_costs = np.where(use_new, new_costs, best_costs)
         else:
             use_new = np.zeros(rows.size, dtype=bool)
         stay = best_costs >= current_costs - tolerance
-        selection = BestResponseKernel._Selection()
-        selection.candidates = list(candidates)
+        selection = BestResponseKernel.Selection()
+        selection.candidates = existing
         selection.eligible = eligible
         selection.fallback_rows = np.nonzero(assigned & ~eligible)[0]
         selection.current_columns = current_columns
@@ -609,7 +618,7 @@ class BestResponseKernel:
         return selection
 
     def _response_for_row(
-        self, row: int, selection: "BestResponseKernel._Selection"
+        self, row: int, selection: "BestResponseKernel.Selection"
     ) -> BestResponse:
         current_cluster = selection.candidates[int(selection.current_columns[row])]
         current_cost = float(selection.current_costs[row])
@@ -630,85 +639,56 @@ class BestResponseKernel:
             best_cost=best_cost,
         )
 
+    def _fallback_peers(self, selection: "BestResponseKernel.Selection") -> List[PeerId]:
+        """The assigned peers *selection* does not settle, tracked ones first."""
+        fallback = [self._peer_order[row] for row in selection.fallback_rows]
+        # Assigned peers outside the recall matrix cannot be scored here;
+        # they belong to the caller's per-peer path (where the cost model's
+        # behaviour, including its errors, applies).
+        fallback.extend(self._untracked_peers())
+        return fallback
+
     def best_response_all(
         self,
-        peer_ids: Optional[Iterable[PeerId]] = None,
+        candidate_clusters: Sequence[ClusterId],
         *,
-        candidate_clusters: Optional[Sequence[ClusterId]] = None,
-        include_new_cluster: bool = False,
         tolerance: float = 1e-12,
     ) -> Tuple[Dict[PeerId, BestResponse], List[PeerId]]:
-        """Best response of every (requested) peer against the candidate set.
+        """Best response of every assigned peer over *candidate_clusters*.
 
-        Returns ``(responses, fallback_peers)``: *fallback_peers* lists peers
-        the kernel cannot score (their current cluster lies outside the
-        candidate set, or they joined several clusters) — the caller decides
-        how to evaluate those (the game falls back to the scalar path,
-        matching the reference implementation's behaviour exactly).
+        Returns ``(responses, fallback_peers)``: *fallback_peers* lists the
+        peers the kernel cannot score (in several clusters or in none of the
+        candidates, or unknown to the recall matrix); the game evaluates
+        those peer by peer.
         """
-        configuration = self.configuration
-        candidates: List[ClusterId] = (
-            list(candidate_clusters)
-            if candidate_clusters is not None
-            else configuration.nonempty_clusters()
-        )
-        candidates = [cluster_id for cluster_id in candidates if cluster_id != NEW_CLUSTER]
-        wanted = set(peer_ids) if peer_ids is not None else None
-        responses: Dict[PeerId, BestResponse] = {}
-        if not candidates:
-            return responses, [
-                peer_id
-                for peer_id in configuration.peer_ids()
-                if wanted is None or peer_id in wanted
-            ]
-        selection = self._select(
-            candidates, include_new_cluster=include_new_cluster, tolerance=tolerance
-        )
-        peer_order = self._peer_order
-        fallback = [peer_order[row] for row in selection.fallback_rows]
-        # Assigned peers outside the recall matrix cannot be scored here;
-        # they belong to the caller's fallback path (where the reference
-        # implementation's behaviour — including its errors — applies).
-        fallback.extend(self._untracked_peers())
-        for row in np.nonzero(selection.eligible)[0]:
-            peer_id = peer_order[row]
-            if wanted is not None and peer_id not in wanted:
-                continue
-            responses[peer_id] = self._response_for_row(int(row), selection)
-        if wanted is not None:
-            fallback = [peer_id for peer_id in fallback if peer_id in wanted]
-        return responses, fallback
+        selection = self.select(candidate_clusters, tolerance=tolerance)
+        if selection is None:
+            return {}, self.configuration.peer_ids()
+        responses = {
+            self._peer_order[row]: self._response_for_row(row, selection)
+            for row in np.nonzero(selection.eligible)[0].tolist()
+        }
+        return responses, self._fallback_peers(selection)
 
     def best_deviation(
         self,
+        candidate_clusters: Sequence[ClusterId],
         *,
-        candidate_clusters: Optional[Sequence[ClusterId]] = None,
-        include_new_cluster: bool = False,
         gain_tolerance: float = 1e-9,
         tolerance: float = 1e-12,
     ) -> Tuple[Optional[BestResponse], List[PeerId]]:
-        """The single best deviation — ``max`` over ``(gain, repr(peer))``.
+        """The single best deviation: ``max`` over ``(gain, repr(peer))``.
 
         This is the step rule of best-response dynamics; only the winning
         peer's :class:`BestResponse` is materialised, everything else stays
-        in arrays.  Returns ``(winner_or_None, fallback_peers)`` — fallback
+        in arrays.  Returns ``(winner_or_None, fallback_peers)``: fallback
         peers (outside the single-cluster regime) must be evaluated by the
         caller and compared against the winner.
         """
-        configuration = self.configuration
-        candidates: List[ClusterId] = (
-            list(candidate_clusters)
-            if candidate_clusters is not None
-            else configuration.nonempty_clusters()
-        )
-        candidates = [cluster_id for cluster_id in candidates if cluster_id != NEW_CLUSTER]
-        if not candidates:
-            return None, list(configuration.peer_ids())
-        selection = self._select(
-            candidates, include_new_cluster=include_new_cluster, tolerance=tolerance
-        )
-        fallback = [self._peer_order[row] for row in selection.fallback_rows]
-        fallback.extend(self._untracked_peers())
+        selection = self.select(candidate_clusters, tolerance=tolerance)
+        if selection is None:
+            return None, self.configuration.peer_ids()
+        fallback = self._fallback_peers(selection)
         gains = selection.gains
         deviating = np.nonzero(gains > gain_tolerance)[0]
         if deviating.size == 0:

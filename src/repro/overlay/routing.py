@@ -28,8 +28,10 @@ observation trackers.  Custom routers work on both automatically.
 from __future__ import annotations
 
 from collections.abc import Hashable
+from numbers import Integral
 from typing import List
 
+from repro.errors import ConfigurationError
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.registry import register_router, router_registry
@@ -84,8 +86,8 @@ class ProbeKRouter(QueryRouter):
 
     def __init__(self, network: PeerNetwork, k: int) -> None:
         super().__init__(network)
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+            raise ConfigurationError(f"probe-k router k must be an integer >= 1, got {k!r}")
         self.k = k
 
     def target_clusters(

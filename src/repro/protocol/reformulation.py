@@ -12,9 +12,12 @@ Two behaviours of the paper are configurable:
 * **cluster creation** — a peer whose cost increased significantly since the
   previous period and that cannot improve by joining any existing cluster may
   move to an empty cluster slot, becoming its representative.  Section 4.2
-  keeps the number of clusters fixed, which corresponds to
-  ``allow_cluster_creation=False`` together with an explicit candidate set of
-  the non-empty clusters.
+  keeps the number of clusters fixed: ``restrict_to_nonempty=True`` limits
+  every peer's candidates to the non-empty clusters, so the cluster count
+  cannot rise whatever ``allow_cluster_creation`` says.
+
+One :class:`~repro.game.model.ClusterGame` serves a protocol for all its
+rounds; its kernel follows the configuration's moves incrementally.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from repro.events import (
     RelocationGrantedEvent,
     RoundEndEvent,
 )
-from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
 from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
@@ -139,41 +141,19 @@ class ReformulationProtocol:
         #: subscribe via ``protocol.hooks.on_round_end(...)`` or pass a shared
         #: :class:`~repro.events.EventHooks` in.
         self.hooks = hooks if hooks is not None else EventHooks()
+        #: The game every round plays, built once: its kernel's vectorized
+        #: membership / covered-recall caches persist across rounds.
+        #: Restricting the candidates wins over allowed creation.
+        self.game = ClusterGame(
+            cost_model,
+            configuration,
+            allow_new_clusters=allow_cluster_creation and not restrict_to_nonempty,
+        )
         self._previous_costs: Optional[Dict[PeerId, float]] = None
-        self._kernel: Optional[BestResponseKernel] = None
 
     # -- helpers -----------------------------------------------------------------
 
-    def _ensure_kernel(self) -> Optional[BestResponseKernel]:
-        # One incrementally-maintained kernel serves every round's game: the
-        # games are throwaway views, the vectorized membership / covered-recall
-        # caches persist and follow the configuration's moves in O(|P|).
-        if self._kernel is None and self.cost_model.matrix is not None:
-            self._kernel = BestResponseKernel(self.cost_model, self.configuration)
-        return self._kernel
-
-    def _build_game(self) -> ClusterGame:
-        self._ensure_kernel()
-        candidates = self.configuration.nonempty_clusters() if self.restrict_to_nonempty else None
-        return ClusterGame(
-            self.cost_model,
-            self.configuration,
-            allow_new_clusters=self.allow_cluster_creation,
-            candidate_clusters=candidates,
-            kernel=self._kernel,
-        )
-
-    def _snapshot_costs(self, game: ClusterGame) -> Dict[PeerId, float]:
-        kernel = game._active_kernel()
-        if kernel is not None:
-            return kernel.current_costs()
-        return {
-            peer_id: game.current_cost(peer_id) for peer_id in self.configuration.peer_ids()
-        }
-
-    def _filter_new_cluster_proposals(
-        self, movers: MoverBatch, game: ClusterGame
-    ) -> Tuple[MoverBatch, int]:
+    def _filter_new_cluster_proposals(self, movers: MoverBatch) -> Tuple[MoverBatch, int]:
         """Apply the paper's cluster-creation precondition.
 
         A mover targeting a fresh cluster is dropped when cluster creation
@@ -198,7 +178,8 @@ class ReformulationProtocol:
                 previous = previous_costs.get(peer_id)
                 return (
                     previous is None
-                    or game.current_cost(peer_id) - previous >= self.creation_cost_increase
+                    or self.game.current_cost(peer_id) - previous
+                    >= self.creation_cost_increase
                 )
 
             positions = [k for k in positions if not may_create(movers.peer_at(k))]
@@ -215,18 +196,8 @@ class ReformulationProtocol:
         return movers.without(positions, peer_ids), dropped
 
     def _record_costs(self, result: ProtocolResult) -> None:
-        # The kernel answers both global costs from its live vectorized state
-        # (it falls back to the cost model internally whenever some peer is
-        # outside the single-cluster regime or unknown to the recall matrix).
-        kernel = self._ensure_kernel()
-        if kernel is not None and not kernel.stale:
-            social = kernel.social_cost(normalized=True)
-            workload = kernel.workload_cost(normalized=True)
-        else:
-            social = self.cost_model.social_cost(self.configuration, normalized=True)
-            workload = self.cost_model.workload_cost(self.configuration, normalized=True)
-        result.social_cost_trace.append(social)
-        result.workload_cost_trace.append(workload)
+        result.social_cost_trace.append(self.game.social_cost(normalized=True))
+        result.workload_cost_trace.append(self.game.workload_cost(normalized=True))
         result.cluster_count_trace.append(self.configuration.num_nonempty_clusters())
 
     def _publish_round(self, round_result: RoundResult, result: ProtocolResult) -> None:
@@ -264,12 +235,11 @@ class ReformulationProtocol:
         report).  The movers left go to :func:`execute_round`.
         """
         configuration = self.configuration
-        game = self._build_game()
         context = StrategyContext(
-            game=game, statistics=statistics, previous_costs=self._previous_costs
+            game=self.game, statistics=statistics, previous_costs=self._previous_costs
         )
         movers = MoverBatch.of(self.strategy.propose_all(configuration.peer_ids(), context))
-        kept, dropped = self._filter_new_cluster_proposals(movers, game)
+        kept, dropped = self._filter_new_cluster_proposals(movers)
         self.bus.add("GainReportMessage", configuration.num_memberships() - dropped)
         return execute_round(
             configuration,
@@ -315,8 +285,7 @@ class ReformulationProtocol:
                     break
                 seen_signatures.add(signature)
 
-        game = self._build_game()
-        self._previous_costs = self._snapshot_costs(game)
+        self._previous_costs = self.game.current_costs()
         result.message_counts = self.bus.snapshot()
         result.equalize_traces()
         return result
@@ -327,8 +296,7 @@ class ReformulationProtocol:
         Call this before applying workload/content updates so the
         cluster-creation rule can compare against pre-update costs.
         """
-        game = self._build_game()
-        self._previous_costs = self._snapshot_costs(game)
+        self._previous_costs = self.game.current_costs()
 
     def __repr__(self) -> str:
         return (

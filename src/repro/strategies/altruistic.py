@@ -211,9 +211,9 @@ class AltruisticStrategy(RelocationStrategy):
         matrix's peer rows — the peer x cluster contribution matrix (Eq. 6),
         the per-cluster maintenance-cost deltas, and each peer's current
         column (``-1`` when the peer belongs to none or to several of the
-        clusters) — or ``None`` when no recall matrix is attached.  The
-        hybrid strategy builds its altruistic term from exactly this state,
-        so the two batch paths can never diverge.
+        clusters) — or ``None`` when the game has no kernel.  The hybrid
+        strategy builds its altruistic term from exactly this state, so the
+        two batch paths can never diverge.
 
         The contributions come from
         :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.contribution_matrix`.
@@ -224,23 +224,15 @@ class AltruisticStrategy(RelocationStrategy):
         :meth:`propose`.  On a dense matrix they agree to ~1e-16, and an
         exact tie can break differently.
         """
-        matrix = context.game.cost_model.matrix
-        if matrix is None:
+        kernel = context.game.kernel
+        if kernel is None:
             return None
-        configuration = context.game.configuration
         cost_model = context.game.cost_model
-        kernel = context.game._active_kernel()
-        if kernel is not None:
-            # The kernel's live membership/size caches replace the per-round
-            # membership-matrix rebuild.
-            membership, sizes = kernel.membership_columns(cluster_order)
-        else:
-            membership, _ = configuration.membership_matrix(matrix.peer_order, cluster_order)
-            sizes = membership.sum(axis=0)
+        membership, sizes = kernel.membership_columns(cluster_order)
         current_columns = np.where(
             membership.sum(axis=1) == 1.0, np.argmax(membership, axis=1), -1
         )
-        contributions = matrix.contribution_matrix(membership)
+        contributions = cost_model.matrix.contribution_matrix(membership)
         join_increases = np.array(
             [self.join_cost_increase(cost_model, int(size)) for size in sizes], dtype=float
         )
@@ -252,18 +244,18 @@ class AltruisticStrategy(RelocationStrategy):
     def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
         """The movers among *peer_ids*, from the contribution arrays in exact mode.
 
-        Every peer in exactly one cluster is decided in one array pass with
-        :meth:`propose`'s rules; the others, and every other mode, go
+        On a game with a kernel, every peer in exactly one cluster is
+        decided in one array pass with :meth:`propose`'s rules; the others,
+        every peer of a game without a kernel, and every other mode go
         through :meth:`propose`.
         """
-        matrix = context.game.cost_model.matrix
-        configuration = context.game.configuration
-        cluster_order = configuration.nonempty_clusters()
-        if self.mode != "exact" or matrix is None or not cluster_order:
+        cluster_order = context.game.configuration.nonempty_clusters()
+        state = None
+        if self.mode == "exact" and cluster_order:
+            state = self.batch_state(context, cluster_order)
+        if state is None:
             return super().propose_all(peer_ids, context)
-        contributions, join_increases, leave_decreases, current = self.batch_state(
-            context, cluster_order
-        )
+        contributions, join_increases, leave_decreases, current = state
         rows = np.arange(current.size)
         decided = current >= 0
         current = np.where(decided, current, 0)

@@ -127,22 +127,19 @@ class SelfishStrategy(RelocationStrategy):
         return self._propose_observed(peer_id, context)
 
     def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
-        """The movers among *peer_ids*, straight from the kernel's selection arrays.
+        """The movers among *peer_ids*, straight from the game's selection arrays.
 
-        Exact mode on a best-response kernel scores every peer in one
-        vectorized selection and turns only the moving rows into proposals;
-        the peers the kernel cannot score (outside the single-cluster regime
-        or unknown to the recall matrix) and every other mode go through
+        Exact mode on a game with a kernel scores every peer in one
+        vectorized selection over the game's candidate clusters and keeps
+        only the moving rows; the peers the kernel cannot score (outside
+        the single-cluster regime or unknown to the recall matrix), every
+        peer of a game without a kernel, and every other mode go through
         :meth:`propose`.
         """
-        game = context.game
-        kernel = game._active_kernel()
-        if self.mode != "exact" or kernel is None or game.cost_model.matrix is None:
+        selection = context.game.selection() if self.mode == "exact" else None
+        if selection is None:
             return super().propose_all(peer_ids, context)
-        candidates, include_new = game._candidate_set(kernel.peer_order)
-        if not candidates:
-            return super().propose_all(peer_ids, context)
-        selection = kernel._select(candidates, include_new_cluster=include_new, tolerance=1e-12)
+        candidates = selection.candidates
         return self._movers_from_arrays(
             peer_ids,
             context,

@@ -26,9 +26,12 @@ from repro.datasets.scenarios import (
     build_scenario,
 )
 from repro.game.equilibrium import build_two_peer_counterexample
+from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.peers.peer import Peer
+from repro.session import SessionConfig, Simulation
+from repro.strategies.base import StrategyContext
 
 
 def make_tiny_network() -> PeerNetwork:
@@ -120,6 +123,45 @@ def cost_model_in_mode(network: PeerNetwork, mode: str, **options) -> CostModel:
         )
     )
     return model
+
+
+@pytest.fixture(scope="session")
+def uniform_quick():
+    """Uniform-scenario sessions at ``quick`` scale and seed 7, one per initial (read-only)."""
+    sessions = {}
+
+    def get(initial: str) -> Simulation:
+        if initial not in sessions:
+            sessions[initial] = Simulation(
+                SessionConfig(scale="quick", scenario="uniform", initial=initial, seed=7)
+            )
+        return sessions[initial]
+
+    return get
+
+
+def candidate_rule_contexts(simulation: Simulation, *, allow_new_clusters: bool):
+    """``(configuration, kernel context, exact context)`` over a copy of the session's configuration.
+
+    Both games are built with *allow_new_clusters*; the exact one has no
+    recall matrix, so it answers peer by peer through the per-query cost
+    model.
+    """
+    configuration = simulation.configuration.copy()
+    exact_model = simulation.network.cost_model(
+        theta=simulation.theta, alpha=simulation.experiment_config.alpha, use_matrix=False
+    )
+    return (
+        configuration,
+        StrategyContext(
+            game=ClusterGame(
+                simulation.cost_model, configuration, allow_new_clusters=allow_new_clusters
+            )
+        ),
+        StrategyContext(
+            game=ClusterGame(exact_model, configuration, allow_new_clusters=allow_new_clusters)
+        ),
+    )
 
 
 @pytest.fixture

@@ -191,22 +191,6 @@ class TestContributionsProperty:
                     assert got[row, column] == exact.get(cluster_id, 0.0)
 
 
-class TestLossMatrix:
-    def test_matches_per_cluster_recall_loss(self, matrix, tiny_configuration):
-        membership, clusters = tiny_configuration.membership_matrix(matrix.peer_order)
-        losses = matrix.loss_matrix_for_clusters(membership)
-        for row, peer_id in enumerate(matrix.peer_order):
-            for column, cluster_id in enumerate(clusters):
-                members = set(tiny_configuration.members(cluster_id))
-                members.add(peer_id)
-                expected = matrix.recall_loss(peer_id, sorted(members))
-                assert losses[row, column] == pytest.approx(expected)
-
-    def test_shape_validation(self, matrix):
-        with pytest.raises(ConfigurationError, match=r"one row per peer \(3 rows\), got 1"):
-            matrix.loss_matrix_for_clusters(np.zeros((1, 1)))
-
-
 class TestCoveredIndices:
     def test_duplicate_peer_mentions_are_counted_once(self, tiny_network):
         """The matrix path dedups covered peers exactly like the set() of the exact path."""

@@ -14,6 +14,7 @@ from repro.core.theta import (
     PolynomialTheta,
     theta_from_name,
 )
+from repro.errors import ConfigurationError
 
 ALL_THETAS = [LinearTheta(), LogarithmicTheta(), ConstantTheta(), PolynomialTheta(exponent=1.5)]
 
@@ -48,15 +49,38 @@ class TestThetaValues:
 
 
 class TestThetaValidation:
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            LinearTheta(slope=0)
-        with pytest.raises(ValueError):
-            LogarithmicTheta(scale=-1)
-        with pytest.raises(ValueError):
-            ConstantTheta(value=-0.1)
-        with pytest.raises(ValueError):
-            PolynomialTheta(exponent=-1)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LinearTheta(slope=0), "LinearTheta slope must be a finite number > 0, got 0"),
+            (lambda: LinearTheta(slope=math.inf), "LinearTheta slope .* got inf"),
+            (lambda: LogarithmicTheta(scale=-1), "LogarithmicTheta scale .* > 0, got -1"),
+            (lambda: ConstantTheta(value=-0.1), "ConstantTheta value .* >= 0, got -0.1"),
+            (lambda: ConstantTheta(value=math.nan), "ConstantTheta value .* got nan"),
+            (lambda: PolynomialTheta(exponent=-1), "PolynomialTheta exponent .* >= 0, got -1"),
+            (lambda: PolynomialTheta(scale=0.0), "PolynomialTheta scale .* > 0, got 0.0"),
+            (lambda: LinearTheta(slope="1"), "LinearTheta slope .* > 0, got '1'"),
+            (lambda: PolynomialTheta(exponent=True), "PolynomialTheta exponent .* got True"),
+        ],
+        ids=[
+            "linear-zero",
+            "linear-inf",
+            "log-negative",
+            "constant-negative",
+            "constant-nan",
+            "polynomial-negative-exponent",
+            "polynomial-zero-scale",
+            "linear-str",
+            "polynomial-bool",
+        ],
+    )
+    def test_invalid_parameters(self, build, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+    def test_boundary_values_are_accepted(self):
+        assert ConstantTheta(value=0.0)(3) == 0.0
+        assert PolynomialTheta(exponent=0.0)(3) == 1.0
 
 
 class TestThetaRegistry:

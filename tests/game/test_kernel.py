@@ -25,10 +25,12 @@ from repro.datasets.scenarios import (
     build_scenario,
     initial_configuration,
 )
+from repro.errors import UnknownPeerError
 from repro.experiments.config import ExperimentConfig
 from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
 from tests.conftest import BACKEND_MODES, cost_model_in_mode
+from tests.game_oracle import TableGame
 
 #: The Table 1 / Figure 1 data distributions.
 SCENARIOS = (SCENARIO_SAME_CATEGORY, SCENARIO_DIFFERENT_CATEGORY, SCENARIO_UNIFORM)
@@ -88,9 +90,10 @@ class TestExactParity:
             SCENARIO_SAME_CATEGORY, initial, backend
         )
         fast_game = ClusterGame(fast_model, configuration)
-        exact_game = ClusterGame(exact_model, configuration, use_kernel=False)
+        exact_game = ClusterGame(exact_model, configuration)
         responses = fast_game.best_responses()
-        assert fast_game._active_kernel() is not None
+        assert fast_game.kernel is not None
+        assert exact_game.kernel is None
         for peer_id in configuration.peer_ids():
             exact = exact_game.best_response(peer_id)
             assert responses[peer_id].best_cluster == exact.best_cluster
@@ -155,16 +158,24 @@ class TestExactParity:
         )
 
     def test_kernel_table_matches_reference_table_path(self, backend):
-        """Kernel cost table == the legacy rebuild-everything matrix path."""
+        """Kernel cost table and best responses == the rebuild-everything table."""
         data, configuration, fast_model, _ = build_setup(SCENARIO_SAME_CATEGORY, backend=backend)
-        kernel_game = ClusterGame(fast_model, configuration, allow_new_clusters=False)
-        reference_game = ClusterGame(
-            fast_model, configuration, allow_new_clusters=False, use_kernel=False
+        kernel_game = ClusterGame(fast_model, configuration)
+        table_game = TableGame(fast_model, configuration)
+        peer_order, table_clusters, reference_table = table_game.prospective_cost_table()
+        assert table_clusters == configuration.nonempty_clusters()
+        assert peer_order == kernel_game.kernel.peer_order
+        np.testing.assert_allclose(
+            kernel_game.kernel.cost_table(table_clusters), reference_table, atol=1e-9
         )
-        _, kernel_clusters, kernel_table = kernel_game.prospective_cost_table()
-        _, reference_clusters, reference_table = reference_game.prospective_cost_table()
-        assert kernel_clusters == reference_clusters
-        np.testing.assert_allclose(kernel_table, reference_table, atol=1e-9)
+        assert NEW_CLUSTER in kernel_game.candidate_clusters()
+        kernel_responses = kernel_game.best_responses()
+        table_responses = table_game.best_responses()
+        assert set(kernel_responses) == set(table_responses)
+        for peer_id, response in kernel_responses.items():
+            reference = table_responses[peer_id]
+            assert response.best_cluster == reference.best_cluster
+            assert response.best_cost == pytest.approx(reference.best_cost, abs=1e-9)
 
 
 def assert_same_membership(kernel, rebuilt):
@@ -246,12 +257,24 @@ class TestIncrementalMaintenance:
 
     def test_stale_kernel_is_bypassed_by_the_game(self, tiny_network, tiny_configuration):
         game = ClusterGame(tiny_network.cost_model(), tiny_configuration)
-        assert game._active_kernel() is not None
+        assert game.kernel is not None
         tiny_configuration.assign("mallory", "c3")
-        assert game._active_kernel() is None
-        # The reference path still answers (for the known peers).
-        responses = game.best_responses()
-        assert "alice" in responses
+        assert game.kernel is None
+        # The per-peer path answers for the known peers.
+        assert game.best_response("alice").peer_id == "alice"
+
+    @pytest.mark.parametrize("kernel_state", ["stale", "live"])
+    def test_unknown_peer_fails_best_responses_either_way(
+        self, tiny_network, tiny_configuration, kernel_state
+    ):
+        """A peer the recall matrix does not know is named, never silently dropped."""
+        game = ClusterGame(tiny_network.cost_model(), tiny_configuration)
+        if kernel_state == "stale":
+            assert game.kernel is not None  # built before mallory arrives
+        tiny_configuration.assign("mallory", "c3")
+        assert (game.kernel is None) == (kernel_state == "stale")
+        with pytest.raises(UnknownPeerError, match="mallory"):
+            game.best_responses()
 
 
 class TestListenerLifecycle:

@@ -1,4 +1,4 @@
-"""Tests for the cluster game: best responses, Nash check, vectorised table."""
+"""Tests for the cluster game: candidates, best responses, Nash check, batch path."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ def game(tiny_network, tiny_configuration):
 
 class TestCandidateClusters:
     def test_default_candidates_include_new_cluster_slot(self, game):
-        candidates = game.candidate_clusters("alice")
+        candidates = game.candidate_clusters()
         assert "c1" in candidates and "c2" in candidates
         assert NEW_CLUSTER in candidates
 
@@ -26,15 +26,14 @@ class TestCandidateClusters:
             tiny_configuration,
             allow_new_clusters=False,
         )
-        assert NEW_CLUSTER not in game.candidate_clusters("alice")
+        assert NEW_CLUSTER not in game.candidate_clusters()
 
-    def test_explicit_candidates_override(self, tiny_network, tiny_configuration):
-        game = ClusterGame(
-            tiny_network.cost_model(use_matrix=False),
-            tiny_configuration,
-            candidate_clusters=["c1"],
+    def test_no_new_cluster_option_without_an_empty_slot(self, tiny_network):
+        configuration = ClusterConfiguration(
+            ["c1", "c2"], {"alice": "c1", "carol": "c1", "bob": "c2"}
         )
-        assert game.candidate_clusters("alice") == ["c1"]
+        game = ClusterGame(tiny_network.cost_model(use_matrix=False), configuration)
+        assert game.candidate_clusters() == ["c1", "c2"]
 
 
 class TestBestResponse:
@@ -53,7 +52,7 @@ class TestBestResponse:
 
     def test_cost_by_cluster_contains_all_candidates(self, game):
         costs = game.cost_by_cluster("alice")
-        assert set(costs) == set(game.candidate_clusters("alice"))
+        assert set(costs) == set(game.candidate_clusters())
 
     def test_pgain_matches_best_response(self, game):
         assert game.pgain("bob") == pytest.approx(game.best_response("bob").gain)
@@ -83,20 +82,6 @@ class TestNashEquilibrium:
 
 
 class TestVectorisedTable:
-    def test_table_requires_matrix(self, game):
-        with pytest.raises(ValueError):
-            game.prospective_cost_table()
-
-    def test_table_matches_scalar_prospective_costs(self, tiny_network, tiny_configuration):
-        cost_model = tiny_network.cost_model(use_matrix=True)
-        game = ClusterGame(cost_model, tiny_configuration, allow_new_clusters=False)
-        peer_order, cluster_order, costs = game.prospective_cost_table()
-        for row, peer_id in enumerate(peer_order):
-            for column, cluster_id in enumerate(cluster_order):
-                assert costs[row, column] == pytest.approx(
-                    game.prospective_cost(peer_id, cluster_id)
-                )
-
     def test_best_responses_match_per_peer_best_response(self, tiny_network, tiny_configuration):
         fast_game = ClusterGame(tiny_network.cost_model(use_matrix=True), tiny_configuration)
         slow_game = ClusterGame(tiny_network.cost_model(use_matrix=False), tiny_configuration)
@@ -121,3 +106,33 @@ class TestVectorisedTable:
             slow = slow_game.best_response(peer_id)
             assert fast[peer_id].best_cost == pytest.approx(slow.best_cost)
             assert fast[peer_id].gain == pytest.approx(slow.gain)
+
+    def test_batch_costs_come_from_the_kernel_when_there_is_one(
+        self, tiny_network, tiny_configuration
+    ):
+        fast_game = ClusterGame(tiny_network.cost_model(use_matrix=True), tiny_configuration)
+        slow_game = ClusterGame(tiny_network.cost_model(use_matrix=False), tiny_configuration)
+        assert fast_game.kernel is not None and slow_game.kernel is None
+        assert fast_game.social_cost() == fast_game.kernel.social_cost()
+        assert fast_game.workload_cost(normalized=True) == fast_game.kernel.workload_cost(
+            normalized=True
+        )
+        assert fast_game.social_cost() == pytest.approx(slow_game.social_cost())
+        slow_costs = slow_game.current_costs()
+        assert set(slow_costs) == set(tiny_configuration.peer_ids())
+        assert fast_game.current_costs() == pytest.approx(slow_costs)
+
+    def test_selection_scores_the_candidate_clusters(self, game, tiny_network, tiny_configuration):
+        assert game.selection() is None  # no recall matrix, no kernel
+        for allow_new_clusters in (True, False):
+            fast_game = ClusterGame(
+                tiny_network.cost_model(use_matrix=True),
+                tiny_configuration,
+                allow_new_clusters=allow_new_clusters,
+            )
+            selection = fast_game.selection()
+            assert selection.candidates == ["c1", "c2"]
+            assert selection.eligible.all()
+            responses = fast_game.best_responses()
+            for row, peer_id in enumerate(fast_game.kernel.peer_order):
+                assert (not selection.stay[row]) == responses[peer_id].wants_to_move

@@ -6,8 +6,11 @@ observation path in ``tests/traffic/test_observation.py``.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter, build_router
 
 
@@ -23,9 +26,10 @@ class TestBroadcastRouter:
 
 
 class TestProbeKRouter:
-    def test_k_must_be_positive(self, tiny_network):
-        with pytest.raises(ValueError):
-            ProbeKRouter(tiny_network, k=0)
+    @pytest.mark.parametrize("k", [0, -2, 1.5, True, "2"])
+    def test_k_must_be_positive(self, tiny_network, k):
+        with pytest.raises(ConfigurationError, match=re.escape(f"integer >= 1, got {k!r}")):
+            ProbeKRouter(tiny_network, k=k)
 
     def test_k1_only_reaches_own_cluster(self, tiny_network, tiny_configuration):
         router = ProbeKRouter(tiny_network, k=1)

@@ -12,6 +12,7 @@ from repro.strategies.selfish import SelfishStrategy
 from repro.strategies.altruistic import AltruisticStrategy
 from repro.strategies.base import RelocationProposal, RelocationStrategy
 from repro.baselines.static import StaticStrategy
+from repro.session import SessionConfig, Simulation
 from tests.conftest import make_small_scenario, make_tiny_network
 
 
@@ -118,6 +119,37 @@ class TestScenarioRuns:
         protocol.run(max_rounds=30)
         assert configuration.num_nonempty_clusters() <= before
         assert len(configuration.peer_ids()) == scenario.config.num_peers
+
+    def test_restrict_to_nonempty_wins_over_allowed_creation(self):
+        """Restricted candidates hold no fresh cluster, so the count never rises,
+        although the session leaves cluster creation on."""
+        simulation = Simulation(
+            SessionConfig(
+                scale="quick",
+                scenario="uniform",
+                initial="fewer",
+                strategy="selfish",
+                seed=7,
+                restrict_to_nonempty=True,
+            )
+        )
+        assert simulation.config.allow_cluster_creation
+        result = simulation.run()
+        assert result.cluster_count_trace[0] == 2
+        assert max(result.cluster_count_trace) == 2
+        assert result.moves > 0
+
+    def test_one_game_serves_every_round(self):
+        scenario = make_small_scenario()
+        configuration = scenario.network.singleton_configuration()
+        protocol = ReformulationProtocol(
+            scenario.network.cost_model(), configuration, SelfishStrategy()
+        )
+        game, kernel = protocol.game, protocol.game.kernel
+        result = protocol.run(max_rounds=30)
+        assert result.total_moves > 0
+        assert protocol.game is game and game.kernel is kernel
+        assert game.configuration is configuration
 
     def test_creation_cost_increase_gate(self):
         """With a huge creation threshold and no prior costs remembered, NEW_CLUSTER

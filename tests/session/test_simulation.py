@@ -226,7 +226,7 @@ class TestAutoBackendRecallMode:
         simulation = Simulation.from_config(QUICK)
         assert simulation.cost_model.matrix.mode == "factored"
         simulation.run()
-        assert simulation.last_protocol._kernel.backend == "labels"
+        assert simulation.last_protocol.game.kernel.backend == "labels"
 
     def test_maintenance_loop_builds_a_factored_matrix(self, low_threshold):
         simulation = Simulation.from_config(QUICK.with_options(initial="category"))
@@ -245,7 +245,7 @@ class TestAutoBackendRecallMode:
         simulation = Simulation.from_config(QUICK)
         assert simulation.cost_model.matrix.mode == "dense"
         simulation.run()
-        assert simulation.last_protocol._kernel.backend == "dense"
+        assert simulation.last_protocol.game.kernel.backend == "dense"
 
 
 class TestDeclarativeDynamics:

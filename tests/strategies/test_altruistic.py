@@ -15,7 +15,7 @@ from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
 from repro.strategies.base import StrategyContext
 from repro.strategies.hybrid import HybridStrategy
 from repro.traffic.simulator import observe_period
-from tests.conftest import assert_movers_match
+from tests.conftest import assert_movers_match, candidate_rule_contexts
 
 
 @pytest.fixture
@@ -154,6 +154,26 @@ class TestBatchEquivalence:
         assert batch
         assert_movers_match(
             batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
+        )
+
+
+    @pytest.mark.parametrize("initial", ["random", "fewer"])
+    @pytest.mark.parametrize("allow_new_clusters", [True, False])
+    def test_propose_all_matches_individual_under_every_candidate_rule(
+        self, uniform_quick, initial, allow_new_clusters
+    ):
+        configuration, fast_context, slow_context = candidate_rule_contexts(
+            uniform_quick(initial), allow_new_clusters=allow_new_clusters
+        )
+        strategy = AltruisticStrategy()
+        batch = strategy.propose_all(configuration.peer_ids(), fast_context)
+        assert fast_context.game.kernel is not None
+        assert batch
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, slow_context),
+            configuration.peer_ids(),
+            abs=1e-9,
         )
 
 

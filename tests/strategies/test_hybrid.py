@@ -11,7 +11,7 @@ from repro.peers.configuration import ClusterConfiguration
 from repro.strategies.base import StrategyContext
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.selfish import SelfishStrategy
-from tests.conftest import assert_movers_match
+from tests.conftest import assert_movers_match, candidate_rule_contexts
 
 
 @pytest.fixture
@@ -76,10 +76,29 @@ class TestVectorisedProposeAll:
         strategy = HybridStrategy(weight=0.5)
         peer_ids = configuration.peer_ids()
         batch = strategy.propose_all(peer_ids, context)
-        assert game._active_kernel() is not None
+        assert game.kernel is not None
         assert batch
         assert_movers_match(
             batch, lambda peer_id: strategy.propose(peer_id, context), peer_ids, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("initial", ["random", "fewer"])
+    @pytest.mark.parametrize("allow_new_clusters", [True, False])
+    def test_batch_matches_per_peer_under_every_candidate_rule(
+        self, uniform_quick, initial, allow_new_clusters
+    ):
+        configuration, fast_context, slow_context = candidate_rule_contexts(
+            uniform_quick(initial), allow_new_clusters=allow_new_clusters
+        )
+        strategy = HybridStrategy(weight=0.5)
+        batch = strategy.propose_all(configuration.peer_ids(), fast_context)
+        assert fast_context.game.kernel is not None
+        assert batch
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, slow_context),
+            configuration.peer_ids(),
+            abs=1e-9,
         )
 
     def test_batch_never_targets_the_current_cluster(self, small_scenario):

@@ -11,7 +11,7 @@ from repro.peers.configuration import ClusterConfiguration
 from repro.strategies.base import StrategyContext
 from repro.traffic.simulator import observe_period
 from repro.strategies.selfish import SelfishStrategy
-from tests.conftest import assert_movers_match
+from tests.conftest import assert_movers_match, candidate_rule_contexts
 
 
 @pytest.fixture
@@ -88,12 +88,33 @@ class TestExactMode:
             game=ClusterGame(small_scenario.network.cost_model(use_matrix=False), configuration)
         )
         batch = strategy.propose_all(configuration.peer_ids(), fast_context)
-        assert fast_context.game._active_kernel() is not None
+        assert fast_context.game.kernel is not None
         assert {"c0", "c1", NEW_CLUSTER} <= {mover.target_cluster for mover in batch.values()}
         assert_movers_match(
             batch, lambda peer_id: strategy.propose(peer_id, slow_context), configuration.peer_ids()
         )
 
+    @pytest.mark.parametrize("initial", ["random", "fewer"])
+    @pytest.mark.parametrize("allow_new_clusters", [True, False])
+    def test_propose_all_follows_the_games_candidate_rule(
+        self, uniform_quick, initial, allow_new_clusters
+    ):
+        """Batch and per-peer proposals read one candidate list: a fresh cluster
+        is proposed only when creation is allowed."""
+        configuration, fast_context, slow_context = candidate_rule_contexts(
+            uniform_quick(initial), allow_new_clusters=allow_new_clusters
+        )
+        strategy = SelfishStrategy()
+        batch = strategy.propose_all(configuration.peer_ids(), fast_context)
+        assert fast_context.game.kernel is not None
+        creating = any(mover.target_cluster == NEW_CLUSTER for mover in batch.values())
+        assert creating == allow_new_clusters
+        assert_movers_match(
+            batch,
+            lambda peer_id: strategy.propose(peer_id, slow_context),
+            configuration.peer_ids(),
+            abs=1e-9,
+        )
 
     def test_multi_cluster_peers_go_through_propose(self, tiny_network):
         configuration = ClusterConfiguration(

@@ -365,6 +365,20 @@ class TestEventOrderingUnderFaults:
         with pytest.raises(ConfigurationError, match="phase"):
             run_sweep(spec, executor=executor, retries=3)
 
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES[:2])
+    def test_bad_theta_option_aborts_instead_of_quarantining(self, executor, seeds):
+        spec = tiny_spec(
+            seeds=seeds,
+            strategies=("selfish",),
+            overrides={
+                "scenario_overrides": dict(TINY_SCENARIO),
+                "theta": "polynomial",
+                "theta_options": {"exponent": -1},
+            },
+        )
+        with pytest.raises(ConfigurationError, match="PolynomialTheta exponent .* got -1"):
+            run_sweep(spec, executor=executor, retries=3)
+
     @pytest.mark.parametrize("executor, seeds", POOL_CASES)
     def test_contract_holds_through_a_pool_crash(self, executor, seeds):
         from repro.sweep import FaultPlan, FaultRule

@@ -40,6 +40,11 @@ class TestCommands:
         assert "SCost before" in output
         assert output.count("\n") >= 4
 
+    def test_bad_router_option_is_a_clean_error(self, capsys):
+        arguments = ["traffic", "--scale", "quick", "--router", "probe-k"]
+        assert main([*arguments, "--router-options", '{"k": 0}']) == 2
+        assert "error: probe-k router k must be an integer >= 1, got 0" in capsys.readouterr().err
+
     def test_figure4_command(self, capsys):
         assert main(["figure4", "--scale", "quick"]) == 0
         assert "alpha=1" in capsys.readouterr().out
