@@ -26,7 +26,12 @@ recall matrix forced dense) runs everywhere; the 50k round is opted into
 with ``REPRO_BENCH_KERNEL_FULL=1`` because its scenario alone takes ~15s to
 build.  Peak RSS is ``ru_maxrss`` — a process-wide high-water mark, so it
 is monotone across the (deterministically ordered) benchmarks of a run and
-comparable between runs.  The last benchmark runs one cold 5k altruistic
+comparable between runs.  ``test_labels_moves_5k`` times move application:
+with the covered columns live, a fixed list of 100 moves goes through the
+labels kernel, which updates only the rows each mover reaches, and through
+``tests/game_oracle.py``'s ``FullWidthKernel``, which updates whole columns;
+the states must stay equal and the labels side must be >=3x faster on the
+medians of 5 alternating pairs.  The last benchmark runs one cold 5k altruistic
 ``propose_all`` (Eq. 6 contributions from the factored recall) and asserts
 that its ``tracemalloc`` peak stays below 128 MiB, far under the 191 MiB of
 a single 5k x 5k float64 array; its timing comes from the warm rounds after
@@ -40,12 +45,14 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import resource
 import statistics
 import time
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import print_block
@@ -62,7 +69,7 @@ from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
 from repro.strategies.altruistic import AltruisticStrategy
 from repro.strategies.base import StrategyContext
-from tests.game_oracle import TableGame
+from tests.game_oracle import FullWidthKernel, TableGame
 
 #: Population sizes (the paper's experiments use 200).
 SIZES = (50, 200, 500)
@@ -85,6 +92,9 @@ SCALED_SIZES = (
     ),
 )
 SCALED_CLUSTERS = {5000: 200, 50000: 500}
+#: Moves in the move-application benchmark's fixed list, and its speedup floor.
+MOVE_COUNT = 100
+MOVE_SPEEDUP_FLOOR = 3.0
 #: Ceiling on the traced peak of the 5k altruistic round: one 5k x 5k float64
 #: array is 191 MiB, so no |P| x |P| array fits under it.
 ALTRUISTIC_PEAK_LIMIT_MB = 128
@@ -348,6 +358,92 @@ def test_labels_vs_dense_round_5k(benchmark, scaled_setups):
     # *improved* speedup.
     benchmark.extra_info["peak_rss_mb"] = round(peak_rss_mb(), 1)
     assert speedup >= 10.0, f"expected >=10x labels speedup, measured {speedup:.1f}x"
+
+
+def seeded_moves(configuration, count: int, seed: int):
+    """``count`` moves ``(peer, from, to)`` of distinct peers, each to another nonempty cluster."""
+    rng = random.Random(seed)
+    clusters = configuration.nonempty_clusters()
+    moves = []
+    for peer_id in rng.sample(configuration.peer_ids(), count):
+        source = configuration.cluster_of(peer_id)
+        target = rng.choice([cluster_id for cluster_id in clusters if cluster_id != source])
+        moves.append((peer_id, source, target))
+    return moves
+
+
+def apply_moves(kernel, moves) -> float:
+    """Apply *moves* to the kernel's configuration; the seconds it took."""
+    move = kernel.configuration.move
+    started = time.perf_counter()
+    for peer_id, source, target in moves:
+        move(peer_id, source, target)
+    return time.perf_counter() - started
+
+
+def test_labels_moves_5k(benchmark, scaled_setups):
+    """5k-peer move application: reach-bounded updates >=3x the full-width ones, same state.
+
+    Both kernels start with the ``CW`` and ``CV`` columns of every
+    nonempty cluster live, and the moves stay among those clusters, so each
+    move updates four columns.  Batches alternate between the moves and
+    their reversal, so each starts from the same membership, and both
+    kernels play the same batches in the same order.
+    """
+    num_peers = 5000
+    _, configuration, cost_model = scaled_setups(num_peers)
+    forward = seeded_moves(configuration, MOVE_COUNT, seed=21)
+    back = [(peer_id, target, source) for peer_id, source, target in reversed(forward)]
+    clusters = configuration.nonempty_clusters()
+
+    def live(kernel_type):
+        kernel = kernel_type(cost_model, configuration.copy())
+        assert kernel.backend == "labels"
+        kernel.cost_table(clusters)
+        kernel.global_covered()
+        return kernel
+
+    with scenario_frozen():
+        # The benchmark entry times a labels kernel of its own, a round trip per round.
+        benchmark.pedantic(
+            apply_moves,
+            args=(live(BestResponseKernel), forward + back),
+            iterations=1,
+            rounds=10,
+            warmup_rounds=1,
+        )
+        labels, full_width = live(BestResponseKernel), live(FullWidthKernel)
+        pairs = []
+        for index in range(SPEEDUP_PAIRS):
+            batch = back if index % 2 else forward
+            pairs.append((apply_moves(labels, batch), apply_moves(full_width, batch)))
+    assert np.array_equal(labels.cost_table(clusters), full_width.cost_table(clusters))
+    assert np.array_equal(labels.global_covered(), full_width.global_covered())
+
+    factored = cost_model.matrix.factored()
+    row_of = cost_model.matrix.peer_index
+    reached = [factored.reached_column(row_of[peer_id])[0].size for peer_id, _, _ in forward]
+    labels_seconds = statistics.median(pair[0] for pair in pairs)
+    full_width_seconds = statistics.median(pair[1] for pair in pairs)
+    speedup = full_width_seconds / labels_seconds
+    print_block(
+        f"Move application at {num_peers} peers ({MOVE_COUNT} moves, "
+        f"median of {SPEEDUP_PAIRS} pairs)",
+        format_table(
+            ("update", "seconds", "rows per column"),
+            (
+                ("full width (tests/game_oracle.py)", f"{full_width_seconds:.3f}", str(num_peers)),
+                ("reached rows", f"{labels_seconds:.3f}", f"{statistics.fmean(reached):.0f}"),
+                ("speedup", f"{speedup:.1f}x", ""),
+            ),
+        ),
+    )
+    # Lower-is-better metrics only (see test_labels_vs_dense_round_5k).
+    benchmark.extra_info["moves_s"] = round(min(pair[0] for pair in pairs), 4)
+    benchmark.extra_info["rows_reached_per_move"] = round(statistics.fmean(reached), 1)
+    assert speedup >= MOVE_SPEEDUP_FLOOR, (
+        f"expected >={MOVE_SPEEDUP_FLOOR:.0f}x over full-width updates, measured {speedup:.1f}x"
+    )
 
 
 def test_altruistic_round_5k(benchmark, scaled_setups):

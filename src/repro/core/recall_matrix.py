@@ -26,12 +26,15 @@ regardless of population size)::
 where ``qidx``/``w`` are per-peer padded query-index and weight arrays with
 at most ``kmax`` (queries per peer) columns.  :class:`FactoredRecall` holds
 exactly these arrays: O(|P| * kmax + |Q_u| * |P|) memory instead of O(|P|^2),
-with every column / covered-column of ``W`` recoverable as an O(|P| * kmax)
-gather.  The altruistic contribution measure (Eq. 6) factors the same way,
-through the integer result counts ``R[q, j] = result(q, p_j)`` and the
-per-cluster query demand :meth:`FactoredRecall.query_demand`.  This is what
-lets the label-vector best-response kernel and the 100k-peer benchmarks run
-without ever materialising a |P| x |P| array.
+with every covered-column of ``W`` recoverable as an O(|P| * kmax) gather.
+A single provider's column is nonzero only on the peers that issue a query
+it answers: :meth:`FactoredRecall.reached_column` finds them through a
+query -> issuers index and gathers those rows alone.  The altruistic
+contribution measure (Eq. 6) factors the same way, through the integer
+result counts ``R[q, j] = result(q, p_j)`` and the per-cluster query
+demand :meth:`FactoredRecall.query_demand`.  This is what lets the
+label-vector best-response kernel and the 100k-peer benchmarks run without
+ever materialising a |P| x |P| array.
 
 The dense matrices are now *built from* the factored form with a per-query
 accumulation that reproduces the historical per-row Python loop bit for bit
@@ -86,7 +89,16 @@ class FactoredRecall:
         ``num(q, Q(p)) / num(Q)`` and the raw counts ``num(q, Q(p))``.
     """
 
-    __slots__ = ("queries", "B", "B_totals", "qidx", "w_local", "w_global", "w_count")
+    __slots__ = (
+        "queries",
+        "B",
+        "B_totals",
+        "qidx",
+        "w_local",
+        "w_global",
+        "w_count",
+        "_issuers",
+    )
 
     def __init__(
         self,
@@ -105,6 +117,7 @@ class FactoredRecall:
         self.w_local = w_local
         self.w_global = w_global
         self.w_count = w_count
+        self._issuers: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -178,13 +191,46 @@ class FactoredRecall:
         gathered = self.B[self.qidx, np.arange(self.population)[:, None]]
         return (self.w_local * gathered).sum(axis=1)
 
-    def column_local(self, column: int) -> np.ndarray:
-        """``W[:, column]`` — every peer's weighted recall of one provider."""
-        return (self.w_local * self.B[self.qidx, column]).sum(axis=1)
+    def issuers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, rows)``: which rows issue each distinct query, in CSR form.
 
-    def column_global(self, column: int) -> np.ndarray:
-        """``V[:, column]``."""
-        return (self.w_global * self.B[self.qidx, column]).sum(axis=1)
+        ``rows[indptr[q]:indptr[q + 1]]`` are the rows whose workload holds
+        query ``q`` (their ``w_count != 0`` slots), ascending: the inverted
+        index of ``qidx``.  Built on first use, then cached.
+        """
+        if self._issuers is None:
+            slot_rows, slot_columns = np.nonzero(self.w_count)
+            slot_queries = self.qidx[slot_rows, slot_columns]
+            order = np.argsort(slot_queries, kind="stable")
+            indptr = np.zeros(len(self.queries) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(slot_queries, minlength=len(self.queries)), out=indptr[1:])
+            self._issuers = (indptr, slot_rows[order])
+        return self._issuers
+
+    def reached_column(self, column: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, W[rows, column], V[rows, column])`` over the rows provider *column* reaches.
+
+        ``rows`` are the issuers (:meth:`issuers`) of the queries the
+        provider answers (``B[q, column] != 0``), ascending.  Each reached
+        entry is the full-width sum ``(w[row] * B[qidx[row], column]).sum()``
+        over all ``kmax`` slots, padding included, so it is bit-identical to
+        the same entry of a whole-column gather.  Every other row's entry is
+        an exact ``+0.0``: each of its terms multiplies a zero recall or a
+        zero padding weight.  The cost follows the provider's reach, not the
+        population.
+        """
+        recall = self.B[:, column].copy()
+        indptr, issuer_rows = self.issuers()
+        reached = np.zeros(self.population, dtype=bool)
+        for query in np.flatnonzero(recall).tolist():
+            reached[issuer_rows[indptr[query] : indptr[query + 1]]] = True
+        rows = np.flatnonzero(reached)
+        gathered = recall[self.qidx[rows]]
+        return (
+            rows,
+            (self.w_local[rows] * gathered).sum(axis=1),
+            (self.w_global[rows] * gathered).sum(axis=1),
+        )
 
     def covered_local(self, columns: np.ndarray) -> np.ndarray:
         """``W[:, columns].sum(axis=1)`` — covered recall of one member set.

@@ -25,13 +25,18 @@ form the population picks:
   :class:`~repro.core.recall_matrix.FactoredRecall` arrays: a cluster's
   member columns collapse to a per-query group recall (O(|Q_u| x
   |members|)), then one O(|P| x kmax) gather redistributes it.  A peer move
-  updates two columns in O(|P|) and **no |P| x |C| matrix exists
-  anywhere** — this is what makes best-response rounds at 10k-100k peers
-  fit on one box.
+  updates its two clusters' columns only on the rows it reaches — the peers
+  that issue a query the mover answers, found through the recall's
+  query -> issuers index — in O(reach x kmax) per column.  On the 5,000-peer
+  same-category scenario a provider reaches ~490 rows, so one side of a
+  move (``CW`` and ``CV``) takes ~0.35 ms instead of ~3 ms for whole
+  columns.  **No |P| x |C| matrix exists anywhere** — this is what makes
+  best-response rounds at 10k-100k peers fit on one box.
 
 The kernel registers itself as a configuration listener, so every
-``assign`` / ``move`` / ``remove_peer`` updates the caches in ``O(|P|)``
-(one column add/subtract) instead of triggering a full rebuild.
+``assign`` / ``move`` / ``remove_peer`` updates the caches incrementally
+(one column add/subtract: all |P| rows under ``dense``, the mover's reach
+under ``labels``) instead of triggering a full rebuild.
 :meth:`select` then scores *all* candidates for *all* peers with pure
 array arithmetic, including the :data:`~repro.core.costs.NEW_CLUSTER`
 option when the candidate list holds it, and reproduces the per-peer
@@ -316,13 +321,7 @@ class BestResponseKernel:
         self._sizes[column] += 1.0
         self._assign_label(row, column)
         if self.backend == "labels":
-            covered = self._cw.get(column)
-            if covered is not None:
-                covered += self._source.column_local(row)
-            if self._cv_active:
-                covered_global = self._cv.get(column)
-                if covered_global is not None:
-                    covered_global += self._source.column_global(row)
+            self._update_covered(row, column, np.add)
             return
         self._CW[:, column] += self._W[:, row]
         if self._CV is not None:
@@ -339,17 +338,30 @@ class BestResponseKernel:
         self._sizes[column] -= 1.0
         self._unassign_label(row, column)
         if self.backend == "labels":
-            covered = self._cw.get(column)
-            if covered is not None:
-                covered -= self._source.column_local(row)
-            if self._cv_active:
-                covered_global = self._cv.get(column)
-                if covered_global is not None:
-                    covered_global -= self._source.column_global(row)
+            self._update_covered(row, column, np.subtract)
             return
         self._CW[:, column] -= self._W[:, row]
         if self._CV is not None:
             self._CV[:, column] -= self._V[:, row]
+
+    def _update_covered(self, row: int, column: int, operation: np.ufunc) -> None:
+        """Add (``np.add``) or take away (``np.subtract``) provider *row* in column *column*.
+
+        Labels backend only: updates whichever of the cluster's covered
+        columns ``CW``/``CV`` are live, on the rows the provider reaches
+        (:meth:`FactoredRecall.reached_column`).  Every other row's term is
+        an exact ``+0.0``, so skipping it leaves the column bit-identical to
+        a whole-column update.
+        """
+        covered = self._cw.get(column)
+        covered_global = self._cv.get(column) if self._cv_active else None
+        if covered is None and covered_global is None:
+            return
+        rows, local, global_ = self._source.reached_column(row)
+        if covered is not None:
+            covered[rows] = operation(covered[rows], local)
+        if covered_global is not None:
+            covered_global[rows] = operation(covered_global[rows], global_)
 
     def configuration_cluster_added(self, cluster_id: ClusterId) -> None:
         if cluster_id not in self._cluster_index:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, ScenarioConfig
 from repro.errors import ConfigurationError
@@ -43,6 +43,16 @@ _THRESHOLDS = {
 _CHOICES = {
     "strategy_mode": ("exact", "observed"),
 }
+
+
+def _reject_unknown_keys(keys: Iterable[Any], cls: type, what: str) -> None:
+    """Raise a :class:`ConfigurationError` naming the keys that are not fields of *cls*."""
+    known = {spec.name for spec in fields(cls)}
+    unknown = set(keys) - known
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} keys {sorted(unknown, key=repr)}; valid keys: {sorted(known)}"
+        )
 
 
 def _finite_non_negative(value: Any) -> bool:
@@ -168,6 +178,8 @@ class SessionConfig:
         # the CLI and sweep specs.
         if not _plainly_valid(self):
             _check_protocol_settings(self)
+        if self.scenario_overrides:
+            _reject_unknown_keys(self.scenario_overrides, ScenarioConfig, "scenario_overrides")
 
     # -- constructors ------------------------------------------------------------
 
@@ -187,21 +199,19 @@ class SessionConfig:
         """Build a config from a plain mapping (JSON/CLI use).
 
         Unknown keys raise :class:`~repro.errors.ConfigurationError` listing
-        the valid field names.  A nested ``base`` mapping is materialised as
-        an :class:`ExperimentConfig` (with its nested ``scenario``).
+        the valid field names, at every level.  A nested ``base`` mapping is
+        materialised as an :class:`ExperimentConfig` (with its nested
+        ``scenario``).
         """
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown session config keys {unknown}; valid keys: {sorted(known)}"
-            )
+        _reject_unknown_keys(mapping, cls, "session config")
         values = dict(mapping)
         base = values.get("base")
         if isinstance(base, Mapping):
+            _reject_unknown_keys(base, ExperimentConfig, "base")
             base_values = dict(base)
             scenario = base_values.get("scenario")
             if isinstance(scenario, Mapping):
+                _reject_unknown_keys(scenario, ScenarioConfig, "base.scenario")
                 base_values["scenario"] = ScenarioConfig(**scenario)
             values["base"] = ExperimentConfig(**base_values)
         return cls(**values)
@@ -230,12 +240,7 @@ class SessionConfig:
 
     def with_options(self, **overrides: Any) -> "SessionConfig":
         """A copy of this config with some fields replaced."""
-        known = {spec.name for spec in fields(type(self))}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown session config keys {unknown}; valid keys: {sorted(known)}"
-            )
+        _reject_unknown_keys(overrides, type(self), "session config")
         return replace(self, **overrides)
 
     def experiment_config(self) -> ExperimentConfig:

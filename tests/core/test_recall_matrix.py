@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,15 @@ from repro.core.documents import Document
 from repro.core.queries import Query
 from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.errors import ConfigurationError, UnknownPeerError
+from repro.game.kernel import BestResponseKernel
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.peers.peer import Peer
 from repro.strategies.altruistic import exact_contributions
 from repro.strategies.base import StrategyContext
+from tests.conftest import cost_model_in_mode
+from tests.game_oracle import FullWidthKernel, column_global, column_local
 
 
 @pytest.fixture
@@ -189,6 +194,121 @@ class TestContributionsProperty:
                 exact = exact_contributions(peer_id, context)
                 for column, cluster_id in enumerate(clusters):
                     assert got[row, column] == exact.get(cluster_id, 0.0)
+
+
+TERMS = ("a", "b", "c", "d", "e")
+#: The one- and two-term queries over TERMS: 15 distinct queries.
+QUERY_POOL = [(term,) for term in TERMS] + list(itertools.combinations(TERMS, 2))
+#: A query on a term no document holds: nobody answers it.
+UNANSWERED = ("z",)
+
+
+def draw_reach_network(data):
+    """A small random network whose factored recall has every reach corner case.
+
+    Fixed peers: ``mute`` holds no document and asks only what nobody
+    answers, ``quiet`` asks nothing, and ``wide`` asks 9-12 distinct queries
+    (more than 8 slots: numpy sums such rows pairwise, not left to right).
+    Up to five more peers draw documents and queries freely.
+    """
+    documents = st.lists(
+        st.lists(st.sampled_from(TERMS), min_size=1, max_size=3), max_size=3
+    )
+    counts = st.integers(min_value=1, max_value=3)
+
+    def peer(peer_id, queries):
+        words = data.draw(documents, label=f"{peer_id} documents")
+        issued = Peer(peer_id, documents=[Document(terms) for terms in words])
+        for query in data.draw(queries, label=f"{peer_id} queries"):
+            issued.issue_query(Query(query), data.draw(counts, label="count"))
+        return issued
+
+    mute = Peer("mute")
+    mute.issue_query(Query(UNANSWERED), 2)
+    peers = [
+        mute,
+        peer("quiet", st.just([])),
+        peer("wide", st.lists(st.sampled_from(QUERY_POOL), min_size=9, max_size=12, unique=True)),
+    ]
+    free_queries = st.lists(
+        st.sampled_from([*QUERY_POOL, UNANSWERED]), max_size=6, unique=True
+    )
+    for index in range(data.draw(st.integers(min_value=0, max_value=5), label="peers")):
+        peers.append(peer(f"p{index}", free_queries))
+    return PeerNetwork(peers)
+
+
+class TestReachedColumnProperty:
+    """Reach-bounded provider columns equal the full-width gather, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reached_columns_scatter_to_the_full_width_columns(self, data):
+        network = draw_reach_network(data)
+        factored = WeightedRecallMatrix(
+            network.recall_model(), network.workloads(), mode="factored"
+        ).factored()
+        population = factored.population
+        assert factored.qidx.shape[1] > 8
+
+        indptr, issuer_rows = factored.issuers()
+        for query in range(len(factored.queries)):
+            issuing = np.flatnonzero(
+                ((factored.qidx == query) & (factored.w_count != 0)).any(axis=1)
+            )
+            assert issuer_rows[indptr[query] : indptr[query + 1]].tolist() == issuing.tolist()
+
+        for column in range(population):
+            rows, local, global_ = factored.reached_column(column)
+            for got, want in (
+                (local, column_local(factored, column)),
+                (global_, column_global(factored, column)),
+            ):
+                scattered = np.zeros(population)
+                scattered[rows] = got
+                assert np.array_equal(scattered, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_kernel_updates_equal_full_width_updates(self, data):
+        """Moves, extra memberships and departures leave both kernels' state ``==``."""
+        network = draw_reach_network(data)
+        peer_ids = network.peer_ids()
+        clusters = [f"c{index}" for index in range(data.draw(st.integers(2, 4), label="slots"))]
+        configuration = ClusterConfiguration(clusters)
+        for peer_id in peer_ids:
+            # Two homes: a multi-membership row.
+            homes = st.lists(st.sampled_from(clusters), min_size=1, max_size=2, unique=True)
+            for cluster_id in data.draw(homes, label="homes"):
+                configuration.assign(peer_id, cluster_id)
+        model = cost_model_in_mode(network, "factored")
+        reach = BestResponseKernel(model, configuration)
+        full = FullWidthKernel(model, configuration)
+        for kernel in (reach, full):
+            assert kernel.backend == "labels"
+            kernel.cost_table(clusters)  # every CW column live
+            kernel.global_covered()  # the CV columns of the nonempty clusters
+
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8), label="steps")):
+            peer_id = data.draw(st.sampled_from(peer_ids), label="peer")
+            if peer_id not in configuration:
+                configuration.assign(peer_id, data.draw(st.sampled_from(clusters)))
+            else:
+                homes = sorted(configuration.clusters_of(peer_id))
+                others = [cluster_id for cluster_id in clusters if cluster_id not in homes]
+                operation = data.draw(st.sampled_from(["move", "extra", "remove"]))
+                if operation == "remove" or not others:
+                    configuration.remove_peer(peer_id)
+                elif operation == "extra":
+                    configuration.assign(peer_id, data.draw(st.sampled_from(others)))
+                else:
+                    configuration.move(
+                        peer_id,
+                        data.draw(st.sampled_from(homes)),
+                        data.draw(st.sampled_from(others)),
+                    )
+            assert np.array_equal(reach.global_covered(), full.global_covered())
+            assert np.array_equal(reach.cost_table(clusters), full.cost_table(clusters))
 
 
 class TestCoveredIndices:

@@ -9,6 +9,10 @@ the same contract as the exact-reference parity suite.
 Only public APIs are exercised — the backends share no covered-recall
 representation (there is no |P| x |C| matrix in the labels kernel to
 compare), so parity on costs, tables and responses is the whole contract.
+
+The same churn also drives a ``labels`` kernel against
+``tests/game_oracle.py``'s :class:`FullWidthKernel`, which applies every
+move to whole covered columns: there the contract is ``==``, not 1e-9.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.experiments.config import ExperimentConfig
 from repro.game.kernel import BestResponseKernel
 from tests.conftest import cost_model_in_mode
+from tests.game_oracle import FullWidthKernel
 
 
 def build_pair():
@@ -131,6 +136,57 @@ class TestRandomizedBackendParity:
         rebuilt = BestResponseKernel(labels.cost_model, configuration)
         assert rebuilt.backend == "labels"
         assert_parity(rebuilt, labels, configuration, atol=1e-9)
+
+
+class TestReachBoundedMoves:
+    def test_labels_updates_equal_full_width_updates_exactly(self):
+        config = ExperimentConfig.quick()
+        data = build_scenario(SCENARIO_SAME_CATEGORY, config.scenario)
+        configuration = initial_configuration(data, "random", seed=config.seed + 13)
+        model = cost_model_in_mode(
+            data.network, "factored", theta=config.theta(), alpha=config.alpha
+        )
+        reach = BestResponseKernel(model, configuration)
+        full = FullWidthKernel(model, configuration)
+        clusters = configuration.cluster_ids()
+        for kernel in (reach, full):
+            kernel.cost_table(clusters)  # every CW column live
+            kernel.global_covered()  # the CV columns of the nonempty clusters
+
+        def assert_identical():
+            assert np.array_equal(reach.cost_table(clusters), full.cost_table(clusters))
+            assert np.array_equal(reach.global_covered(), full.global_covered())
+            assert reach.current_costs() == full.current_costs()
+            # Aggregate costs are defined only while every matrix peer is assigned.
+            if set(configuration.peer_ids()) < set(reach.peer_order):
+                return
+            for normalized in (False, True):
+                assert reach.social_cost(normalized=normalized) == full.social_cost(
+                    normalized=normalized
+                )
+                assert reach.workload_cost(normalized=normalized) == full.workload_cost(
+                    normalized=normalized
+                )
+
+        churn(
+            configuration,
+            random.Random(20261019),
+            steps=200,
+            check_every=25,
+            on_check=assert_identical,
+        )
+        # Churn leaves peers out or in several clusters, where the costs come
+        # from the cost model.  One cluster per peer puts them back on the
+        # kernel's vectorized path, which reads the updated columns.
+        for peer_id in reach.peer_order:
+            homes = sorted(configuration.clusters_of(peer_id)) if peer_id in configuration else []
+            if len(homes) == 1:
+                continue
+            if homes:
+                configuration.remove_peer(peer_id)
+            configuration.assign(peer_id, homes[0] if homes else clusters[0])
+        assert all(len(configuration.clusters_of(p)) == 1 for p in reach.peer_order)
+        assert_identical()
 
 
 class TestBackendSelection:

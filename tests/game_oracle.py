@@ -1,4 +1,4 @@
-"""The rebuild-everything best-response table: a reference for the kernel.
+"""Full-width references for the best-response kernel.
 
 :class:`TableGame` is a :class:`~repro.game.model.ClusterGame` that never
 uses a kernel.  Its :meth:`~TableGame.best_responses` rebuilds the 0/1
@@ -9,6 +9,14 @@ kernel existed.  ``benchmarks/bench_best_response.py`` times the kernel
 against it (the >=5x gate), and ``tests/game/test_kernel.py`` pins the
 kernel's cost table to :meth:`~TableGame.prospective_cost_table`, so the
 bench's baseline stays a correct one.
+
+:func:`column_local` and :func:`column_global` gather a provider's whole
+column of ``W`` and ``V`` from the factored recall, every row, the way the
+``labels`` kernel applied a move before it learnt which rows a provider
+reaches.  :class:`FullWidthKernel` is that kernel: the reach-bounded updates
+must stay bit-identical to it (``tests/core/test_recall_matrix.py``,
+``tests/game/test_kernel_labels.py``), and
+``benchmarks/bench_best_response.py`` times moves against it.
 """
 
 from __future__ import annotations
@@ -18,7 +26,32 @@ from typing import Dict
 import numpy as np
 
 from repro.core.costs import NEW_CLUSTER
+from repro.core.recall_matrix import FactoredRecall
+from repro.game.kernel import BestResponseKernel
 from repro.game.model import BestResponse, ClusterGame
+
+
+def column_local(factored: FactoredRecall, column: int) -> np.ndarray:
+    """``W[:, column]``: every peer's weighted recall of one provider, all rows gathered."""
+    return (factored.w_local * factored.B[factored.qidx, column]).sum(axis=1)
+
+
+def column_global(factored: FactoredRecall, column: int) -> np.ndarray:
+    """``V[:, column]``, all rows gathered."""
+    return (factored.w_global * factored.B[factored.qidx, column]).sum(axis=1)
+
+
+class FullWidthKernel(BestResponseKernel):
+    """A ``labels`` kernel that applies each move to every row of the covered columns."""
+
+    def _update_covered(self, row, column, operation):
+        covered = self._cw.get(column)
+        if covered is not None:
+            operation(covered, column_local(self._source, row), out=covered)
+        if self._cv_active:
+            covered_global = self._cv.get(column)
+            if covered_global is not None:
+                operation(covered_global, column_global(self._source, row), out=covered_global)
 
 
 class TableGame(ClusterGame):

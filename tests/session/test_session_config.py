@@ -67,6 +67,52 @@ class TestConstructors:
             SessionConfig.from_dict({"strategy": "selfish", "velocity": 3})
         assert "velocity" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        ("build", "level", "valid"),
+        [
+            (
+                lambda: SessionConfig(scale="quick", scenario_overrides={"bogus": 1}),
+                "scenario_overrides",
+                "num_peers",
+            ),
+            (
+                lambda: SessionConfig.from_dict({"scenario_overrides": {"bogus": 1}}),
+                "scenario_overrides",
+                "num_peers",
+            ),
+            (
+                lambda: SessionConfig().with_options(scenario_overrides={"bogus": 1}),
+                "scenario_overrides",
+                "num_peers",
+            ),
+            (lambda: SessionConfig.from_dict({"base": {"bogus": 1}}), "base", "theta_name"),
+            (
+                lambda: SessionConfig.from_dict({"base": {"scenario": {"bogus": 1}}}),
+                "base.scenario",
+                "num_peers",
+            ),
+        ],
+        ids=["constructor", "from_dict", "with_options", "base", "base.scenario"],
+    )
+    def test_nested_unknown_keys_are_named(self, build, level, valid):
+        with pytest.raises(ConfigurationError) as excinfo:
+            build()
+        message = str(excinfo.value)
+        assert f"unknown {level} keys ['bogus']" in message
+        assert "valid keys:" in message and valid in message
+
+    def test_nested_known_keys_pass(self):
+        base = {"alpha": 2.0, "scenario": {"num_peers": 12, "seed": 3}}
+        config = SessionConfig.from_dict(
+            {"base": base, "scenario_overrides": {"num_peers": 16}}
+        )
+        resolved = config.experiment_config()
+        assert (resolved.alpha, resolved.scenario.num_peers, resolved.scenario.seed) == (
+            2.0,
+            16,
+            3,
+        )
+
     def test_from_any_accepts_mapping_and_none(self):
         assert SessionConfig.from_any(None) == SessionConfig()
         assert SessionConfig.from_any({"strategy": "hybrid"}).strategy == "hybrid"

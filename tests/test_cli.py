@@ -150,6 +150,18 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(spec_file)]) == 2
         assert "unknown sweep spec keys" in capsys.readouterr().err
 
+    def test_sweep_spec_task_with_unknown_scenario_key_reports_cleanly(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        spec_file = tmp_path / "spec.json"
+        task = {"scale": "quick", "scenario_overrides": {"bogus": 1}}
+        spec_file.write_text(json.dumps({"tasks": [task]}), encoding="utf-8")
+        assert main(["sweep", "--spec", str(spec_file), "--no-progress"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown scenario_overrides keys ['bogus']" in err
+
     def test_workers_flag_available_on_experiment_commands(self):
         arguments = build_parser().parse_args(["table1", "--workers", "4"])
         assert arguments.workers == 4
