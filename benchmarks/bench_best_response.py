@@ -384,9 +384,9 @@ def apply_moves(kernel, moves) -> float:
 def test_labels_moves_5k(benchmark, scaled_setups):
     """5k-peer move application: reach-bounded updates >=3x the full-width ones, same state.
 
-    Both kernels start with the ``CW`` and ``CV`` columns of every
-    nonempty cluster live, and the moves stay among those clusters, so each
-    move updates four columns.  Batches alternate between the moves and
+    Both kernels start with the ``CW`` column of every nonempty cluster
+    live, and the moves stay among those clusters, so each move updates two
+    columns.  Batches alternate between the moves and
     their reversal, so each starts from the same membership, and both
     kernels play the same batches in the same order.
     """
@@ -400,7 +400,6 @@ def test_labels_moves_5k(benchmark, scaled_setups):
         kernel = kernel_type(cost_model, configuration.copy())
         assert kernel.backend == "labels"
         kernel.cost_table(clusters)
-        kernel.global_covered()
         return kernel
 
     with scenario_frozen():
@@ -418,7 +417,6 @@ def test_labels_moves_5k(benchmark, scaled_setups):
             batch = back if index % 2 else forward
             pairs.append((apply_moves(labels, batch), apply_moves(full_width, batch)))
     assert np.array_equal(labels.cost_table(clusters), full_width.cost_table(clusters))
-    assert np.array_equal(labels.global_covered(), full_width.global_covered())
 
     factored = cost_model.matrix.factored()
     row_of = cost_model.matrix.peer_index

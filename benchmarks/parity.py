@@ -2,13 +2,23 @@
 
 Usage (from the repository root, with ``src`` importable)::
 
-    python -m benchmarks.parity quick|paper|restricted [--limit N]
+    python -m benchmarks.parity quick|paper|restricted [--limit N] [--dump FILE]
+    python -m benchmarks.parity diff OLD NEW
 
 Each run's line is the sha256 of ``json.dumps(RunResult.to_dict(),
 sort_keys=True) + "\\n"``; the last line is the sha256 of those runs'
 payloads concatenated in order, so two versions of the code agree on a set
 exactly when they print the same lines.  ``--limit N`` keeps the first
-``N`` runs of the set.
+``N`` runs of the set.  ``--dump FILE`` also writes every run's
+``to_dict()`` to *FILE* as one JSON object keyed by run label.
+
+``diff OLD NEW`` compares two such dumps field by field, for when the
+digests differ.  It prints one line per differing field path (list
+positions collapse to ``[]``, so ``workload_cost_trace[]`` gathers every
+round of every run): how many values differ there, and the largest relative
+difference ``|old - new| / max(|old|, |new|)`` among them (``inf`` where a
+value is not a number, or a run or field is missing on one side).  Then it
+counts the runs that differ, and exits 1 if any do, 0 if none.
 
 The sets:
 
@@ -30,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -145,28 +156,125 @@ def payload(result: Any) -> bytes:
     return (json.dumps(result.to_dict(), sort_keys=True) + "\n").encode("utf-8")
 
 
-def digest_set(name: str, *, limit: Optional[int] = None) -> str:
-    """Print one ``<sha256>  <run>`` line per run of set *name*, then the total; return it."""
+def digest_set(
+    name: str, *, limit: Optional[int] = None, dump: Optional[str] = None
+) -> str:
+    """Print one ``<sha256>  <run>`` line per run of set *name*, then the total; return it.
+
+    With *dump*, also write each run's ``to_dict()``, keyed by label, to that file.
+    """
     total = hashlib.sha256()
+    results: Dict[str, Any] = {}
     for index, (label, run) in enumerate(SETS[name]()):
         if limit is not None and index >= limit:
             break
-        data = payload(run())
+        result = run()
+        data = payload(result)
         total.update(data)
+        if dump is not None:
+            results[label] = result.to_dict()
         print(f"{hashlib.sha256(data).hexdigest()}  {label}", flush=True)
     digest = total.hexdigest()
     print(f"{digest}  total", flush=True)
+    if dump is not None:
+        with open(dump, "w", encoding="utf-8") as handle:
+            json.dump(results, handle, sort_keys=True)
     return digest
+
+
+#: Stands in for a run or field that only one dump holds.
+_MISSING = object()
+
+
+def _relative_difference(old: Any, new: Any) -> Optional[float]:
+    """``None`` when two leaves serialise alike; else how far apart they are."""
+    if json.dumps(old) == json.dumps(new):
+        return None
+    if not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool) for value in (old, new)
+    ):
+        return math.inf
+    if old == new:  # 1 and 1.0, or 0.0 and -0.0
+        return 0.0
+    difference = abs(old - new) / max(abs(old), abs(new))
+    return math.inf if math.isnan(difference) else difference
+
+
+def diff_fields(
+    old: Dict[str, Any], new: Dict[str, Any]
+) -> Tuple[Dict[str, List[float]], int]:
+    """Compare two dumps: ``({path: [count, largest relative difference]}, runs that differ)``."""
+    fields: Dict[str, List[float]] = {}
+
+    def walk(path: str, old_value: Any, new_value: Any) -> bool:
+        if isinstance(old_value, dict) and isinstance(new_value, dict):
+            children = [
+                (
+                    f"{path}.{key}" if path else key,
+                    old_value.get(key, _MISSING),
+                    new_value.get(key, _MISSING),
+                )
+                for key in sorted(set(old_value) | set(new_value))
+            ]
+        elif (
+            isinstance(old_value, list)
+            and isinstance(new_value, list)
+            and len(old_value) == len(new_value)
+        ):
+            children = [(f"{path}[]", a, b) for a, b in zip(old_value, new_value)]
+        else:
+            if old_value is _MISSING or new_value is _MISSING:
+                difference: Optional[float] = math.inf
+            else:
+                difference = _relative_difference(old_value, new_value)
+            if difference is None:
+                return False
+            entry = fields.setdefault(path or "(run)", [0, 0.0])
+            entry[0] += 1
+            entry[1] = max(entry[1], difference)
+            return True
+        # sum, not any: every child is walked, so every differing leaf counts.
+        return sum(walk(*child) for child in children) > 0
+
+    runs = sum(
+        walk("", old.get(label, _MISSING), new.get(label, _MISSING))
+        for label in sorted(set(old) | set(new))
+    )
+    return fields, runs
+
+
+def diff_dumps(old_path: str, new_path: str) -> int:
+    """Print the field-by-field difference of two ``--dump`` files; 1 if they differ."""
+    with open(old_path, encoding="utf-8") as handle:
+        old = json.load(handle)
+    with open(new_path, encoding="utf-8") as handle:
+        new = json.load(handle)
+    fields, runs = diff_fields(old, new)
+    for path in sorted(fields):
+        count, largest = fields[path]
+        print(f"{path}  {count}  {largest:.3g}")
+    print(f"{runs} of {len(set(old) | set(new))} runs differ")
+    return 1 if runs else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.parity", description=__doc__.splitlines()[0])
-    parser.add_argument("set", choices=sorted(SETS))
-    parser.add_argument("--limit", type=int, default=None, help="keep the first N runs")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in sorted(SETS):
+        digest = commands.add_parser(name, help=f"print the digests of the {name} set")
+        digest.add_argument("--limit", type=int, default=None, help="keep the first N runs")
+        digest.add_argument(
+            "--dump", metavar="FILE", default=None, help="write each run's to_dict() to FILE"
+        )
+    diff = commands.add_parser("diff", help="compare two --dump files field by field")
+    diff.add_argument("old", metavar="OLD")
+    diff.add_argument("new", metavar="NEW")
     arguments = parser.parse_args(argv)
+    if arguments.command == "diff":
+        return diff_dumps(arguments.old, arguments.new)
     if arguments.limit is not None and arguments.limit < 0:
         parser.error("--limit must be non-negative")
-    digest_set(arguments.set, limit=arguments.limit)
+    digest_set(arguments.command, limit=arguments.limit, dump=arguments.dump)
     return 0
 
 

@@ -35,8 +35,8 @@ exposing the small read-only interface documented below (implemented by
 * ``size(cluster_id)`` — number of members of the cluster.
 
 A :class:`WeightedRecallMatrix` can optionally be attached to accelerate the
-recall-loss term; results are identical to the exact per-query evaluation
-(verified by the test suite).
+recall-loss terms; results agree with the exact per-query evaluation up to
+float rounding (verified by the test suite).
 """
 
 from __future__ import annotations
@@ -146,9 +146,17 @@ class CostModel:
         return loss
 
     def global_recall_loss(self, peer_id: PeerId, covered_peers: Iterable[PeerId]) -> float:
-        """Globally-weighted recall loss of *peer_id* (used by the workload cost)."""
-        if self._matrix is not None:
-            return self._matrix.global_recall_loss(peer_id, covered_peers)
+        """Globally-weighted recall loss of *peer_id* (used by the workload cost).
+
+        With a matrix attached this is the locally-weighted loss scaled by
+        the peer's share of all issued queries
+        (:attr:`WeightedRecallMatrix.workload_share`); without one, each
+        query is weighted by its global frequency directly.
+        """
+        matrix = self._matrix
+        if matrix is not None:
+            share = float(matrix.workload_share[matrix.index_of(peer_id)])
+            return share * matrix.recall_loss(peer_id, covered_peers)
         covered = set(covered_peers)
         workload = self.workloads.get(peer_id)
         if workload is None or workload.total() == 0:

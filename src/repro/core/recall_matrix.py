@@ -12,11 +12,15 @@ With ``W`` in hand, the recall loss of peer ``i`` for a set of co-clustered
 peers ``P(s_i)`` is ``W[i, :].sum() - W[i, P(s_i)].sum()`` — a couple of numpy
 reductions instead of thousands of per-query lookups.
 
-An analogous matrix with global query frequencies supports the workload cost::
+The workload cost (Eq. 3) weights each query by its *global* frequency
+instead.  Peer ``i``'s term there is its recall loss under ``W`` times its
+share of all issued queries, :attr:`WeightedRecallMatrix.workload_share`::
 
-    V[i, j] = sum over q in Q(p_i) of  num(q, Q(p_i)) / num(Q) * r(q, p_j)
+    share[i] = num(Q(p_i)) / num(Q)
 
-**The factored form.**  ``W`` and ``V`` factor through the much smaller
+so one table serves both costs.
+
+**The factored form.**  ``W`` factors through the much smaller
 recall table ``B[q, j] = r(q, p_j)`` over the *distinct* queries ``q``
 (vocabulary-bounded — a few hundred for the paper's single-term workloads,
 regardless of population size)::
@@ -36,7 +40,7 @@ demand :meth:`FactoredRecall.query_demand`.  This is what lets the
 label-vector best-response kernel and the 100k-peer benchmarks run without
 ever materialising a |P| x |P| array.
 
-The dense matrices are now *built from* the factored form with a per-query
+The dense matrices are *built from* the factored form with a per-query
 accumulation that reproduces the historical per-row Python loop bit for bit
 (same per-element accumulation order, same scalar divisions, exact +0.0
 padding), so dense consumers see byte-identical matrices at a fraction of the
@@ -44,8 +48,8 @@ construction cost.
 
 **Which form.**  The population decides, here and nowhere else: below
 :attr:`WeightedRecallMatrix.FACTORED_THRESHOLD` peers the matrix is dense
-(``W`` built up front, ``V`` on first use), at or above it factored (the
-dense matrices then materialise lazily only if a dense consumer asks).  The
+(``W`` built up front), at or above it factored (the dense matrices then
+materialise lazily only if a dense consumer asks).  The
 best-response kernel follows the matrix: its ``dense`` backend runs on a
 dense matrix, its ``labels`` backend on a factored one.  ``mode=`` forces a
 form; tests and benchmarks use it to run both at any population.
@@ -72,7 +76,7 @@ PeerId = Hashable
 
 
 class FactoredRecall:
-    """The ``W = A @ B`` factorisation of the weighted recall matrices.
+    """The ``W = A @ B`` factorisation of the weighted recall matrix.
 
     Attributes
     ----------
@@ -84,9 +88,9 @@ class FactoredRecall:
     qidx:
         ``(|P|, kmax)`` per-peer query-row indices into ``B`` (zero-padded;
         padded entries carry zero weights, so they never contribute).
-    w_local / w_global / w_count:
-        ``(|P|, kmax)`` per-peer query weights: ``num(q, Q(p)) / num(Q(p))``,
-        ``num(q, Q(p)) / num(Q)`` and the raw counts ``num(q, Q(p))``.
+    w_local / w_count:
+        ``(|P|, kmax)`` per-peer query weights: ``num(q, Q(p)) / num(Q(p))``
+        and the raw counts ``num(q, Q(p))``.
     """
 
     __slots__ = (
@@ -95,7 +99,6 @@ class FactoredRecall:
         "B_totals",
         "qidx",
         "w_local",
-        "w_global",
         "w_count",
         "_issuers",
     )
@@ -107,7 +110,6 @@ class FactoredRecall:
         B_totals: np.ndarray,
         qidx: np.ndarray,
         w_local: np.ndarray,
-        w_global: np.ndarray,
         w_count: np.ndarray,
     ) -> None:
         self.queries = queries
@@ -115,7 +117,6 @@ class FactoredRecall:
         self.B_totals = B_totals
         self.qidx = qidx
         self.w_local = w_local
-        self.w_global = w_global
         self.w_count = w_count
         self._issuers: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -133,9 +134,6 @@ class FactoredRecall:
         queries: List[Query] = []
         query_rows: Dict[Query, int] = {}
         per_peer: List[List[Tuple[int, int]]] = []
-        global_total = sum(
-            workloads.get(peer_id, QueryWorkload()).total() for peer_id in peer_order
-        )
         kmax = 0
         for peer_id in peer_order:
             workload = workloads.get(peer_id)
@@ -156,7 +154,6 @@ class FactoredRecall:
         np.divide(counts, totals_f[:, None], out=B, where=totals_f[:, None] > 0)
         qidx = np.zeros((population, kmax), dtype=np.intp)
         w_local = np.zeros((population, kmax))
-        w_global = np.zeros((population, kmax))
         w_count = np.zeros((population, kmax))
         for row, entries in enumerate(per_peer):
             if not entries:
@@ -166,9 +163,7 @@ class FactoredRecall:
                 qidx[row, k] = qrow
                 w_count[row, k] = count
                 w_local[row, k] = count / local_total
-                if global_total:
-                    w_global[row, k] = count / global_total
-        return cls(queries, B, totals_f, qidx, w_local, w_global, w_count)
+        return cls(queries, B, totals_f, qidx, w_local, w_count)
 
     # -- segmented reductions ------------------------------------------------
 
@@ -180,11 +175,6 @@ class FactoredRecall:
         """``W.sum(axis=1)`` without materialising ``W`` (O(|P| * kmax))."""
         row_sums = self.B.sum(axis=1)
         return (self.w_local * row_sums[self.qidx]).sum(axis=1)
-
-    def totals_global(self) -> np.ndarray:
-        """``V.sum(axis=1)`` without materialising ``V``."""
-        row_sums = self.B.sum(axis=1)
-        return (self.w_global * row_sums[self.qidx]).sum(axis=1)
 
     def own_local(self) -> np.ndarray:
         """``diag(W)`` — each peer's weighted recall of its own content."""
@@ -207,8 +197,8 @@ class FactoredRecall:
             self._issuers = (indptr, slot_rows[order])
         return self._issuers
 
-    def reached_column(self, column: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, W[rows, column], V[rows, column])`` over the rows provider *column* reaches.
+    def reached_column(self, column: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, W[rows, column])`` over the rows provider *column* reaches.
 
         ``rows`` are the issuers (:meth:`issuers`) of the queries the
         provider answers (``B[q, column] != 0``), ascending.  Each reached
@@ -225,12 +215,7 @@ class FactoredRecall:
         for query in np.flatnonzero(recall).tolist():
             reached[issuer_rows[indptr[query] : indptr[query + 1]]] = True
         rows = np.flatnonzero(reached)
-        gathered = recall[self.qidx[rows]]
-        return (
-            rows,
-            (self.w_local[rows] * gathered).sum(axis=1),
-            (self.w_global[rows] * gathered).sum(axis=1),
-        )
+        return rows, (self.w_local[rows] * recall[self.qidx[rows]]).sum(axis=1)
 
     def covered_local(self, columns: np.ndarray) -> np.ndarray:
         """``W[:, columns].sum(axis=1)`` — covered recall of one member set.
@@ -242,11 +227,6 @@ class FactoredRecall:
         """
         group = self.B[:, columns].sum(axis=1)
         return (self.w_local * group[self.qidx]).sum(axis=1)
-
-    def covered_global(self, columns: np.ndarray) -> np.ndarray:
-        """``V[:, columns].sum(axis=1)``."""
-        group = self.B[:, columns].sum(axis=1)
-        return (self.w_global * group[self.qidx]).sum(axis=1)
 
     def query_demand(self, membership: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(D, d)``: how often each cluster's members, and all peers, issue each query.
@@ -285,14 +265,6 @@ class FactoredRecall:
             out += self.w_local[:, k, None] * self.B[self.qidx[:, k], :]
         return out
 
-    def dense_global(self) -> np.ndarray:
-        """Materialise ``V`` (bit-identical to the historical loop)."""
-        population = self.population
-        out = np.zeros((population, population))
-        for k in range(self.qidx.shape[1]):
-            out += self.w_global[:, k, None] * self.B[self.qidx[:, k], :]
-        return out
-
     def dense_service(self) -> np.ndarray:
         """Materialise the service matrix ``S`` (rows: providers)."""
         population = self.population
@@ -327,8 +299,8 @@ class WeightedRecallMatrix:
     mode:
         ``None`` (default) picks by population: ``"dense"`` below
         :attr:`FACTORED_THRESHOLD` peers, ``"factored"`` at or above it.
-        ``"dense"`` materialises ``W`` at construction and ``V`` and the
-        service matrix on first use.  ``"factored"`` keeps only the
+        ``"dense"`` materialises ``W`` at construction and the service
+        matrix on first use.  ``"factored"`` keeps only the
         :class:`FactoredRecall` arrays; the dense matrices build lazily if
         (and only if) a dense consumer asks, so label-vector kernels at 50k+
         peers never pay O(|P|^2) memory.  Passing a mode forces that form
@@ -377,7 +349,7 @@ class WeightedRecallMatrix:
         self._mode = mode
         self._factored: Optional[FactoredRecall] = None
         self._local: Optional[np.ndarray] = None
-        self._global: Optional[np.ndarray] = None
+        self._workload_share: Optional[np.ndarray] = None
         self._service: Optional[np.ndarray] = None
         self._result_counts: Optional[np.ndarray] = None
         if mode == "dense":
@@ -398,11 +370,6 @@ class WeightedRecallMatrix:
             self._local = self.factored().dense_local()
         return self._local
 
-    def _ensure_global(self) -> np.ndarray:
-        if self._global is None:
-            self._global = self.factored().dense_global()
-        return self._global
-
     def _ensure_service(self) -> np.ndarray:
         if self._service is None:
             self._service = self.factored().dense_service()
@@ -411,15 +378,16 @@ class WeightedRecallMatrix:
     def _ensure_result_counts(self) -> np.ndarray:
         """``R[q, j] = result(queries[q], peer_order[j])`` as float64 integers.
 
-        The counts :meth:`FactoredRecall.build` divides into ``B``, fetched
-        again on the first contribution request only, so sessions that never
-        ask (every selfish one) do not hold this ``(|Q_u|, |P|)`` array.
+        The counts :meth:`FactoredRecall.build` divided into ``B``, recovered
+        as ``rint(B * B_totals)`` on the first contribution request only, so
+        sessions that never ask (every selfish one) do not hold this
+        ``(|Q_u|, |P|)`` array.  The recovery is exact: each quotient times
+        its divisor lies within ``count * 2**-52`` of the integer count.
         """
         if self._result_counts is None:
-            counts, _ = self._recall_model.result_count_matrix(
-                self.factored().queries, self._peer_order
-            )
-            self._result_counts = counts.astype(float)
+            factored = self.factored()
+            counts = factored.B * factored.B_totals[:, None]
+            self._result_counts = np.rint(counts, out=counts)
         return self._result_counts
 
     def _check_membership(self, membership: np.ndarray) -> None:
@@ -466,6 +434,23 @@ class WeightedRecallMatrix:
             self._repr_rank = rank
         return self._repr_rank
 
+    @property
+    def workload_share(self) -> np.ndarray:
+        """``num(Q(p)) / num(Q)`` per row: each peer's share of all issued queries.
+
+        ``num(Q)`` sums the workloads of the peers in :attr:`peer_order`; with
+        no query issued at all every share is 0.  The workload cost (Eq. 3)
+        weights row ``i``'s recall loss under ``W`` by ``share[i]``.  Built
+        once, read-only.
+        """
+        if self._workload_share is None:
+            issued = self.factored().w_count.sum(axis=1)
+            total = issued.sum()
+            share = issued / total if total else np.zeros_like(issued)
+            share.flags.writeable = False
+            self._workload_share = share
+        return self._workload_share
+
     def index_of(self, peer_id: PeerId) -> int:
         """Row index of *peer_id*."""
         try:
@@ -476,10 +461,6 @@ class WeightedRecallMatrix:
     def local_matrix(self) -> np.ndarray:
         """Copy of the locally-weighted matrix ``W`` (rows: evaluating peer)."""
         return self._ensure_local().copy()
-
-    def global_matrix(self) -> np.ndarray:
-        """Copy of the globally-weighted matrix ``V`` used by the workload cost."""
-        return self._ensure_global().copy()
 
     def service_matrix(self) -> np.ndarray:
         """Copy of the service matrix ``S``.
@@ -494,12 +475,6 @@ class WeightedRecallMatrix:
     def local_view(self) -> np.ndarray:
         """Read-only (non-copying) view of ``W`` — for consumers that never write."""
         view = self._ensure_local().view()
-        view.flags.writeable = False
-        return view
-
-    def global_view(self) -> np.ndarray:
-        """Read-only (non-copying) view of ``V``."""
-        view = self._ensure_global().view()
         view.flags.writeable = False
         return view
 
@@ -603,14 +578,6 @@ class WeightedRecallMatrix:
         strategy whose covered peer set is *covered_peers*.
         """
         return self.total_weight(peer_id) - self.covered_weight(peer_id, covered_peers)
-
-    def global_recall_loss(self, peer_id: PeerId, covered_peers: Iterable[PeerId]) -> float:
-        """Globally-weighted recall loss for *peer_id* (workload-cost weighting)."""
-        row = self._ensure_global()[self.index_of(peer_id)]
-        total = float(row.sum())
-        indices = self.covered_indices(covered_peers)
-        covered = float(row[indices].sum()) if indices.size else 0.0
-        return total - covered
 
     def __len__(self) -> int:
         return len(self._peer_order)

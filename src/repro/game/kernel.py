@@ -12,15 +12,14 @@ cluster column per peer; the rare multi-membership peers spill into a tiny
 overflow map) with per-row membership counts and two counters over them
 (assigned rows, rows not in exactly one cluster), so the per-round cost
 traces check the membership regime in O(1).  The covered recall ``CW``
-(and its globally weighted analogue ``CV``, built lazily) follows the
-attached :class:`~repro.core.recall_matrix.WeightedRecallMatrix`, whose
-form the population picks:
+follows the attached :class:`~repro.core.recall_matrix.WeightedRecallMatrix`,
+whose form the population picks:
 
 * ``dense`` (a dense matrix) — ``CW = W @ M`` over every cluster slot, ``M``
   being the 0/1 peers x cluster-slots membership read off the label vector
   when the product is built.  O(|P| x |C|) memory — exact, simple, and the
   right choice up to a few thousand peers.
-* ``labels`` (a factored matrix) — ``CW``/``CV`` shrink to per-cluster
+* ``labels`` (a factored matrix) — ``CW`` shrinks to per-cluster
   covered columns computed as **segmented reductions** over the
   :class:`~repro.core.recall_matrix.FactoredRecall` arrays: a cluster's
   member columns collapse to a per-query group recall (O(|Q_u| x
@@ -29,14 +28,17 @@ form the population picks:
   that issue a query the mover answers, found through the recall's
   query -> issuers index — in O(reach x kmax) per column.  On the 5,000-peer
   same-category scenario a provider reaches ~490 rows, so one side of a
-  move (``CW`` and ``CV``) takes ~0.35 ms instead of ~3 ms for whole
-  columns.  **No |P| x |C| matrix exists anywhere** — this is what makes
-  best-response rounds at 10k-100k peers fit on one box.
+  move takes ~0.12 ms instead of ~1 ms for the whole column.  **No
+  |P| x |C| matrix exists anywhere** — this is what makes best-response
+  rounds at 10k-100k peers fit on one box.
 
 The kernel registers itself as a configuration listener, so every
 ``assign`` / ``move`` / ``remove_peer`` updates the caches incrementally
 (one column add/subtract: all |P| rows under ``dense``, the mover's reach
-under ``labels``) instead of triggering a full rebuild.
+under ``labels``) instead of triggering a full rebuild.  The social and
+workload costs read the same per-peer recall losses off ``CW``; the
+workload cost weights each by the peer's share of all issued queries
+(:attr:`~repro.core.recall_matrix.WeightedRecallMatrix.workload_share`).
 :meth:`select` then scores *all* candidates for *all* peers with pure
 array arithmetic, including the :data:`~repro.core.costs.NEW_CLUSTER`
 option when the candidate list holds it, and reproduces the per-peer
@@ -158,16 +160,8 @@ class BestResponseKernel:
             #: column is computed as a segmented reduction on first touch and
             #: incrementally +/- updated from then on.
             self._cw: Dict[int, np.ndarray] = {}
-            self._cv: Dict[int, np.ndarray] = {}
-            self._cv_active = False
-            self._V_totals = None
             return
         self._CW = self._W @ self._membership()
-        # The globally-weighted analogue (V @ M, backing the vectorized
-        # workload cost) is built on first access and maintained thereafter.
-        self._V: Optional[np.ndarray] = None
-        self._CV: Optional[np.ndarray] = None
-        self._V_totals: Optional[np.ndarray] = None
 
     def rebuild(self) -> None:
         """Public full rebuild (used by tests to cross-check the incremental state).
@@ -242,18 +236,6 @@ class BestResponseKernel:
             self._cw[column] = covered
         return covered
 
-    def _cv_column(self, column: int) -> np.ndarray:
-        covered = self._cv.get(column)
-        if covered is None:
-            covered = self._source.covered_global(self._member_rows(column))
-            self._cv[column] = covered
-        return covered
-
-    def _ensure_global_tracking(self) -> None:
-        if not self._cv_active:
-            self._V_totals = self._source.totals_global()
-            self._cv_active = True
-
     # -- backend-dispatched state reads ---------------------------------------
 
     def _membership_block(self, columns: Sequence[int]) -> np.ndarray:
@@ -296,18 +278,6 @@ class BestResponseKernel:
             out[rows] = self._cw_column(int(column))[rows]
         return out
 
-    def _global_covered_at(self, columns: np.ndarray) -> np.ndarray:
-        """Per-peer globally-weighted covered recall: ``CV[i, columns[i]]``."""
-        if self.backend != "labels":
-            covered = self.global_covered()
-            return covered[np.arange(columns.size), columns]
-        self._ensure_global_tracking()
-        out = np.empty(columns.size, dtype=float)
-        for column in np.unique(columns):
-            rows = np.nonzero(columns == column)[0]
-            out[rows] = self._cv_column(int(column))[rows]
-        return out
-
     # -- configuration listener callbacks ------------------------------------
 
     def configuration_assigned(self, peer_id: PeerId, cluster_id: ClusterId) -> None:
@@ -324,8 +294,6 @@ class BestResponseKernel:
             self._update_covered(row, column, np.add)
             return
         self._CW[:, column] += self._W[:, row]
-        if self._CV is not None:
-            self._CV[:, column] += self._V[:, row]
 
     def configuration_unassigned(self, peer_id: PeerId, cluster_id: ClusterId) -> None:
         row = self._peer_index.get(peer_id)
@@ -341,27 +309,21 @@ class BestResponseKernel:
             self._update_covered(row, column, np.subtract)
             return
         self._CW[:, column] -= self._W[:, row]
-        if self._CV is not None:
-            self._CV[:, column] -= self._V[:, row]
 
     def _update_covered(self, row: int, column: int, operation: np.ufunc) -> None:
         """Add (``np.add``) or take away (``np.subtract``) provider *row* in column *column*.
 
-        Labels backend only: updates whichever of the cluster's covered
-        columns ``CW``/``CV`` are live, on the rows the provider reaches
+        Labels backend only: updates the cluster's covered column, if live,
+        on the rows the provider reaches
         (:meth:`FactoredRecall.reached_column`).  Every other row's term is
         an exact ``+0.0``, so skipping it leaves the column bit-identical to
         a whole-column update.
         """
         covered = self._cw.get(column)
-        covered_global = self._cv.get(column) if self._cv_active else None
-        if covered is None and covered_global is None:
+        if covered is None:
             return
-        rows, local, global_ = self._source.reached_column(row)
-        if covered is not None:
-            covered[rows] = operation(covered[rows], local)
-        if covered_global is not None:
-            covered_global[rows] = operation(covered_global[rows], global_)
+        rows, recall = self._source.reached_column(row)
+        covered[rows] = operation(covered[rows], recall)
 
     def configuration_cluster_added(self, cluster_id: ClusterId) -> None:
         if cluster_id not in self._cluster_index:
@@ -376,8 +338,6 @@ class BestResponseKernel:
             return column
         population = len(self._peer_order)
         self._CW = np.hstack([self._CW, np.zeros((population, 1))])
-        if self._CV is not None:
-            self._CV = np.hstack([self._CV, np.zeros((population, 1))])
         return column
 
     # -- accessors ------------------------------------------------------------
@@ -386,29 +346,6 @@ class BestResponseKernel:
     def peer_order(self) -> List[PeerId]:
         """The row ordering of peer ids (the recall matrix's order)."""
         return list(self._peer_order)
-
-    def global_covered(self) -> np.ndarray:
-        """``V @ M`` — globally-weighted covered recall per cluster column.
-
-        Built lazily on first access (the best-response path never needs it)
-        and incrementally maintained from then on; the raw material of
-        :meth:`workload_cost`.  Under the labels backend the full matrix only
-        materialises for this dense-shaped accessor — the workload-cost path
-        itself reads per-cluster columns.
-        """
-        if self.backend == "labels":
-            self._ensure_global_tracking()
-            population = len(self._peer_order)
-            out = np.zeros((population, len(self._cluster_order)))
-            for column in range(len(self._cluster_order)):
-                if column in self._cv or self._sizes[column] > 0:
-                    out[:, column] = self._cv_column(column)
-            return out
-        if self._CV is None:
-            self._V = self._recall_matrix.global_view()
-            self._CV = self._V @ self._membership()
-            self._V_totals = self._V.sum(axis=1)
-        return self._CV
 
     def membership_columns(
         self, cluster_order: Sequence[ClusterId]
@@ -480,6 +417,10 @@ class BestResponseKernel:
             return None
         return self._labels
 
+    def _recall_losses(self, columns: np.ndarray) -> np.ndarray:
+        """Each peer's Eq. 1 recall loss in its own cluster: ``totals - CW[i, columns[i]]``."""
+        return self._totals - self._covered_at(columns)
+
     def _current_cost_vector(self, columns: np.ndarray) -> np.ndarray:
         sizes = self._sizes[columns]
         theta_table = self._theta_values(int(sizes.max()) if sizes.size else 0)
@@ -488,8 +429,7 @@ class BestResponseKernel:
             * theta_table[sizes.astype(int)]
             / self.cost_model.population_size
         )
-        losses = self._totals - self._covered_at(columns)
-        return membership + losses
+        return membership + self._recall_losses(columns)
 
     def current_costs(self) -> Dict[PeerId, float]:
         """``pcost`` of every assigned peer under its current strategy."""
@@ -525,10 +465,9 @@ class BestResponseKernel:
         """Workload cost (Eq. 3) of the current configuration, fully vectorized.
 
         The maintenance term is ``alpha * sum |c| * theta(|c|) / |P|`` over the
-        live cluster-size vector; the recall term reads the lazily-built,
-        incrementally-maintained covered-recall state (``CV = V @ M`` columns
-        under the dense backend, per-cluster segmented reductions under the
-        labels backend), replacing the per-peer Python loop of
+        live cluster-size vector; the recall term is the recall losses
+        :meth:`social_cost` reads, each weighted by the peer's share of all
+        issued queries, replacing the per-peer Python loop of
         :meth:`CostModel.workload_cost` on the per-round trace path.  Falls
         back to the cost model whenever a tracked peer is outside the
         single-cluster regime, so the result always agrees with the reference
@@ -544,13 +483,8 @@ class BestResponseKernel:
             * float((sizes * theta_table[sizes.astype(int)]).sum())
             / self.cost_model.population_size
         )
-        if self.backend == "labels":
-            self._ensure_global_tracking()
-            loss = float((self._V_totals - self._global_covered_at(columns)).sum())
-        else:
-            covered = self.global_covered()
-            rows = np.arange(columns.size)
-            loss = float((self._V_totals - covered[rows, columns]).sum())
+        share = self._recall_matrix.workload_share
+        loss = float((share * self._recall_losses(columns)).sum())
         if normalized:
             return maintenance / self.cost_model.population_size + loss
         return maintenance + loss

@@ -20,7 +20,7 @@ from repro.peers.peer import Peer
 from repro.strategies.altruistic import exact_contributions
 from repro.strategies.base import StrategyContext
 from tests.conftest import cost_model_in_mode
-from tests.game_oracle import FullWidthKernel, column_global, column_local
+from tests.game_oracle import FullWidthKernel, column_local
 
 
 @pytest.fixture
@@ -83,18 +83,6 @@ class TestLocalMatrix:
 
     def test_covered_weight_with_unknown_peers_is_ignored(self, matrix):
         assert matrix.covered_weight("alice", ["mallory"]) == 0.0
-
-
-class TestGlobalMatrix:
-    def test_global_rows_scale_with_workload_share(self, matrix, tiny_network):
-        """V row = W row * num(Q(p)) / num(Q)."""
-        workloads = tiny_network.workloads()
-        total = sum(workload.total() for workload in workloads.values())
-        local = matrix.local_matrix()
-        global_matrix = matrix.global_matrix()
-        for row, peer_id in enumerate(matrix.peer_order):
-            share = workloads[peer_id].total() / total
-            assert np.allclose(global_matrix[row], local[row] * share)
 
 
 class TestServiceMatrix:
@@ -201,6 +189,8 @@ TERMS = ("a", "b", "c", "d", "e")
 QUERY_POOL = [(term,) for term in TERMS] + list(itertools.combinations(TERMS, 2))
 #: A query on a term no document holds: nobody answers it.
 UNANSWERED = ("z",)
+#: Up to three documents of one to three terms each.
+DOCUMENTS = st.lists(st.lists(st.sampled_from(TERMS), min_size=1, max_size=3), max_size=3)
 
 
 def draw_reach_network(data):
@@ -211,13 +201,10 @@ def draw_reach_network(data):
     (more than 8 slots: numpy sums such rows pairwise, not left to right).
     Up to five more peers draw documents and queries freely.
     """
-    documents = st.lists(
-        st.lists(st.sampled_from(TERMS), min_size=1, max_size=3), max_size=3
-    )
     counts = st.integers(min_value=1, max_value=3)
 
     def peer(peer_id, queries):
-        words = data.draw(documents, label=f"{peer_id} documents")
+        words = data.draw(DOCUMENTS, label=f"{peer_id} documents")
         issued = Peer(peer_id, documents=[Document(terms) for terms in words])
         for query in data.draw(queries, label=f"{peer_id} queries"):
             issued.issue_query(Query(query), data.draw(counts, label="count"))
@@ -259,14 +246,10 @@ class TestReachedColumnProperty:
             assert issuer_rows[indptr[query] : indptr[query + 1]].tolist() == issuing.tolist()
 
         for column in range(population):
-            rows, local, global_ = factored.reached_column(column)
-            for got, want in (
-                (local, column_local(factored, column)),
-                (global_, column_global(factored, column)),
-            ):
-                scattered = np.zeros(population)
-                scattered[rows] = got
-                assert np.array_equal(scattered, want)
+            rows, recall = factored.reached_column(column)
+            scattered = np.zeros(population)
+            scattered[rows] = recall
+            assert np.array_equal(scattered, column_local(factored, column))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -287,7 +270,6 @@ class TestReachedColumnProperty:
         for kernel in (reach, full):
             assert kernel.backend == "labels"
             kernel.cost_table(clusters)  # every CW column live
-            kernel.global_covered()  # the CV columns of the nonempty clusters
 
         for _ in range(data.draw(st.integers(min_value=1, max_value=8), label="steps")):
             peer_id = data.draw(st.sampled_from(peer_ids), label="peer")
@@ -307,8 +289,105 @@ class TestReachedColumnProperty:
                         data.draw(st.sampled_from(homes)),
                         data.draw(st.sampled_from(others)),
                     )
-            assert np.array_equal(reach.global_covered(), full.global_covered())
             assert np.array_equal(reach.cost_table(clusters), full.cost_table(clusters))
+
+
+def assign_one_cluster_each(data, network):
+    """A configuration with every peer of *network* in one drawn cluster."""
+    clusters = [f"c{index}" for index in range(data.draw(st.integers(1, 3), label="slots"))]
+    return ClusterConfiguration(
+        clusters,
+        {
+            peer_id: data.draw(st.sampled_from(clusters), label="home")
+            for peer_id in network.peer_ids()
+        },
+    )
+
+
+class TestWorkloadShareProperty:
+    """The workload cost's recall term is ``W``'s loss times the workload share."""
+
+    @staticmethod
+    def assert_matches_the_per_query_weighting(network, configuration):
+        reference = network.cost_model(use_matrix=False)
+        workloads = network.workloads()
+        issued = [workloads[peer_id].total() for peer_id in network.peer_ids()]
+        for mode in ("dense", "factored"):
+            model = cost_model_in_mode(network, mode)
+            share = model.matrix.workload_share
+            assert not share.flags.writeable
+            assert share.tolist() == [
+                count / sum(issued) if sum(issued) else 0.0 for count in issued
+            ]
+            for peer_id in network.peer_ids():
+                covered = set(configuration.covered_peers(peer_id)) | {peer_id}
+                assert model.global_recall_loss(peer_id, covered) == pytest.approx(
+                    reference.global_recall_loss(peer_id, covered), rel=1e-12, abs=1e-12
+                )
+            kernel = BestResponseKernel(model, configuration)
+            for normalized in (False, True):
+                want = reference.workload_cost(configuration, normalized=normalized)
+                for got in (
+                    model.workload_cost(configuration, normalized=normalized),
+                    kernel.workload_cost(normalized=normalized),
+                ):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_share_path_equals_the_per_query_weighting(self, data):
+        """Random networks; ``quiet`` issues no query, so its share is 0."""
+        network = draw_reach_network(data)
+        self.assert_matches_the_per_query_weighting(
+            network, assign_one_cluster_each(data, network)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_no_issued_query_gives_zero_shares(self, data):
+        network = PeerNetwork(
+            [
+                Peer(f"p{index}", documents=[Document(words) for words in data.draw(DOCUMENTS)])
+                for index in range(data.draw(st.integers(1, 4), label="peers"))
+            ]
+        )
+        self.assert_matches_the_per_query_weighting(
+            network, assign_one_cluster_each(data, network)
+        )
+
+
+class TestResultCountsProperty:
+    """Factored Eq. 6's result counts, recovered from ``B``, equal a fresh count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_recovered_counts_equal_the_result_count_matrix(self, data):
+        # Repeated documents give result counts and totals up to a few hundred.
+        copies = st.integers(min_value=1, max_value=200)
+        peers = []
+        for index in range(data.draw(st.integers(min_value=1, max_value=6), label="peers")):
+            documents = []
+            for words in data.draw(DOCUMENTS, label="documents"):
+                documents += [Document(words)] * data.draw(copies, label="copies")
+            peer = Peer(f"p{index}", documents=documents)
+            for query in data.draw(
+                st.lists(st.sampled_from([*QUERY_POOL, UNANSWERED]), max_size=6, unique=True),
+                label="queries",
+            ):
+                peer.issue_query(Query(query), data.draw(st.integers(1, 3), label="count"))
+            peers.append(peer)
+        network = PeerNetwork(peers)
+        recall_model = network.recall_model()
+        # The peers left out still provide results: they count in B_totals.
+        peer_order = data.draw(
+            st.lists(st.sampled_from(network.peer_ids()), min_size=1, unique=True),
+            label="peer order",
+        )
+        matrix = WeightedRecallMatrix(
+            recall_model, network.workloads(), peer_order, mode="factored"
+        )
+        counts, _ = recall_model.result_count_matrix(matrix.factored().queries, peer_order)
+        assert np.array_equal(matrix._ensure_result_counts(), counts)
 
 
 class TestCoveredIndices:

@@ -112,7 +112,7 @@ class TestExactParity:
     @pytest.mark.parametrize("scenario_name", SCENARIOS)
     @pytest.mark.parametrize("initial", ["singletons", "random", "category"])
     def test_workload_cost_matches_exact_reference(self, scenario_name, initial, backend):
-        """The vectorized CV-based workload cost == the per-peer reference loop."""
+        """The vectorized, share-weighted workload cost == the per-peer reference loop."""
         if scenario_name == SCENARIO_UNIFORM and initial == "category":
             pytest.skip("uniform scenario has no per-peer categories")
         data, configuration, fast_model, exact_model = build_setup(
@@ -125,7 +125,7 @@ class TestExactParity:
             )
 
     def test_workload_cost_stays_exact_across_incremental_moves(self, backend):
-        """CV is maintained through moves; the cost never drifts from the reference."""
+        """``CW`` is maintained through moves; the workload cost never drifts from the reference."""
         data, configuration, fast_model, exact_model = build_setup(
             SCENARIO_SAME_CATEGORY, backend=backend
         )
@@ -192,7 +192,6 @@ class TestIncrementalMaintenance:
         configuration = small_scenario.network.singleton_configuration()
         cost_model = small_scenario.network.cost_model()
         kernel = BestResponseKernel(cost_model, configuration)
-        kernel.global_covered()  # materialise CV so the updates maintain it too
         rng = random.Random(1234)
         peer_pool = list(configuration.peer_ids())
         removed = []
@@ -218,7 +217,6 @@ class TestIncrementalMaintenance:
         assert_same_membership(kernel, rebuilt)
         np.testing.assert_allclose(kernel._sizes, rebuilt._sizes, atol=1e-9)
         np.testing.assert_allclose(kernel._CW, rebuilt._CW, atol=1e-9)
-        np.testing.assert_allclose(kernel.global_covered(), rebuilt.global_covered(), atol=1e-9)
 
         candidates = configuration.nonempty_clusters()
         incremental, _ = kernel.best_response_all(candidate_clusters=candidates)

@@ -1,17 +1,23 @@
 """Stateful property test: the kernel's live state under membership churn.
 
 A Hypothesis :class:`RuleBasedStateMachine` drives one configuration through
-assigns, moves, peer departures, new cluster slots, extra memberships and a
-peer the recall matrix does not know, with a :class:`BestResponseKernel`
-listening, once per backend (over a dense and over a factored recall
-matrix).  After every step:
+assigns, moves, peer departures, new cluster slots, extra memberships, a
+peer the recall matrix does not know, and a step that puts every matrix peer
+back into exactly one cluster (the regime the kernel answers vectorized),
+with a :class:`BestResponseKernel` listening, once per backend (over a dense
+and over a factored recall matrix).  After every step:
 
 * the membership regime the kernel answers in O(1) —
   ``_single_cluster_columns()`` and ``_has_untracked_peers()`` — equals a
   rescan of the configuration;
 * ``social_cost`` and ``workload_cost`` match the per-query
   :class:`~repro.core.costs.CostModel` to 1e-9 wherever the cost model is
-  defined (every matrix peer assigned).
+  defined (every matrix peer assigned);
+* ``cost_table`` over every cluster slot, ``new_cluster_costs`` and
+  ``current_costs`` match the per-query ``prospective_pcost`` and ``pcost``
+  to 1e-9 wherever the kernel answers (no peer the matrix does not know in
+  the configuration: its membership would count in the reference's
+  cluster sizes but not in the kernel's).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core.costs import NEW_CLUSTER
 from repro.errors import UnknownPeerError
 from repro.game.kernel import BestResponseKernel
 from repro.peers.configuration import ClusterConfiguration
@@ -31,6 +38,10 @@ from tests.conftest import BACKEND_MODES, cost_model_in_mode, make_small_scenari
 
 #: A peer the recall matrix does not know.
 STRANGER = "stranger"
+
+#: The reference ``prospective_pcost`` by (peer, members of the cluster it
+#: joins): the value depends on nothing else, and most clusters outlive a step.
+PROSPECTIVE_COSTS = {}
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +120,19 @@ class KernelMachine(RuleBasedStateMachine):
     def add_unknown_peer(self, data):
         self.configuration.assign(STRANGER, self._any_slot(data))
 
+    @rule(data=st.data())
+    def one_cluster_each(self, data):
+        """Every matrix peer in exactly one cluster: one of its own, or a drawn one."""
+        for peer_id in self.matrix_peers:
+            homes = sorted(self._clusters_of(peer_id), key=repr)
+            if len(homes) == 1:
+                continue
+            if homes:
+                self.configuration.remove_peer(peer_id)
+                self.configuration.assign(peer_id, data.draw(st.sampled_from(homes)))
+            else:
+                self.configuration.assign(peer_id, self._any_slot(data))
+
     # -- invariants ---------------------------------------------------------------
 
     def _clusters_of(self, peer_id):
@@ -157,6 +181,44 @@ class KernelMachine(RuleBasedStateMachine):
         assert self.kernel.workload_cost(normalized=True) == pytest.approx(
             self.reference.workload_cost(self.configuration, normalized=True), abs=1e-9
         )
+
+    def _prospective_cost(self, peer_id, cluster_id):
+        members = (
+            frozenset()
+            if cluster_id == NEW_CLUSTER
+            else frozenset(self.configuration.members(cluster_id))
+        )
+        key = (peer_id, members)
+        if key not in PROSPECTIVE_COSTS:
+            PROSPECTIVE_COSTS[key] = self.reference.prospective_pcost(
+                peer_id, cluster_id, self.configuration
+            )
+        return PROSPECTIVE_COSTS[key]
+
+    @invariant()
+    def cost_tables_match_the_cost_model(self):
+        if self.kernel._has_untracked_peers():
+            return
+        clusters = self.configuration.cluster_ids()
+        expected = [
+            [self._prospective_cost(peer_id, cluster_id) for cluster_id in clusters]
+            for peer_id in self.matrix_peers
+        ]
+        np.testing.assert_allclose(
+            self.kernel.cost_table(clusters), expected, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            self.kernel.new_cluster_costs(),
+            [self._prospective_cost(peer_id, NEW_CLUSTER) for peer_id in self.matrix_peers],
+            rtol=0,
+            atol=1e-9,
+        )
+        current = self.kernel.current_costs()
+        assert set(current) == set(self.configuration.peer_ids())
+        for peer_id, cost in current.items():
+            assert cost == pytest.approx(
+                self.reference.pcost(peer_id, self.configuration), abs=1e-9
+            )
 
 
 class LabelsKernelMachine(KernelMachine):

@@ -10,10 +10,9 @@ against it (the >=5x gate), and ``tests/game/test_kernel.py`` pins the
 kernel's cost table to :meth:`~TableGame.prospective_cost_table`, so the
 bench's baseline stays a correct one.
 
-:func:`column_local` and :func:`column_global` gather a provider's whole
-column of ``W`` and ``V`` from the factored recall, every row, the way the
-``labels`` kernel applied a move before it learnt which rows a provider
-reaches.  :class:`FullWidthKernel` is that kernel: the reach-bounded updates
+:func:`column_local` gathers a provider's whole column of ``W`` from the
+factored recall, every row, the way the ``labels`` kernel applied a move
+before it learnt which rows a provider reaches.  :class:`FullWidthKernel` is that kernel: the reach-bounded updates
 must stay bit-identical to it (``tests/core/test_recall_matrix.py``,
 ``tests/game/test_kernel_labels.py``), and
 ``benchmarks/bench_best_response.py`` times moves against it.
@@ -36,11 +35,6 @@ def column_local(factored: FactoredRecall, column: int) -> np.ndarray:
     return (factored.w_local * factored.B[factored.qidx, column]).sum(axis=1)
 
 
-def column_global(factored: FactoredRecall, column: int) -> np.ndarray:
-    """``V[:, column]``, all rows gathered."""
-    return (factored.w_global * factored.B[factored.qidx, column]).sum(axis=1)
-
-
 class FullWidthKernel(BestResponseKernel):
     """A ``labels`` kernel that applies each move to every row of the covered columns."""
 
@@ -48,10 +42,6 @@ class FullWidthKernel(BestResponseKernel):
         covered = self._cw.get(column)
         if covered is not None:
             operation(covered, column_local(self._source, row), out=covered)
-        if self._cv_active:
-            covered_global = self._cv.get(column)
-            if covered_global is not None:
-                operation(covered_global, column_global(self._source, row), out=covered_global)
 
 
 class TableGame(ClusterGame):

@@ -1,7 +1,9 @@
-"""The committed byte-parity script prints the same digests run after run."""
+"""The committed byte-parity script: stable digests, dumps and field diffs."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -31,4 +33,49 @@ def test_two_limited_runs_print_the_same_digests(capsys):
         "v0/same-category/singletons/selfish",
         "v0/same-category/singletons/altruistic",
         "total",
+    ]
+
+
+def test_dump_holds_the_digested_payloads(tmp_path, capsys):
+    dump = tmp_path / "runs.json"
+    assert main(["quick", "--limit", "2", "--dump", str(dump)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = json.loads(dump.read_text(encoding="utf-8"))
+    digests = {label: digest for digest, label in (line.split("  ") for line in lines[:-1])}
+    assert sorted(results) == sorted(digests)
+    for label, result in results.items():
+        data = (json.dumps(result, sort_keys=True) + "\n").encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digests[label]
+
+
+def test_diff_prints_each_differing_field_path(tmp_path, capsys):
+    old = {
+        "a": {
+            "final_workload_cost": 0.5,
+            "workload_cost_trace": [1.0, 0.75, 0.5],
+            "periods": [{"workload_cost_after": 2.0, "model": "drift"}],
+            "moves": 3,
+        },
+        "b": {"final_workload_cost": float("nan"), "moves": 1},
+        "gone": {"moves": 0},
+    }
+    new = json.loads(json.dumps(old))
+    new["a"]["final_workload_cost"] = 0.5 * (1 + 2**-50)
+    new["a"]["workload_cost_trace"][1:] = [0.75 * (1 - 2**-51), 0.5 * (1 + 2**-50)]
+    new["a"]["periods"][0]["model"] = "churn"
+    new["added"] = new.pop("gone")
+    paths = []
+    for name, dump in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump), encoding="utf-8")
+
+    assert main(["diff", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 3 runs differ"]
+    assert main(["diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "(run)  2  inf",
+        "final_workload_cost  1  8.88e-16",
+        "periods[].model  1  inf",
+        "workload_cost_trace[]  2  8.88e-16",
+        "3 of 4 runs differ",
     ]
