@@ -4,9 +4,12 @@ The paper's strategies are defined over quantities a peer can observe
 locally: every query result is annotated with the cluster id (cid) that
 provided it, and every peer tracks how much it serves queries coming from
 each cluster.  This example observes one period ``T`` (``observe_period``:
-every recorded query occurrence routed once) and then lets peers decide with
-the *observed* variants of the selfish and altruistic strategies, comparing
-the decisions against the exact (global-knowledge) variants.
+every recorded query occurrence routed once) into a ``PeriodStatistics`` —
+integer arrays with one row per peer and one column per non-empty cluster —
+and then lets peers decide with the *observed* variants of the selfish and
+altruistic strategies, comparing the decisions against the exact
+(global-knowledge) variants.  Both modes decide every peer in one
+``propose_all`` batch.
 
 It also shows what happens when routing is restricted (probe-k router): the
 observed recall under-estimates clusters the query never reached.
@@ -33,10 +36,26 @@ from repro.strategies import AltruisticStrategy, SelfishStrategy, StrategyContex
 
 
 def run_period(data, configuration, router):
-    """One observation period: the per-peer statistics and the message bus."""
+    """One observation period: the period's statistics and the message bus."""
     bus = MessageBus()
     statistics = observe_period(data.network, configuration, router=router, bus=bus)
     return statistics, bus
+
+
+def targets(strategy, context, peer_ids):
+    """Each peer's chosen cluster (its own when it stays), decided in one batch."""
+    movers = strategy.propose_all(peer_ids, context)
+    configuration = context.game.configuration
+    return {
+        peer_id: movers[peer_id].target_cluster
+        if peer_id in movers
+        else configuration.cluster_of(peer_id)
+        for peer_id in peer_ids
+    }
+
+
+def agreement(first, second):
+    return sum(first[peer_id] == second[peer_id] for peer_id in first)
 
 
 def main() -> None:
@@ -45,53 +64,35 @@ def main() -> None:
     configuration = initial_configuration(data, "random", seed=23)
     cost_model = data.network.cost_model(theta=config.theta(), alpha=config.alpha)
     game = ClusterGame(cost_model, configuration, allow_new_clusters=False)
+    peer_ids = data.peer_ids()
 
     statistics, bus = run_period(data, configuration, BroadcastRouter(data.network))
-    trackers = [stats.recall_tracker for stats in statistics.values()]
     print(
         "period with broadcast routing: "
-        f"{sum(tracker.queries_observed() for tracker in trackers)} queries routed, "
-        f"{sum(tracker.total_results() for tracker in trackers)} results, "
-        f"{bus.total()} messages"
+        f"{statistics.issued.sum()} queries routed, "
+        f"{statistics.received.sum()} results, "
+        f"{bus.total()} messages, "
+        f"{statistics.received.shape[1]} clusters observed"
     )
 
     context = StrategyContext(game=game, statistics=statistics)
-    exact_selfish = SelfishStrategy(mode="exact")
-    observed_selfish = SelfishStrategy(mode="observed")
-    exact_altruistic = AltruisticStrategy(mode="exact")
-    observed_altruistic = AltruisticStrategy(mode="observed")
-
-    agree_selfish = 0
-    agree_altruistic = 0
-    peer_ids = data.peer_ids()
-    for peer_id in peer_ids:
-        if (
-            exact_selfish.propose(peer_id, context).target_cluster
-            == observed_selfish.propose(peer_id, context).target_cluster
-        ):
-            agree_selfish += 1
-        if (
-            exact_altruistic.propose(peer_id, context).target_cluster
-            == observed_altruistic.propose(peer_id, context).target_cluster
-        ):
-            agree_altruistic += 1
+    exact_selfish = targets(SelfishStrategy(mode="exact"), context, peer_ids)
+    observed_selfish = targets(SelfishStrategy(mode="observed"), context, peer_ids)
+    exact_altruistic = targets(AltruisticStrategy(mode="exact"), context, peer_ids)
+    observed_altruistic = targets(AltruisticStrategy(mode="observed"), context, peer_ids)
     print(
         f"observed vs exact target agreement (broadcast): "
-        f"selfish {agree_selfish}/{len(peer_ids)}, altruistic {agree_altruistic}/{len(peer_ids)}"
+        f"selfish {agreement(exact_selfish, observed_selfish)}/{len(peer_ids)}, "
+        f"altruistic {agreement(exact_altruistic, observed_altruistic)}/{len(peer_ids)}"
     )
 
     statistics_k, bus_k = run_period(data, configuration, ProbeKRouter(data.network, k=2))
     context_k = StrategyContext(game=game, statistics=statistics_k)
-    agree_probe = sum(
-        1
-        for peer_id in peer_ids
-        if observed_selfish.propose(peer_id, context_k).target_cluster
-        == exact_selfish.propose(peer_id, context).target_cluster
-    )
+    probed_selfish = targets(SelfishStrategy(mode="observed"), context_k, peer_ids)
     print(
         f"period with probe-2 routing: {bus_k.total()} messages "
-        f"(vs {bus.total()} for broadcast); "
-        f"selfish agreement drops to {agree_probe}/{len(peer_ids)}"
+        f"(vs {bus.total()} for broadcast), {statistics_k.received.sum()} results; "
+        f"selfish agreement drops to {agreement(exact_selfish, probed_selfish)}/{len(peer_ids)}"
     )
 
 

@@ -49,7 +49,7 @@ from repro.core.queries import QueryWorkload
 from repro.core.recall import RecallModel
 from repro.core.recall_matrix import WeightedRecallMatrix
 from repro.core.theta import LinearTheta, ThetaFunction
-from repro.errors import ConfigurationError, UnknownPeerError
+from repro.errors import ConfigurationError
 
 __all__ = ["CostModel", "NEW_CLUSTER"]
 
@@ -245,12 +245,6 @@ class CostModel:
             peer_id: self.pcost(peer_id, configuration)
             for peer_id in self.recall_model.peer_ids
         }
-
-    def peer_workload(self, peer_id: PeerId) -> QueryWorkload:
-        """The local workload of *peer_id* (empty workload if the peer issued no queries)."""
-        if peer_id not in self.recall_model:
-            raise UnknownPeerError(peer_id)
-        return self.workloads.get(peer_id, QueryWorkload())
 
     def __repr__(self) -> str:
         return (

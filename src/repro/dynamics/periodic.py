@@ -156,9 +156,7 @@ class PeriodicMaintenanceLoop:
             moves=result.total_moves,
             rounds=result.num_rounds,
             converged=result.converged and not result.cycle_detected,
-            queries_routed=0 if statistics is None else sum(
-                stats.recall_tracker.queries_observed() for stats in statistics.values()
-            ),
+            queries_routed=0 if statistics is None else int(statistics.issued.sum()),
         )
         self.records.append(record)
         self.hooks.emit(PERIOD_END, PeriodEndEvent(record=record, protocol_result=result))

@@ -4,7 +4,7 @@ The routers defined here decide which clusters a query reaches
 (:meth:`~repro.overlay.routing.QueryRouter.target_clusters`); the one
 query-serving path in :mod:`repro.traffic` resolves the providers through
 recall-matrix products, both to serve event streams and to observe a period
-for :class:`~repro.peers.statistics.PeerStatistics`.  Both count messages
+into :class:`~repro.peers.statistics.PeriodStatistics`.  Both count messages
 with the conventions of :class:`MessageBus`.
 """
 

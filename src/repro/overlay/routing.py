@@ -21,8 +21,8 @@ A router only decides :meth:`QueryRouter.target_clusters`.  The providers
 are resolved vectorised in :mod:`repro.traffic.simulator`, once per issuer
 cluster when the router declares :attr:`QueryRouter.cluster_invariant`:
 :class:`~repro.traffic.simulator.TrafficSimulator` serves event streams and
-:func:`~repro.traffic.simulator.observe_period` fills the per-peer
-observation trackers.  Custom routers work on both automatically.
+:func:`~repro.traffic.simulator.observe_period` returns a period's
+observation arrays.  Custom routers work on both automatically.
 """
 
 from __future__ import annotations

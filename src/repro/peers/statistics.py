@@ -1,177 +1,128 @@
-"""Per-peer observed statistics gathered during a period ``T``.
+"""One observation period ``T``, as integer arrays over every peer.
 
 The relocation strategies of the paper are driven by *observed* quantities,
-not by global knowledge:
+not by global knowledge (Section 3.1):
 
 * Every query result returned to a peer is annotated with the ``cid`` of the
-  cluster that provided it.  Over a period ``T`` the peer can therefore track,
-  per cluster, how much recall each cluster yields for its workload — this is
-  what the **selfish** strategy needs (:class:`ClusterRecallTracker`).
-* Symmetrically, a peer can track how many results it *serves* to queries
-  coming from each cluster — the **altruistic** strategy's ``contribution``
-  measure (:class:`ContributionTracker`).
+  cluster that provided it.  Over a period ``T`` a peer therefore knows how
+  many of its results each cluster returned — what the **selfish** strategy
+  needs.
+* Symmetrically, a peer knows how many results it *served* to queries issued
+  from each cluster — the **altruistic** strategy's ``contribution``
+  (Eq. 6).
 
-The trackers are deliberately oblivious to how results were routed;
-:func:`~repro.traffic.simulator.observe_period` fills them for one period,
-and the strategies read them.
+:class:`PeriodStatistics` holds both for all peers at once;
+:func:`~repro.traffic.simulator.observe_period` fills it for one period and
+the strategies read it, a whole batch of peers or a single row at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
-from typing import Dict, Optional
+from collections.abc import Hashable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Tuple, Union
 
-from repro.core.queries import Query
+import numpy as np
 
-__all__ = ["ClusterRecallTracker", "ContributionTracker", "PeerStatistics"]
+__all__ = ["PeriodStatistics", "shares_of"]
 
 PeerId = Hashable
 ClusterId = Hashable
+#: Row positions into the arrays, or ``slice(None)`` for every row.
+Rows = Union[slice, Sequence[int]]
 
 
-class ClusterRecallTracker:
-    """Tracks, for one peer, the results its queries received from each cluster."""
-
-    def __init__(self) -> None:
-        self._results_per_cluster: Dict[ClusterId, int] = {}
-        self._results_per_query_cluster: Dict[Query, Dict[ClusterId, int]] = {}
-        self._total_results: int = 0
-        self._queries_observed: int = 0
-
-    def record(self, query: Query, cluster_id: ClusterId, result_count: int) -> None:
-        """Record that *result_count* results for *query* arrived annotated with *cluster_id*."""
-        if result_count < 0:
-            raise ValueError(f"result_count must be non-negative, got {result_count}")
-        self._results_per_cluster[cluster_id] = (
-            self._results_per_cluster.get(cluster_id, 0) + result_count
-        )
-        per_query = self._results_per_query_cluster.setdefault(query, {})
-        per_query[cluster_id] = per_query.get(cluster_id, 0) + result_count
-        self._total_results += result_count
-
-    def record_query(self, count: int = 1) -> None:
-        """Note that *count* queries of the local workload were evaluated during the period."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        self._queries_observed += count
-
-    def cluster_recall(self, query: Query, cluster_id: ClusterId) -> float:
-        """Observed *cluster recall*: fraction of the results of *query* that came from *cluster_id*."""
-        per_query = self._results_per_query_cluster.get(query)
-        if not per_query:
-            return 0.0
-        total = sum(per_query.values())
-        if total == 0:
-            return 0.0
-        return per_query.get(cluster_id, 0) / total
-
-    def observed_recall_by_cluster(self) -> Dict[ClusterId, float]:
-        """Fraction of all observed results contributed by each cluster."""
-        if self._total_results == 0:
-            return {}
-        return {
-            cluster_id: count / self._total_results
-            for cluster_id, count in self._results_per_cluster.items()
-        }
-
-    def observed_clusters(self) -> Iterable[ClusterId]:
-        """Clusters that returned at least one result during the period."""
-        return sorted(self._results_per_cluster, key=repr)
-
-    def total_results(self) -> int:
-        """Total number of results observed during the period."""
-        return self._total_results
-
-    def queries_observed(self) -> int:
-        """Number of local queries evaluated during the period."""
-        return self._queries_observed
-
-    def reset(self) -> None:
-        """Clear the period's observations (called when a new period ``T`` starts)."""
-        self._results_per_cluster.clear()
-        self._results_per_query_cluster.clear()
-        self._total_results = 0
-        self._queries_observed = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterRecallTracker(clusters={len(self._results_per_cluster)}, "
-            f"results={self._total_results})"
-        )
+def shares_of(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``counts / totals`` as float64 (broadcast), 0 where the total is 0."""
+    return np.divide(
+        counts,
+        totals,
+        out=np.zeros(np.broadcast_shapes(counts.shape, totals.shape)),
+        where=totals > 0,
+    )
 
 
-class ContributionTracker:
-    """Tracks, for one peer, the results it served to queries from each cluster.
+@dataclass(frozen=True, eq=False)
+class PeriodStatistics:
+    """The cid-annotated result counts of one period, for every peer.
 
-    ``contribution(p, c_i)`` (Eq. 6) is the fraction of all results served by
-    ``p`` during the period that went to queries issued by members of
-    cluster ``c_i``.
+    Rows follow :attr:`peer_order`, the network's ``peer_ids()`` (which is
+    the recall matrix's ``peer_order``); columns follow
+    :attr:`cluster_order`, the clusters that were non-empty when the period
+    was observed, in ``repr`` order.  All arrays are int64 and read-only:
+
+    * ``received[i, c]`` — the results peer ``i``'s queries got from cluster ``c``;
+    * ``served[i, c]`` — the results peer ``i`` served to queries issued from
+      cluster ``c``;
+    * ``issued[i]`` — the workload occurrences peer ``i`` routed;
+    * ``own[i]`` — the results ``i``'s own content holds for ``i``'s own workload.
+
+    Readers name the clusters they ask about; a cluster missing from the
+    observation (one that was empty then) reads 0.
     """
 
-    def __init__(self) -> None:
-        self._served_per_cluster: Dict[ClusterId, int] = {}
-        self._total_served: int = 0
+    peer_order: List[PeerId]
+    cluster_order: List[ClusterId]
+    received: np.ndarray
+    served: np.ndarray
+    issued: np.ndarray
+    own: np.ndarray
 
-    def record_served(self, requesting_cluster: ClusterId, result_count: int) -> None:
-        """Record *result_count* results served to a query issued from *requesting_cluster*."""
-        if result_count < 0:
-            raise ValueError(f"result_count must be non-negative, got {result_count}")
-        self._served_per_cluster[requesting_cluster] = (
-            self._served_per_cluster.get(requesting_cluster, 0) + result_count
+    def __post_init__(self) -> None:
+        for array in (self.received, self.served, self.issued, self.own):
+            array.flags.writeable = False
+
+    @cached_property
+    def peer_index(self) -> Dict[PeerId, int]:
+        """Row of every observed peer."""
+        return {peer_id: row for row, peer_id in enumerate(self.peer_order)}
+
+    @cached_property
+    def _column_index(self) -> Dict[ClusterId, int]:
+        return {cluster_id: column for column, cluster_id in enumerate(self.cluster_order)}
+
+    def __contains__(self, peer_id: object) -> bool:
+        return peer_id in self.peer_index
+
+    def _in_clusters(
+        self, table: np.ndarray, cluster_order: Sequence[ClusterId], rows: Rows
+    ) -> np.ndarray:
+        """*table*'s *rows* by *cluster_order*; a cluster not observed reads 0."""
+        # The appended zero column stands for every cluster not observed.
+        unobserved = len(self.cluster_order)
+        columns = [self._column_index.get(cluster_id, unobserved) for cluster_id in cluster_order]
+        return np.pad(table[rows], ((0, 0), (0, 1)))[:, columns]
+
+    def recall_shares(
+        self, cluster_order: Sequence[ClusterId], rows: Rows = slice(None)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The selfish strategy's observations (Section 3.1.1) of *rows*.
+
+        Returns ``(shares, own_shares)``: ``shares[k, j]`` is the fraction of
+        all results row ``k`` received that came from ``cluster_order[j]``,
+        and ``own_shares[k]`` the fraction its own content holds, capped at
+        1.  Both are 0 for a peer that received nothing.
+        """
+        totals = self.received[rows].sum(axis=1)
+        return (
+            shares_of(self._in_clusters(self.received, cluster_order, rows), totals[:, None]),
+            np.minimum(shares_of(self.own[rows], totals), 1.0),
         )
-        self._total_served += result_count
 
-    def contribution(self, cluster_id: ClusterId) -> float:
-        """``contribution(p, c_i)``: share of served results that went to *cluster_id*."""
-        if self._total_served == 0:
-            return 0.0
-        return self._served_per_cluster.get(cluster_id, 0) / self._total_served
+    def contributions(
+        self, cluster_order: Sequence[ClusterId], rows: Rows = slice(None)
+    ) -> np.ndarray:
+        """``contribution(p, c)`` (Eq. 6) of *rows* to *cluster_order*.
 
-    def contributions(self) -> Dict[ClusterId, float]:
-        """Contribution to every cluster observed during the period."""
-        if self._total_served == 0:
-            return {}
-        return {
-            cluster_id: count / self._total_served
-            for cluster_id, count in self._served_per_cluster.items()
-        }
-
-    def best_cluster(self) -> Optional[ClusterId]:
-        """The cluster with the highest contribution (ties broken deterministically)."""
-        if not self._served_per_cluster:
-            return None
-        return max(
-            sorted(self._served_per_cluster, key=repr),
-            key=lambda cluster_id: self._served_per_cluster[cluster_id],
-        )
-
-    def total_served(self) -> int:
-        """Total number of results served during the period."""
-        return self._total_served
-
-    def reset(self) -> None:
-        """Clear the period's observations."""
-        self._served_per_cluster.clear()
-        self._total_served = 0
+        The share of everything a peer served that went to queries issued
+        from each cluster; 0 for a peer that served nothing.
+        """
+        totals = self.served[rows].sum(axis=1)[:, None]
+        return shares_of(self._in_clusters(self.served, cluster_order, rows), totals)
 
     def __repr__(self) -> str:
         return (
-            f"ContributionTracker(clusters={len(self._served_per_cluster)}, "
-            f"served={self._total_served})"
+            f"PeriodStatistics(peers={len(self.peer_order)}, "
+            f"clusters={len(self.cluster_order)}, issued={int(self.issued.sum())})"
         )
-
-
-class PeerStatistics:
-    """Bundle of the two per-peer trackers; one period's observations of one peer."""
-
-    def __init__(self) -> None:
-        self.recall_tracker = ClusterRecallTracker()
-        self.contribution_tracker = ContributionTracker()
-
-    def reset(self) -> None:
-        """Start a fresh observation period ``T``."""
-        self.recall_tracker.reset()
-        self.contribution_tracker.reset()
-
-    def __repr__(self) -> str:
-        return f"PeerStatistics({self.recall_tracker!r}, {self.contribution_tracker!r})"

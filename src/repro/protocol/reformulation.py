@@ -22,7 +22,7 @@ rounds; its kernel follows the configuration's moves incrementally.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -37,7 +37,7 @@ from repro.events import (
 from repro.game.model import ClusterGame
 from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
-from repro.peers.statistics import PeerStatistics
+from repro.peers.statistics import PeriodStatistics
 from repro.protocol.rounds import RoundResult, execute_round
 from repro.strategies.base import MoverBatch, RelocationStrategy, StrategyContext
 
@@ -224,7 +224,7 @@ class ReformulationProtocol:
         self,
         round_number: int,
         *,
-        statistics: Optional[Mapping[PeerId, PeerStatistics]] = None,
+        statistics: Optional[PeriodStatistics] = None,
     ) -> RoundResult:
         """Run a single two-phase round against the current configuration.
 
@@ -254,7 +254,7 @@ class ReformulationProtocol:
         self,
         *,
         max_rounds: int = 500,
-        statistics: Optional[Mapping[PeerId, PeerStatistics]] = None,
+        statistics: Optional[PeriodStatistics] = None,
         detect_cycles: bool = True,
     ) -> ProtocolResult:
         """Run rounds until quiescence, a cycle, or the round budget is exhausted."""

@@ -28,7 +28,7 @@ from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, ScenarioConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 
-__all__ = ["SessionConfig"]
+__all__ = ["SessionConfig", "TRAFFIC_KEYS", "check_traffic_settings"]
 
 #: Protocol switches that must be real booleans ("no" is truthy).
 _FLAGS = ("allow_cluster_creation", "restrict_to_nonempty", "enforce_locks")
@@ -43,6 +43,21 @@ _THRESHOLDS = {
 _CHOICES = {
     "strategy_mode": ("exact", "observed"),
 }
+#: The settings a ``traffic`` mapping, or :meth:`Simulation.run_traffic`'s
+#: keyword arguments, may name.
+TRAFFIC_KEYS = (
+    "batch_size", "horizon", "keep_log", "link", "num_events", "seed", "workload", "workload_options",
+)
+
+
+def check_traffic_settings(settings: Iterable[Any]) -> None:
+    """Raise a :class:`ConfigurationError` naming the *settings* not in :data:`TRAFFIC_KEYS`."""
+    unknown = set(settings) - set(TRAFFIC_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown traffic settings {sorted(unknown, key=repr)}; "
+            f"valid keys: {list(TRAFFIC_KEYS)}"
+        )
 
 
 def _reject_unknown_keys(keys: Iterable[Any], cls: type, what: str) -> None:
@@ -158,10 +173,11 @@ class SessionConfig:
     #: so drifting sessions sweep and JSON-round-trip like static ones.
     dynamics: Optional[Dict[str, Any]] = None
     #: Declarative query-traffic settings for :meth:`Simulation.run_traffic`:
-    #: a plain mapping of its keyword arguments (``workload``,
-    #: ``workload_options``, ``num_events``, ``horizon``, ``link``,
-    #: ``batch_size``, ``seed``).  ``None`` = the traffic defaults.  Kept as a
-    #: plain bag so traffic runs sweep and JSON-round-trip like the rest.
+    #: a plain mapping of its keyword arguments (:data:`TRAFFIC_KEYS`:
+    #: ``workload``, ``workload_options``, ``num_events``, ``horizon``,
+    #: ``link``, ``batch_size``, ``keep_log``, ``seed``).  ``None`` = the
+    #: traffic defaults.  Kept as a plain bag so traffic runs sweep and
+    #: JSON-round-trip like the rest.
     traffic: Optional[Dict[str, Any]] = None
     #: Field overrides applied to the preset's :class:`ScenarioConfig`.
     scenario_overrides: Dict[str, Any] = field(default_factory=dict)
@@ -180,6 +196,8 @@ class SessionConfig:
             _check_protocol_settings(self)
         if self.scenario_overrides:
             _reject_unknown_keys(self.scenario_overrides, ScenarioConfig, "scenario_overrides")
+        if self.traffic:
+            check_traffic_settings(self.traffic)
 
     # -- constructors ------------------------------------------------------------
 

@@ -48,9 +48,9 @@ from repro.events import EventHooks
 from repro.overlay.routing import QueryRouter, build_router
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
-from repro.peers.statistics import PeerStatistics
+from repro.peers.statistics import PeriodStatistics
 from repro.protocol.reformulation import ProtocolResult, ReformulationProtocol
-from repro.session.config import SessionConfig
+from repro.session.config import SessionConfig, check_traffic_settings
 from repro.session.result import (
     KIND_DISCOVERY,
     KIND_MAINTENANCE,
@@ -218,7 +218,7 @@ class Simulation:
             return None
         return cluster_purity(self.configuration, categories)
 
-    def _observe(self) -> Optional[Dict[Any, PeerStatistics]]:
+    def _observe(self) -> Optional[PeriodStatistics]:
         """Observe one period when the strategy needs observed statistics."""
         if getattr(self.strategy, "mode", "exact") != "observed":
             return None
@@ -251,11 +251,7 @@ class Simulation:
             max_rounds=max_rounds if max_rounds is not None else config.max_rounds,
             statistics=statistics,
         )
-        queries_routed = 0
-        if statistics is not None:
-            queries_routed = sum(
-                stats.recall_tracker.queries_observed() for stats in statistics.values()
-            )
+        queries_routed = 0 if statistics is None else int(statistics.issued.sum())
         return RunResult(
             kind=KIND_DISCOVERY,
             converged=result.converged and not result.cycle_detected,
@@ -395,7 +391,10 @@ class Simulation:
         ``link`` (a :class:`~repro.traffic.link.LinkModel` or mapping),
         ``batch_size``, ``keep_log`` and ``seed`` (defaults to the session
         seed, so traffic replays are as reproducible as everything else).
-        The run uses the session's configured router (broadcast by default).
+        Any other keyword raises a
+        :class:`~repro.errors.ConfigurationError` naming it, as an unknown
+        key of the config's mapping does when the config is built.  The
+        run uses the session's configured router (broadcast by default).
 
         The returned :class:`RunResult` has ``kind="traffic"``; the report's
         flat scalars (``latency_p50``, ``bandwidth_p99``, ...) land in
@@ -405,27 +404,7 @@ class Simulation:
         """
         settings: Dict[str, Any] = dict(self.config.traffic or {})
         settings.update(overrides)
-        if "num_queries" in settings:  # accepted alias
-            settings.setdefault("num_events", settings.pop("num_queries"))
-        unknown = sorted(
-            set(settings)
-            - {
-                "workload",
-                "workload_options",
-                "num_events",
-                "horizon",
-                "link",
-                "batch_size",
-                "keep_log",
-                "seed",
-            }
-        )
-        if unknown:
-            raise ConfigurationError(
-                f"unknown traffic settings {unknown}; valid keys: "
-                "['batch_size', 'horizon', 'keep_log', 'link', 'num_events', "
-                "'seed', 'workload', 'workload_options']"
-            )
+        check_traffic_settings(settings)
         factory = self.router_factory()
         simulator = TrafficSimulator(
             self.network,

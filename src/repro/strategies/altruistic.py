@@ -40,7 +40,10 @@ the current cluster's contribution (the paper's Figure 2 discussion: peers in
 they currently serve).
 
 Exact mode computes contributions from the recall/workload model; observed
-mode uses the peer's :class:`~repro.peers.statistics.ContributionTracker`.
+mode divides the results the peer served to each cluster during the period by
+all it served (the ``served`` row of the period's
+:class:`~repro.peers.statistics.PeriodStatistics`).  Both modes decide a
+batch in one array pass over the game's kernel.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.strategies.base import (
     RelocationProposal,
     RelocationStrategy,
     StrategyContext,
+    observed_statistics,
 )
 
 __all__ = ["AltruisticStrategy", "exact_contributions"]
@@ -115,16 +119,10 @@ class AltruisticStrategy(RelocationStrategy):
         """Contribution of *peer_id* to every cluster, per the configured mode."""
         if self.mode == "exact":
             return exact_contributions(peer_id, context)
-        if context.statistics is None or peer_id not in context.statistics:
-            raise StrategyError(
-                f"observed mode requires period statistics for peer {peer_id!r}"
-            )
-        tracker = context.statistics[peer_id].contribution_tracker
-        observed = tracker.contributions()
-        return {
-            cluster_id: observed.get(cluster_id, 0.0)
-            for cluster_id in context.game.configuration.nonempty_clusters()
-        }
+        statistics = observed_statistics(context, peer_id)
+        cluster_order = context.game.configuration.nonempty_clusters()
+        row = statistics.contributions(cluster_order, [statistics.peer_index[peer_id]])[0]
+        return dict(zip(cluster_order, row.tolist()))
 
     # -- gain ------------------------------------------------------------------------
 
@@ -176,8 +174,6 @@ class AltruisticStrategy(RelocationStrategy):
         configuration = context.game.configuration
         current_cluster = configuration.cluster_of(peer_id)
         contributions = self.contributions(peer_id, context)
-        if not contributions:
-            return self._stay(peer_id, context)
         best_cluster = max(
             sorted(contributions, key=repr), key=lambda cluster_id: contributions[cluster_id]
         )
@@ -204,7 +200,7 @@ class AltruisticStrategy(RelocationStrategy):
         )
 
     def batch_state(self, context: StrategyContext, cluster_order):
-        """Shared vectorised scaffolding of the batch (exact-mode) paths.
+        """Shared vectorised scaffolding of the batch paths.
 
         Returns ``(contributions, join_increases, leave_decreases,
         current_columns)`` over the *cluster_order* columns and the recall
@@ -215,14 +211,17 @@ class AltruisticStrategy(RelocationStrategy):
         strategy builds its altruistic term from exactly this state, so the
         two batch paths can never diverge.
 
-        The contributions come from
+        In exact mode the contributions come from
         :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.contribution_matrix`.
         On a factored matrix (what populations of
         :attr:`~repro.core.recall_matrix.WeightedRecallMatrix.FACTORED_THRESHOLD`
         peers or more get) they are bit-identical to
         :func:`exact_contributions`, so exact ties break as in
         :meth:`propose`.  On a dense matrix they agree to ~1e-16, and an
-        exact tie can break differently.
+        exact tie can break differently.  In observed mode they are the
+        period's
+        :meth:`~repro.peers.statistics.PeriodStatistics.contributions`, the
+        same divisions :meth:`contributions` makes for one peer.
         """
         kernel = context.game.kernel
         if kernel is None:
@@ -232,7 +231,10 @@ class AltruisticStrategy(RelocationStrategy):
         current_columns = np.where(
             membership.sum(axis=1) == 1.0, np.argmax(membership, axis=1), -1
         )
-        contributions = cost_model.matrix.contribution_matrix(membership)
+        if self.mode == "exact":
+            contributions = cost_model.matrix.contribution_matrix(membership)
+        else:
+            contributions = observed_statistics(context).contributions(cluster_order)
         join_increases = np.array(
             [self.join_cost_increase(cost_model, int(size)) for size in sizes], dtype=float
         )
@@ -242,17 +244,15 @@ class AltruisticStrategy(RelocationStrategy):
         return contributions, join_increases, leave_decreases, current_columns
 
     def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
-        """The movers among *peer_ids*, from the contribution arrays in exact mode.
+        """The movers among *peer_ids*, from the contribution arrays.
 
         On a game with a kernel, every peer in exactly one cluster is
-        decided in one array pass with :meth:`propose`'s rules; the others,
-        every peer of a game without a kernel, and every other mode go
+        decided in one array pass with :meth:`propose`'s rules, in either
+        mode; the others and every peer of a game without a kernel go
         through :meth:`propose`.
         """
         cluster_order = context.game.configuration.nonempty_clusters()
-        state = None
-        if self.mode == "exact" and cluster_order:
-            state = self.batch_state(context, cluster_order)
+        state = self.batch_state(context, cluster_order) if cluster_order else None
         if state is None:
             return super().propose_all(peer_ids, context)
         contributions, join_increases, leave_decreases, current = state

@@ -17,12 +17,15 @@ Strategies can work in two modes:
   (global knowledge).  This is the mode used for the experiment-scale runs;
   under broadcast routing the observed quantities equal the exact ones, so
   nothing is lost.
-* **observed** — the gain is computed from the peer's own
-  :class:`~repro.peers.statistics.PeerStatistics`, i.e. from the cid-annotated
-  results it saw during the period
+* **observed** — the gain is computed from the peer's row of the period's
+  :class:`~repro.peers.statistics.PeriodStatistics`, i.e. from the
+  cid-annotated results it saw during the period
   (:func:`~repro.traffic.simulator.observe_period`).  This is the faithful,
   purely local mode; ``Simulation`` and the maintenance loop observe a
   period before every protocol run in this mode.
+
+Both modes decide a batch in the same array pass over the game's kernel;
+only a game without a kernel goes peer by peer.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.costs import NEW_CLUSTER
+from repro.errors import StrategyError
 from repro.game.model import ClusterGame
-from repro.peers.statistics import PeerStatistics
+from repro.peers.statistics import PeriodStatistics
 
 __all__ = ["RelocationProposal", "MoverBatch", "StrategyContext", "RelocationStrategy"]
 
@@ -91,8 +95,8 @@ class MoverBatch(Mapping):
       ``repr`` order.  A row becomes a :class:`RelocationProposal` only when
       it is read.
     * **per-peer entries** — ``proposals`` holds the proposals of the peers
-      the arrays cannot settle: peers in several clusters, peers unknown to
-      the recall matrix, and every peer in observed mode.
+      the arrays cannot settle: peers in several clusters and peers unknown
+      to the recall matrix.
 
     It iterates like the dict it stands for: array rows first, in row
     order, then the per-peer entries in insertion order.
@@ -230,8 +234,8 @@ class StrategyContext:
     game:
         The cluster game (cost model + current configuration).
     statistics:
-        Optional per-peer observation trackers filled by
-        :func:`~repro.traffic.simulator.observe_period`; required by the
+        Optional :class:`~repro.peers.statistics.PeriodStatistics` returned
+        by :func:`~repro.traffic.simulator.observe_period`; required by the
         ``observed`` strategy mode.
     previous_costs:
         Optional mapping of peer id to its individual cost at the end of the
@@ -240,8 +244,31 @@ class StrategyContext:
     """
 
     game: ClusterGame
-    statistics: Optional[Mapping[PeerId, PeerStatistics]] = None
+    statistics: Optional[PeriodStatistics] = None
     previous_costs: Optional[Mapping[PeerId, float]] = None
+
+
+def observed_statistics(
+    context: StrategyContext, peer_id: Optional[PeerId] = None
+) -> PeriodStatistics:
+    """The period statistics an ``observed`` strategy decides from.
+
+    With *peer_id*, that peer must have been observed; without, the batch
+    path reads whole arrays, so their rows must be the game's recall-matrix
+    rows.  Raises :class:`~repro.errors.StrategyError` otherwise.
+    """
+    statistics = context.statistics
+    if peer_id is not None:
+        if statistics is None or peer_id not in statistics:
+            raise StrategyError(f"observed mode requires period statistics for peer {peer_id!r}")
+        return statistics
+    if statistics is None:
+        raise StrategyError("observed mode requires period statistics")
+    if statistics.peer_order != context.game.cost_model.matrix.peer_order:
+        raise StrategyError(
+            "period statistics must be observed over the peers of the game's recall matrix"
+        )
+    return statistics
 
 
 class RelocationStrategy:
@@ -264,10 +291,10 @@ class RelocationStrategy:
         stays (a non-move proposal or ``None``) is left out.  The default
         implementation calls :meth:`propose` per peer, so its batch holds
         per-peer entries only; the selfish, altruistic and hybrid
-        strategies override it in exact mode with array evaluations that
-        select the same movers (verified by tests) and keep them as array
-        rows, because the reformulation protocol calls this every round at
-        experiment scale.
+        strategies override it, in both modes, with array evaluations over
+        the game's kernel that select the same movers (verified by tests)
+        and keep them as array rows, because the reformulation protocol
+        calls this every round at experiment scale.
         """
         return MoverBatch(self._propose_each(peer_ids, context))
 

@@ -92,15 +92,15 @@ class HybridStrategy(RelocationStrategy):
 
         Scores every peer against every non-empty cluster in one shot: the
         selfish gains come from the kernel's prospective cost table, the
-        altruistic gains from the vectorised contribution matrix, combined
-        in place in the cost table.  Falls back to the per-peer path in
-        observed mode or on a game without a kernel; decisions match
-        :meth:`propose` (verified by the test suite).
+        altruistic gains from the vectorised contribution matrix of either
+        mode, combined in place in the cost table.  A game without a kernel
+        goes peer by peer; decisions match :meth:`propose` (verified by the
+        test suite).
         """
         game = context.game
         kernel = game.kernel
         cluster_order = game.configuration.nonempty_clusters()
-        if self.mode != "exact" or kernel is None or not cluster_order:
+        if kernel is None or not cluster_order:
             return super().propose_all(peer_ids, context)
         scores = kernel.cost_table(cluster_order)
         contributions, join_increases, leave_decreases, current = self._altruistic.batch_state(

@@ -9,25 +9,30 @@ with the minimum cost (Eq. 5).  The gain of the move is::
 In *exact* mode the per-cluster costs are evaluated with the cost model
 (equivalently: the peer's best response in the game).  In *observed* mode
 they are estimated from the cid-annotated results the peer received during
-the period: the recall term of the cost for cluster ``c`` is approximated by
-``1 - share of observed results provided by c`` (with the peer's own results
-counted as reachable regardless, since its content moves with it).
+the period (its rows of the
+:class:`~repro.peers.statistics.PeriodStatistics`): the recall term of the
+cost for cluster ``c`` is approximated by ``1 - share of observed results
+provided by c`` (with the peer's own results counted as reachable
+regardless, since its content moves with it).  Both modes decide a batch in
+one array pass over the game's kernel.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.costs import NEW_CLUSTER
+from repro.core.costs import NEW_CLUSTER, CostModel
+from repro.peers.statistics import PeriodStatistics, Rows
 from repro.registry import register_strategy
 from repro.strategies.base import (
     MoverBatch,
     RelocationProposal,
     RelocationStrategy,
     StrategyContext,
+    observed_statistics,
 )
 from repro.errors import StrategyError
 
@@ -65,58 +70,91 @@ class SelfishStrategy(RelocationStrategy):
 
     # -- observed mode --------------------------------------------------------------
 
-    def observed_costs(self, peer_id: PeerId, context: StrategyContext) -> Dict[ClusterId, float]:
-        """Estimated ``pcost(p, c)`` per cluster from the period's observations."""
-        if context.statistics is None or peer_id not in context.statistics:
-            raise StrategyError(
-                f"observed mode requires period statistics for peer {peer_id!r}"
-            )
-        configuration = context.game.configuration
-        cost_model = context.game.cost_model
-        tracker = context.statistics[peer_id].recall_tracker
-        shares = tracker.observed_recall_by_cluster()
-        current_cluster = configuration.cluster_of(peer_id)
-        own_share = 0.0
-        total_results = tracker.total_results()
-        if total_results:
-            own_results = sum(
-                cost_model.recall_model.result(query, peer_id) * count
-                for query, count in cost_model.peer_workload(peer_id).items()
-            )
-            own_share = min(own_results / total_results, 1.0)
+    @staticmethod
+    def _observed_cost_table(
+        statistics: PeriodStatistics,
+        cost_model: CostModel,
+        rows: Rows,
+        cluster_order: Sequence[ClusterId],
+        member: np.ndarray,
+        sizes: Sequence[int],
+    ) -> np.ndarray:
+        """Estimated ``pcost`` of the statistics *rows* per cluster.
 
-        costs: Dict[ClusterId, float] = {}
-        for cluster_id in configuration.nonempty_clusters():
-            members = set(configuration.members(cluster_id))
-            members.add(peer_id)
-            membership = cost_model.membership_cost([len(members)])
-            observed_share = shares.get(cluster_id, 0.0)
-            if cluster_id != current_cluster:
-                # The peer's own results are currently annotated with its own
-                # cluster; after moving they would still be reachable.
-                observed_share = min(observed_share + own_share, 1.0)
-            costs[cluster_id] = membership + (1.0 - observed_share)
-        return costs
+        ``member[k, j]`` says whether row ``k``'s peer belongs to
+        ``cluster_order[j]``, whose size is ``sizes[j]``.  The cost of
+        cluster ``c`` is ``alpha * theta(|c + p|) / |P| + (1 - share)``, the
+        share being the fraction of the peer's observed results that ``c``
+        returned.
+        """
+        shares, own_shares = statistics.recall_shares(cluster_order, rows)
+        # The peer's own results are annotated with its current cluster; after
+        # moving they would still be reachable.
+        shares = np.where(member, shares, np.minimum(shares + own_shares[:, None], 1.0))
+        staying = [cost_model.membership_cost([int(size)]) for size in sizes]
+        joining = [cost_model.membership_cost([int(size) + 1]) for size in sizes]
+        return np.where(member, staying, joining) + (1.0 - shares)
+
+    def observed_costs(self, peer_id: PeerId, context: StrategyContext) -> Dict[ClusterId, float]:
+        """Estimated ``pcost(p, c)`` per non-empty cluster from the period's observations."""
+        statistics = observed_statistics(context, peer_id)
+        configuration = context.game.configuration
+        cluster_order = configuration.nonempty_clusters()
+        current_cluster = configuration.cluster_of(peer_id)
+        costs = self._observed_cost_table(
+            statistics,
+            context.game.cost_model,
+            [statistics.peer_index[peer_id]],
+            cluster_order,
+            np.array([[cluster_id == current_cluster for cluster_id in cluster_order]]),
+            [configuration.size(cluster_id) for cluster_id in cluster_order],
+        )
+        return dict(zip(cluster_order, costs[0].tolist()))
 
     def _propose_observed(
         self, peer_id: PeerId, context: StrategyContext
     ) -> Optional[RelocationProposal]:
         costs = self.observed_costs(peer_id, context)
-        if not costs:
-            return self._stay(peer_id, context)
         current_cluster = context.game.configuration.cluster_of(peer_id)
-        best_cluster = min(sorted(costs, key=repr), key=lambda cluster_id: costs[cluster_id])
-        current_cost = costs.get(current_cluster)
-        if current_cost is None or best_cluster == current_cluster:
-            return self._stay(peer_id, context)
-        gain = current_cost - costs[best_cluster]
-        if gain <= 0.0:
+        # The first minimum in repr order, as the batch's argmin picks it.
+        best_cluster = min(costs, key=costs.__getitem__)
+        gain = costs[current_cluster] - costs[best_cluster]
+        if best_cluster == current_cluster or gain <= 0.0:
             return self._stay(peer_id, context)
         return RelocationProposal(
             peer_id=peer_id,
             source_cluster=current_cluster,
             target_cluster=best_cluster,
             gain=gain,
+        )
+
+    def _propose_all_observed(
+        self, peer_ids: Iterable[PeerId], context: StrategyContext
+    ) -> MoverBatch:
+        kernel = context.game.kernel
+        cluster_order = context.game.configuration.nonempty_clusters()
+        if kernel is None or not cluster_order:
+            return super().propose_all(peer_ids, context)
+        membership, sizes = kernel.membership_columns(cluster_order)
+        member = membership == 1.0
+        decided = membership.sum(axis=1) == 1.0
+        current = np.where(decided, np.argmax(membership, axis=1), 0)
+        statistics = observed_statistics(context)
+        costs = self._observed_cost_table(
+            statistics, context.game.cost_model, slice(None), cluster_order, member, sizes
+        )
+        rows = np.arange(current.size)
+        best = np.argmin(costs, axis=1)
+        gains = costs[rows, current] - costs[rows, best]
+        return self._movers_from_arrays(
+            peer_ids,
+            context,
+            decided=decided,
+            moving=decided & (best != current) & (gains > 0.0),
+            clusters=cluster_order,
+            sources=current,
+            targets=best,
+            gains=gains,
         )
 
     # -- dispatch -----------------------------------------------------------------------
@@ -127,16 +165,19 @@ class SelfishStrategy(RelocationStrategy):
         return self._propose_observed(peer_id, context)
 
     def propose_all(self, peer_ids: Iterable[PeerId], context: StrategyContext) -> MoverBatch:
-        """The movers among *peer_ids*, straight from the game's selection arrays.
+        """The movers among *peer_ids*, from one array pass over the game's kernel.
 
-        Exact mode on a game with a kernel scores every peer in one
-        vectorized selection over the game's candidate clusters and keeps
-        only the moving rows; the peers the kernel cannot score (outside
-        the single-cluster regime or unknown to the recall matrix), every
-        peer of a game without a kernel, and every other mode go through
+        Exact mode scores every peer in one vectorized selection over the
+        game's candidate clusters; observed mode evaluates the observed
+        costs of every peer against every non-empty cluster in one table.
+        Either keeps only the moving rows.  The peers the arrays cannot
+        settle (outside the single-cluster regime or unknown to the recall
+        matrix) and every peer of a game without a kernel go through
         :meth:`propose`.
         """
-        selection = context.game.selection() if self.mode == "exact" else None
+        if self.mode == "observed":
+            return self._propose_all_observed(peer_ids, context)
+        selection = context.game.selection()
         if selection is None:
             return super().propose_all(peer_ids, context)
         candidates = selection.candidates

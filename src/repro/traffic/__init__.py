@@ -12,9 +12,9 @@ Entry points:
 * :class:`TrafficSimulator` — the batched event loop (or
   ``Simulation.run_traffic`` / the ``repro traffic`` CLI for the high-level path).
 * :func:`observe_period` — one observation period ``T`` over the same
-  routing tables: every recorded workload occurrence routed once, filling
-  the per-peer :class:`~repro.peers.statistics.PeerStatistics` the
-  ``observed`` strategy mode decides from.
+  routing tables: every recorded workload occurrence routed once, returned
+  as the integer arrays of :class:`~repro.peers.statistics.PeriodStatistics`
+  the ``observed`` strategy mode decides from.
 * :func:`build_workload` / :data:`repro.registry.workload_registry` — the
   arrival-pattern axis (``uniform``, ``zipf``, ``flash-crowd``, ``replay``).
 * :class:`LinkModel` — per-hop latency and per-message byte costs.

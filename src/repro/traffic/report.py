@@ -75,7 +75,8 @@ class TrafficReport:
     #: Result items carried by those messages.
     result_items: int = 0
     total_bandwidth_bytes: float = 0.0
-    #: Column order of the observation matrices.
+    #: Column order of the observation matrices: the clusters the router
+    #: targets for some issuer, in slot order (untargeted slots get none).
     cluster_order: List[ClusterId] = field(default_factory=list)
     #: Row order of the observation matrices.
     peer_order: List[PeerId] = field(default_factory=list)
@@ -109,7 +110,8 @@ class TrafficReport:
         This is the traffic-side counterpart of the exact
         ``covered_weight``: with a broadcast router and a ``replay`` workload
         the two agree to floating-point accuracy (see the parity tests).
-        Clusters the issuer's queries never reached score 0.
+        Targeted clusters the issuer's queries never reached score 0; a
+        cluster no issuer targets is not in :attr:`cluster_order`.
         """
         if self.issuer_recall_sums is None or self.issuer_event_counts is None:
             raise ValueError("this report was built without observation matrices")

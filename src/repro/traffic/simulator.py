@@ -34,9 +34,9 @@ observed recall of the paper's Eq. 6 observation model is accumulated as an
 event-count matrix multiplied back through ``R @ M`` at the end.
 
 **Observation.**  :func:`observe_period` builds the same routing tables for
-one observation period ``T`` and fills every peer's
-:class:`~repro.peers.statistics.PeerStatistics` — the input of the
-``observed`` strategy mode — with the integer counts that routing each
+one observation period ``T`` and returns its
+:class:`~repro.peers.statistics.PeriodStatistics` — the input of the
+``observed`` strategy mode — as integer arrays equal to what routing each
 recorded workload occurrence once would record, without an event stream.
 """
 
@@ -62,7 +62,7 @@ from repro.overlay.routing import BroadcastRouter, QueryRouter
 from repro.overlay.topology import ClusterTopology, FullMeshTopology
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
-from repro.peers.statistics import PeerStatistics
+from repro.peers.statistics import PeriodStatistics, shares_of
 from repro.traffic.events import QueryEventStream, TrafficLog
 from repro.traffic.link import LinkModel
 from repro.traffic.report import TrafficReport, empty_distribution
@@ -75,7 +75,7 @@ from repro.analysis.reporting import distribution_summary
 
 __all__ = ["TrafficSimulator", "observe_period"]
 
-PeerId = Hashable
+ClusterId = Hashable
 
 #: Default number of events resolved per vectorised routing step.
 DEFAULT_BATCH_SIZE = 8192
@@ -84,12 +84,15 @@ DEFAULT_BATCH_SIZE = 8192
 class _RoutingTables:
     """Per-run routing state: integer result counts, membership and router groups.
 
-    ``counts`` is ``R`` (|Q| x |P| result counts over the context's peer
-    order) and ``membership`` is ``M`` (|P| x |C| 0/1 over
-    :attr:`cluster_order`).  Issuers are grouped — one group per issuer
-    cluster (cluster-invariant routers) or per issuer (fallback) — and
-    ``group_columns[g]`` lists the cluster columns the router targets for
-    group ``g``.  :func:`observe_period` works on this integer state alone;
+    Issuers are grouped — one group per issuer cluster (cluster-invariant
+    routers) or per issuer (fallback) — and ``group_columns[g]`` lists the
+    columns of the clusters the router targets for group ``g``.  The columns
+    are :attr:`cluster_order`: only the clusters some group targets, in slot
+    order (a targeted empty slot still costs its query messages), so no
+    table carries a column that no query reaches.  ``counts`` is ``R``
+    (|Q| x |P| result counts over the context's peer order) and
+    ``membership`` is ``M`` (|P| x |C| 0/1 over :attr:`cluster_order`).
+    :func:`observe_period` works on this integer state alone;
     :meth:`build_serving_tables` adds the float per-group tables the event
     loop gathers from.
     """
@@ -103,16 +106,12 @@ class _RoutingTables:
     ) -> None:
         peers = context.peers
         self.counts, _ = network.recall_model().result_count_matrix(context.queries, peers)
-        membership, cluster_order = configuration.membership_matrix(peers)
-        self.membership = membership.astype(np.int64)
-        self.cluster_order = cluster_order
-        column_of = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
 
         # Group the issuers: by cluster when the router's targets only depend
         # on the issuer's cluster, by issuer otherwise.
         invariant = bool(getattr(router, "cluster_invariant", False))
         group_of = np.empty(len(peers), dtype=np.int64)
-        group_columns: List[np.ndarray] = []
+        group_targets: List[List[ClusterId]] = []
         key_to_group: Dict[object, int] = {}
         for row, peer_id in enumerate(peers):
             key: object
@@ -125,33 +124,38 @@ class _RoutingTables:
                 key = ("peer", row)
             group = key_to_group.get(key)
             if group is None:
-                targets = router.target_clusters(peer_id, configuration)
-                columns = np.array(
-                    [column_of[cluster_id] for cluster_id in targets], dtype=np.int64
-                )
-                group = len(group_columns)
+                group = len(group_targets)
                 key_to_group[key] = group
-                group_columns.append(columns)
+                group_targets.append(list(router.target_clusters(peer_id, configuration)))
             group_of[row] = group
         self.group_of = group_of
-        self.group_columns = group_columns
+
+        targeted = set().union(*group_targets)
+        self.cluster_order = [
+            cluster_id for cluster_id in configuration.cluster_ids() if cluster_id in targeted
+        ]
+        column_of = {cluster_id: column for column, cluster_id in enumerate(self.cluster_order)}
+        self.group_columns = [
+            np.array([column_of[cluster_id] for cluster_id in targets], dtype=np.int64)
+            for targets in group_targets
+        ]
+        membership, _ = configuration.membership_matrix(peers, self.cluster_order)
+        self.membership = membership.astype(np.int64)
 
     def build_serving_tables(self, link: LinkModel, topology: ClusterTopology) -> None:
-        """Aggregate each group's ``R @ M`` column slice into per-(group, query) tables."""
-        # Recall over the row sums of R: every peer of the context is a provider.
+        """Aggregate each group's ``R @ M`` column slice into per-(group, query) tables.
+
+        Result items and provider counts are integer sums.  A recall is one
+        division of the items reached by the query's total results (every
+        peer of the context is a provider), so it is correctly rounded
+        whatever the number of columns the tables carry.
+        """
         counts = self.counts.astype(np.float64)
         totals = counts.sum(axis=1)
-        recall = np.divide(
-            counts,
-            totals[:, None],
-            out=np.zeros_like(counts),
-            where=totals[:, None] > 0,
-        )
         membership = self.membership.astype(np.float64)
-        # Q x C products: per-cluster recall, provider count and result items.
-        cluster_recall = recall @ membership
-        cluster_providers = (counts > 0).astype(np.float64) @ membership
+        # Q x C products: result items and provider count per cluster.
         cluster_items = counts @ membership
+        cluster_providers = (counts > 0).astype(np.float64) @ membership
         sizes = self.membership.sum(axis=0)
         intra_hops = np.array(
             [topology.lookup_hops(int(size)) for size in sizes], dtype=np.float64
@@ -159,7 +163,6 @@ class _RoutingTables:
 
         num_groups = len(self.group_columns)
         num_queries = counts.shape[0]
-        self.recall_table = np.zeros((num_groups, num_queries))
         self.provider_table = np.zeros((num_groups, num_queries))
         self.item_table = np.zeros((num_groups, num_queries))
         self.query_messages = np.zeros(num_groups)
@@ -169,7 +172,6 @@ class _RoutingTables:
         for group, columns in enumerate(self.group_columns):
             if columns.size == 0:
                 continue
-            self.recall_table[group] = cluster_recall[:, columns].sum(axis=1)
             self.provider_table[group] = cluster_providers[:, columns].sum(axis=1)
             self.item_table[group] = cluster_items[:, columns].sum(axis=1)
             self.query_messages[group] = columns.size
@@ -181,7 +183,8 @@ class _RoutingTables:
                 2.0 + float(intra_hops[columns].max())
             )
             self.target_mask[group, columns] = 1.0
-        self.cluster_recall = cluster_recall
+        self.recall_table = shares_of(self.item_table, totals[None, :])
+        self.cluster_recall = shares_of(cluster_items, totals[:, None])
 
 
 def observe_period(
@@ -190,48 +193,41 @@ def observe_period(
     *,
     router: Optional[QueryRouter] = None,
     bus: Optional[MessageBus] = None,
-) -> Dict[PeerId, PeerStatistics]:
+) -> PeriodStatistics:
     """Observe one period ``T``: route every recorded workload occurrence once.
 
-    Returns one :class:`~repro.peers.statistics.PeerStatistics` per peer of
-    *network*, holding the cid-annotated result counts of the period (Section
-    3.1).  With ``W[i, q]`` how often peer ``i``'s recorded workload holds
-    query ``q``, ``R`` and ``M`` as in :class:`_RoutingTables` and
-    ``T[g, c]`` how often the router sends group ``g``'s queries to cluster
-    ``c``:
+    Returns the period's :class:`~repro.peers.statistics.PeriodStatistics`,
+    the cid-annotated result counts of Section 3.1, with rows over
+    *network*'s peers and columns over *configuration*'s non-empty clusters.
+    With ``W[i, q]`` how often peer ``i``'s recorded workload holds query
+    ``q``, ``R`` and ``M`` as in :class:`_RoutingTables` and ``T[g, c]`` how
+    often the router sends group ``g``'s queries to cluster ``c``:
 
-    * issuer ``i`` records ``W[i, q] * T[g(i), c] * (R @ M)[q, c]`` results
-      of query ``q`` from cluster ``c`` (only non-zero counts, as results
-      are annotated only when a provider holds some);
-    * provider ``p`` records ``(W_g @ R)[g, p] * (T @ M.T)[g, p]`` results
-      served to the cluster of group ``g``'s issuers, ``W_g`` being ``W``
-      summed per group.
+    * ``received[i, c] = T[g(i), c] * (W @ R @ M)[i, c]``;
+    * ``served[p, c]`` sums ``(W_g @ R)[g, p] * (T @ M.T)[g, p]`` over the
+      groups ``g`` whose issuers sit in ``c``, ``W_g`` being ``W`` summed
+      per group;
+    * ``issued[i]`` sums ``W[i]`` and ``own[i]`` sums ``W[i, q] * R[q, i]``.
 
-    Every value is an integer sum, so the trackers equal those of routing
-    each occurrence one at a time, under any router.  When *bus* is given,
-    it gains one ``QueryMessage`` per reached cluster and one
-    ``ResultMessage`` per provider holding results, per occurrence.
+    Every value is an integer sum, so the arrays equal those of routing each
+    occurrence one at a time, under any router.  When *bus* is given, it
+    gains one ``QueryMessage`` per reached cluster and one ``ResultMessage``
+    per provider holding results, per occurrence.
     """
     router = router if router is not None else BroadcastRouter(network)
     context = WorkloadContext.from_network(network, num_events=0)
-    peers, queries = context.peers, context.queries
+    peers = context.peers
     # Raises for an issuer in several clusters: its served results would
     # have no single requesting cluster to be credited to.
     issuer_clusters = [configuration.cluster_of(peer_id) for peer_id in peers]
     tables = _RoutingTables(network, configuration, router, context)
-    workload = context.counts
-    counts = tables.counts
+    workload, counts, membership = context.counts, tables.counts, tables.membership
 
     num_groups = len(tables.group_columns)
     targets = np.zeros((num_groups, len(tables.cluster_order)), dtype=np.int64)
     for group, columns in enumerate(tables.group_columns):
         np.add.at(targets[group], columns, 1)
-    # Keep only targeted clusters: the slots include every empty cluster, and
-    # integer products over all of them would dominate the observation.
-    used = np.flatnonzero(targets.any(axis=0))
-    targets = targets[:, used]
-    membership = tables.membership[:, used]
-    group_workload = np.zeros((num_groups, len(queries)), dtype=np.int64)
+    group_workload = np.zeros((num_groups, len(context.queries)), dtype=np.int64)
     np.add.at(group_workload, tables.group_of, workload)
 
     if bus is not None:
@@ -239,37 +235,29 @@ def observe_period(
         bus.add("QueryMessage", int(group_workload.sum(axis=1) @ targets.sum(axis=1)))
         bus.add("ResultMessage", int((group_workload * (targets @ holders.T)).sum()))
 
-    statistics = {peer_id: PeerStatistics() for peer_id in peers}
-    for peer_id, occurrences in zip(peers, workload.sum(axis=1).tolist()):
-        statistics[peer_id].recall_tracker.record_query(occurrences)
+    cluster_order = configuration.nonempty_clusters()
+    results = (workload @ (counts @ membership)) * targets[tables.group_of]
+    # Results land in the non-empty clusters' columns; the appended zero
+    # column stands for every non-empty cluster no group targets.
+    targeted = {cluster_id: column for column, cluster_id in enumerate(tables.cluster_order)}
+    columns = [targeted.get(cluster_id, len(targeted)) for cluster_id in cluster_order]
+    received = np.pad(results, ((0, 0), (0, 1)))[:, columns]
 
-    issuer_rows, query_rows = np.nonzero(workload)  # (issuer, query) pairs that occur
-    results = (
-        workload[issuer_rows, query_rows, None]
-        * targets[tables.group_of[issuer_rows]]
-        * (counts @ membership)[query_rows]
+    column_of = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
+    served = np.zeros_like(received)
+    group_column = np.zeros(num_groups, dtype=np.intp)
+    group_column[tables.group_of] = [column_of[cluster_id] for cluster_id in issuer_clusters]
+    served_by_group = (group_workload @ counts) * (targets @ membership.T)
+    np.add.at(served, (slice(None), group_column), served_by_group.T)
+
+    return PeriodStatistics(
+        peer_order=peers,
+        cluster_order=cluster_order,
+        received=received,
+        served=served,
+        issued=workload.sum(axis=1),
+        own=(workload * counts.T).sum(axis=1),
     )
-    pairs, targeted = np.nonzero(results)
-    for issuer, query, cluster, count in zip(
-        issuer_rows[pairs].tolist(),
-        query_rows[pairs].tolist(),
-        used[targeted].tolist(),
-        results[pairs, targeted].tolist(),
-    ):
-        statistics[peers[issuer]].recall_tracker.record(
-            queries[query], tables.cluster_order[cluster], count
-        )
-
-    group_cluster = dict(zip(tables.group_of.tolist(), issuer_clusters))
-    served = (group_workload @ counts) * (targets @ membership.T)
-    groups, providers = np.nonzero(served)
-    for group, provider, count in zip(
-        groups.tolist(), providers.tolist(), served[groups, providers].tolist()
-    ):
-        statistics[peers[provider]].contribution_tracker.record_served(
-            group_cluster[group], count
-        )
-    return statistics
 
 
 class TrafficSimulator:

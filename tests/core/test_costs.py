@@ -101,13 +101,6 @@ class TestCostModelBasics:
         moved.move("bob", "c2", "c1")
         assert cost_model.pcost("bob", moved) == pytest.approx(prospective)
 
-    def test_peer_workload_unknown_peer(self, tiny_network):
-        cost_model = tiny_network.cost_model(use_matrix=False)
-        from repro.errors import UnknownPeerError
-
-        with pytest.raises(UnknownPeerError):
-            cost_model.peer_workload("mallory")
-
 
 class TestWorkloadCost:
     def test_workload_cost_definition(self, tiny_network, tiny_configuration):

@@ -1,7 +1,7 @@
 """Tests for period observation (:func:`repro.traffic.simulator.observe_period`).
 
 The per-occurrence loop in ``tests/observation_oracle.py`` is the reference:
-the bulk observation must fill the same integer trackers and count the same
+the bulk observation must fill the same integer arrays and count the same
 messages under every router, on the paper grid and on random tiny systems.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,8 +29,9 @@ from repro.overlay.routing import BroadcastRouter, ProbeKRouter, QueryRouter
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.peers.peer import Peer
-from repro.traffic.simulator import observe_period
-from tests.observation_oracle import observe_per_occurrence, tracker_state
+from repro.traffic.simulator import TrafficSimulator, _RoutingTables, observe_period
+from repro.traffic.workloads import WorkloadContext
+from tests.observation_oracle import as_arrays, observe_per_occurrence
 
 
 def observe(network, configuration, router=None):
@@ -41,65 +43,83 @@ def observe(network, configuration, router=None):
 
 def assert_matches_oracle(network, configuration, router=None):
     statistics, messages = observe(network, configuration, router)
-    want_statistics, want_messages = observe_per_occurrence(network, configuration, router)
-    assert tracker_state(statistics) == tracker_state(want_statistics)
+    records, want_messages = observe_per_occurrence(network, configuration, router)
+    assert statistics.peer_order == network.peer_ids()
+    assert statistics.cluster_order == configuration.nonempty_clusters()
+    got = (statistics.received, statistics.served, statistics.issued, statistics.own)
+    for name, array, want in zip(
+        ("received", "served", "issued", "own"), got, as_arrays(records, network, configuration)
+    ):
+        assert array.dtype == np.int64, name
+        assert np.array_equal(array, want), name
     assert messages == want_messages
+
+
+def share(statistics, table, peer_id, cluster_id):
+    """The fraction of *peer_id*'s row of *table* that sits in *cluster_id*'s column."""
+    row = statistics.peer_index[peer_id]
+    return table[row, statistics.cluster_order.index(cluster_id)] / table[row].sum()
 
 
 class TestObservePeriod:
     def test_routes_every_workload_occurrence(self, tiny_network, tiny_configuration):
         statistics, messages = observe(tiny_network, tiny_configuration)
-        routed = sum(stats.recall_tracker.queries_observed() for stats in statistics.values())
-        assert routed == 4  # alice 2 + bob 1 + carol 1
+        assert statistics.issued.sum() == 4  # alice 2 + bob 1 + carol 1
         assert messages["QueryMessage"] == 8  # two non-empty clusters per query
 
-    def test_recall_trackers_match_exact_model_under_broadcast(
+    def test_received_shares_match_exact_model_under_broadcast(
         self, tiny_network, tiny_configuration
     ):
         statistics = observe_period(tiny_network, tiny_configuration)
         model = tiny_network.recall_model()
         movies = Query(["movies"])
-        alice_tracker = statistics["alice"].recall_tracker
-        # alice's "movies" results: carol (c1) and bob (c2) hold one each.
-        assert alice_tracker.cluster_recall(movies, "c1") == pytest.approx(
+        # alice asks only "movies": carol (c1) and bob (c2) hold one result each.
+        received = statistics.received
+        assert share(statistics, received, "alice", "c1") == pytest.approx(
             model.recall(movies, "carol")
         )
-        assert alice_tracker.cluster_recall(movies, "c2") == pytest.approx(
+        assert share(statistics, received, "alice", "c2") == pytest.approx(
             model.recall(movies, "bob")
         )
 
-    def test_contribution_trackers_record_issuer_clusters(
-        self, tiny_network, tiny_configuration
-    ):
+    def test_contributions_credit_issuer_clusters(self, tiny_network, tiny_configuration):
         statistics = observe_period(tiny_network, tiny_configuration)
+        alice, carol = statistics.peer_index["alice"], statistics.peer_index["carol"]
+        contributions = statistics.contributions(["c1", "c2"])
         # alice serves bob's "music" query (bob sits in c2) and nothing else.
-        alice_contribution = statistics["alice"].contribution_tracker
-        assert alice_contribution.contribution("c2") == pytest.approx(1.0)
+        assert contributions[alice].tolist() == [0.0, 1.0]
         # carol serves alice's two "movies" queries (c1), her own (c1), and bob's music (c2).
-        carol_contribution = statistics["carol"].contribution_tracker
-        assert carol_contribution.contribution("c1") > carol_contribution.contribution("c2")
+        assert contributions[carol, 0] > contributions[carol, 1]
 
     def test_each_call_observes_a_fresh_period(self, tiny_network, tiny_configuration):
         first = observe_period(tiny_network, tiny_configuration)
         second = observe_period(tiny_network, tiny_configuration)
-        assert tracker_state(first) == tracker_state(second)
-        assert first["alice"] is not second["alice"]
+        assert first is not second
+        for name in ("received", "served", "issued", "own"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
-    def test_every_peer_gets_statistics(self, tiny_network, tiny_configuration):
+    def test_arrays_are_read_only(self, tiny_network, tiny_configuration):
+        statistics = observe_period(tiny_network, tiny_configuration)
+        with pytest.raises(ValueError):
+            statistics.received[0, 0] = 1
+
+    def test_every_peer_gets_a_row(self, tiny_network, tiny_configuration):
         tiny_network.add_peer(Peer("idle"))
         tiny_configuration.assign("idle", "c3")
         statistics = observe_period(tiny_network, tiny_configuration)
-        assert set(statistics) == {"alice", "bob", "carol", "idle"}
-        assert statistics["idle"].recall_tracker.queries_observed() == 0
-        assert statistics["idle"].contribution_tracker.total_served() == 0
+        assert statistics.peer_order == ["alice", "bob", "carol", "idle"]
+        assert "idle" in statistics and "nobody" not in statistics
+        idle = statistics.peer_index["idle"]
+        assert statistics.issued[idle] == 0
+        assert statistics.served[idle].sum() == 0
+        assert statistics.cluster_order == ["c1", "c2", "c3"]
 
     def test_custom_router_is_used(self, tiny_network, tiny_configuration):
         statistics, messages = observe(
             tiny_network, tiny_configuration, ProbeKRouter(tiny_network, k=1)
         )
-        routed = sum(stats.recall_tracker.queries_observed() for stats in statistics.values())
         # With k=1 every query reaches exactly one cluster.
-        assert messages["QueryMessage"] == routed
+        assert messages["QueryMessage"] == statistics.issued.sum()
 
     def test_multi_cluster_issuer_is_rejected(self, tiny_network, tiny_configuration):
         tiny_configuration.assign("alice", "c2")
@@ -112,27 +132,39 @@ class TestAnnotatedResults:
 
     def test_results_are_annotated_with_cids(self, tiny_network, tiny_configuration):
         statistics = observe_period(tiny_network, tiny_configuration)
-        assert list(statistics["alice"].recall_tracker.observed_clusters()) == ["c1", "c2"]
-        # bob (c2) answered both of alice's "movies" occurrences (c1) with one result.
-        assert statistics["bob"].contribution_tracker.contributions() == {"c1": 1.0}
-        assert statistics["bob"].contribution_tracker.total_served() == 3
+        alice, bob = statistics.peer_index["alice"], statistics.peer_index["bob"]
+        assert statistics.cluster_order == ["c1", "c2"]
+        assert statistics.received[alice].tolist() == [2, 2]
+        # bob (c2) answered both of alice's "movies" occurrences (c1) and carol's.
+        assert statistics.served[bob].tolist() == [3, 0]
+        assert statistics.contributions(["c1", "c2"], [bob]).tolist() == [[1.0, 0.0]]
 
     def test_zero_count_results_are_omitted(self, tiny_network, tiny_configuration):
         statistics = observe_period(tiny_network, tiny_configuration)
         # bob alone in c2 holds no "music": his query's results all come from c1.
-        assert list(statistics["bob"].recall_tracker.observed_clusters()) == ["c1"]
-        assert statistics["bob"].recall_tracker.cluster_recall(Query(["music"]), "c1") == 1.0
+        bob = statistics.peer_index["bob"]
+        assert statistics.received[bob].tolist() == [3, 0]
+        shares, _ = statistics.recall_shares(["c1", "c2"], [bob])
+        assert shares.tolist() == [[1.0, 0.0]]
 
-    def test_cluster_recall_matches_global_recall_under_broadcast(
+    def test_received_share_matches_global_recall_under_broadcast(
         self, tiny_network, tiny_configuration
     ):
         statistics = observe_period(tiny_network, tiny_configuration)
-        query = Query(["music"])
+        query = Query(["music"])  # bob's only query
         model = tiny_network.recall_model()
         expected_c1 = model.recall(query, "alice") + model.recall(query, "carol")
-        assert statistics["bob"].recall_tracker.cluster_recall(query, "c1") == pytest.approx(
-            expected_c1
-        )
+        assert share(statistics, statistics.received, "bob", "c1") == pytest.approx(expected_c1)
+
+    def test_own_results_count_the_peers_own_content(self, tiny_network, tiny_configuration):
+        statistics = observe_period(tiny_network, tiny_configuration)
+        # carol holds one "movies" document and asks "movies" once; alice and
+        # bob hold nothing of what they ask.
+        assert dict(zip(statistics.peer_order, statistics.own.tolist())) == {
+            "alice": 0,
+            "bob": 0,
+            "carol": 1,
+        }
 
     def test_messages_are_accounted(self, tiny_network, tiny_configuration):
         bus = MessageBus()
@@ -153,11 +185,78 @@ class TestAnnotatedResults:
         probed = observe_period(
             tiny_network, tiny_configuration, router=ProbeKRouter(tiny_network, k=1)
         )
-        for peer_id, stats in probed.items():
-            tracker = stats.recall_tracker
-            for cluster_id in tracker.observed_clusters():
-                assert cluster_id in broadcast[peer_id].recall_tracker.observed_clusters()
-            assert tracker.total_results() <= broadcast[peer_id].recall_tracker.total_results()
+        assert np.all(probed.received <= broadcast.received)
+        assert np.all((probed.received > 0) <= (broadcast.received > 0))
+
+
+class TestReadingByCluster:
+    """Readers name clusters; one the observation did not see reads 0."""
+
+    def test_unobserved_clusters_read_zero(self, tiny_network, tiny_configuration):
+        statistics = observe_period(tiny_network, tiny_configuration)
+        carol = statistics.peer_index["carol"]
+        contributions = statistics.contributions(["c3", "c2", "c1"], [carol])
+        shares, own_shares = statistics.recall_shares(["c3", "c2", "c1"], [carol])
+        # carol served alice twice and herself once (c1), bob once (c2).
+        assert contributions.tolist() == [[0.0, 1 / 4, 3 / 4]]
+        assert shares.tolist() == [[0.0, 1 / 2, 1 / 2]]
+        assert own_shares.tolist() == [1 / 2]
+
+    def test_a_peer_with_nothing_observed_reads_zero(self, tiny_network, tiny_configuration):
+        tiny_network.add_peer(Peer("idle"))
+        tiny_configuration.assign("idle", "c3")
+        statistics = observe_period(tiny_network, tiny_configuration)
+        idle = [statistics.peer_index["idle"]]
+        shares, own_shares = statistics.recall_shares(["c1", "c2", "c3"], idle)
+        assert shares.tolist() == [[0.0, 0.0, 0.0]]
+        assert own_shares.tolist() == [0.0]
+        assert statistics.contributions(["c1", "c2", "c3"], idle).tolist() == [[0.0, 0.0, 0.0]]
+
+
+class TestRoutingTableColumns:
+    """Tables span the clusters some group targets, never every cluster slot."""
+
+    @staticmethod
+    def tables(network, configuration, router):
+        context = WorkloadContext.from_network(network, num_events=0)
+        return _RoutingTables(network, configuration, router, context)
+
+    @staticmethod
+    def targeted(network, configuration, router):
+        return {
+            cluster_id
+            for peer_id in network.peer_ids()
+            for cluster_id in router.target_clusters(peer_id, configuration)
+        }
+
+    @pytest.mark.parametrize("router", ["broadcast", "probe-1", "probe-2"])
+    def test_no_table_carries_an_untargeted_column(self, small_scenario, router):
+        network = small_scenario.network
+        configuration = initial_configuration(small_scenario, "fewer")
+        assert configuration.empty_clusters()  # many untargeted slots
+        router = ROUTERS[router](network)
+        tables = self.tables(network, configuration, router)
+        targeted = self.targeted(network, configuration, router)
+        assert set(tables.cluster_order) == targeted
+        assert tables.cluster_order == [c for c in configuration.cluster_ids() if c in targeted]
+        assert tables.membership.shape == (len(network), len(targeted))
+        assert {int(c) for columns in tables.group_columns for c in columns} == set(
+            range(len(targeted))
+        )
+        report = TrafficSimulator(network, configuration, router=router).run(num_events=200)
+        assert report.cluster_order == tables.cluster_order
+        assert report.issuer_recall_sums.shape == (len(network), len(targeted))
+
+    def test_targeted_empty_slots_keep_their_query_messages(self, tiny_network, tiny_configuration):
+        router = ListedRouter(
+            tiny_network, {"alice": ["c1", "c3"], "bob": ["c3"], "carol": ["c2", "c3", "c3"]}
+        )
+        tables = self.tables(tiny_network, tiny_configuration, router)
+        assert tables.cluster_order == ["c1", "c2", "c3"]
+        assert not tables.membership[:, 2].any()
+        assert_matches_oracle(tiny_network, tiny_configuration, router)
+        statistics = observe_period(tiny_network, tiny_configuration, router=router)
+        assert statistics.cluster_order == ["c1", "c2"]  # an empty slot returns nothing
 
 
 SCENARIOS = (SCENARIO_SAME_CATEGORY, SCENARIO_DIFFERENT_CATEGORY, SCENARIO_UNIFORM)

@@ -9,6 +9,7 @@ import pytest
 from repro import SessionConfig, Simulation, SimulationBuilder
 from repro.cli import main
 from repro.errors import ConfigurationError, UnknownComponentError
+from repro.session.config import TRAFFIC_KEYS
 from repro.session.result import KIND_TRAFFIC
 from repro.sweep import SweepSpec, run_sweep
 
@@ -57,13 +58,36 @@ class TestRunTraffic:
         result = Simulation.from_config(config).run_traffic(num_events=50)
         assert result.queries_routed == 50
 
-    def test_num_queries_alias_is_accepted(self):
-        result = Simulation.from_config(QUICK).run_traffic(num_queries=64)
-        assert result.queries_routed == 64
-
     def test_unknown_setting_is_rejected_with_the_valid_keys(self):
         with pytest.raises(ConfigurationError, match="unknown traffic settings"):
             Simulation.from_config(QUICK).run_traffic(warp_factor=9)
+
+    def test_num_queries_is_not_an_alias(self):
+        with pytest.raises(ConfigurationError, match=r"\['num_queries'\].*'num_events'"):
+            Simulation.from_config(QUICK).run_traffic(num_queries=64)
+
+
+class TestTrafficSettingsAtConstruction:
+    """A bad ``traffic`` key fails where the config is built, naming the key."""
+
+    BAD = {"num_event": 100}
+
+    def test_constructor_names_the_bad_key(self):
+        with pytest.raises(ConfigurationError, match=r"unknown traffic settings \['num_event'\]"):
+            SessionConfig(scale="quick", traffic=self.BAD)
+
+    def test_from_dict_names_the_bad_key(self):
+        with pytest.raises(ConfigurationError, match=r"\['num_event'\]"):
+            SessionConfig.from_dict({"scale": "quick", "traffic": self.BAD})
+
+    def test_sweep_validation_names_the_bad_key(self):
+        spec = SweepSpec(scale="quick", runner="traffic", overrides={"traffic": self.BAD})
+        with pytest.raises(ConfigurationError, match=r"\['num_event'\]"):
+            spec.validate()
+
+    def test_every_run_traffic_setting_is_accepted(self):
+        settings = dict.fromkeys(TRAFFIC_KEYS)
+        assert SessionConfig(scale="quick", traffic=settings).traffic == settings
 
     def test_same_seed_reproduces_the_report(self):
         first = Simulation.from_config(QUICK).run_traffic(num_events=300, seed=8)

@@ -74,12 +74,7 @@ class TestObservationParity:
     def observed_totals(network, configuration, router=None):
         bus = MessageBus()
         statistics = observe_period(network, configuration, router=router, bus=bus)
-        trackers = [stats.recall_tracker for stats in statistics.values()]
-        return (
-            sum(tracker.queries_observed() for tracker in trackers),
-            bus.snapshot(),
-            sum(tracker.total_results() for tracker in trackers),
-        )
+        return int(statistics.issued.sum()), bus.snapshot(), int(statistics.received.sum())
 
     def test_tiny_network_replay_matches_observation(
         self, tiny_network, tiny_configuration
