@@ -15,7 +15,7 @@ to work with attributes consistently across the library:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DatasetError
 
@@ -40,68 +40,63 @@ def normalize_attribute(attribute: str) -> str:
     return normalized
 
 
-class AttributeSet:
+class AttributeSet(frozenset):
     """An immutable, canonicalised set of attributes.
 
     ``AttributeSet`` is the shared representation for both document
-    descriptions and queries.  Instances are hashable so they can be used as
-    dictionary keys (e.g. to count query occurrences in a workload).
+    descriptions and queries.  It *is* the ``frozenset`` of its canonical
+    attributes (a subclass with no per-instance storage of its own), so a
+    document holds one object for its keywords, and the inverted index and
+    the subset test run on the set directly.  Instances are hashable so they
+    can be used as dictionary keys (e.g. to count query occurrences in a
+    workload).
+
+    On top of ``frozenset`` it normalises: the constructor and ``in``
+    canonicalise through :func:`normalize_attribute`, iteration is sorted,
+    and :meth:`intersection` and :meth:`union` return an ``AttributeSet``.
+    Equality is ``frozenset`` equality, so an ``AttributeSet`` also equals a
+    plain ``set`` or ``frozenset`` of the same canonical strings.
 
     >>> a = AttributeSet(["p2p", "Clustering"])
     >>> b = AttributeSet(["clustering", "p2p"])
     >>> a == b
     True
+    >>> a == frozenset({"clustering", "p2p"})
+    True
     >>> AttributeSet(["p2p"]).issubset(a)
     True
     """
 
-    __slots__ = ("_attributes",)
+    __slots__ = ()
 
-    def __init__(self, attributes: Iterable[str]) -> None:
-        self._attributes: FrozenSet[str] = frozenset(
-            normalize_attribute(attribute) for attribute in attributes
-        )
+    def __new__(cls, attributes: Iterable[str]) -> "AttributeSet":
+        return super().__new__(cls, (normalize_attribute(attribute) for attribute in attributes))
 
     @property
-    def attributes(self) -> FrozenSet[str]:
-        """The underlying frozen set of canonical attributes."""
-        return self._attributes
+    def attributes(self) -> "AttributeSet":
+        """The canonical attributes: the set itself."""
+        return self
 
-    def issubset(self, other: "AttributeSet") -> bool:
-        """Return ``True`` if every attribute of this set appears in *other*."""
-        return self._attributes.issubset(other._attributes)
-
-    def intersection(self, other: "AttributeSet") -> "AttributeSet":
+    def intersection(self, other: Iterable[str]) -> "AttributeSet":
         """Return the attributes shared with *other*."""
-        result = AttributeSet.__new__(AttributeSet)
-        result._attributes = self._attributes & other._attributes
-        return result
+        return frozenset.__new__(AttributeSet, frozenset.intersection(self, other))
 
-    def union(self, other: "AttributeSet") -> "AttributeSet":
+    def union(self, other: Iterable[str]) -> "AttributeSet":
         """Return the attributes of either set."""
-        result = AttributeSet.__new__(AttributeSet)
-        result._attributes = self._attributes | other._attributes
-        return result
+        return frozenset.__new__(AttributeSet, frozenset.union(self, other))
 
     def __contains__(self, attribute: str) -> bool:
-        return normalize_attribute(attribute) in self._attributes
+        return frozenset.__contains__(self, normalize_attribute(attribute))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._attributes))
+        return iter(sorted(frozenset.__iter__(self)))
 
-    def __len__(self) -> int:
-        return len(self._attributes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AttributeSet):
-            return NotImplemented
-        return self._attributes == other._attributes
-
-    def __hash__(self) -> int:
-        return hash(self._attributes)
+    def __deepcopy__(self, memo: Dict[int, object]) -> "AttributeSet":
+        # Immutable and made of strings: a deep copy is the set itself.
+        return self
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(attribute) for attribute in sorted(self._attributes))
+        inner = ", ".join(repr(attribute) for attribute in self)
         return f"AttributeSet({{{inner}}})"
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.documents import Document
 from repro.core.queries import Query, QueryWorkload
@@ -75,6 +75,7 @@ class CorpusGenerator:
             zipf_exponent=self.config.zipf_exponent,
         )
         self._doc_counter = 0
+        self._queries: Dict[str, Query] = {}
 
     # -- categories ------------------------------------------------------------
 
@@ -139,9 +140,18 @@ class CorpusGenerator:
         Mirrors the paper's query generation ("choosing a random word from the
         texts"): the term is Zipf-sampled from the category vocabulary, i.e.
         with the same skew with which it appears in documents.
+
+        Queries are value objects, so every draw of a term returns the same
+        :class:`Query`, kept per term on the generator: the workloads of a
+        scenario and of the drift applied to it share one object per distinct
+        query instead of holding one per occurrence.
         """
         rng = rng if rng is not None else self.rng
-        return Query.single_term(self.vocabularies.sample_category_term(category, rng))
+        term = self.vocabularies.sample_category_term(category, rng)
+        query = self._queries.get(term)
+        if query is None:
+            query = self._queries[term] = Query.single_term(term)
+        return query
 
     def generate_workload(
         self,

@@ -11,8 +11,9 @@ election helper for that and for callers that want one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Hashable, Iterable
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -28,6 +29,8 @@ class Cluster:
     def __init__(self, cluster_id: ClusterId, members: Optional[Iterable[PeerId]] = None) -> None:
         self.cluster_id = cluster_id
         self._members: Set[PeerId] = set(members) if members is not None else set()
+        # The members in ``repr`` order, kept across every add and remove.
+        self._ordered: List[PeerId] = sorted(self._members, key=repr)
         self._members_view: Optional[FrozenSet[PeerId]] = None
         self._sorted_view: Optional[Tuple[PeerId, ...]] = None
         self._representative: Optional[PeerId] = None
@@ -44,7 +47,7 @@ class Cluster:
     def sorted_members(self) -> Tuple[PeerId, ...]:
         """The member peer ids in ``repr`` order (cached between mutations)."""
         if self._sorted_view is None:
-            self._sorted_view = tuple(sorted(self._members, key=repr))
+            self._sorted_view = tuple(self._ordered)
         return self._sorted_view
 
     @property
@@ -59,7 +62,10 @@ class Cluster:
 
     def add(self, peer_id: PeerId) -> None:
         """Add *peer_id* to the cluster."""
+        if peer_id in self._members:
+            return
         self._members.add(peer_id)
+        insort(self._ordered, peer_id, key=repr)
         self._members_view = None
         self._sorted_view = None
 
@@ -70,6 +76,10 @@ class Cluster:
                 f"peer {peer_id!r} is not a member of cluster {self.cluster_id!r}"
             )
         self._members.remove(peer_id)
+        # Peers whose ``repr``s tie sit side by side from ``bisect_left`` on;
+        # delete the peer itself, not the first of its ties.
+        ordered = self._ordered
+        del ordered[ordered.index(peer_id, bisect_left(ordered, repr(peer_id), key=repr))]
         self._members_view = None
         self._sorted_view = None
         if self._representative == peer_id:

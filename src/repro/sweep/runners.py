@@ -24,10 +24,11 @@ Three generic runners ship here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError, UnknownComponentError
 from repro.registry import register_runner, runner_registry
+from repro.session.config import TRAFFIC_KEYS
 from repro.session.result import RunResult
 from repro.session.simulation import Simulation
 
@@ -37,6 +38,7 @@ __all__ = [
     "run_discovery",
     "run_maintenance_periods",
     "run_traffic_workload",
+    "check_traffic_options",
 ]
 
 #: The runner callable protocol: ``(simulation, options) -> RunResult``.
@@ -92,6 +94,42 @@ def run_maintenance_periods(simulation: Simulation, options: Dict[str, Any]) -> 
     )
 
 
+#: The ``traffic`` runner's own options, for its shaping phase; every other
+#: option it accepts is a :meth:`Simulation.run_traffic` setting
+#: (:data:`~repro.session.config.TRAFFIC_KEYS`).
+TRAFFIC_PHASE_KEYS = ("after", "periods", "max_rounds_per_period", "dynamics")
+
+
+def check_traffic_options(options: Mapping[str, Any]) -> str:
+    """Check the ``traffic`` runner's *options* and return its shaping phase.
+
+    The phase is ``"none"``, ``"discover"`` or ``"maintain"``: ``after``
+    resolves through the runner registry, so every registered alias
+    (``"discovery"``, ``"maintenance"``, ...) works.  An unknown key or
+    phase raises a :class:`~repro.errors.ConfigurationError` naming it, so
+    :meth:`SweepSpec.validate` rejects the spec before any task runs.
+    """
+    unknown = set(options) - set(TRAFFIC_PHASE_KEYS) - set(TRAFFIC_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown traffic runner options {sorted(unknown, key=repr)}; "
+            f"valid keys: {list(TRAFFIC_PHASE_KEYS) + list(TRAFFIC_KEYS)}"
+        )
+    after = str(options.get("after", "none"))
+    if after == "none":
+        return after
+    try:
+        phase = runner_registry.canonical_name(after)
+    except UnknownComponentError:
+        phase = None
+    if phase not in ("discover", "maintain"):
+        raise ConfigurationError(
+            f"unknown traffic runner phase {after!r}; "
+            "valid values: ['discover', 'maintain', 'none']"
+        )
+    return phase
+
+
 @register_runner("traffic", mutates_scenario=True)
 def run_traffic_workload(simulation: Simulation, options: Dict[str, Any]) -> RunResult:
     """Serve a query workload, optionally after shaping the clustering first.
@@ -112,31 +150,19 @@ def run_traffic_workload(simulation: Simulation, options: Dict[str, Any]) -> Run
     Registered as scenario-mutating: an ``after="maintain"`` phase may drift
     the network, so tasks get a private copy of any cached scenario.
     """
+    phase = check_traffic_options(options)
     options = dict(options)
-    after = str(options.pop("after", "none"))
+    options.pop("after", None)
     periods = int(options.pop("periods", 1))
     max_rounds = options.pop("max_rounds_per_period", None)
     dynamics = options.pop("dynamics", None)
     prior: Optional[RunResult] = None
-    if after != "none":
-        # Resolve the phase through the runner registry so every registered
-        # alias ("discovery", "maintenance", ...) works without hand-rolled
-        # string lists here.
-        try:
-            phase = runner_registry.canonical_name(after)
-        except UnknownComponentError:
-            phase = None
-        if phase == "discover":
-            prior = simulation.run()
-        elif phase == "maintain":
-            prior = simulation.run_maintenance(
-                periods, max_rounds_per_period=max_rounds, dynamics=dynamics
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown traffic runner phase {after!r}; "
-                "valid values: ['discover', 'maintain', 'none']"
-            )
+    if phase == "discover":
+        prior = simulation.run()
+    elif phase == "maintain":
+        prior = simulation.run_maintenance(
+            periods, max_rounds_per_period=max_rounds, dynamics=dynamics
+        )
     result = simulation.run_traffic(**options)
     if prior is not None:
         result.merge_prior(prior)

@@ -454,7 +454,11 @@ class SweepSpec:
         # Imported here: repro.sweep.runners registers the built-in runners
         # and importing it at module scope would be cyclic.
         from repro.dynamics.schedule import DynamicsSchedule
-        from repro.sweep.runners import resolve_runner
+        from repro.sweep.runners import (
+            check_traffic_options,
+            resolve_runner,
+            run_traffic_workload,
+        )
 
         expanded = self.expand()
         for task in expanded:
@@ -476,5 +480,6 @@ class SweepSpec:
                 workload_registry.canonical_name(config.traffic["workload"])
             if "dynamics" in task.options and task.options["dynamics"] is not None:
                 DynamicsSchedule.from_dict(task.options["dynamics"]).validate()
-            resolve_runner(task.runner)
+            if resolve_runner(task.runner) is run_traffic_workload:
+                check_traffic_options(task.options)
         return expanded

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +63,41 @@ class TestAttributeSet:
         extended = base.union(AttributeSet(["extra"]))
         assert base.issubset(extended)
         assert base.intersection(extended) == base
+
+    def test_intersection_and_union_return_attribute_sets(self):
+        left = AttributeSet(["a", "b"])
+        right = AttributeSet(["b", "c"])
+        assert type(left.intersection(right)) is AttributeSet
+        assert type(left.union(right)) is AttributeSet
+        assert repr(left.union(right)) == "AttributeSet({'a', 'b', 'c'})"
+
+    def test_attributes_is_the_set_itself(self):
+        attributes = AttributeSet(["Music", "rock"])
+        assert attributes.attributes is attributes
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        attributes = AttributeSet(["p2p", "Clustering", "overlay"])
+        restored = pickle.loads(pickle.dumps(attributes, protocol=protocol))
+        assert type(restored) is AttributeSet
+        assert restored == attributes and hash(restored) == hash(attributes)
+        assert list(restored) == ["clustering", "overlay", "p2p"]
+
+    def test_deepcopy_round_trip(self):
+        attributes = AttributeSet(["b", "a"])
+        holder = {"attributes": attributes}
+        copied = copy.deepcopy(holder)["attributes"]
+        assert type(copied) is AttributeSet
+        assert copied == attributes and list(copied) == ["a", "b"]
+
+    def test_equals_a_plain_frozenset_of_canonical_strings(self):
+        # The documented widening: an AttributeSet is the frozenset of its
+        # canonical attributes, so it equals a plain set of the same strings.
+        attributes = AttributeSet(["P2P", " Overlay"])
+        assert attributes == frozenset({"p2p", "overlay"})
+        assert attributes == {"p2p", "overlay"}
+        assert hash(attributes) == hash(frozenset({"p2p", "overlay"}))
+        assert attributes != frozenset({"P2P", " Overlay"})
 
 
 class TestVocabulary:

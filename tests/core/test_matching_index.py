@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.documents import Document
 from repro.core.index import InvertedIndex
 from repro.core.matching import matches, matching_documents, result_count
 from repro.core.queries import Query
+from repro.peers.peer import Peer
 
 
 def _documents():
@@ -85,3 +86,62 @@ class TestIndexEquivalenceProperty:
     def test_index_equals_reference_scan(self, documents, query):
         index = InvertedIndex(documents)
         assert index.result_count(query) == result_count(query, documents)
+
+
+# Documents over five terms; queries may also name terms no document holds.
+_indexed_terms = st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon"])
+_many_documents = st.lists(
+    st.lists(_indexed_terms, min_size=1, max_size=4).map(Document), max_size=150
+)
+_probe_terms = st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "omega"])
+_probe_queries = st.lists(
+    st.lists(_probe_terms, max_size=3).map(Query), min_size=1, max_size=6
+)
+#: 130 documents: the posting masks grow past 64 bits.
+_LONG = [Document([term, "alpha"]) for term in ["beta", "gamma", "delta", "epsilon", "alpha"] * 26]
+
+
+def assert_index_equals_reference(index, documents, queries):
+    """Every index answer equals the reference scan over *documents*."""
+    assert len(index) == len(documents)
+    for query in queries:
+        assert index.result_count(query) == result_count(query, documents)
+        matched = index.matching_documents(query)
+        assert [id(document) for document in matched] == [
+            id(document) for document in matching_documents(query, documents)
+        ]
+    attributes = {attribute for document in documents for attribute in document.attributes}
+    assert index.vocabulary() == sorted(attributes)
+    assert index.posting_sizes() == {
+        attribute: result_count(Query([attribute]), documents) for attribute in attributes
+    }
+
+
+class TestBitmaskIndexProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(first=_many_documents, second=_many_documents, queries=_probe_queries)
+    @example(first=_LONG, second=_LONG[:70], queries=[Query([]), Query(["alpha", "epsilon"])])
+    def test_add_and_rebuild_equal_reference_scan(self, first, second, queries):
+        index = InvertedIndex()
+        for document in first:
+            index.add(document)
+        assert_index_equals_reference(index, first, queries)
+        index.rebuild(second)
+        assert_index_equals_reference(index, second, queries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        documents=_many_documents,
+        replacements=_many_documents,
+        fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        queries=_probe_queries,
+    )
+    @example(documents=_LONG, replacements=_LONG[:40], fraction=0.5, queries=[Query(["beta"])])
+    def test_replace_document_fraction_equals_reference_scan(
+        self, documents, replacements, fraction, queries
+    ):
+        peer = Peer("p", documents=documents)
+        peer.replace_document_fraction(fraction, replacements)
+        kept = documents[int(round(fraction * len(documents))):]
+        assert list(peer.documents) == kept + replacements
+        assert_index_equals_reference(peer.index, kept + replacements, queries)

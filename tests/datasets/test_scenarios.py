@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.datasets.scenarios import (
@@ -13,7 +19,9 @@ from repro.datasets.scenarios import (
     category_configuration,
     initial_configuration,
 )
+from repro.dynamics.models import build_drift_model
 from repro.errors import DatasetError
+from repro.experiments.config import ExperimentConfig
 
 SMALL = ScenarioConfig(
     num_peers=20,
@@ -122,3 +130,104 @@ class TestCategoryConfiguration:
         data = build_scenario(SCENARIO_UNIFORM, SMALL)
         with pytest.raises(DatasetError):
             category_configuration(data)
+
+
+def generation_digest(data):
+    """sha256 over every peer's documents and workload, in peer order.
+
+    Each document is ``(doc_id, category, sorted attributes)`` and each
+    workload entry ``(sorted query attributes, count)`` from ``items()``.
+    """
+    digest = hashlib.sha256()
+    for peer_id in data.peer_ids():
+        peer = data.network.peer(peer_id)
+        documents = [
+            [document.doc_id, document.category, sorted(document.attributes)]
+            for document in peer.documents
+        ]
+        workload = [[sorted(query.attributes), count] for query, count in peer.workload.items()]
+        digest.update(json.dumps([peer_id, documents, workload]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestGenerationIsPinned:
+    """Scenario generation stays byte for byte what it was.
+
+    A change to any generated document or query fails here, in tier-1, and
+    not only in the parity sets that run whole sessions.
+    """
+
+    QUICK = {
+        SCENARIO_SAME_CATEGORY: "2f0c3d8462d362307f16d86ca541c1d081c038b3772c3dad9c72fe80bdd53b43",
+        SCENARIO_DIFFERENT_CATEGORY: "7e90ff9902056fe3e1299bbf275f6d076a09cb7c3ecf1756f145a83b73e9f2e6",
+        SCENARIO_UNIFORM: "5e22a825c725fca3c86a10ebde06faa85e06ce28a2c9d849102960b19d312c49",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(QUICK))
+    def test_quick_scale_scenarios(self, scenario):
+        data = build_scenario(scenario, ExperimentConfig.quick().scenario)
+        assert generation_digest(data) == self.QUICK[scenario]
+
+    def test_paper_defaults_with_uniform_workload(self):
+        data = build_scenario(SCENARIO_SAME_CATEGORY, ScenarioConfig(uniform_workload=True))
+        assert len(data.network) == 200
+        expected = "a41fb1a4cc2f8d519b9a7bfd5bca2984a788015568823af02778f61c9ecbd7b2"
+        assert generation_digest(data) == expected
+
+
+def assert_equal_queries_shared(network):
+    """Equal workload queries across the whole network are one object."""
+    first_seen = {}
+    for peer in network.peers():
+        for query in peer.workload:
+            assert first_seen.setdefault(query, query) is query
+
+
+class TestSharedQueries:
+    def test_equal_workload_queries_are_one_object(self):
+        data = build_scenario(SCENARIO_UNIFORM, ExperimentConfig.quick().scenario)
+        assert_equal_queries_shared(data.network)
+
+    def test_workload_full_drift_draws_the_same_objects(self):
+        data = build_scenario(SCENARIO_SAME_CATEGORY, ExperimentConfig.quick().scenario)
+        built = {query: query for peer in data.network.peers() for query in peer.workload}
+        model = build_drift_model("workload-full", peer_fraction=1.0)
+        rng = random.Random(5)
+        model.prepare(data, rng)
+        report = model.apply(data.network, category_configuration(data), 0, rng)
+        drifted = [data.network.peer(peer_id) for peer_id in report.peer_ids]
+        assert drifted and all(
+            data.query_categories[peer.peer_id] != report.category for peer in drifted
+        )
+        assert_equal_queries_shared(data.network)
+        redrawn = [query for peer in drifted for query in peer.workload if query in built]
+        assert redrawn and all(built[query] is query for query in redrawn)
+
+    def test_deepcopy_keeps_every_workload(self):
+        data = build_scenario(SCENARIO_DIFFERENT_CATEGORY, ExperimentConfig.quick().scenario)
+        copied = copy.deepcopy(data)
+        for peer_id in data.peer_ids():
+            original = data.network.peer(peer_id)
+            duplicate = copied.network.peer(peer_id)
+            assert duplicate is not original
+            assert duplicate.workload == original.workload
+            assert list(duplicate.workload.items()) == list(original.workload.items())
+        assert_equal_queries_shared(copied.network)
+        assert generation_digest(copied) == generation_digest(data)
+
+
+class TestBuildFootprint:
+    def test_tracked_objects_per_peer(self):
+        """A build leaves at most 40 collector-tracked objects per peer.
+
+        Per-posting containers (one ``set`` per attribute per peer) or one
+        ``Query`` per workload occurrence would each add several per peer.
+        """
+        peers = 1000
+        gc.collect()
+        before = len(gc.get_objects())
+        data = build_scenario(SCENARIO_SAME_CATEGORY, ScenarioConfig(num_peers=peers))
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(data.network) == peers
+        assert grown <= 40 * peers, f"{grown / peers:.1f} tracked objects per peer"

@@ -202,6 +202,26 @@ class TestValidation:
         tasks = SweepSpec(strategies=("selfish",), seeds=(1, 2)).validate()
         assert [task.index for task in tasks] == [0, 1]
 
+    @pytest.mark.parametrize(
+        ("options", "named"),
+        [({"num_event": 100}, "'num_event'"), ({"after": "bogus"}, "'bogus'")],
+    )
+    def test_traffic_runner_options_are_checked(self, options, named):
+        spec = SweepSpec(scale="quick", runner="traffic", runner_options=options)
+        with pytest.raises(ConfigurationError, match=named):
+            spec.validate()
+
+    def test_explicit_traffic_task_options_are_checked(self):
+        task = {"config": {"scale": "quick"}, "runner": "traffic", "options": {"after": "rest"}}
+        with pytest.raises(ConfigurationError, match="'rest'"):
+            SweepSpec(tasks=(task,)).validate()
+
+    def test_valid_traffic_spec_validates(self):
+        options = {"after": "maintenance", "periods": 2, "num_events": 100, "workload": "zipf"}
+        spec = SweepSpec(scale="quick", runner="traffic", runner_options=options, seeds=(3,))
+        (task,) = spec.validate()
+        assert task.runner == "traffic" and task.options == options
+
 
 class TestExecutionPolicyFields:
     def test_retries_and_task_timeout_round_trip(self):

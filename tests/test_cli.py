@@ -162,6 +162,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown scenario_overrides keys ['bogus']" in err
 
+    @pytest.mark.parametrize(
+        ("options", "named"),
+        [({"num_event": 100}, "['num_event']"), ({"after": "bogus"}, "'bogus'")],
+    )
+    def test_sweep_spec_with_bad_traffic_options_reports_cleanly(
+        self, tmp_path, capsys, options, named
+    ):
+        import json
+
+        spec_file = tmp_path / "spec.json"
+        spec = {"scale": "quick", "runner": "traffic", "runner_options": options}
+        spec_file.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["sweep", "--spec", str(spec_file), "--no-progress"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
     def test_workers_flag_available_on_experiment_commands(self):
         arguments = build_parser().parse_args(["table1", "--workers", "4"])
         assert arguments.workers == 4
