@@ -2,7 +2,7 @@
 
 Usage (from the repository root, with ``src`` importable)::
 
-    python -m benchmarks.parity quick|paper|restricted [--limit N] [--dump FILE]
+    python -m benchmarks.parity quick|paper|restricted|traffic [--limit N] [--dump FILE]
     python -m benchmarks.parity diff OLD NEW
 
 Each run's line is the sha256 of ``json.dumps(RunResult.to_dict(),
@@ -33,6 +33,12 @@ The sets:
   (``scenario_overrides={"seed": seed}``).
 * ``restricted`` (36 runs): the quick discovery grid with
   ``restrict_to_nonempty=True`` and cluster creation left on.
+* ``traffic`` (25 runs): on each quick scenario, one selfish discovery per
+  router (broadcast and probe-k with ``k=1``), then ``run_traffic`` of
+  :data:`TRAFFIC_EVENTS` events under each of :data:`TRAFFIC_WORKLOADS`;
+  then one observed selfish ``run_maintenance(4)`` under
+  :data:`MAINTENANCE_DRIFT` followed by ``run_traffic``.  Each run's
+  payload is its traffic ``RunResult``.
 """
 
 from __future__ import annotations
@@ -73,6 +79,14 @@ MAINTENANCE_DRIFT: Dict[str, Any] = {
         },
     ]
 }
+
+#: The workload generators and routers the traffic set serves under.
+TRAFFIC_WORKLOADS = ("uniform", "zipf", "flash-crowd", "replay")
+TRAFFIC_ROUTERS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("broadcast", {}),
+    ("probe-k", {"k": 1}),
+)
+TRAFFIC_EVENTS = 5000
 
 Run = Tuple[str, Callable[[], Any]]
 
@@ -144,10 +158,53 @@ def restricted_runs() -> Iterator[Run]:
     )
 
 
+def _serve(simulation: Simulation, workload: str) -> Any:
+    """Traffic after the session's discovery, which the first call runs."""
+    if simulation.last_protocol is None:
+        simulation.run()
+    return simulation.run_traffic(workload=workload, num_events=TRAFFIC_EVENTS)
+
+
+def traffic_runs() -> Iterator[Run]:
+    for scenario in SCENARIOS:
+        for router, options in TRAFFIC_ROUTERS:
+            simulation = Simulation(
+                SessionConfig(
+                    scale="quick",
+                    scenario=scenario,
+                    seed=QUICK_SEED,
+                    router=router,
+                    router_options=options,
+                )
+            )
+            for workload in TRAFFIC_WORKLOADS:
+                yield (
+                    f"{scenario}/{router}/{workload}",
+                    lambda simulation=simulation, workload=workload: _serve(simulation, workload),
+                )
+    config = SessionConfig(
+        scale="quick",
+        scenario="same-category",
+        initial="category",
+        strategy="selfish",
+        strategy_mode="observed",
+        seed=QUICK_SEED,
+        dynamics=MAINTENANCE_DRIFT,
+    )
+
+    def maintained_traffic() -> Any:
+        simulation = Simulation(config)
+        simulation.run_maintenance(4)
+        return simulation.run_traffic(num_events=TRAFFIC_EVENTS)
+
+    yield "maintain/selfish/observed/traffic", maintained_traffic
+
+
 SETS: Dict[str, Callable[[], Iterator[Run]]] = {
     "quick": quick_runs,
     "paper": paper_runs,
     "restricted": restricted_runs,
+    "traffic": traffic_runs,
 }
 
 

@@ -129,40 +129,43 @@ class FactoredRecall:
         workloads: Mapping[PeerId, QueryWorkload],
         peer_order: Sequence[PeerId],
     ) -> "FactoredRecall":
-        """Build the factored arrays."""
-        population = len(peer_order)
-        queries: List[Query] = []
-        query_rows: Dict[Query, int] = {}
-        per_peer: List[List[Tuple[int, int]]] = []
-        kmax = 0
-        for peer_id in peer_order:
+        """Build the factored arrays.
+
+        The distinct queries are in the order :meth:`QueryWorkload.distinct`
+        gives the global workload (by ``tuple(query.attributes)``), so row
+        ``k`` of ``B`` and column ``k`` of the traffic layer's workload
+        table (:class:`~repro.traffic.workloads.WorkloadContext`) are the
+        same query.  One pass numbers the queries as they first appear and
+        records each slot; one vectorised step renumbers them in that order.
+        """
+        first_seen: Dict[Query, int] = {}
+        rows: List[int] = []
+        slots: List[int] = []
+        slot_queries: List[int] = []
+        slot_counts: List[int] = []
+        for row, peer_id in enumerate(peer_order):
             workload = workloads.get(peer_id)
-            entries: List[Tuple[int, int]] = []
-            if workload is not None and workload.total():
-                for query, count in workload.items():
-                    qrow = query_rows.get(query)
-                    if qrow is None:
-                        qrow = len(queries)
-                        query_rows[query] = qrow
-                        queries.append(query)
-                    entries.append((qrow, count))
-            per_peer.append(entries)
-            kmax = max(kmax, len(entries))
+            if workload is None:
+                continue
+            for slot, (query, count) in enumerate(workload.items()):
+                rows.append(row)
+                slots.append(slot)
+                slot_queries.append(first_seen.setdefault(query, len(first_seen)))
+                slot_counts.append(count)
+        queries = sorted(first_seen, key=lambda query: tuple(query.attributes))
+        rank = np.empty(len(queries), dtype=np.intp)
+        rank[[first_seen[query] for query in queries]] = np.arange(len(queries))
         counts, totals = recall_model.result_count_matrix(queries, peer_order)
         totals_f = totals.astype(float)
         B = np.zeros(counts.shape, dtype=float)
         np.divide(counts, totals_f[:, None], out=B, where=totals_f[:, None] > 0)
-        qidx = np.zeros((population, kmax), dtype=np.intp)
-        w_local = np.zeros((population, kmax))
-        w_count = np.zeros((population, kmax))
-        for row, entries in enumerate(per_peer):
-            if not entries:
-                continue
-            local_total = workloads[peer_order[row]].total()
-            for k, (qrow, count) in enumerate(entries):
-                qidx[row, k] = qrow
-                w_count[row, k] = count
-                w_local[row, k] = count / local_total
+        shape = (len(peer_order), max(slots, default=-1) + 1)
+        qidx = np.zeros(shape, dtype=np.intp)
+        w_count = np.zeros(shape)
+        qidx[rows, slots] = rank[np.asarray(slot_queries, dtype=np.intp)]
+        w_count[rows, slots] = slot_counts
+        issued = w_count.sum(axis=1, keepdims=True)
+        w_local = np.divide(w_count, issued, out=np.zeros(shape), where=issued > 0)
         return cls(queries, B, totals_f, qidx, w_local, w_count)
 
     # -- segmented reductions ------------------------------------------------
@@ -375,21 +378,6 @@ class WeightedRecallMatrix:
             self._service = self.factored().dense_service()
         return self._service
 
-    def _ensure_result_counts(self) -> np.ndarray:
-        """``R[q, j] = result(queries[q], peer_order[j])`` as float64 integers.
-
-        The counts :meth:`FactoredRecall.build` divided into ``B``, recovered
-        as ``rint(B * B_totals)`` on the first contribution request only, so
-        sessions that never ask (every selfish one) do not hold this
-        ``(|Q_u|, |P|)`` array.  The recovery is exact: each quotient times
-        its divisor lies within ``count * 2**-52`` of the integer count.
-        """
-        if self._result_counts is None:
-            factored = self.factored()
-            counts = factored.B * factored.B_totals[:, None]
-            self._result_counts = np.rint(counts, out=counts)
-        return self._result_counts
-
     def _check_membership(self, membership: np.ndarray) -> None:
         if membership.shape[0] != len(self._peer_order):
             raise ConfigurationError(
@@ -451,6 +439,26 @@ class WeightedRecallMatrix:
             self._workload_share = share
         return self._workload_share
 
+    def result_counts(self) -> np.ndarray:
+        """``R[q, j] = result(queries[q], peer_order[j])`` as float64 integers.
+
+        Rows follow :attr:`FactoredRecall.queries`.  The counts
+        :meth:`FactoredRecall.build` divided into ``B``, recovered as
+        ``rint(B * B_totals)`` on first use only, so sessions that never
+        ask (selfish ones that neither observe nor serve traffic) do not
+        hold this ``(|Q_u|, |P|)`` array.  The recovery is exact: each
+        quotient times its divisor lies within ``count * 2**-52`` of the
+        integer count.  Built once, read-only; Eq. 6 and the traffic
+        layer's routing tables read it.
+        """
+        if self._result_counts is None:
+            factored = self.factored()
+            counts = factored.B * factored.B_totals[:, None]
+            np.rint(counts, out=counts)
+            counts.flags.writeable = False
+            self._result_counts = counts
+        return self._result_counts
+
     def index_of(self, peer_id: PeerId) -> int:
         """Row index of *peer_id*."""
         try:
@@ -511,7 +519,7 @@ class WeightedRecallMatrix:
         """
         self._check_membership(membership)
         if self._mode == "factored":
-            counts = self._ensure_result_counts()
+            counts = self.result_counts()
             demand, issued = self.factored().query_demand(membership)
             served_per_cluster = counts.T @ demand
             totals = (counts.T @ issued)[:, None]

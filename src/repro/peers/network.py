@@ -1,12 +1,12 @@
 """The peer network: the population ``P`` plus derived models.
 
-:class:`PeerNetwork` owns the peers, exposes the global query workload ``Q``
-and builds the derived models (recall model, weighted recall matrices, cost
-model) that the game, the strategies and the protocol consume.  Because the
-paper's whole point is coping with change, the network also supports peer
-churn and content/workload updates; any such change invalidates the cached
-derived models so that the next access rebuilds them against the current
-state.
+:class:`PeerNetwork` owns the peers and their local workloads ``Q(p)`` and
+builds the derived models (recall model, weighted recall matrix, cost
+model) that the game, the strategies, the protocol and the traffic layer
+consume.  Because the paper's whole point is coping with change, the
+network also supports peer churn and content/workload updates; any such
+change invalidates the cached derived models so that the next access
+rebuilds them against the current state.
 """
 
 from __future__ import annotations
@@ -79,22 +79,6 @@ class PeerNetwork:
     def __len__(self) -> int:
         return len(self._peers)
 
-    def __deepcopy__(self, memo: Dict[int, object]) -> "PeerNetwork":
-        """Deep copy the peers but none of the derived-model caches.
-
-        The recall model / matrix are pure functions of the peers and can be
-        rebuilt on demand; copying them would waste time and — worse — hand
-        the copy caches built from a *pre-mutation* snapshot if the caller
-        copies precisely because it intends to mutate (the sweep engine's
-        copy-on-write scenario cache does exactly that).
-        """
-        import copy as _copy
-
-        duplicate = PeerNetwork()
-        memo[id(self)] = duplicate
-        duplicate._peers = _copy.deepcopy(self._peers, memo)
-        return duplicate
-
     # -- derived models --------------------------------------------------------------
 
     def invalidate(self) -> None:
@@ -123,17 +107,15 @@ class PeerNetwork:
         """Mapping of peer id to its local workload ``Q(p)`` (live references)."""
         return {peer_id: peer.workload for peer_id, peer in self._peers.items()}
 
-    def global_workload(self) -> QueryWorkload:
-        """The global query list ``Q`` (merge of every local workload)."""
-        return QueryWorkload.merge_all(peer.workload for peer in self._peers.values())
-
     def recall_matrix(self, *, rebuild: bool = False) -> WeightedRecallMatrix:
         """The weighted recall matrix over the current state (cached).
 
         The population picks its form: dense below
         :attr:`WeightedRecallMatrix.FACTORED_THRESHOLD` peers, factored (no
         |P| x |P| array, what the labels kernel backend works from) at or
-        above it.
+        above it.  The cost model, period observation and traffic all read
+        this one matrix; it is rebuilt on the first access after a peer's
+        ``version`` changes or the population does.
         """
         recall_model = self.recall_model()
         if self._matrix is None or rebuild:

@@ -288,9 +288,9 @@ def register_runner(
     ``mutates_scenario`` declares whether the runner mutates the scenario's
     network (content/workload updates, churn).  The sweep engine's per-worker
     scenario cache hands non-mutating runners the shared
-    :class:`~repro.datasets.scenarios.ScenarioData` and mutating runners a
-    private deep copy.  Runners that do not declare the flag are treated as
-    mutating (the safe default).
+    :class:`~repro.datasets.scenarios.ScenarioData`; a mutating runner's
+    simulation builds its own.  Runners that do not declare the flag are
+    treated as mutating (the safe default).
     """
 
     def decorator(component: Any) -> Any:

@@ -54,7 +54,8 @@ sweep completes with partial results instead of aborting.  A
 
 Scenario reuse has one tier: the per-process memo of
 :mod:`repro.sweep.cache`, one built scenario per ``(scenario,
-ScenarioConfig)`` key in each worker.
+ScenarioConfig)`` key in each worker, shared with the runners that do not
+mutate it; mutating runners build their own.
 
 The ``distributed`` backend (:mod:`repro.sweep.distributed`) extends all of
 this across processes and hosts: a coordinator enqueues the grid into a
@@ -72,7 +73,6 @@ deprecated package-level re-export has been removed.
 
 from repro.sweep.cache import (
     clear_scenario_cache,
-    scenario_cache_enabled,
     scenario_cache_info,
     scenario_data_for,
 )
@@ -129,7 +129,6 @@ __all__ = [
     "FaultRule",
     "TaskFailure",
     "scenario_data_for",
-    "scenario_cache_enabled",
     "scenario_cache_info",
     "clear_scenario_cache",
 ]

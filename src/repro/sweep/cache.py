@@ -6,41 +6,36 @@ rebuild identical :class:`~repro.datasets.scenarios.ScenarioData` from
 scratch, corpus generation and all.  (Replications are *different* keys by
 design: each replication's seed flows into ``ScenarioConfig.seed`` so it
 genuinely resamples the world.)  This module keeps one built scenario per
-distinct key in the worker process and hands it to each task:
+distinct key in the worker process, and the memo shares or builds; it never
+copies:
 
 * **non-mutating runners** (``discover`` and anything registered with
   ``mutates_scenario=False``) share the cached instance directly — a
   discovery run only *derives* models from the network, it never changes it;
 * **mutating runners** (the maintenance family, and any runner that does not
-  declare itself) receive a private :func:`copy.deepcopy`, so the pristine
-  cache entry is never perturbed (copy-on-write).
-  :class:`~repro.peers.network.PeerNetwork` drops its derived-model caches
-  during the copy, so a copied-then-mutated scenario behaves exactly like a
-  freshly built one.
+  declare itself) never see the memo: their
+  :class:`~repro.session.simulation.Simulation` builds its own scenario, so
+  the cached instance is never perturbed.  A fresh build is cheaper than a
+  deep copy of a built scenario.
 
-Because the cached build is deterministic in the key, a cache hit and a cache
-miss produce byte-identical task results — so sweeps stay reproducible for
-any worker count, which the engine's parity tests assert with the cache on.
+Because the cached build is deterministic in the key, a cache hit and a
+fresh build produce byte-identical task results — so sweeps stay
+reproducible for any worker count, which the engine's parity tests assert.
 
 This memo is the only way a sweep reuses a built scenario: the coordinator
 of a multi-process sweep builds nothing, and nothing is persisted beyond
 the worker process.
-
-Set ``REPRO_SWEEP_SCENARIO_CACHE=0`` to disable the cache globally (every
-task then rebuilds, the pre-cache behaviour).
 """
 
 from __future__ import annotations
 
-import copy
-import os
 from typing import Dict, Tuple
 
 from repro.datasets.scenarios import ScenarioConfig, ScenarioData, build_scenario
 from repro.registry import scenario_registry
 
 __all__ = [
-    "scenario_cache_enabled",
+    "runner_mutates_scenario",
     "scenario_data_for",
     "clear_scenario_cache",
     "scenario_cache_info",
@@ -49,15 +44,7 @@ __all__ = [
 _CacheKey = Tuple[str, ScenarioConfig]
 
 _CACHE: Dict[_CacheKey, ScenarioData] = {}
-_STATS = {"hits": 0, "misses": 0, "copies": 0}
-
-#: Environment switch disabling the cache ("0"/"false"/"no"/"off").
-ENV_FLAG = "REPRO_SWEEP_SCENARIO_CACHE"
-
-
-def scenario_cache_enabled() -> bool:
-    """Whether the per-worker scenario cache is enabled (default: yes)."""
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in {"0", "false", "no", "off"}
+_STATS = {"hits": 0, "misses": 0}
 
 
 def runner_mutates_scenario(runner: object) -> bool:
@@ -65,19 +52,15 @@ def runner_mutates_scenario(runner: object) -> bool:
     return bool(getattr(runner, "mutates_scenario", True))
 
 
-def scenario_data_for(session_config, *, mutates: bool) -> ScenarioData:
-    """The scenario data for *session_config*, memoised per worker process.
+def scenario_data_for(session_config) -> ScenarioData:
+    """The shared scenario data for *session_config*, memoised per worker process.
 
-    Parameters
-    ----------
-    session_config:
-        The task's :class:`~repro.session.config.SessionConfig`; the cache
-        key is its canonical scenario name plus the fully resolved
-        :class:`ScenarioConfig` (scale preset + overrides + seed), so two
-        tasks share an entry exactly when they would build identical data.
-    mutates:
-        ``True`` returns a private deep copy (copy-on-write for runners that
-        perturb the network); ``False`` returns the shared instance.
+    The cache key is the canonical scenario name plus the fully resolved
+    :class:`ScenarioConfig` of the task's
+    :class:`~repro.session.config.SessionConfig` (scale preset + overrides +
+    seed), so two tasks share an entry exactly when they would build
+    identical data.  The instance is shared: only runners that do not
+    mutate the scenario may receive it.
     """
     name = scenario_registry.canonical_name(session_config.scenario)
     key: _CacheKey = (name, session_config.experiment_config().scenario)
@@ -88,9 +71,6 @@ def scenario_data_for(session_config, *, mutates: bool) -> ScenarioData:
         _CACHE[key] = data
     else:
         _STATS["hits"] += 1
-    if mutates:
-        _STATS["copies"] += 1
-        return copy.deepcopy(data)
     return data
 
 
@@ -102,9 +82,5 @@ def clear_scenario_cache() -> None:
 
 
 def scenario_cache_info() -> Dict[str, int]:
-    """Cache statistics of this process: ``size``, ``hits``, ``misses`` and
-    ``copies``."""
+    """Cache statistics of this process: ``size``, ``hits`` and ``misses``."""
     return {"size": len(_CACHE), **_STATS}
-
-
-__all__.append("runner_mutates_scenario")

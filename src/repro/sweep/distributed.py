@@ -162,7 +162,6 @@ def _run_claimed(store: ResultStore, queue: TaskQueue, lease: Lease, worker_id: 
     try:
         execute_task(
             task,
-            scenario_cache=bool(config.get("scenario_cache", True)),
             store=store,
             timeout=config.get("task_timeout"),
             faults=faults,
@@ -725,7 +724,6 @@ class DistributedSweepExecutor(SweepExecutor):
         return {
             "retry_policy": asdict(context.retry_policy),
             "task_timeout": context.task_timeout,
-            "scenario_cache": context.scenario_cache,
             "faults": context.faults.to_dict() if context.faults else None,
             "lease_timeout": self.lease_timeout,
             "heartbeat_interval": self.heartbeat_interval or self.lease_timeout / 4.0,

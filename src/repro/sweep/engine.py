@@ -14,7 +14,10 @@ Determinism: every task carries its own seed (derived in the spec, never
 here), each worker builds its simulation from the task's plain-dict config,
 and nothing about scheduling feeds back into the tasks — so any executor
 produces byte-identical results, and a resumed sweep's merged result is
-byte-identical to one uninterrupted run.
+byte-identical to one uninterrupted run.  A worker's scenario memo
+(:mod:`repro.sweep.cache`) is shared only with runners that do not mutate
+the scenario; every other task builds its own, so no task sees another
+task's changes.
 
 Progress streams through :class:`~repro.events.EventHooks`: ``task_started``
 when the executor admits a task attempt to its in-flight window (see
@@ -80,7 +83,6 @@ def run_sweep(
     executor: Optional[Any] = None,
     hooks: Optional[EventHooks] = None,
     jsonl_path: Optional[str] = None,
-    scenario_cache: bool = True,
     store: Optional[Any] = None,
     resume: bool = True,
     retries: Optional[Any] = None,
@@ -104,9 +106,6 @@ def run_sweep(
     jsonl_path:
         When given, the finished sweep is persisted there as JSONL
         (see :meth:`~repro.sweep.result.SweepResult.write_jsonl`).
-    scenario_cache:
-        Memoise built scenarios per worker process (copy-on-write for
-        mutating runners).  On by default; results do not depend on it.
     store:
         A :class:`~repro.sweep.store.ResultStore` (or its root path).  Every
         finished task is persisted under its content hash as it completes.
@@ -233,7 +232,6 @@ def run_sweep(
         )
 
     context = ExecutorContext(
-        scenario_cache=scenario_cache,
         store_path=str(result_store.root) if result_store is not None else None,
         on_started=on_started,
         retry_policy=retry_policy,

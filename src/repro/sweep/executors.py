@@ -161,7 +161,6 @@ class ExecutorContext:
     layer (:mod:`repro.sweep.faults`) identically for every executor.
     """
 
-    scenario_cache: bool = True
     store_path: Optional[str] = None
     on_started: Callable[..., None] = field(default=_noop_started)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -178,7 +177,6 @@ class ExecutorContext:
 def execute_task(
     task: SweepTask,
     *,
-    scenario_cache: bool = True,
     store: Optional[Any] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
@@ -187,18 +185,18 @@ def execute_task(
     """Run one sweep task to completion; returns ``(result, seconds)``.
 
     This is the whole per-worker protocol: materialise the task's
-    :class:`~repro.session.config.SessionConfig`, fetch (or build) the
-    scenario data through the per-worker memo, assemble a
-    :class:`~repro.session.simulation.Simulation`, hand it to the task's
-    registered runner, and return the runner's JSON-exportable
+    :class:`~repro.session.config.SessionConfig`, fetch the shared scenario
+    data from the per-worker memo when the runner does not mutate it,
+    assemble a :class:`~repro.session.simulation.Simulation`, hand it to
+    the task's registered runner, and return the runner's JSON-exportable
     :class:`RunResult`.  The raw ``protocol_result`` is dropped — it is not
     part of the exportable surface and would dominate pickling cost.
 
-    With ``scenario_cache=True`` (the default) tasks sharing a
-    ``(scenario, ScenarioConfig)`` key reuse one built
-    :class:`~repro.datasets.scenarios.ScenarioData` per process; runners
-    registered as scenario-mutating get a private deep copy (copy-on-write),
-    so results are byte-identical with and without the cache.
+    Runners registered with ``mutates_scenario=False`` share one built
+    :class:`~repro.datasets.scenarios.ScenarioData` per
+    ``(scenario, ScenarioConfig)`` key and process; every other runner gets
+    ``data=None``, so its :class:`Simulation` builds a fresh scenario.
+    Results are byte-identical either way.
 
     When *store* (a :class:`~repro.sweep.store.ResultStore` or its root
     path) is given, the finished result is persisted under the task's
@@ -211,11 +209,7 @@ def execute_task(
     ``(task, attempt)`` fires at the top of the attempt — both raise into
     the caller, which owns retry/quarantine handling.
     """
-    from repro.sweep.cache import (
-        runner_mutates_scenario,
-        scenario_cache_enabled,
-        scenario_data_for,
-    )
+    from repro.sweep.cache import runner_mutates_scenario, scenario_data_for
     from repro.sweep.runners import resolve_runner
     from repro.sweep.store import ResultStore, task_hash
 
@@ -228,9 +222,7 @@ def execute_task(
             rule = faults.match(task_hash(task), task.index, attempt)
             if rule is not None:
                 trigger_fault(rule)
-        data = None
-        if scenario_cache and scenario_cache_enabled():
-            data = scenario_data_for(config, mutates=runner_mutates_scenario(runner))
+        data = None if runner_mutates_scenario(runner) else scenario_data_for(config)
         simulation = Simulation.from_config(config, data=data)
         result = runner(simulation, dict(task.options))
     result.protocol_result = None
@@ -242,7 +234,6 @@ def execute_task(
 
 def _execute_payload_envelope(
     payload: Dict[str, object],
-    scenario_cache: bool = True,
     store_path: Optional[str] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
@@ -261,7 +252,6 @@ def _execute_payload_envelope(
     try:
         result, duration = execute_task(
             SweepTask.from_dict(payload),
-            scenario_cache=scenario_cache,
             store=store_path,
             timeout=timeout,
             faults=faults,
@@ -334,7 +324,6 @@ class SerialExecutor(SweepExecutor):
                 try:
                     result, duration = execute_task(
                         task,
-                        scenario_cache=context.scenario_cache,
                         store=context.store_path,
                         timeout=context.task_timeout,
                         faults=context.faults,
@@ -490,7 +479,6 @@ class _PoolRun:
             future = self.pool.submit(
                 _execute_payload_envelope,
                 state.task.to_dict(),
-                self.context.scenario_cache,
                 self.context.store_path,
                 self.context.task_timeout,
                 self.context.faults,
@@ -506,7 +494,6 @@ class _PoolRun:
             future = self.pool.submit(
                 _execute_payload_envelope,
                 state.task.to_dict(),
-                self.context.scenario_cache,
                 self.context.store_path,
                 self.context.task_timeout,
                 self.context.faults,

@@ -84,7 +84,8 @@ def run_maintenance_periods(simulation: Simulation, options: Dict[str, Any]) -> 
     ``dynamics`` field for this task.
 
     Registered as scenario-mutating: the scheduled drift mutates the
-    network, so a sweep task gets a private copy of any cached scenario.
+    network, so a sweep task builds its own scenario instead of sharing a
+    cached one.
     """
     periods = int(options.get("periods", 1))
     max_rounds = options.get("max_rounds_per_period")
@@ -148,7 +149,8 @@ def run_traffic_workload(simulation: Simulation, options: Dict[str, Any]) -> Run
     the clustering cost" and "what did it deliver".
 
     Registered as scenario-mutating: an ``after="maintain"`` phase may drift
-    the network, so tasks get a private copy of any cached scenario.
+    the network, so tasks build their own scenario instead of sharing a
+    cached one.
     """
     phase = check_traffic_options(options)
     options = dict(options)

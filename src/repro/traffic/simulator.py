@@ -31,13 +31,20 @@ latency and bandwidth charged through a pluggable
 :class:`~repro.traffic.events.TrafficLog` whose per-issuer/per-query indexes
 stay in lockstep with the append stream, and the per-(issuer, cluster)
 observed recall of the paper's Eq. 6 observation model is accumulated as an
-event-count matrix multiplied back through ``R @ M`` at the end.
+event-count matrix multiplied back through ``R @ M`` at the end, one
+cluster column at a time.
 
 **Observation.**  :func:`observe_period` builds the same routing tables for
 one observation period ``T`` and returns its
 :class:`~repro.peers.statistics.PeriodStatistics` — the input of the
 ``observed`` strategy mode — as integer arrays equal to what routing each
 recorded workload occurrence once would record, without an event stream.
+Observation and traffic build no table of their own: the workload table of
+:meth:`WorkloadContext.from_network` and ``R`` both come from the recall
+matrix the network caches for the cost model
+(:meth:`~repro.peers.network.PeerNetwork.recall_matrix`), in its query
+order.  So both go stale exactly when the cost model does: when a peer's
+``version`` changes, after which the next access rebuilds the matrix.
 """
 
 from __future__ import annotations
@@ -90,11 +97,15 @@ class _RoutingTables:
     are :attr:`cluster_order`: only the clusters some group targets, in slot
     order (a targeted empty slot still costs its query messages), so no
     table carries a column that no query reaches.  ``counts`` is ``R``
-    (|Q| x |P| result counts over the context's peer order) and
-    ``membership`` is ``M`` (|P| x |C| 0/1 over :attr:`cluster_order`).
-    :func:`observe_period` works on this integer state alone;
-    :meth:`build_serving_tables` adds the float per-group tables the event
-    loop gathers from.
+    (|Q| x |P| result counts as float64 integers: the network recall
+    matrix's read-only
+    :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.result_counts`)
+    and ``membership`` is ``M`` (|P| x |C| int64 0/1 over
+    :attr:`cluster_order`).  *context* must index the same peers and
+    queries as that matrix, as :meth:`WorkloadContext.from_network` on the
+    current network does.  :func:`observe_period` works on this state
+    alone, in int64; :meth:`build_serving_tables` adds the float per-group
+    tables the event loop gathers from.
     """
 
     def __init__(
@@ -104,8 +115,14 @@ class _RoutingTables:
         router: QueryRouter,
         context: WorkloadContext,
     ) -> None:
+        matrix = network.recall_matrix()
         peers = context.peers
-        self.counts, _ = network.recall_model().result_count_matrix(context.queries, peers)
+        if peers != matrix.peer_order or context.queries != matrix.factored().queries:
+            raise ConfigurationError(
+                "the workload context does not index the network's current peers and "
+                "queries; build it with WorkloadContext.from_network after the last change"
+            )
+        self.counts = matrix.result_counts()
 
         # Group the issuers: by cluster when the router's targets only depend
         # on the issuer's cluster, by issuer otherwise.
@@ -150,7 +167,7 @@ class _RoutingTables:
         peer of the context is a provider), so it is correctly rounded
         whatever the number of columns the tables carry.
         """
-        counts = self.counts.astype(np.float64)
+        counts = self.counts
         totals = counts.sum(axis=1)
         membership = self.membership.astype(np.float64)
         # Q x C products: result items and provider count per cluster.
@@ -221,7 +238,8 @@ def observe_period(
     # have no single requesting cluster to be credited to.
     issuer_clusters = [configuration.cluster_of(peer_id) for peer_id in peers]
     tables = _RoutingTables(network, configuration, router, context)
-    workload, counts, membership = context.counts, tables.counts, tables.membership
+    workload, membership = context.counts, tables.membership
+    counts = tables.counts.astype(np.int64)
 
     num_groups = len(tables.group_columns)
     targets = np.zeros((num_groups, len(tables.cluster_order)), dtype=np.int64)
@@ -422,9 +440,13 @@ class TrafficSimulator:
             )
 
         bandwidth = summarise(bandwidth_chunks)
-        issuer_recall_sums = (
-            event_matrix.astype(np.float64) @ tables.cluster_recall
-        ) * tables.target_mask[tables.group_of]
+        # One product per cluster column: a column's sums do not depend on
+        # how many columns the tables carry.
+        events = event_matrix.astype(np.float64)
+        issuer_recall_sums = np.zeros((num_peers, len(tables.cluster_order)))
+        for column, recall in enumerate(np.ascontiguousarray(tables.cluster_recall.T)):
+            issuer_recall_sums[:, column] = events @ recall
+        issuer_recall_sums *= tables.target_mask[tables.group_of]
         report = TrafficReport(
             events=total_events,
             horizon=context.horizon,

@@ -2,7 +2,9 @@
 
 A *workload generator* turns the network's recorded per-peer workloads into
 one or more time-sorted :class:`~repro.traffic.events.QueryEventStream`\\ s.
-Generators are registered by name in
+It reads them from a :class:`WorkloadContext`, whose workload table comes
+from the network's recall matrix, the same table the cost model weights
+recall with, in the same query order.  Generators are registered by name in
 :data:`repro.registry.workload_registry`, so the arrival pattern is a sweep
 axis like every other component:
 
@@ -56,6 +58,8 @@ class WorkloadContext:
     Index space: ``peers[i]`` / ``queries[j]`` fix the meaning of the issuer
     and query indexes carried by every emitted stream; ``counts[i, j]`` is
     how often peer *i*'s recorded local workload contains distinct query *j*.
+    :meth:`from_network` takes all three from the network's recall matrix,
+    whose result counts the simulator routes with, in the same index space.
     """
 
     peers: List[PeerId]
@@ -79,22 +83,28 @@ class WorkloadContext:
         horizon: float = 1.0,
         seed: int = 0,
     ) -> "WorkloadContext":
-        """Build a context over *network*'s stable peer order and global workload."""
+        """Build a context from *network*'s recall matrix.
+
+        ``peers`` is the matrix's peer order, ``queries`` its distinct
+        queries (:attr:`FactoredRecall.queries`, the global workload's
+        :meth:`~repro.core.queries.QueryWorkload.distinct` order), and
+        ``counts`` scatters each row's ``w_count`` slots into their query
+        columns.  The network rebuilds that matrix on the first access after
+        a peer's ``version`` changes, so a context reads the same state as
+        a cost model built at the same point.
+        """
         if num_events < 0:
             raise ConfigurationError(f"num_events must be non-negative, got {num_events}")
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        peers = network.peer_ids()
-        queries = network.global_workload().distinct()
-        query_column = {query: column for column, query in enumerate(queries)}
-        counts = np.zeros((len(peers), len(queries)), dtype=np.int64)
-        workloads = network.workloads()
-        for row, peer_id in enumerate(peers):
-            for query, count in workloads[peer_id].items():
-                counts[row, query_column[query]] = count
+        matrix = network.recall_matrix()
+        factored = matrix.factored()
+        counts = np.zeros((len(matrix), len(factored.queries)), dtype=np.int64)
+        rows, slots = np.nonzero(factored.w_count)
+        counts[rows, factored.qidx[rows, slots]] = factored.w_count[rows, slots]
         return cls(
-            peers=peers,
-            queries=queries,
+            peers=matrix.peer_order,
+            queries=list(factored.queries),
             counts=counts,
             num_events=int(num_events),
             horizon=float(horizon),

@@ -387,7 +387,7 @@ class TestResultCountsProperty:
             recall_model, network.workloads(), peer_order, mode="factored"
         )
         counts, _ = recall_model.result_count_matrix(matrix.factored().queries, peer_order)
-        assert np.array_equal(matrix._ensure_result_counts(), counts)
+        assert np.array_equal(matrix.result_counts(), counts)
 
 
 class TestCoveredIndices:

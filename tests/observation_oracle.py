@@ -12,6 +12,11 @@ The observed strategies' per-peer formulas are kept here over per-peer
 dicts, as the reference for the array rows the strategies read:
 :func:`observed_costs` (selfish, Section 3.1.1) and
 :func:`observed_contributions` (altruistic, Eq. 6).
+
+:func:`workload_table` merges every peer's workload into the global ``Q``
+and fills the |P| x |Q| occurrence table entry by entry: the reference for
+:meth:`repro.traffic.workloads.WorkloadContext.from_network`, which reads
+the same table off the network's recall matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.queries import QueryWorkload
 from repro.overlay.routing import BroadcastRouter
 
 
@@ -58,6 +64,20 @@ def observe_per_occurrence(network, configuration, router=None):
                         _add(record.received, cluster_id, count)
                         _add(records[provider].served, issuer_cluster, count)
     return records, {kind: count for kind, count in messages.items() if count}
+
+
+def workload_table(network):
+    """``(peers, queries, counts)``: the global workload's distinct queries and
+    how often each peer's recorded workload holds each of them."""
+    peers = network.peer_ids()
+    workloads = network.workloads()
+    queries = QueryWorkload.merge_all(workloads[peer_id] for peer_id in peers).distinct()
+    column = {query: index for index, query in enumerate(queries)}
+    counts = np.zeros((len(peers), len(queries)), dtype=np.int64)
+    for row, peer_id in enumerate(peers):
+        for query, count in workloads[peer_id].items():
+            counts[row, column[query]] = count
+    return peers, queries, counts
 
 
 def own_results(cost_model, peer_id):

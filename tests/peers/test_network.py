@@ -34,11 +34,6 @@ class TestPopulation:
 
 
 class TestDerivedModels:
-    def test_global_workload_merges_local_workloads(self, tiny_network):
-        global_workload = tiny_network.global_workload()
-        assert global_workload.total() == 4
-        assert global_workload.count(Query(["movies"])) == 3
-
     def test_recall_model_tracks_content_updates(self, tiny_network):
         model = tiny_network.recall_model()
         assert model.total_results(Query(["music"])) == 3

@@ -1,4 +1,4 @@
-"""Tests for the per-worker scenario cache (copy-on-write for mutating runners)."""
+"""Tests for the per-worker scenario memo: shared with non-mutating runners, never copied."""
 
 from __future__ import annotations
 
@@ -7,16 +7,17 @@ import os
 import pytest
 
 from repro.session.config import SessionConfig
+from repro.session.simulation import Simulation
 import repro.sweep.cache as cache_module
+import repro.sweep.executors as executors_module
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cache import (
-    ENV_FLAG,
     clear_scenario_cache,
     runner_mutates_scenario,
-    scenario_cache_enabled,
     scenario_cache_info,
     scenario_data_for,
 )
+from repro.sweep.executors import execute_task
 from repro.sweep.runners import resolve_runner
 
 TINY_SCENARIO = {
@@ -55,33 +56,59 @@ def tiny_config(**overrides) -> SessionConfig:
     return SessionConfig(**values)
 
 
+def fresh_results(spec: SweepSpec):
+    """Each task of *spec* run on a scenario built for it alone, with no memo."""
+    results = []
+    for task in spec.expand():
+        simulation = Simulation.from_config(task.session_config())
+        result = resolve_runner(task.runner)(simulation, dict(task.options))
+        result.protocol_result = None
+        results.append(result.to_dict())
+    return results
+
+
+def maintenance_spec() -> SweepSpec:
+    """Three identical ``maintenance-point`` tasks (a scenario-mutating runner)."""
+    task = {
+        "config": {
+            "scale": "quick",
+            "initial": "category",
+            "scenario_overrides": dict(TINY_SCENARIO),
+        },
+        "runner": "maintenance-point",
+        "options": {
+            "update_target": "workload",
+            "update_kind": "updated-peers",
+            "fraction": 0.5,
+        },
+    }
+    return SweepSpec(tasks=(task, task, task))
+
+
 class TestMemoisation:
     def test_same_key_hits_the_cache(self):
-        first = scenario_data_for(tiny_config(), mutates=False)
-        second = scenario_data_for(tiny_config(), mutates=False)
+        first = scenario_data_for(tiny_config())
+        second = scenario_data_for(tiny_config())
         assert second is first
-        info = scenario_cache_info()
-        assert info == {"size": 1, "hits": 1, "misses": 1, "copies": 0}
+        assert scenario_cache_info() == {"size": 1, "hits": 1, "misses": 1}
 
     def test_scenario_aliases_share_an_entry(self):
-        first = scenario_data_for(tiny_config(scenario="same-category"), mutates=False)
-        second = scenario_data_for(tiny_config(scenario="same_category"), mutates=False)
+        first = scenario_data_for(tiny_config(scenario="same-category"))
+        second = scenario_data_for(tiny_config(scenario="same_category"))
         assert second is first
 
     def test_different_seeds_are_different_entries(self):
         overrides = dict(TINY_SCENARIO)
         overrides["seed"] = 99
-        first = scenario_data_for(tiny_config(), mutates=False)
-        second = scenario_data_for(
-            tiny_config(scenario_overrides=overrides), mutates=False
-        )
+        first = scenario_data_for(tiny_config())
+        second = scenario_data_for(tiny_config(scenario_overrides=overrides))
         assert second is not first
         assert scenario_cache_info()["size"] == 2
 
     def test_cached_build_equals_fresh_build(self):
         from repro.datasets.scenarios import build_scenario
 
-        cached = scenario_data_for(tiny_config(), mutates=False)
+        cached = scenario_data_for(tiny_config())
         fresh = build_scenario(
             "same-category", tiny_config().experiment_config().scenario
         )
@@ -92,107 +119,95 @@ class TestMemoisation:
             assert dict(cached_peer.workload.items()) == dict(fresh_peer.workload.items())
 
 
-class TestCopyOnWrite:
-    def test_mutating_access_returns_a_private_copy(self):
-        shared = scenario_data_for(tiny_config(), mutates=False)
-        private = scenario_data_for(tiny_config(), mutates=True)
-        assert private is not shared
-        assert private.network is not shared.network
-        assert scenario_cache_info()["copies"] == 1
+class TestSharing:
+    """The memo's instance goes to non-mutating runners only; nothing is copied."""
 
-    def test_copy_does_not_carry_derived_model_caches(self):
-        shared = scenario_data_for(tiny_config(), mutates=False)
-        shared.network.recall_matrix()  # populate the shared caches
-        private = scenario_data_for(tiny_config(), mutates=True)
-        assert private.network._matrix is None
-        assert private.network._recall_model is None
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The ``data`` each executed task's simulation was built with, in order."""
+        seen = []
 
-    def test_mutating_the_copy_leaves_the_pristine_entry_intact(self):
-        private = scenario_data_for(tiny_config(), mutates=True)
-        peer_id = private.peer_ids()[0]
-        private.network.remove_peer(peer_id)
-        shared = scenario_data_for(tiny_config(), mutates=False)
-        assert peer_id in shared.network
+        class RecordingSimulation(Simulation):
+            def __init__(self, config=None, *, data=None, **overrides):
+                seen.append(data)
+                super().__init__(config, data=data, **overrides)
+
+        monkeypatch.setattr(executors_module, "Simulation", RecordingSimulation)
+        return seen
+
+    @staticmethod
+    def task(runner, options=None, **config):
+        entry = {"config": tiny_config(**config).to_dict(), "runner": runner, "options": options or {}}
+        return SweepSpec(tasks=(entry,)).expand()[0]
+
+    def test_a_discovery_task_shares_the_cached_instance(self, received):
+        shared = scenario_data_for(tiny_config())
+        execute_task(self.task("discover"))
+        assert received == [shared]
+        assert received[0] is shared
+
+    @pytest.mark.parametrize(
+        "runner, options, config",
+        [
+            ("maintain", {"periods": 1}, {"initial": "category"}),
+            (
+                "maintenance-point",
+                {"update_target": "workload", "update_kind": "updated-peers", "fraction": 0.5},
+                {"initial": "category"},
+            ),
+            ("figure4-point", {"fraction": 0.5}, {"initial": "category"}),
+            ("traffic", {"num_events": 100}, {}),
+        ],
+    )
+    def test_a_mutating_task_never_receives_the_cached_instance(
+        self, received, runner, options, config
+    ):
+        shared = scenario_data_for(tiny_config(**config))
+        peers = list(shared.peer_ids())
+        execute_task(self.task(runner, options, **config))
+        assert received == [None]
+        assert scenario_cache_info() == {"size": 1, "hits": 0, "misses": 1}
+        assert shared.peer_ids() == peers
 
     def test_runner_mutation_flags(self):
         assert runner_mutates_scenario(resolve_runner("maintain"))
         assert runner_mutates_scenario(resolve_runner("maintenance-point"))
         assert runner_mutates_scenario(resolve_runner("figure4-point"))
+        assert runner_mutates_scenario(resolve_runner("traffic"))
         assert not runner_mutates_scenario(resolve_runner("discover"))
         assert runner_mutates_scenario(object())  # undeclared runners are mutating
 
 
-class TestEnvironmentSwitch:
-    def test_flag_disables_the_cache(self, monkeypatch):
-        monkeypatch.setenv(ENV_FLAG, "0")
-        assert not scenario_cache_enabled()
-        monkeypatch.setenv(ENV_FLAG, "off")
-        assert not scenario_cache_enabled()
-        monkeypatch.setenv(ENV_FLAG, "1")
-        assert scenario_cache_enabled()
-        monkeypatch.delenv(ENV_FLAG)
-        assert scenario_cache_enabled()
-
-
 class TestSweepParity:
-    """Worker-count / cache-state independence of sweep results."""
+    """Sweep results equal runs built without the memo, for any worker count."""
 
-    def maintenance_spec(self) -> SweepSpec:
-        task = {
-            "config": {
-                "scale": "quick",
-                "initial": "category",
-                "scenario_overrides": dict(TINY_SCENARIO),
-            },
-            "runner": "maintenance-point",
-            "options": {
-                "update_target": "workload",
-                "update_kind": "updated-peers",
-                "fraction": 0.5,
-            },
-        }
-        return SweepSpec(tasks=(task, task, task))
-
-    def test_mutating_runner_parity_across_workers_with_cache(self):
-        spec = self.maintenance_spec()
+    def test_mutating_runner_sweeps_equal_fresh_builds(self):
+        spec = maintenance_spec()
         serial = run_sweep(spec, executor="serial")
         pooled = run_sweep(spec, executor={"name": "process-pool", "options": {"max_workers": 3}})
-        assert [r.to_dict() for r in serial.results] == [
-            r.to_dict() for r in pooled.results
-        ]
-        # In the serial run the three identical tasks shared one cache entry.
-        info = scenario_cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] == 2
-        assert info["copies"] == 3
+        fresh = fresh_results(spec)
+        assert [r.to_dict() for r in serial.results] == fresh
+        assert [r.to_dict() for r in pooled.results] == fresh
+        # No mutating task went through the memo.
+        assert scenario_cache_info() == {"size": 0, "hits": 0, "misses": 0}
 
-    def test_cache_on_equals_cache_off(self):
+    def test_a_shared_discovery_sweep_equals_fresh_builds(self):
         spec = SweepSpec(
             strategies=("selfish", "altruistic"),
             scale="quick",
             overrides={"scenario_overrides": dict(TINY_SCENARIO)},
             seeds=(7, 11),
         )
-        with_cache = run_sweep(spec, executor="serial")
-        clear_scenario_cache()
-        without_cache = run_sweep(spec, executor="serial", scenario_cache=False)
-        assert [r.to_dict() for r in with_cache.results] == [
-            r.to_dict() for r in without_cache.results
-        ]
-        assert scenario_cache_info()["misses"] == 0  # cache really was off
+        shared = run_sweep(spec, executor="serial")
+        assert scenario_cache_info()["hits"] == 2  # the grid siblings shared
+        assert [r.to_dict() for r in shared.results] == fresh_results(spec)
 
-    def test_pool_with_the_cache_off_equals_serial_with_it_on(self):
+    def test_a_pool_sweep_equals_fresh_builds(self):
         spec = two_world_spec()
-        serial = run_sweep(spec, executor="serial")
-        clear_scenario_cache()
         pooled = run_sweep(
-            spec,
-            executor={"name": "process-pool", "options": {"max_workers": 2}},
-            scenario_cache=False,
+            spec, executor={"name": "process-pool", "options": {"max_workers": 2}}
         )
-        assert [r.to_dict() for r in pooled.results] == [
-            r.to_dict() for r in serial.results
-        ]
+        assert [r.to_dict() for r in pooled.results] == fresh_results(spec)
 
 
 class TestSharingSemantics:
@@ -272,4 +287,4 @@ class TestSharingSemantics:
         clear_scenario_cache()
         resumed = run_sweep(spec, executor="serial", store=store)
         assert resumed.loaded == 8 and resumed.executed == 0
-        assert scenario_cache_info() == {"size": 0, "hits": 0, "misses": 0, "copies": 0}
+        assert scenario_cache_info() == {"size": 0, "hits": 0, "misses": 0}

@@ -48,6 +48,21 @@ def test_dump_holds_the_digested_payloads(tmp_path, capsys):
         assert hashlib.sha256(data).hexdigest() == digests[label]
 
 
+def test_the_traffic_set_serves_after_a_discovery(tmp_path, capsys):
+    dump = tmp_path / "traffic.json"
+    assert main(["traffic", "--limit", "2", "--dump", str(dump)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(LINE.match(line) for line in lines)
+    assert [line.split("  ")[1] for line in lines] == [
+        "same-category/broadcast/uniform",
+        "same-category/broadcast/zipf",
+        "total",
+    ]
+    results = json.loads(dump.read_text(encoding="utf-8"))
+    assert {result["kind"] for result in results.values()} == {"traffic"}
+    assert {result["queries_routed"] for result in results.values()} == {5000}
+
+
 def test_diff_prints_each_differing_field_path(tmp_path, capsys):
     old = {
         "a": {

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.documents import Document
 from repro.core.queries import Query
+from repro.core.recall import RecallModel
 from repro.datasets.scenarios import (
     SCENARIO_DIFFERENT_CATEGORY,
     SCENARIO_SAME_CATEGORY,
@@ -29,6 +30,7 @@ from repro.overlay.routing import BroadcastRouter, ProbeKRouter, QueryRouter
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.peers.peer import Peer
+from repro.session import SessionConfig, Simulation
 from repro.traffic.simulator import TrafficSimulator, _RoutingTables, observe_period
 from repro.traffic.workloads import WorkloadContext
 from tests.observation_oracle import as_arrays, observe_per_occurrence
@@ -339,3 +341,30 @@ class TestOracleParity:
         else:
             router = ProbeKRouter(network, k=k)
         assert_matches_oracle(network, configuration, router)
+
+
+class TestOneBuildPerNetworkState:
+    """Observation and traffic read the recall matrix the cost model already built."""
+
+    def test_an_observed_period_and_a_traffic_run_count_results_once(self, monkeypatch):
+        passes = []
+        original = RecallModel.result_count_matrix
+
+        def counting(self, queries, peer_order):
+            passes.append(len(queries))
+            return original(self, queries, peer_order)
+
+        monkeypatch.setattr(RecallModel, "result_count_matrix", counting)
+        simulation = Simulation(
+            SessionConfig(scale="quick", initial="category", strategy_mode="observed", seed=7)
+        )
+        simulation.run_maintenance(1)
+        simulation.run_traffic(num_events=1000)
+        assert len(passes) == 1
+
+    def test_a_context_from_an_older_state_is_refused(self, tiny_network, tiny_configuration):
+        context = WorkloadContext.from_network(tiny_network, num_events=10)
+        tiny_network.peer("bob").issue_query(Query(["jazz"]))
+        simulator = TrafficSimulator(tiny_network, tiny_configuration)
+        with pytest.raises(ConfigurationError, match="from_network"):
+            simulator.run_streams([], context)

@@ -15,6 +15,7 @@ from repro.datasets.scenarios import (
 )
 from repro.errors import ConfigurationError
 from repro.events import EventHooks
+from repro.experiments.config import ExperimentConfig
 from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter
 from repro.traffic.simulator import TrafficSimulator, observe_period
@@ -217,6 +218,37 @@ class TestHooks:
         assert [event.batch_index for event in routed] == list(range(len(routed)))
         assert len(summaries) == 1
         assert summaries[0].report is report
+
+
+class TestIssuerRecallSums:
+    """A cluster column's recall sums do not depend on how many columns the tables carry."""
+
+    class WiderBroadcast(BroadcastRouter):
+        """Broadcast plus the first *extra* empty slots (which cost messages, return nothing)."""
+
+        def __init__(self, network, extra):
+            super().__init__(network)
+            self.extra = extra
+
+        def target_clusters(self, issuer, configuration):
+            return configuration.nonempty_clusters() + configuration.empty_clusters()[: self.extra]
+
+    @pytest.mark.parametrize(
+        "scenario", [SCENARIO_SAME_CATEGORY, SCENARIO_DIFFERENT_CATEGORY, SCENARIO_UNIFORM]
+    )
+    @pytest.mark.parametrize("extra", [1, 3, 8])
+    def test_shared_columns_equal_broadcast(self, scenario, extra):
+        data = build_scenario(scenario, ExperimentConfig.quick().scenario)
+        configuration = initial_configuration(data, "random")
+        assert len(configuration.empty_clusters()) >= extra
+        network = data.network
+        broadcast = TrafficSimulator(network, configuration).run(num_events=5000, seed=3)
+        wider = TrafficSimulator(
+            network, configuration, router=self.WiderBroadcast(network, extra)
+        ).run(num_events=5000, seed=3)
+        assert len(wider.cluster_order) == len(broadcast.cluster_order) + extra
+        shared = [wider.cluster_order.index(cluster) for cluster in broadcast.cluster_order]
+        assert np.array_equal(wider.issuer_recall_sums[:, shared], broadcast.issuer_recall_sums)
 
 
 class TestRunValidation:

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
+from repro.core.documents import Document
+from repro.core.queries import Query
+from repro.core.recall_matrix import WeightedRecallMatrix
+from repro.datasets.scenarios import (
+    SCENARIO_DIFFERENT_CATEGORY,
+    SCENARIO_SAME_CATEGORY,
+    SCENARIO_UNIFORM,
+    build_scenario,
+    category_configuration,
+)
+from repro.dynamics.models import build_drift_model
 from repro.errors import ConfigurationError, UnknownComponentError
+from repro.experiments.config import ExperimentConfig
+from repro.peers.peer import Peer
 from repro.traffic.events import merge_streams
 from repro.traffic.workloads import (
     FlashCrowdWorkload,
@@ -15,6 +31,7 @@ from repro.traffic.workloads import (
     ZipfWorkload,
     build_workload,
 )
+from tests.observation_oracle import workload_table
 
 
 def make_context(network, *, num_events=500, horizon=1.0, seed=3):
@@ -171,3 +188,95 @@ class TestBuildWorkload:
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownComponentError):
             build_workload("tsunami")
+
+
+def quick_scenario(scenario=SCENARIO_SAME_CATEGORY):
+    return build_scenario(scenario, ExperimentConfig.quick().scenario)
+
+
+def assert_matches_the_merged_table(network):
+    """``from_network`` equals merging every workload and counting entry by entry."""
+    context = make_context(network, num_events=0)
+    peers, queries, counts = workload_table(network)
+    assert context.peers == peers
+    assert context.queries == queries
+    assert context.counts.dtype == np.int64
+    assert np.array_equal(context.counts, counts)
+
+
+class TestOneWorkloadTable:
+    """The context reads the recall matrix's table, in the global workload's query order."""
+
+    @pytest.mark.parametrize(
+        "scenario", [SCENARIO_SAME_CATEGORY, SCENARIO_DIFFERENT_CATEGORY, SCENARIO_UNIFORM]
+    )
+    def test_quick_scenarios(self, scenario):
+        assert_matches_the_merged_table(quick_scenario(scenario).network)
+
+    def test_the_queries_are_the_recall_matrix_rows(self):
+        network = quick_scenario().network
+        context = make_context(network, num_events=0)
+        assert context.queries == network.recall_matrix().factored().queries
+
+    def test_after_a_workload_drift(self):
+        data = quick_scenario()
+        network = data.network
+        before = make_context(network, num_events=0)
+        model = build_drift_model("workload-full", peer_fraction=1.0)
+        rng = random.Random(5)
+        model.prepare(data, rng)
+        report = model.apply(network, category_configuration(data), 0, rng)
+        assert report.peer_ids
+        assert_matches_the_merged_table(network)
+        assert not np.array_equal(make_context(network, num_events=0).counts, before.counts)
+
+    def test_after_churn(self, tiny_network):
+        make_context(tiny_network)  # the matrix is cached before the churn
+        tiny_network.remove_peer("bob")
+        newcomer = Peer("dave", documents=[Document(["books"])])
+        newcomer.issue_query(Query(["books"]), 2)
+        newcomer.issue_query(Query(["movies"]), 1)
+        tiny_network.add_peer(newcomer)
+        assert_matches_the_merged_table(tiny_network)
+        assert make_context(tiny_network).peers == ["alice", "carol", "dave"]
+
+    def test_with_an_idle_peer(self, tiny_network):
+        tiny_network.add_peer(Peer("idle", documents=[Document(["music"])]))
+        assert_matches_the_merged_table(tiny_network)
+        context = make_context(tiny_network)
+        assert context.issuing_rows().tolist() == [0, 1, 2]
+
+    def test_on_a_factored_matrix(self, monkeypatch):
+        monkeypatch.setattr(WeightedRecallMatrix, "FACTORED_THRESHOLD", 1)
+        network = quick_scenario(SCENARIO_UNIFORM).network
+        assert network.recall_matrix().mode == "factored"
+        assert_matches_the_merged_table(network)
+
+
+class TestStreamsArePinned:
+    """Each generator's ``(times, issuers, queries)`` on a quick same-category scenario.
+
+    The generators sample from ``np.nonzero(counts)``, so the context's query
+    order decides which events a seed draws: it must stay the global
+    workload's ``distinct()`` order, the order these digests were taken in.
+    """
+
+    PINS = {
+        "uniform": "a53ba32a3a2575d4f8e702d013b1988a1ec65fb7fb7e1d318dd9e2b2e8781876",
+        "zipf": "0411f2a7b1bf37099193f6d9c208ece56003c62bbedbd12d443dc5b34fb62093",
+        "flash-crowd": "bdd96daf2e656906216589c2c3572bc9bdb9d33080a42c0f1f04fb3445f78ec2",
+        "replay": "cf6cbc6ed9a85489be00ccf85e077bbdea088d8642c4c5c1b3921c6f6b7ab707",
+    }
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return quick_scenario().network
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_stream_digest(self, network, name):
+        digest = hashlib.sha256()
+        for stream in build_workload(name).streams(make_context(network, num_events=2000, seed=5)):
+            digest.update(np.ascontiguousarray(stream.times, dtype=np.float64).tobytes())
+            digest.update(np.ascontiguousarray(stream.issuers, dtype=np.int64).tobytes())
+            digest.update(np.ascontiguousarray(stream.queries, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.PINS[name]
