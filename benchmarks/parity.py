@@ -2,7 +2,7 @@
 
 Usage (from the repository root, with ``src`` importable)::
 
-    python -m benchmarks.parity quick|paper|restricted|traffic [--limit N] [--dump FILE]
+    python -m benchmarks.parity quick|paper|restricted|traffic|maintain [--limit N] [--dump FILE]
     python -m benchmarks.parity diff OLD NEW
 
 Each run's line is the sha256 of ``json.dumps(RunResult.to_dict(),
@@ -39,6 +39,11 @@ The sets:
   then one observed selfish ``run_maintenance(4)`` under
   :data:`MAINTENANCE_DRIFT` followed by ``run_traffic``.  Each run's
   payload is its traffic ``RunResult``.
+* ``maintain`` (8 runs): ``run_maintenance(10)`` at paper scale in the
+  shape of steadybench's maintain-serve workload (same-category with
+  ``uniform_workload``, ``category`` initial, :data:`MAINTENANCE_DRIFT`),
+  for selfish and altruistic peers in exact and observed mode, at seeds
+  :data:`MAINTAIN_SEEDS`.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ TRAFFIC_ROUTERS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("probe-k", {"k": 1}),
 )
 TRAFFIC_EVENTS = 5000
+
+#: Seeds and period count of the paper-scale maintenance set.
+MAINTAIN_SEEDS = (7, 11)
+MAINTAIN_PERIODS = 10
 
 Run = Tuple[str, Callable[[], Any]]
 
@@ -200,11 +209,31 @@ def traffic_runs() -> Iterator[Run]:
     yield "maintain/selfish/observed/traffic", maintained_traffic
 
 
+def maintain_runs() -> Iterator[Run]:
+    for seed in MAINTAIN_SEEDS:
+        for strategy in ("selfish", "altruistic"):
+            for mode in ("exact", "observed"):
+                config = SessionConfig(
+                    scenario="same-category",
+                    initial="category",
+                    strategy=strategy,
+                    strategy_mode=mode,
+                    seed=seed,
+                    scenario_overrides={"seed": seed, "uniform_workload": True},
+                    dynamics=MAINTENANCE_DRIFT,
+                )
+                yield (
+                    f"{seed}/{strategy}/{mode}",
+                    lambda config=config: Simulation(config).run_maintenance(MAINTAIN_PERIODS),
+                )
+
+
 SETS: Dict[str, Callable[[], Iterator[Run]]] = {
     "quick": quick_runs,
     "paper": paper_runs,
     "restricted": restricted_runs,
     "traffic": traffic_runs,
+    "maintain": maintain_runs,
 }
 
 

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterable, Mapping
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.queries import QueryWorkload
 from repro.core.recall import RecallModel
@@ -204,9 +206,69 @@ class CostModel:
 
     # -- global costs ------------------------------------------------------------
 
+    def _single_cluster_terms(
+        self, configuration: object
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(membership, loss, rows)`` of every peer in one array pass, or ``None``.
+
+        The pass applies when a dense matrix is attached and every peer of
+        the recall model sits in exactly one cluster.  Over
+        :attr:`RecallModel.peer_ids`, ``membership`` is
+        ``membership_cost([|c|])`` of each peer's cluster, ``loss`` its
+        recall loss and ``rows`` its matrix row.  Each value equals the
+        per-peer one under ``==``: row totals are ``W.sum(axis=1)`` and a
+        cluster's covered weights ``W[np.ix_(rows, rows)].sum(axis=1)``
+        over the members' sorted rows, the same values reduced in the same
+        order as ``W[row].sum()`` and ``W[row, covered_indices].sum()``.
+        Outside the regime (no dense matrix, a peer in several clusters or
+        in none, or one the matrix does not index) it returns ``None`` and
+        the callers keep the per-peer loop and its errors.
+        """
+        matrix = self._matrix
+        if matrix is None or matrix.mode != "dense":
+            return None
+        index_of = matrix.peer_index
+        try:
+            rows = np.array(
+                [index_of[peer_id] for peer_id in self.recall_model.peer_ids], dtype=np.intp
+            )
+        except KeyError:
+            return None
+        local = matrix.local_view()
+        clusters_of_row = np.zeros(len(index_of), dtype=np.intp)
+        membership = np.zeros(len(index_of))
+        covered = np.zeros(len(index_of))
+        for cluster_id in configuration.cluster_ids():
+            members = configuration.members(cluster_id)
+            if not members:
+                continue
+            member_rows = matrix.covered_indices(members)
+            clusters_of_row[member_rows] += 1
+            membership[member_rows] = self.membership_cost([configuration.size(cluster_id)])
+            covered[member_rows] = local[np.ix_(member_rows, member_rows)].sum(axis=1)
+        if not (clusters_of_row[rows] == 1).all():
+            return None
+        return membership[rows], local.sum(axis=1)[rows] - covered[rows], rows
+
     def social_cost(self, configuration: object, *, normalized: bool = False) -> float:
-        """Social cost (Eq. 2): sum of all individual costs."""
-        total = sum(self.pcost(peer_id, configuration) for peer_id in self.recall_model.peer_ids)
+        """Social cost (Eq. 2): sum of all individual costs.
+
+        The individual costs are summed with the built-in :func:`sum` in
+        :attr:`RecallModel.peer_ids` order, from the array pass of
+        :meth:`_single_cluster_terms` when it applies and peer by peer
+        through :meth:`pcost` otherwise, so both give the same bits.  (Python
+        3.12's :func:`sum` of floats is compensated and differs from a
+        ``+=`` loop or :func:`numpy.cumsum`; either reduction would match
+        only on some Python versions.)
+        """
+        terms = self._single_cluster_terms(configuration)
+        if terms is None:
+            total = sum(
+                self.pcost(peer_id, configuration) for peer_id in self.recall_model.peer_ids
+            )
+        else:
+            membership, loss, _rows = terms
+            total = sum((membership + loss).tolist())
         if normalized:
             return total / self.population_size
         return total
@@ -221,6 +283,12 @@ class CostModel:
         reports WCost: the ideal same-category clustering yields
         ``WCost = SCost = alpha / M`` and the two measures stay comparable in
         every other scenario.
+
+        The recall term adds each peer's globally weighted loss with ``+=``
+        in :attr:`RecallModel.peer_ids` order.  When the array pass of
+        :meth:`_single_cluster_terms` applies, the losses come from it, each
+        scaled by the peer's :attr:`WeightedRecallMatrix.workload_share` as
+        :meth:`global_recall_loss` does, and are added in the same order.
         """
         maintenance = 0.0
         for cluster_id in configuration.cluster_ids():
@@ -229,12 +297,18 @@ class CostModel:
         maintenance = self.alpha * maintenance / self.population_size
 
         loss = 0.0
-        for peer_id in self.recall_model.peer_ids:
-            covered = configuration.covered_peers(peer_id)
-            if peer_id not in covered:
-                covered = set(covered)
-                covered.add(peer_id)
-            loss += self.global_recall_loss(peer_id, covered)
+        terms = self._single_cluster_terms(configuration)
+        if terms is None:
+            for peer_id in self.recall_model.peer_ids:
+                covered = configuration.covered_peers(peer_id)
+                if peer_id not in covered:
+                    covered = set(covered)
+                    covered.add(peer_id)
+                loss += self.global_recall_loss(peer_id, covered)
+        else:
+            _membership, losses, rows = terms
+            for term in (self._matrix.workload_share[rows] * losses).tolist():
+                loss += term
         if normalized:
             return maintenance / self.population_size + loss
         return maintenance + loss

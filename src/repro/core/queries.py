@@ -65,10 +65,19 @@ class QueryWorkload:
     The workload records how many times each distinct query appears.  It is
     mutable because Section 4.2 studies workload updates where a fraction of
     a peer's queries is replaced.
+
+    The distinct queries' deterministic order (by ``tuple(query.attributes)``,
+    what :meth:`distinct` and :meth:`items` follow) is sorted once and kept
+    until the workload changes.  :meth:`add` and :meth:`remove_fraction` are
+    the only writers of the counts: every :meth:`add` drops the cached
+    order, and so does a :meth:`remove_fraction` that removes a query
+    entirely.  :meth:`copy` shares the order with the copy.  A recall
+    rebuild after drift thus sorts only the workloads that drifted.
     """
 
     def __init__(self, queries: Optional[Iterable[Query]] = None) -> None:
         self._counts: Counter = Counter()
+        self._order: Optional[List[Query]] = None
         if queries is not None:
             for query in queries:
                 self.add(query)
@@ -81,38 +90,18 @@ class QueryWorkload:
             raise ValueError(f"count must be non-negative, got {count}")
         if count:
             self._counts[query] += count
+            self._order = None
 
     def extend(self, queries: Iterable[Query]) -> None:
         """Add one occurrence of every query in *queries*."""
         for query in queries:
             self.add(query)
 
-    def merge(self, other: "QueryWorkload") -> "QueryWorkload":
-        """Return a new workload containing the queries of both workloads.
-
-        Merging the local workloads of all peers yields the global workload
-        ``Q`` used by the workload cost.
-        """
-        return QueryWorkload.merge_all((self, other))
-
-    @classmethod
-    def merge_all(cls, workloads: Iterable["QueryWorkload"]) -> "QueryWorkload":
-        """One workload holding the queries of every workload in *workloads*.
-
-        The counts add up (only positive totals are kept) in one linear
-        pass, instead of copying the growing total once per workload as
-        folding :meth:`merge` would.
-        """
-        merged = cls()
-        for workload in workloads:
-            merged._counts.update(workload._counts)
-        merged._counts = +merged._counts
-        return merged
-
     def copy(self) -> "QueryWorkload":
         """Return an independent copy of the workload."""
         duplicate = QueryWorkload()
         duplicate._counts = Counter(self._counts)
+        duplicate._order = self._order
         return duplicate
 
     def remove_fraction(self, fraction: float) -> "QueryWorkload":
@@ -128,7 +117,7 @@ class QueryWorkload:
         removed = QueryWorkload()
         if target == 0:
             return removed
-        for query in sorted(self._counts, key=lambda q: tuple(q.attributes)):
+        for query in self._sorted():
             if target == 0:
                 break
             available = self._counts[query]
@@ -139,6 +128,7 @@ class QueryWorkload:
                 self._counts[query] = remaining
             else:
                 del self._counts[query]
+                self._order = None
             target -= take
         return removed
 
@@ -159,14 +149,21 @@ class QueryWorkload:
             return 0.0
         return self.count(query) / total
 
+    def _sorted(self) -> List[Query]:
+        """The cached distinct order (shared: never mutate it in place)."""
+        if self._order is None:
+            self._order = sorted(self._counts, key=lambda q: tuple(q.attributes))
+        return self._order
+
     def distinct(self) -> List[Query]:
-        """The distinct queries, in deterministic order."""
-        return sorted(self._counts, key=lambda q: tuple(q.attributes))
+        """The distinct queries, in deterministic order (a fresh list)."""
+        return list(self._sorted())
 
     def items(self) -> Iterator[Tuple[Query, int]]:
         """Iterate over ``(query, count)`` pairs in deterministic order."""
-        for query in self.distinct():
-            yield query, self._counts[query]
+        counts = self._counts
+        for query in self._sorted():
+            yield query, counts[query]
 
     def as_frequency_dict(self) -> Dict[Query, float]:
         """Return a mapping of query to relative frequency."""
@@ -179,7 +176,7 @@ class QueryWorkload:
 
     def __iter__(self) -> Iterator[Query]:
         """Iterate over distinct queries (use :meth:`items` for counts)."""
-        return iter(self.distinct())
+        return iter(self._sorted())
 
     def __len__(self) -> int:
         """Number of *distinct* queries."""

@@ -17,6 +17,7 @@ queries repeatedly while the reformulation protocol runs.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
+from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -155,7 +156,8 @@ class RecallModel:
         queries against inverted-index content are answered from posting-list
         sizes — one dict scan per peer instead of a posting intersection per
         (query, peer) pair — which is what makes recall-table construction
-        O(total postings) instead of O(|Q| * |P|).
+        O(total postings) instead of O(|Q| * |P|).  Every indexed peer's
+        posting sizes are gathered at once and stored with one assignment.
         """
         num_queries = len(queries)
         single_attribute: Dict[str, int] = {}
@@ -168,31 +170,43 @@ class RecallModel:
                 slow_rows.append(row)
         columns = {peer_id: column for column, peer_id in enumerate(peer_order)}
 
-        def fill(counts_row_major: np.ndarray, column: int, provider: ResultProvider) -> None:
-            content = getattr(provider, "content", None)
-            if isinstance(content, InvertedIndex):
-                for attribute, size in content.posting_sizes().items():
-                    row = single_attribute.get(attribute)
-                    if row is not None:
-                        counts_row_major[row, column] = size
-                rows = slow_rows
-            else:
-                rows = range(num_queries)
-            for row in rows:
-                counts_row_major[row, column] = provider.result_count(queries[row])
+        def table(providers: List[Optional[ResultProvider]]) -> np.ndarray:
+            counts = np.zeros((num_queries, len(providers)), dtype=np.int64)
+            indexed = [
+                column
+                for column, provider in enumerate(providers)
+                if provider is not None and isinstance(provider.content, InvertedIndex)
+            ]
+            postings = [providers[column].content.posting_sizes() for column in indexed]
+            rows = np.fromiter(
+                map(single_attribute.get, chain.from_iterable(postings), repeat(-1)),
+                dtype=np.intp,
+            )
+            sizes = np.fromiter(
+                chain.from_iterable(posting.values() for posting in postings), dtype=np.int64
+            )
+            cells = np.repeat(
+                np.array(indexed, dtype=np.intp), [len(posting) for posting in postings]
+            )
+            asked = rows >= 0
+            counts[rows[asked], cells[asked]] = sizes[asked]
+            for column, provider in enumerate(providers):
+                if provider is None:
+                    continue
+                evaluated = (
+                    slow_rows if isinstance(provider.content, InvertedIndex) else range(num_queries)
+                )
+                for row in evaluated:
+                    counts[row, column] = provider.result_count(queries[row])
+            return counts
 
-        counts = np.zeros((num_queries, len(peer_order)), dtype=np.int64)
-        for column, peer_id in enumerate(peer_order):
-            provider = self._providers.get(peer_id)
-            if provider is not None:
-                fill(counts, column, provider)
+        counts = table([self._providers.get(peer_id) for peer_id in peer_order])
         totals = counts.sum(axis=1)
-        extra = [peer_id for peer_id in self._providers if peer_id not in columns]
+        extra = [
+            provider for peer_id, provider in self._providers.items() if peer_id not in columns
+        ]
         if extra:
-            extra_counts = np.zeros((num_queries, len(extra)), dtype=np.int64)
-            for column, peer_id in enumerate(extra):
-                fill(extra_counts, column, self._providers[peer_id])
-            totals = totals + extra_counts.sum(axis=1)
+            totals = totals + table(extra).sum(axis=1)
         return counts, totals
 
     def group_recall(self, query: Query, peer_ids: Iterable[PeerId]) -> float:

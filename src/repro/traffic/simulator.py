@@ -92,20 +92,24 @@ class _RoutingTables:
     """Per-run routing state: integer result counts, membership and router groups.
 
     Issuers are grouped — one group per issuer cluster (cluster-invariant
-    routers) or per issuer (fallback) — and ``group_columns[g]`` lists the
-    columns of the clusters the router targets for group ``g``.  The columns
-    are :attr:`cluster_order`: only the clusters some group targets, in slot
+    routers, for an issuer in exactly one cluster) or per issuer
+    (fallback) — and ``group_columns[g]`` lists the columns of the
+    clusters the router targets for group ``g``.  ``strategies[i]`` is
+    peer ``i``'s set of clusters, read once per build for the grouping and
+    for observation's crediting; a peer outside *configuration* raises
+    :class:`~repro.errors.UnknownPeerError`.  The columns are
+    :attr:`cluster_order`: only the clusters some group targets, in slot
     order (a targeted empty slot still costs its query messages), so no
     table carries a column that no query reaches.  ``counts`` is ``R``
     (|Q| x |P| result counts as float64 integers: the network recall
     matrix's read-only
     :meth:`~repro.core.recall_matrix.WeightedRecallMatrix.result_counts`)
-    and ``membership`` is ``M`` (|P| x |C| int64 0/1 over
+    and ``membership`` is ``M`` (|P| x |C| float64 0/1 over
     :attr:`cluster_order`).  *context* must index the same peers and
     queries as that matrix, as :meth:`WorkloadContext.from_network` on the
     current network does.  :func:`observe_period` works on this state
-    alone, in int64; :meth:`build_serving_tables` adds the float per-group
-    tables the event loop gathers from.
+    alone; :meth:`build_serving_tables` adds the per-group tables the
+    event loop gathers from.
     """
 
     def __init__(
@@ -123,20 +127,19 @@ class _RoutingTables:
                 "queries; build it with WorkloadContext.from_network after the last change"
             )
         self.counts = matrix.result_counts()
+        self.strategies = [configuration.clusters_of(peer_id) for peer_id in peers]
 
         # Group the issuers: by cluster when the router's targets only depend
-        # on the issuer's cluster, by issuer otherwise.
+        # on the issuer's cluster, by issuer otherwise (and for a
+        # multi-cluster member, which shares no cluster key).
         invariant = bool(getattr(router, "cluster_invariant", False))
         group_of = np.empty(len(peers), dtype=np.int64)
         group_targets: List[List[ClusterId]] = []
         key_to_group: Dict[object, int] = {}
-        for row, peer_id in enumerate(peers):
+        for row, (peer_id, strategy) in enumerate(zip(peers, self.strategies)):
             key: object
-            if invariant:
-                try:
-                    key = ("cluster", configuration.cluster_of(peer_id))
-                except ConfigurationError:
-                    key = ("peer", row)  # multi-cluster member: no shared key
+            if invariant and len(strategy) == 1:
+                key = ("cluster", *strategy)
             else:
                 key = ("peer", row)
             group = key_to_group.get(key)
@@ -156,8 +159,7 @@ class _RoutingTables:
             np.array([column_of[cluster_id] for cluster_id in targets], dtype=np.int64)
             for targets in group_targets
         ]
-        membership, _ = configuration.membership_matrix(peers, self.cluster_order)
-        self.membership = membership.astype(np.int64)
+        self.membership, _ = configuration.membership_matrix(peers, self.cluster_order)
 
     def build_serving_tables(self, link: LinkModel, topology: ClusterTopology) -> None:
         """Aggregate each group's ``R @ M`` column slice into per-(group, query) tables.
@@ -167,13 +169,12 @@ class _RoutingTables:
         peer of the context is a provider), so it is correctly rounded
         whatever the number of columns the tables carry.
         """
-        counts = self.counts
+        counts, membership = self.counts, self.membership
         totals = counts.sum(axis=1)
-        membership = self.membership.astype(np.float64)
         # Q x C products: result items and provider count per cluster.
         cluster_items = counts @ membership
         cluster_providers = (counts > 0).astype(np.float64) @ membership
-        sizes = self.membership.sum(axis=0)
+        sizes = membership.sum(axis=0)
         intra_hops = np.array(
             [topology.lookup_hops(int(size)) for size in sizes], dtype=np.float64
         )
@@ -204,6 +205,13 @@ class _RoutingTables:
         self.cluster_recall = shares_of(cluster_items, totals[:, None])
 
 
+def _indicator(rows: Any, columns: Any, shape: Tuple[int, int]) -> np.ndarray:
+    """A float64 0/1 matrix of *shape* with ones at ``(rows[k], columns[k])``."""
+    matrix = np.zeros(shape)
+    matrix[rows, columns] = 1.0
+    return matrix
+
+
 def observe_period(
     network: PeerNetwork,
     configuration: ClusterConfiguration,
@@ -226,30 +234,52 @@ def observe_period(
       per group;
     * ``issued[i]`` sums ``W[i]`` and ``own[i]`` sums ``W[i, q] * R[q, i]``.
 
-    Every value is an integer sum, so the arrays equal those of routing each
-    occurrence one at a time, under any router.  When *bus* is given, it
-    gains one ``QueryMessage`` per reached cluster and one ``ResultMessage``
-    per provider holding results, per occurrence.
+    The group sums and the crediting of each group's issuer cluster are
+    products with 0/1 indicator matrices, and every product runs on float64
+    in BLAS.  That is exact: every operand is a non-negative integer, and
+    no partial sum exceeds the issued occurrences times the largest
+    per-query result total times the longest target list.  Below ``2**53``
+    each addition is exact in any order, with or without FMA, so the arrays,
+    cast to int64 once, equal those of routing each occurrence one at a
+    time, under any router.  Past that bound, which only a huge
+    ``issue_query(query, count)`` reaches, the call raises
+    :class:`~repro.errors.ConfigurationError`.  So does an issuer in
+    several clusters: its served results would have no single requesting
+    cluster to be credited to.  When *bus* is given, it gains one
+    ``QueryMessage`` per reached cluster and one ``ResultMessage`` per
+    provider holding results, per occurrence.
     """
     router = router if router is not None else BroadcastRouter(network)
     context = WorkloadContext.from_network(network, num_events=0)
     peers = context.peers
-    # Raises for an issuer in several clusters: its served results would
-    # have no single requesting cluster to be credited to.
-    issuer_clusters = [configuration.cluster_of(peer_id) for peer_id in peers]
     tables = _RoutingTables(network, configuration, router, context)
-    workload, membership = context.counts, tables.membership
-    counts = tables.counts.astype(np.int64)
-
-    num_groups = len(tables.group_columns)
-    targets = np.zeros((num_groups, len(tables.cluster_order)), dtype=np.int64)
-    for group, columns in enumerate(tables.group_columns):
-        np.add.at(targets[group], columns, 1)
-    group_workload = np.zeros((num_groups, len(context.queries)), dtype=np.int64)
-    np.add.at(group_workload, tables.group_of, workload)
+    for peer_id, strategy in zip(peers, tables.strategies):
+        if len(strategy) != 1:
+            raise ConfigurationError(
+                f"peer {peer_id!r} belongs to {len(strategy)} clusters; expected exactly one"
+            )
+    counts, membership = tables.counts, tables.membership
+    issued = context.counts.sum(axis=1)
+    occurrences = int(issued.sum())
+    largest = int(counts.sum(axis=1).max(initial=0))
+    longest = max((columns.size for columns in tables.group_columns), default=0)
+    if occurrences * max(largest, 1) * max(longest, 1) >= 2**53:
+        raise ConfigurationError(
+            "observation counts could reach 2**53, past exact float64 sums: "
+            f"{occurrences} issued occurrences, a query with {largest} results "
+            f"and a target list of {longest} clusters"
+        )
+    num_groups, num_columns = len(tables.group_columns), len(tables.cluster_order)
+    workload = context.counts.astype(np.float64)
+    targets = np.array(
+        [np.bincount(columns, minlength=num_columns) for columns in tables.group_columns],
+        dtype=np.float64,
+    ).reshape(num_groups, num_columns)
+    rows = np.arange(len(peers))
+    group_workload = _indicator(tables.group_of, rows, (num_groups, len(peers))) @ workload
 
     if bus is not None:
-        holders = (counts > 0).astype(np.int64) @ membership
+        holders = (counts > 0).astype(np.float64) @ membership
         bus.add("QueryMessage", int(group_workload.sum(axis=1) @ targets.sum(axis=1)))
         bus.add("ResultMessage", int((group_workload * (targets @ holders.T)).sum()))
 
@@ -261,20 +291,19 @@ def observe_period(
     columns = [targeted.get(cluster_id, len(targeted)) for cluster_id in cluster_order]
     received = np.pad(results, ((0, 0), (0, 1)))[:, columns]
 
+    # Every issuer of a group sits in the same cluster, which its row credits.
     column_of = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-    served = np.zeros_like(received)
-    group_column = np.zeros(num_groups, dtype=np.intp)
-    group_column[tables.group_of] = [column_of[cluster_id] for cluster_id in issuer_clusters]
-    served_by_group = (group_workload @ counts) * (targets @ membership.T)
-    np.add.at(served, (slice(None), group_column), served_by_group.T)
+    issuer_columns = [column_of[cluster_id] for (cluster_id,) in tables.strategies]
+    crediting = _indicator(tables.group_of, issuer_columns, (num_groups, len(cluster_order)))
+    served = ((group_workload @ counts) * (targets @ membership.T)).T @ crediting
 
     return PeriodStatistics(
         peer_order=peers,
         cluster_order=cluster_order,
-        received=received,
-        served=served,
-        issued=workload.sum(axis=1),
-        own=(workload * counts.T).sum(axis=1),
+        received=received.astype(np.int64),
+        served=served.astype(np.int64),
+        issued=issued,
+        own=(workload * counts.T).sum(axis=1).astype(np.int64),
     )
 
 

@@ -8,11 +8,17 @@ evaluation returns exactly what the per-query reference evaluation returns.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.costs import NEW_CLUSTER, CostModel
+from repro.core.documents import Document
+from repro.core.queries import Query
 from repro.core.theta import LinearTheta, LogarithmicTheta
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownPeerError
 from repro.peers.configuration import ClusterConfiguration
+from repro.peers.network import PeerNetwork
+from repro.peers.peer import Peer
+from tests.conftest import cost_model_in_mode
 
 
 class TestPaperTwoPeerExample:
@@ -158,3 +164,110 @@ class TestMatrixEquivalence:
         assert cost_model.matrix is not None
         cost_model.attach_matrix(None)
         assert cost_model.matrix is None
+
+
+def per_peer_costs(cost_model, configuration, *, normalized):
+    """``(SCost, WCost)`` by the per-peer definition: one ``pcost`` and one
+    globally weighted loss per peer, in the recall model's peer order."""
+    peer_ids = cost_model.recall_model.peer_ids
+    social = sum(cost_model.pcost(peer_id, configuration) for peer_id in peer_ids)
+    maintenance = 0.0
+    for cluster_id in configuration.cluster_ids():
+        size = configuration.size(cluster_id)
+        maintenance += size * cost_model.theta(size)
+    maintenance = cost_model.alpha * maintenance / cost_model.population_size
+    loss = 0.0
+    for peer_id in peer_ids:
+        loss += cost_model.global_recall_loss(peer_id, configuration.covered_peers(peer_id))
+    size = cost_model.population_size
+    if normalized:
+        return social / size, maintenance / size + loss
+    return social, maintenance + loss
+
+
+TERMS = "abcdef"
+
+
+@st.composite
+def single_membership_systems(draw):
+    """A small network with random content and workloads, every peer in one cluster."""
+    num_peers = draw(st.integers(1, 12))
+    peers = []
+    for index in range(num_peers):
+        documents = draw(
+            st.lists(st.sets(st.sampled_from(TERMS), min_size=1, max_size=3), max_size=4)
+        )
+        peer = Peer(
+            f"p{index}",
+            documents=[
+                Document(sorted(terms), doc_id=f"p{index}-{number}")
+                for number, terms in enumerate(documents)
+            ],
+        )
+        asked = draw(
+            st.lists(
+                st.tuples(
+                    st.sets(st.sampled_from(TERMS), min_size=1, max_size=2), st.integers(1, 7)
+                ),
+                max_size=4,
+            )
+        )
+        for terms, count in asked:
+            peer.issue_query(Query(sorted(terms)), count)
+        peers.append(peer)
+    num_clusters = draw(st.integers(1, num_peers + 1))
+    labels = draw(
+        st.lists(st.integers(0, num_clusters - 1), min_size=num_peers, max_size=num_peers)
+    )
+    configuration = ClusterConfiguration(
+        [f"c{number}" for number in range(num_clusters)],
+        {f"p{index}": f"c{label}" for index, label in enumerate(labels)},
+    )
+    alpha = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+    theta = draw(st.sampled_from([LinearTheta(), LogarithmicTheta()]))
+    return PeerNetwork(peers), configuration, alpha, theta
+
+
+class TestSingleClusterArrayPass:
+    """The global costs' array pass gives the per-peer definition's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_membership_systems(), st.booleans())
+    def test_equals_the_per_peer_definition(self, system, normalized):
+        network, configuration, alpha, theta = system
+        cost_model = network.cost_model(alpha=alpha, theta=theta)
+        assert cost_model.matrix.mode == "dense"
+        assert cost_model._single_cluster_terms(configuration) is not None
+        assert (
+            cost_model.social_cost(configuration, normalized=normalized),
+            cost_model.workload_cost(configuration, normalized=normalized),
+        ) == per_peer_costs(cost_model, configuration, normalized=normalized)
+
+    def test_a_peer_in_two_clusters_takes_the_per_peer_loop(
+        self, tiny_network, tiny_configuration
+    ):
+        tiny_configuration.assign("alice", "c2")
+        cost_model = tiny_network.cost_model()
+        assert cost_model._single_cluster_terms(tiny_configuration) is None
+        for normalized in (False, True):
+            assert (
+                cost_model.social_cost(tiny_configuration, normalized=normalized),
+                cost_model.workload_cost(tiny_configuration, normalized=normalized),
+            ) == per_peer_costs(cost_model, tiny_configuration, normalized=normalized)
+
+    def test_a_peer_missing_from_the_configuration_raises(self, tiny_network):
+        configuration = ClusterConfiguration(["c1", "c2"], {"alice": "c1", "bob": "c2"})
+        cost_model = tiny_network.cost_model()
+        with pytest.raises(UnknownPeerError, match="carol"):
+            cost_model.social_cost(configuration)
+        with pytest.raises(UnknownPeerError, match="carol"):
+            cost_model.workload_cost(configuration)
+
+    def test_a_factored_matrix_takes_the_per_peer_loop(self, tiny_network, tiny_configuration):
+        cost_model = cost_model_in_mode(tiny_network, "factored")
+        assert cost_model._single_cluster_terms(tiny_configuration) is None
+        for normalized in (False, True):
+            assert (
+                cost_model.social_cost(tiny_configuration, normalized=normalized),
+                cost_model.workload_cost(tiny_configuration, normalized=normalized),
+            ) == per_peer_costs(cost_model, tiny_configuration, normalized=normalized)

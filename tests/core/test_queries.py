@@ -2,12 +2,35 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.queries import Query, QueryWorkload
+from repro.peers.peer import Peer
+
+#: Every query the cached-order property draws from.
+UNIVERSE = [Query([term]) for term in "abcdef"] + [Query(["a", "b"]), Query(["c", "e"])]
+
+queries = st.sampled_from(UNIVERSE)
+mutations = st.one_of(
+    st.tuples(st.just("add"), queries, st.integers(0, 4)),
+    st.tuples(st.just("extend"), st.lists(queries, max_size=4)),
+    st.tuples(st.just("remove_fraction"), st.floats(0.0, 1.0)),
+    st.tuples(
+        st.just("replace_workload_fraction"), st.floats(0.0, 1.0), st.lists(queries, max_size=3)
+    ),
+    st.tuples(st.just("copy")),
+)
+
+
+def assert_order_is_fresh(workload):
+    """``distinct()``, ``items()`` and iteration equal a fresh sort of the held queries."""
+    held = sorted(
+        (query for query in UNIVERSE if query in workload), key=lambda q: tuple(q.attributes)
+    )
+    assert workload.distinct() == held
+    assert list(workload.items()) == [(query, workload.count(query)) for query in held]
+    assert list(workload) == held
 
 
 class TestQuery:
@@ -36,37 +59,27 @@ class TestQueryWorkload:
         with pytest.raises(ValueError):
             QueryWorkload().add(Query(["a"]), -1)
 
-    def test_merge_adds_counts(self):
-        left = QueryWorkload([Query(["a"])])
-        right = QueryWorkload([Query(["a"]), Query(["b"])])
-        merged = left.merge(right)
-        assert merged.count(Query(["a"])) == 2
-        assert merged.count(Query(["b"])) == 1
-        # The inputs are untouched.
-        assert left.total() == 1
-
-    @given(
-        st.lists(
-            st.dictionaries(st.sampled_from("abcde"), st.integers(0, 3), max_size=4),
-            max_size=6,
-        )
-    )
-    def test_merge_all_adds_every_workload(self, counts):
-        workloads = []
-        for per_query in counts:
-            workload = QueryWorkload()
-            for term, count in per_query.items():
-                workload.add(Query([term]), count)
-            workloads.append(workload)
-        totals = Counter()
-        for per_query in counts:
-            totals.update(per_query)
-        expected = [(Query([term]), totals[term]) for term in sorted(totals) if totals[term]]
-        total_before = [workload.total() for workload in workloads]
-        merged = QueryWorkload.merge_all(workloads)
-        assert list(merged.items()) == expected
-        assert merged.distinct() == [query for query, _ in expected]
-        assert total_before == [workload.total() for workload in workloads]
+    @given(st.lists(queries, max_size=6), st.lists(mutations, max_size=12))
+    def test_cached_order_follows_every_mutator(self, initial, steps):
+        peer = Peer("p", workload=QueryWorkload(initial))
+        assert_order_is_fresh(peer.workload)
+        for step in steps:
+            workload = peer.workload
+            if step[0] == "add":
+                workload.add(step[1], step[2])
+            elif step[0] == "extend":
+                workload.extend(step[1])
+            elif step[0] == "remove_fraction":
+                removed = workload.remove_fraction(step[1])
+                assert_order_is_fresh(removed)
+            elif step[0] == "replace_workload_fraction":
+                peer.replace_workload_fraction(step[1], QueryWorkload(step[2]))
+            else:
+                # The copy shares the sorted order; mutating it leaves the original's alone.
+                peer.replace_workload(workload)
+                peer.workload.add(Query(["f"]))
+                assert_order_is_fresh(workload)
+            assert_order_is_fresh(peer.workload)
 
     def test_copy_is_independent(self):
         original = QueryWorkload([Query(["a"])])

@@ -13,8 +13,9 @@ dicts, as the reference for the array rows the strategies read:
 :func:`observed_costs` (selfish, Section 3.1.1) and
 :func:`observed_contributions` (altruistic, Eq. 6).
 
-:func:`workload_table` merges every peer's workload into the global ``Q``
-and fills the |P| x |Q| occurrence table entry by entry: the reference for
+:func:`workload_table` collects the global ``Q``'s distinct queries (the
+union of every peer's, sorted by ``tuple(query.attributes)``) and fills the
+|P| x |Q| occurrence table entry by entry: the reference for
 :meth:`repro.traffic.workloads.WorkloadContext.from_network`, which reads
 the same table off the network's recall matrix.
 """
@@ -26,7 +27,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.queries import QueryWorkload
 from repro.overlay.routing import BroadcastRouter
 
 
@@ -71,7 +71,8 @@ def workload_table(network):
     how often each peer's recorded workload holds each of them."""
     peers = network.peer_ids()
     workloads = network.workloads()
-    queries = QueryWorkload.merge_all(workloads[peer_id] for peer_id in peers).distinct()
+    distinct = set().union(*(workloads[peer_id].distinct() for peer_id in peers))
+    queries = sorted(distinct, key=lambda query: tuple(query.attributes))
     column = {query: index for index, query in enumerate(queries)}
     counts = np.zeros((len(peers), len(queries)), dtype=np.int64)
     for row, peer_id in enumerate(peers):

@@ -63,6 +63,18 @@ def test_the_traffic_set_serves_after_a_discovery(tmp_path, capsys):
     assert {result["queries_routed"] for result in results.values()} == {5000}
 
 
+def test_the_maintain_set_runs_ten_paper_scale_periods(tmp_path, capsys):
+    dump = tmp_path / "maintain.json"
+    assert main(["maintain", "--limit", "1", "--dump", str(dump)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(LINE.match(line) for line in lines)
+    assert [line.split("  ")[1] for line in lines] == ["7/selfish/exact", "total"]
+    (result,) = json.loads(dump.read_text(encoding="utf-8")).values()
+    assert result["kind"] == "maintenance"
+    assert len(result["periods"]) == 10
+    assert result["config"]["scenario_overrides"] == {"seed": 7, "uniform_workload": True}
+
+
 def test_diff_prints_each_differing_field_path(tmp_path, capsys):
     old = {
         "a": {

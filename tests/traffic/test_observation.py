@@ -100,6 +100,25 @@ class TestObservePeriod:
         for name in ("received", "served", "issued", "own"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
+    def test_counts_near_the_float_bound_stay_exact(self, tiny_network, tiny_configuration):
+        # alice asks "movies" 2**50 + 2 times; bob (c2) and carol (c1) hold one result each.
+        occurrences = 2**50 + 2
+        tiny_network.peer("alice").issue_query(Query(["movies"]), 2**50)
+        statistics = observe_period(tiny_network, tiny_configuration)
+        row = statistics.peer_index
+        assert statistics.cluster_order == ["c1", "c2"]
+        assert statistics.received[row["alice"]].tolist() == [occurrences, occurrences]
+        assert statistics.issued[row["alice"]] == occurrences
+        # Both movie holders serve alice's and carol's "movies" (c1); carol also bob's "music".
+        assert statistics.served[row["bob"]].tolist() == [occurrences + 1, 0]
+        assert statistics.served[row["carol"]].tolist() == [occurrences + 1, 1]
+
+    def test_counts_past_exact_float_sums_are_rejected(self, tiny_network, tiny_configuration):
+        # "movies" has two results in the network (bob's and carol's).
+        tiny_network.peer("alice").issue_query(Query(["movies"]), 2**52)
+        with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+            observe_period(tiny_network, tiny_configuration)
+
     def test_arrays_are_read_only(self, tiny_network, tiny_configuration):
         statistics = observe_period(tiny_network, tiny_configuration)
         with pytest.raises(ValueError):
