@@ -69,7 +69,7 @@ def drift_session() -> SessionConfig:
 
 
 def run_drift_periods():
-    simulation = Simulation.from_config(drift_session())
+    simulation = Simulation(drift_session())
     return simulation.run_maintenance(PERIODS)
 
 

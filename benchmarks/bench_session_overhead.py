@@ -48,7 +48,7 @@ def run_hand_wired(config: ExperimentConfig):
 
 
 def run_facade(config: ExperimentConfig):
-    simulation = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig.from_experiment_config(
             config, scenario=SCENARIO_SAME_CATEGORY, strategy="selfish", initial="singletons"
         )

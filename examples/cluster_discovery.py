@@ -27,7 +27,6 @@ from repro import (
     SessionConfig,
     Simulation,
     build_scenario,
-    initial_configuration,
 )
 from repro.analysis import cluster_purity
 
@@ -37,7 +36,9 @@ def main() -> None:
     data = build_scenario(SCENARIO_SAME_CATEGORY, config.scenario)
     cost_model = data.network.cost_model(theta=config.theta(), alpha=config.alpha)
 
-    baseline_configuration = initial_configuration(data, "random", seed=3)
+    # Every session below starts from the same seeded random assignment.
+    session = SessionConfig.from_experiment_config(config, initial="random")
+    baseline_configuration = Simulation(session, data=data).configuration
     print("starting point (random clusters):")
     print(
         "  social cost",
@@ -47,11 +48,7 @@ def main() -> None:
     )
 
     for strategy_name in ("selfish", "altruistic"):
-        simulation = Simulation.from_config(
-            SessionConfig.from_experiment_config(config, strategy=strategy_name),
-            data=data,
-            configuration=initial_configuration(data, "random", seed=3),
-        )
+        simulation = Simulation(session, data=data, strategy=strategy_name)
         result = simulation.run()
         print(f"{strategy_name} strategy:")
         print(

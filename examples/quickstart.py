@@ -22,7 +22,7 @@ from repro import SessionConfig, Simulation
 
 
 def main() -> None:
-    simulation = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig(
             scenario="same_category",
             strategy="selfish",
@@ -41,7 +41,7 @@ def main() -> None:
         f"({simulation.configuration.num_nonempty_clusters()} clusters)",
     )
 
-    simulation.on_round_end(
+    simulation.hooks.on_round_end(
         lambda event: print(f"  round {event.round_number:2d}: social cost = {event.social_cost:.3f}")
     )
     result = simulation.run()

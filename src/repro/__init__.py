@@ -11,9 +11,9 @@ different cluster.  It provides:
 * the game-theoretic view of cluster formation (``repro.game``),
 * the selfish / altruistic / hybrid relocation strategies (``repro.strategies``),
 * the round-based reformulation protocol (``repro.protocol``),
-* the unified session API: ``Simulation`` / ``SimulationBuilder`` /
-  ``SessionConfig`` / ``RunResult`` (``repro.session``) over the component
-  registries (``repro.registry``) and event hooks (``repro.events``),
+* the unified session API: ``Simulation`` / ``SessionConfig`` /
+  ``RunResult`` (``repro.session``) over the component registries
+  (``repro.registry``) and event hooks (``repro.events``),
 * the parallel sweep engine: ``SweepSpec`` / ``run_sweep`` / ``SweepResult``
   (``repro.sweep``) fanning replicated experiments out over a process pool
   with deterministic per-task seed streams,
@@ -30,7 +30,7 @@ Quickstart::
 
     from repro import Simulation, SessionConfig
 
-    result = Simulation.from_config(
+    result = Simulation(
         SessionConfig(scenario="same_category", strategy="selfish", scale="quick")
     ).run()
     print(result.converged, result.final_social_cost)
@@ -40,10 +40,11 @@ Every component is selected by registry name; plug in your own with the
 ``@register_scenario``, ``@register_router``, ``@register_initializer``,
 ``@register_workload``)
 and they become usable from ``SessionConfig``, the CLI and the experiment
-drivers.  Subscribe to protocol events instead of post-hoc traces::
+drivers.  Subscribe to protocol events, through the session's event hub,
+instead of post-hoc traces::
 
-    simulation = Simulation.from_config(SessionConfig(scale="quick"))
-    simulation.on_round_end(lambda event: print(event.round_number, event.social_cost))
+    simulation = Simulation(SessionConfig(scale="quick"))
+    simulation.hooks.on_round_end(lambda event: print(event.round_number, event.social_cost))
     simulation.run()
 
 Low-level API (what the facade assembles for you)::
@@ -155,7 +156,7 @@ from repro.registry import (
     register_strategy,
     register_theta,
 )
-from repro.session import RunResult, SessionConfig, Simulation, SimulationBuilder
+from repro.session import RunResult, SessionConfig, Simulation
 from repro.sweep import (
     ResultStore,
     Runner,
@@ -193,7 +194,6 @@ __all__ = [
     "__version__",
     # session API
     "Simulation",
-    "SimulationBuilder",
     "SessionConfig",
     "RunResult",
     # sweep engine

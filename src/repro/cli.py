@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_discover(arguments: argparse.Namespace) -> int:
-    simulation = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig(
             scenario=arguments.scenario,
             strategy=arguments.strategy,
@@ -528,7 +528,7 @@ def _command_maintain(arguments: argparse.Namespace) -> int:
         dynamics = _parse_json_argument("--dynamics", arguments.dynamics)
     else:
         dynamics = DEFAULT_MAINTAIN_DYNAMICS
-    simulation = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig(
             scenario=SCENARIO_SAME_CATEGORY,
             strategy=arguments.strategy,
@@ -579,7 +579,7 @@ def _command_traffic(arguments: argparse.Namespace) -> int:
         traffic_settings["link"] = link
     if arguments.seed is not None:
         traffic_settings["seed"] = arguments.seed
-    simulation = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig(
             scenario=arguments.scenario,
             strategy=arguments.strategy,

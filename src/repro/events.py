@@ -1,6 +1,6 @@
 """Observer/event hooks for protocol rounds and maintenance periods.
 
-The reformulation protocol and the periodic maintenance loop publish three
+The reformulation protocol and the periodic maintenance loop publish four
 events while they run:
 
 * :data:`ROUND_END` — after every executed protocol round, with the round's
@@ -22,7 +22,7 @@ drains a query-event stream:
 * :data:`TRAFFIC_SUMMARY` — once at the end of a run, carrying the final
   :class:`~repro.traffic.report.TrafficReport`.
 
-The sweep engine (:mod:`repro.sweep`) publishes three more events from the
+The sweep engine (:mod:`repro.sweep`) publishes five more events from the
 coordinating process while a sweep runs:
 
 * :data:`TASK_STARTED` — when a task is submitted for execution (a process
@@ -66,6 +66,12 @@ and maintenance periods::
     protocol = ReformulationProtocol(cost_model, configuration, strategy, hooks=hooks)
     protocol.run()
 
+:meth:`EventHooks.subscribe` is the one generic subscription call: it takes
+any name of :data:`EVENT_NAMES`, so one loop can subscribe to every event,
+and the ``on_*`` registrars are its shorthands, one per event.  An unknown
+name raises :class:`~repro.errors.ConfigurationError` instead of
+registering a callback that never fires.
+
 Subscriber exceptions are not swallowed: observers are part of the caller's
 code and a broken observer should fail loudly rather than silently corrupt
 an experiment.
@@ -75,6 +81,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
+
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # imported for annotations only; avoids runtime cycles
     from repro.dynamics.models import DriftReport
@@ -99,6 +107,7 @@ __all__ = [
     "STORE_CORRUPT",
     "LEASE_RECLAIMED",
     "SWEEP_END",
+    "EVENT_NAMES",
     "RoundEndEvent",
     "RelocationGrantedEvent",
     "PeriodEndEvent",
@@ -135,6 +144,13 @@ TASK_QUARANTINED = "task_quarantined"
 STORE_CORRUPT = "store_corrupt"
 LEASE_RECLAIMED = "lease_reclaimed"
 SWEEP_END = "sweep_end"
+
+#: Every event name the library publishes; :meth:`EventHooks.subscribe` takes only these.
+EVENT_NAMES = (
+    ROUND_END, RELOCATION_GRANTED, PERIOD_END, DRIFT_APPLIED, QUERY_ROUTED, TRAFFIC_SUMMARY,
+    TASK_STARTED, TASK_FINISHED, TASK_SKIPPED, TASK_LOADED, TASK_FAILED, TASK_RETRIED,
+    TASK_QUARANTINED, STORE_CORRUPT, LEASE_RECLAIMED, SWEEP_END,
+)
 
 #: An event callback; receives the event dataclass as its only argument.
 EventCallback = Callable[[Any], None]
@@ -353,6 +369,18 @@ class SweepEndEvent:
     quarantined: int = 0
 
 
+def _shorthand(event: str, payload: str) -> Callable[..., Callable[[], None]]:
+    """The ``on_<event>`` method of :class:`EventHooks`: ``subscribe(event, callback)``."""
+
+    def register(self: "EventHooks", callback: EventCallback) -> Callable[[], None]:
+        return self.subscribe(event, callback)
+
+    register.__name__ = f"on_{event}"
+    register.__qualname__ = f"EventHooks.on_{event}"
+    register.__doc__ = f"Subscribe to ``{event}`` events (receives a :class:`{payload}`)."
+    return register
+
+
 class EventHooks:
     """A minimal synchronous publish/subscribe hub for simulation events."""
 
@@ -360,7 +388,15 @@ class EventHooks:
         self._subscribers: Dict[str, List[EventCallback]] = {}
 
     def subscribe(self, event: str, callback: EventCallback) -> Callable[[], None]:
-        """Register *callback* for *event*; returns an unsubscribe function."""
+        """Register *callback* for *event*; returns an unsubscribe function.
+
+        *event* must be one of :data:`EVENT_NAMES`; any other name raises a
+        :class:`~repro.errors.ConfigurationError` listing them.
+        """
+        if event not in EVENT_NAMES:
+            raise ConfigurationError(
+                f"unknown event name {event!r}; valid names: {list(EVENT_NAMES)}"
+            )
         callbacks = self._subscribers.setdefault(event, [])
         callbacks.append(callback)
 
@@ -372,71 +408,23 @@ class EventHooks:
 
         return unsubscribe
 
-    # Convenience registrars for the three built-in events.
-
-    def on_round_end(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`ROUND_END` (receives a :class:`RoundEndEvent`)."""
-        return self.subscribe(ROUND_END, callback)
-
-    def on_relocation_granted(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`RELOCATION_GRANTED` (receives a :class:`RelocationGrantedEvent`)."""
-        return self.subscribe(RELOCATION_GRANTED, callback)
-
-    def on_period_end(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`PERIOD_END` (receives a :class:`PeriodEndEvent`)."""
-        return self.subscribe(PERIOD_END, callback)
-
-    def on_drift_applied(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`DRIFT_APPLIED` (receives a :class:`DriftAppliedEvent`)."""
-        return self.subscribe(DRIFT_APPLIED, callback)
-
-    def on_query_routed(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`QUERY_ROUTED` (receives a :class:`QueryRoutedEvent`)."""
-        return self.subscribe(QUERY_ROUTED, callback)
-
-    def on_traffic_summary(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TRAFFIC_SUMMARY` (receives a :class:`TrafficSummaryEvent`)."""
-        return self.subscribe(TRAFFIC_SUMMARY, callback)
-
-    def on_task_started(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_STARTED` (receives a :class:`TaskStartedEvent`)."""
-        return self.subscribe(TASK_STARTED, callback)
-
-    def on_task_finished(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_FINISHED` (receives a :class:`TaskFinishedEvent`)."""
-        return self.subscribe(TASK_FINISHED, callback)
-
-    def on_task_skipped(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_SKIPPED` (receives a :class:`TaskSkippedEvent`)."""
-        return self.subscribe(TASK_SKIPPED, callback)
-
-    def on_task_loaded(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_LOADED` (receives a :class:`TaskLoadedEvent`)."""
-        return self.subscribe(TASK_LOADED, callback)
-
-    def on_task_failed(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_FAILED` (receives a :class:`TaskFailedEvent`)."""
-        return self.subscribe(TASK_FAILED, callback)
-
-    def on_task_retried(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_RETRIED` (receives a :class:`TaskRetriedEvent`)."""
-        return self.subscribe(TASK_RETRIED, callback)
-
-    def on_task_quarantined(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`TASK_QUARANTINED` (receives a :class:`TaskQuarantinedEvent`)."""
-        return self.subscribe(TASK_QUARANTINED, callback)
-
-    def on_store_corrupt(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`STORE_CORRUPT` (receives a :class:`StoreCorruptEvent`)."""
-        return self.subscribe(STORE_CORRUPT, callback)
-
-    def on_lease_reclaimed(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`LEASE_RECLAIMED` (receives a :class:`LeaseReclaimedEvent`)."""
-        return self.subscribe(LEASE_RECLAIMED, callback)
-
-    def on_sweep_end(self, callback: EventCallback) -> Callable[[], None]:
-        """Subscribe to :data:`SWEEP_END` (receives a :class:`SweepEndEvent`)."""
-        return self.subscribe(SWEEP_END, callback)
+    # Shorthands for subscribe(), one per event name.
+    on_round_end = _shorthand(ROUND_END, "RoundEndEvent")
+    on_relocation_granted = _shorthand(RELOCATION_GRANTED, "RelocationGrantedEvent")
+    on_period_end = _shorthand(PERIOD_END, "PeriodEndEvent")
+    on_drift_applied = _shorthand(DRIFT_APPLIED, "DriftAppliedEvent")
+    on_query_routed = _shorthand(QUERY_ROUTED, "QueryRoutedEvent")
+    on_traffic_summary = _shorthand(TRAFFIC_SUMMARY, "TrafficSummaryEvent")
+    on_task_started = _shorthand(TASK_STARTED, "TaskStartedEvent")
+    on_task_finished = _shorthand(TASK_FINISHED, "TaskFinishedEvent")
+    on_task_skipped = _shorthand(TASK_SKIPPED, "TaskSkippedEvent")
+    on_task_loaded = _shorthand(TASK_LOADED, "TaskLoadedEvent")
+    on_task_failed = _shorthand(TASK_FAILED, "TaskFailedEvent")
+    on_task_retried = _shorthand(TASK_RETRIED, "TaskRetriedEvent")
+    on_task_quarantined = _shorthand(TASK_QUARANTINED, "TaskQuarantinedEvent")
+    on_store_corrupt = _shorthand(STORE_CORRUPT, "StoreCorruptEvent")
+    on_lease_reclaimed = _shorthand(LEASE_RECLAIMED, "LeaseReclaimedEvent")
+    on_sweep_end = _shorthand(SWEEP_END, "SweepEndEvent")
 
     def emit(self, event: str, payload: Any) -> None:
         """Deliver *payload* to every subscriber of *event*, in subscription order."""

@@ -35,9 +35,10 @@ or ``repro.session``) is enough to populate the registries.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import DuplicateComponentError, UnknownComponentError
+from repro.errors import ConfigurationError, DuplicateComponentError, UnknownComponentError
 
 __all__ = [
     "ComponentRegistry",
@@ -64,6 +65,25 @@ __all__ = [
 
 def _normalize(name: object) -> str:
     return str(name).strip().lower().replace("_", "-")
+
+
+def _binding_problem(component: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Optional[str]:
+    """Why *args* and *kwargs* do not bind to *component*'s signature; ``None`` if they do."""
+    try:
+        signature = inspect.signature(component)
+    except (TypeError, ValueError):
+        return None
+    try:
+        signature.bind(*args, **kwargs)
+    except TypeError as error:
+        parameters = list(signature.parameters.values())
+        keyword_kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        keywords = [p.name for p in parameters[len(args):] if p.kind in keyword_kinds]
+        unexpected = sorted(set(kwargs) - set(keywords))
+        if unexpected and not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
+            return f"unexpected keys {unexpected}; accepted keywords: {keywords}"
+        return f"{error}; accepted keywords: {keywords}"
+    return None
 
 
 class ComponentRegistry:
@@ -138,8 +158,20 @@ class ComponentRegistry:
         return self._components[self.canonical_name(name)]
 
     def create(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Instantiate the component registered under *name*."""
-        return self.get(name)(*args, **kwargs)
+        """Instantiate the component registered under *name*.
+
+        Options its signature does not take raise a
+        :class:`~repro.errors.ConfigurationError` naming them and the accepted
+        keywords; a ``TypeError`` raised inside the component stays as it is.
+        """
+        component = self.get(name)
+        try:
+            return component(*args, **kwargs)
+        except TypeError:
+            problem = _binding_problem(component, args, kwargs)
+            if problem is None:
+                raise
+            raise ConfigurationError(f"invalid options for {self.kind} {name!r}: {problem}") from None
 
     def names(self) -> List[str]:
         """The sorted canonical component names (aliases excluded)."""

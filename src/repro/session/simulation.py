@@ -1,36 +1,27 @@
-"""The :class:`Simulation` facade and its fluent :class:`SimulationBuilder`.
+"""The :class:`Simulation` facade: one session built from one :class:`SessionConfig`.
 
 One composable entry point over the library's six moving parts (scenario,
 initial configuration, cost model, strategy, router, protocol)::
 
     from repro import Simulation, SessionConfig
 
-    result = Simulation.from_config(
+    simulation = Simulation(
         SessionConfig(scenario="same_category", strategy="selfish", scale="quick")
-    ).run()
-    print(result.converged, result.final_social_cost)
-
-or, fluently::
-
-    result = (
-        Simulation.builder()
-        .scenario("same-category")
-        .strategy("selfish")
-        .scale("quick")
-        .build()
-        .run()
     )
+    simulation.hooks.on_round_end(lambda event: print(event.round_number, event.social_cost))
+    result = simulation.run()
+    print(result.converged, result.final_social_cost)
 
 The facade assembles exactly what the hand-wired quickstart assembles — the
 same builders, the same seeds — so a facade run reproduces the hand-wired
-run result for result.  Components are materialised lazily (and can be
-injected), so callers may perturb ``simulation.data.network`` before the
-cost model is built, exactly like the maintenance experiments do.
+run result for result.  Components are materialised lazily from the config,
+so callers may perturb ``simulation.data.network`` before the cost model is
+built, exactly like the maintenance experiments do.
 
-Events: every simulation owns an :class:`~repro.events.EventHooks` that the
-protocol and maintenance loop publish to; subscribe with
-:meth:`Simulation.on_round_end`, :meth:`Simulation.on_relocation_granted`
-and :meth:`Simulation.on_period_end`.
+Events: every simulation owns an :class:`~repro.events.EventHooks` hub,
+:attr:`Simulation.hooks`, that the protocol, the maintenance loop and the
+traffic simulator publish to; subscribe through its ``on_*`` registrars or
+:meth:`~repro.events.EventHooks.subscribe`.
 """
 
 from __future__ import annotations
@@ -62,7 +53,7 @@ from repro.strategies.base import RelocationStrategy
 from repro.traffic.report import TrafficReport
 from repro.traffic.simulator import TrafficSimulator, observe_period
 
-__all__ = ["Simulation", "SimulationBuilder"]
+__all__ = ["Simulation"]
 
 
 class Simulation:
@@ -73,10 +64,16 @@ class Simulation:
     config:
         The declarative :class:`SessionConfig` (or anything
         :meth:`SessionConfig.from_any` accepts).
-    data, configuration, strategy, hooks:
-        Optional pre-built components; anything not injected is built lazily
-        from *config*.  Injecting ``data`` lets several sessions share one
-        (expensive) scenario build, as the experiment drivers do.
+    data:
+        Pre-built scenario data; built lazily from *config* when omitted.
+        Sharing one build lets several sessions skip the (expensive)
+        scenario generation, as the experiment drivers and sweep workers do.
+    hooks:
+        The event hub to publish to; a fresh one when omitted.
+    overrides:
+        :class:`SessionConfig` fields replacing those of *config*
+        (``strategy="altruistic"``, ``initial="random"``, ...); an unknown
+        name raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -84,8 +81,6 @@ class Simulation:
         config: Any = None,
         *,
         data: Optional[ScenarioData] = None,
-        configuration: Optional[ClusterConfiguration] = None,
-        strategy: Optional[RelocationStrategy] = None,
         hooks: Optional[EventHooks] = None,
         **overrides: Any,
     ) -> None:
@@ -93,8 +88,8 @@ class Simulation:
         self.experiment_config = self.config.experiment_config()
         self.hooks = hooks if hooks is not None else EventHooks()
         self._data = data
-        self._configuration = configuration
-        self._strategy = strategy
+        self._configuration: Optional[ClusterConfiguration] = None
+        self._strategy: Optional[RelocationStrategy] = None
         self._theta: Optional[ThetaFunction] = None
         self._cost_model: Optional[CostModel] = None
         #: The protocol instance of the most recent :meth:`run` call.
@@ -103,18 +98,6 @@ class Simulation:
         self.last_loop: Optional[PeriodicMaintenanceLoop] = None
         #: The full report of the most recent :meth:`run_traffic` call.
         self.last_traffic_report: Optional[TrafficReport] = None
-
-    # -- constructors ------------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, config: Any = None, **overrides: Any) -> "Simulation":
-        """Build a simulation from a :class:`SessionConfig`, mapping, ``ExperimentConfig`` or kwargs."""
-        return cls(config, **overrides)
-
-    @classmethod
-    def builder(cls) -> "SimulationBuilder":
-        """A fluent builder producing a :class:`Simulation`."""
-        return SimulationBuilder()
 
     # -- assembled components ----------------------------------------------------
 
@@ -183,32 +166,6 @@ class Simulation:
     def invalidate(self) -> None:
         """Drop the cached cost model after mutating the network (updates, churn)."""
         self._cost_model = None
-
-    # -- event subscriptions -----------------------------------------------------
-
-    def on_round_end(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to round-end events; returns an unsubscribe function."""
-        return self.hooks.on_round_end(callback)
-
-    def on_relocation_granted(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to granted-relocation events; returns an unsubscribe function."""
-        return self.hooks.on_relocation_granted(callback)
-
-    def on_period_end(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to maintenance period-end events; returns an unsubscribe function."""
-        return self.hooks.on_period_end(callback)
-
-    def on_drift_applied(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to applied-drift events; returns an unsubscribe function."""
-        return self.hooks.on_drift_applied(callback)
-
-    def on_query_routed(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to traffic batch-routed events; returns an unsubscribe function."""
-        return self.hooks.on_query_routed(callback)
-
-    def on_traffic_summary(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Subscribe to traffic run-summary events; returns an unsubscribe function."""
-        return self.hooks.on_traffic_summary(callback)
 
     # -- running -----------------------------------------------------------------
 
@@ -445,210 +402,3 @@ class Simulation:
             f"strategy={self.config.strategy!r}, initial={self.config.initial!r})"
         )
 
-
-class SimulationBuilder:
-    """Fluent construction of a :class:`Simulation`.
-
-    Every setter returns the builder; :meth:`build` materialises the
-    simulation, :meth:`config` just the :class:`SessionConfig`.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[str, Any] = {}
-        self._data: Optional[ScenarioData] = None
-        self._configuration: Optional[ClusterConfiguration] = None
-        self._strategy_instance: Optional[RelocationStrategy] = None
-        self._hooks: Optional[EventHooks] = None
-        self._subscriptions: List[Any] = []  # (event-registrar name, callback)
-
-    # -- component selection -----------------------------------------------------
-
-    def scenario(self, name: str, **overrides: Any) -> "SimulationBuilder":
-        """Select the scenario by registered name (plus ``ScenarioConfig`` overrides)."""
-        self._values["scenario"] = name
-        if overrides:
-            merged = dict(self._values.get("scenario_overrides", {}))
-            merged.update(overrides)
-            self._values["scenario_overrides"] = merged
-        return self
-
-    def strategy(self, strategy: Any, **options: Any) -> "SimulationBuilder":
-        """Select the relocation strategy by registered name or pass an instance.
-
-        A later call replaces the earlier selection entirely; constructor
-        *options* only make sense with a name (an instance is already built).
-        """
-        if isinstance(strategy, RelocationStrategy):
-            if options:
-                raise ConfigurationError(
-                    "strategy options cannot be combined with a strategy instance; "
-                    "configure the instance directly or pass the strategy by name"
-                )
-            self._strategy_instance = strategy
-            self._values["strategy"] = getattr(strategy, "name", type(strategy).__name__)
-            self._values.pop("strategy_options", None)
-        else:
-            self._strategy_instance = None
-            self._values["strategy"] = strategy
-            if options:
-                self._values["strategy_options"] = dict(options)
-            else:
-                self._values.pop("strategy_options", None)
-        return self
-
-    def scale(self, name: str) -> "SimulationBuilder":
-        """Select the experiment scale preset (``quick``/``benchmark``/``paper``)."""
-        self._values["scale"] = name
-        return self
-
-    def initial(self, kind: str, *, num_clusters: Optional[int] = None) -> "SimulationBuilder":
-        """Select the initial configuration kind (and an explicit cluster count)."""
-        self._values["initial"] = kind
-        if num_clusters is not None:
-            self._values["num_clusters"] = num_clusters
-        return self
-
-    def theta(self, name: str, **options: Any) -> "SimulationBuilder":
-        """Select the theta (membership cost) function by registered name."""
-        self._values["theta"] = name
-        if options:
-            self._values["theta_options"] = dict(options)
-        return self
-
-    def router(self, name: str, **options: Any) -> "SimulationBuilder":
-        """Select the query router by registered name (e.g. ``probe-k`` with ``k=3``)."""
-        self._values["router"] = name
-        if options:
-            self._values["router_options"] = dict(options)
-        return self
-
-    def dynamics(self, spec: Any) -> "SimulationBuilder":
-        """Declare the maintenance-run dynamics (a drift schedule spec or schedule)."""
-        if isinstance(spec, DynamicsSchedule):
-            spec = spec.to_dict()
-        self._values["dynamics"] = dict(spec)
-        return self
-
-    def traffic(self, workload: Optional[str] = None, **settings: Any) -> "SimulationBuilder":
-        """Declare the query-traffic settings for :meth:`Simulation.run_traffic`.
-
-        Example: ``.traffic("zipf", num_events=100_000, link={"hop_latency_ms": 2})``.
-        """
-        merged = dict(self._values.get("traffic", {}))
-        if workload is not None:
-            merged["workload"] = workload
-        merged.update(settings)
-        self._values["traffic"] = merged
-        return self
-
-    # -- scalar knobs ------------------------------------------------------------
-
-    def alpha(self, value: float) -> "SimulationBuilder":
-        """Set the membership-cost weight ``alpha``."""
-        self._values["alpha"] = value
-        return self
-
-    def gain_threshold(self, value: float) -> "SimulationBuilder":
-        """Set the discovery-run gain threshold ε."""
-        self._values["gain_threshold"] = value
-        return self
-
-    def maintenance_gain_threshold(self, value: float) -> "SimulationBuilder":
-        """Set the maintenance gain threshold ε."""
-        self._values["maintenance_gain_threshold"] = value
-        return self
-
-    def max_rounds(self, value: int) -> "SimulationBuilder":
-        """Set the protocol round budget."""
-        self._values["max_rounds"] = value
-        return self
-
-    def seed(self, value: int) -> "SimulationBuilder":
-        """Set the master seed."""
-        self._values["seed"] = value
-        return self
-
-    def strategy_mode(self, mode: str) -> "SimulationBuilder":
-        """Set the strategy evaluation mode (``exact`` or ``observed``)."""
-        self._values["strategy_mode"] = mode
-        return self
-
-    def protocol_options(
-        self,
-        *,
-        allow_cluster_creation: Optional[bool] = None,
-        creation_cost_increase: Optional[float] = None,
-        restrict_to_nonempty: Optional[bool] = None,
-        enforce_locks: Optional[bool] = None,
-    ) -> "SimulationBuilder":
-        """Set the discovery-run protocol knobs."""
-        for key, value in (
-            ("allow_cluster_creation", allow_cluster_creation),
-            ("creation_cost_increase", creation_cost_increase),
-            ("restrict_to_nonempty", restrict_to_nonempty),
-            ("enforce_locks", enforce_locks),
-        ):
-            if value is not None:
-                self._values[key] = value
-        return self
-
-    # -- injection and observers -------------------------------------------------
-
-    def with_data(self, data: ScenarioData) -> "SimulationBuilder":
-        """Inject pre-built scenario data (shared across sessions)."""
-        self._data = data
-        return self
-
-    def with_configuration(self, configuration: ClusterConfiguration) -> "SimulationBuilder":
-        """Inject a pre-built initial cluster configuration."""
-        self._configuration = configuration
-        return self
-
-    def hooks(self, hooks: EventHooks) -> "SimulationBuilder":
-        """Use an existing event hub instead of a fresh one."""
-        self._hooks = hooks
-        return self
-
-    def on_round_end(self, callback: Callable[[Any], None]) -> "SimulationBuilder":
-        """Subscribe *callback* to round-end events of the built simulation."""
-        self._subscriptions.append(("on_round_end", callback))
-        return self
-
-    def on_relocation_granted(self, callback: Callable[[Any], None]) -> "SimulationBuilder":
-        """Subscribe *callback* to granted-relocation events of the built simulation."""
-        self._subscriptions.append(("on_relocation_granted", callback))
-        return self
-
-    def on_period_end(self, callback: Callable[[Any], None]) -> "SimulationBuilder":
-        """Subscribe *callback* to period-end events of the built simulation."""
-        self._subscriptions.append(("on_period_end", callback))
-        return self
-
-    def on_query_routed(self, callback: Callable[[Any], None]) -> "SimulationBuilder":
-        """Subscribe *callback* to traffic batch-routed events of the built simulation."""
-        self._subscriptions.append(("on_query_routed", callback))
-        return self
-
-    def on_traffic_summary(self, callback: Callable[[Any], None]) -> "SimulationBuilder":
-        """Subscribe *callback* to traffic run-summary events of the built simulation."""
-        self._subscriptions.append(("on_traffic_summary", callback))
-        return self
-
-    # -- materialisation ---------------------------------------------------------
-
-    def config(self) -> SessionConfig:
-        """The :class:`SessionConfig` the builder currently describes."""
-        return SessionConfig(**self._values)
-
-    def build(self) -> Simulation:
-        """Assemble the :class:`Simulation`."""
-        simulation = Simulation(
-            self.config(),
-            data=self._data,
-            configuration=self._configuration,
-            strategy=self._strategy_instance,
-            hooks=self._hooks,
-        )
-        for registrar, callback in self._subscriptions:
-            getattr(simulation, registrar)(callback)
-        return simulation

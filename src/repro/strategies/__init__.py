@@ -61,8 +61,7 @@ def build_strategy(name: str, *, mode: str = "exact", **kwargs: object) -> Reloc
         # The baseline strategies register on import of repro.baselines; pull
         # them in before giving up so e.g. "static" resolves from a cold start.
         import repro.baselines  # noqa: F401  (registration side effect)
-    factory = strategy_registry.get(name)
     options = dict(kwargs)
-    if _accepts_keyword(factory, "mode"):
+    if _accepts_keyword(strategy_registry.get(name), "mode"):
         options.setdefault("mode", mode)
-    return factory(**options)
+    return strategy_registry.create(name, **options)

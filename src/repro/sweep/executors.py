@@ -223,7 +223,7 @@ def execute_task(
             if rule is not None:
                 trigger_fault(rule)
         data = None if runner_mutates_scenario(runner) else scenario_data_for(config)
-        simulation = Simulation.from_config(config, data=data)
+        simulation = Simulation(config, data=data)
         result = runner(simulation, dict(task.options))
     result.protocol_result = None
     duration = time.perf_counter() - started

@@ -37,6 +37,7 @@ tier — and the sweep completes with partial results instead of aborting.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -44,6 +45,7 @@ import time
 import traceback as traceback_module
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,6 +367,28 @@ def task_timeout_guard(seconds: Optional[float]) -> Iterator[bool]:
 # -- fault plans -----------------------------------------------------------------
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _finite_non_negative(value: Any) -> bool:
+    return (
+        isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0
+    )
+
+
+#: The one option each fault model reads: ``(key, what it expects, check)``.
+_FAULT_OPTIONS = {
+    FAULT_TASK_EXCEPTION: ("message", "a string", lambda value: isinstance(value, str)),
+    FAULT_TASK_HANG: ("seconds", "a finite number >= 0", _finite_non_negative),
+    FAULT_WORKER_KILL: ("exit_code", "an int", _is_int),
+}
+
+
+def _invalid_rule(name: str, value: Any, expected: str) -> ConfigurationError:
+    return ConfigurationError(f"fault rule {name}={value!r}: expected {expected}")
+
+
 @dataclass(frozen=True)
 class FaultRule:
     """One chaos rule: *which* fault fires for *which* task attempts.
@@ -374,7 +398,10 @@ class FaultRule:
     matches every task.  ``attempts`` restricts the attempt numbers the
     fault fires on (empty = every attempt).  ``options`` parameterise the
     fault model (``seconds`` for ``task-hang``, ``exit_code`` for
-    ``worker-kill``, ``message`` for ``task-exception``).
+    ``worker-kill``, ``message`` for ``task-exception``).  Every field is
+    checked when the rule is built: a value of the wrong type or range, or
+    an option the model does not read, raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
     """
 
     fault: str
@@ -388,7 +415,27 @@ class FaultRule:
             raise ConfigurationError(
                 f"unknown fault model {self.fault!r}; known: {', '.join(FAULT_MODELS)}"
             )
+        if self.task_hash is not None and not isinstance(self.task_hash, str):
+            raise _invalid_rule("task_hash", self.task_hash, "a string")
+        if self.index is not None and not (_is_int(self.index) and self.index >= 0):
+            raise _invalid_rule("index", self.index, "an int >= 0")
+        if not isinstance(self.attempts, (list, tuple)) or not all(
+            _is_int(attempt) and attempt >= 1 for attempt in self.attempts
+        ):
+            raise _invalid_rule("attempts", self.attempts, "a list of ints >= 1")
         object.__setattr__(self, "attempts", tuple(int(a) for a in self.attempts))
+        if not isinstance(self.options, Mapping):
+            raise _invalid_rule("options", self.options, "a mapping")
+        key, expected, valid = _FAULT_OPTIONS[self.fault]
+        unknown = sorted(set(self.options) - {key}, key=repr)
+        if unknown:
+            raise ConfigurationError(
+                f"fault rule options {unknown} do not apply to {self.fault!r}; "
+                f"valid keys: [{key!r}]"
+            )
+        if key in self.options and not valid(self.options[key]):
+            raise _invalid_rule(f"options.{key}", self.options[key], expected)
+        object.__setattr__(self, "options", dict(self.options))
 
     def matches(self, task_hash: str, index: int, attempt: int) -> bool:
         """Whether this rule fires for ``(task, attempt)``."""
@@ -425,8 +472,8 @@ class FaultRule:
             fault=str(mapping["fault"]),
             task_hash=mapping.get("task_hash"),
             index=mapping.get("index"),
-            attempts=tuple(attempts) if attempts is not None else (),
-            options=dict(mapping.get("options") or {}),
+            attempts=() if attempts is None else attempts,
+            options=mapping.get("options") or {},
         )
 
 

@@ -1,7 +1,8 @@
-"""Tests for the :class:`repro.Simulation` facade and builder."""
+"""Tests for the :class:`repro.Simulation` facade."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 
@@ -9,6 +10,9 @@ import pytest
 
 from repro import (
     SCENARIO_SAME_CATEGORY,
+    AltruisticStrategy,
+    ConfigurationError,
+    EventHooks,
     ExperimentConfig,
     ReformulationProtocol,
     SelfishStrategy,
@@ -44,7 +48,7 @@ class PeriodHook(DynamicsSchedule):
 class TestAcceptance:
     def test_facade_reproduces_the_hand_wired_quickstart(self):
         """The ISSUE's acceptance criterion: seed-for-seed parity."""
-        simulation = Simulation.from_config(QUICK)
+        simulation = Simulation(QUICK)
         facade_result = simulation.run()
 
         config = ExperimentConfig.quick()
@@ -71,7 +75,7 @@ class TestAcceptance:
                 return None
 
         try:
-            result = Simulation.from_config(
+            result = Simulation(
                 QUICK.with_options(strategy="session-test-lazy")
             ).run()
             assert result.converged
@@ -82,7 +86,7 @@ class TestAcceptance:
 
 class TestDiscoveryRuns:
     def test_run_result_shape(self):
-        result = Simulation.from_config(QUICK).run()
+        result = Simulation(QUICK).run()
         assert result.kind == "discovery"
         assert result.converged
         assert result.rounds > 0
@@ -95,7 +99,7 @@ class TestDiscoveryRuns:
         assert result.protocol_result is not None
 
     def test_to_dict_is_json_serialisable_and_complete(self):
-        result = Simulation.from_config(QUICK).run()
+        result = Simulation(QUICK).run()
         payload = json.loads(result.to_json())
         assert payload["kind"] == "discovery"
         assert payload["config"]["strategy"] == "selfish"
@@ -103,13 +107,13 @@ class TestDiscoveryRuns:
         assert "protocol_result" not in payload
 
     def test_max_rounds_override(self):
-        result = Simulation.from_config(QUICK).run(max_rounds=1)
+        result = Simulation(QUICK).run(max_rounds=1)
         assert not result.converged
         assert len(result.social_cost_trace) == 2
 
     def test_kwargs_and_dict_configs(self):
-        by_kwargs = Simulation.from_config(scenario="same_category", scale="quick").run()
-        by_dict = Simulation.from_config(
+        by_kwargs = Simulation(scenario="same_category", scale="quick").run()
+        by_dict = Simulation(
             {"scenario": "same_category", "scale": "quick"}
         ).run()
         assert by_kwargs.final_social_cost == by_dict.final_social_cost
@@ -117,12 +121,12 @@ class TestDiscoveryRuns:
     def test_injected_data_is_shared(self):
         config = ExperimentConfig.quick()
         data = build_scenario(SCENARIO_SAME_CATEGORY, config.scenario)
-        simulation = Simulation.from_config(QUICK, data=data)
+        simulation = Simulation(QUICK, data=data)
         assert simulation.data is data
         assert simulation.network is data.network
 
     def test_observed_mode_runs_an_observation_period(self):
-        result = Simulation.from_config(
+        result = Simulation(
             QUICK.with_options(strategy_mode="observed", initial="category")
         ).run()
         assert result.queries_routed > 0
@@ -130,10 +134,10 @@ class TestDiscoveryRuns:
         assert "QueryMessage" not in result.message_counts
 
     def test_events_flow_through_the_facade(self):
-        simulation = Simulation.from_config(QUICK)
+        simulation = Simulation(QUICK)
         rounds, moves = [], []
-        simulation.on_round_end(lambda event: rounds.append(event.round_number))
-        unsubscribe = simulation.on_relocation_granted(moves.append)
+        simulation.hooks.on_round_end(lambda event: rounds.append(event.round_number))
+        unsubscribe = simulation.hooks.on_relocation_granted(moves.append)
         result = simulation.run()
         assert len(rounds) == len(result.protocol_result.rounds)
         assert len(moves) == result.moves
@@ -144,14 +148,14 @@ class TestDiscoveryRuns:
 
 class TestMaintenanceRuns:
     def _simulation(self):
-        return Simulation.from_config(
+        return Simulation(
             QUICK.with_options(initial="category", strategy="selfish")
         )
 
     def test_run_maintenance_records_periods(self):
         simulation = self._simulation()
         periods_seen = []
-        simulation.on_period_end(lambda event: periods_seen.append(event.record.period))
+        simulation.hooks.on_period_end(lambda event: periods_seen.append(event.record.period))
         result = simulation.run_maintenance(2)
         assert result.kind == "maintenance"
         assert result.num_periods == 2
@@ -194,8 +198,6 @@ class TestMaintenanceRuns:
         assert result.periods[1].social_cost_before >= result.periods[0].social_cost_after
 
     def test_negative_periods_rejected(self):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             self._simulation().run_maintenance(-1)
 
@@ -204,7 +206,7 @@ class TestMaintenanceRuns:
             initial="category", strategy_mode="observed", dynamics={"model": "workload-full"}
         )
         counts = [
-            Simulation.from_config(config).run_maintenance(periods).message_counts
+            Simulation(config).run_maintenance(periods).message_counts
             for periods in (1, 2, 3)
         ]
         for fewer, more in zip(counts, counts[1:]):
@@ -223,18 +225,18 @@ class TestAutoBackendRecallMode:
         monkeypatch.setattr(WeightedRecallMatrix, "FACTORED_THRESHOLD", 8)
 
     def test_default_config_session_builds_a_factored_matrix(self, low_threshold):
-        simulation = Simulation.from_config(QUICK)
+        simulation = Simulation(QUICK)
         assert simulation.cost_model.matrix.mode == "factored"
         simulation.run()
         assert simulation.last_protocol.game.kernel.backend == "labels"
 
     def test_maintenance_loop_builds_a_factored_matrix(self, low_threshold):
-        simulation = Simulation.from_config(QUICK.with_options(initial="category"))
+        simulation = Simulation(QUICK.with_options(initial="category"))
         simulation.run_maintenance(1)
         assert simulation.last_loop._cost_model().matrix.mode == "factored"
 
     def test_network_and_cost_model_build_a_factored_matrix(self, low_threshold):
-        network = Simulation.from_config(QUICK).network
+        network = Simulation(QUICK).network
         assert len(network) >= 8
         assert network.recall_matrix().mode == "factored"
         cost_model = network.cost_model(use_matrix=False)
@@ -242,7 +244,7 @@ class TestAutoBackendRecallMode:
         assert cost_model.matrix.mode == "factored"
 
     def test_below_the_threshold_the_matrix_stays_dense(self):
-        simulation = Simulation.from_config(QUICK)
+        simulation = Simulation(QUICK)
         assert simulation.cost_model.matrix.mode == "dense"
         simulation.run()
         assert simulation.last_protocol.game.kernel.backend == "dense"
@@ -256,14 +258,14 @@ class TestDeclarativeDynamics:
     }
 
     def _simulation(self, **overrides):
-        return Simulation.from_config(
+        return Simulation(
             QUICK.with_options(initial="category", dynamics=self.DRIFT, **overrides)
         )
 
     def test_config_dynamics_drive_the_maintenance_run(self):
         simulation = self._simulation()
         events = []
-        simulation.on_drift_applied(events.append)
+        simulation.hooks.on_drift_applied(events.append)
         result = simulation.run_maintenance(3)
         assert [event.period for event in events] == [1, 2]
         assert all(event.report.model == "workload-full" for event in events)
@@ -275,14 +277,14 @@ class TestDeclarativeDynamics:
     def test_dynamics_argument_overrides_the_config(self):
         simulation = self._simulation()
         events = []
-        simulation.on_drift_applied(events.append)
+        simulation.hooks.on_drift_applied(events.append)
         simulation.run_maintenance(2, dynamics={"model": "churn", "options": {"departures": 1}})
         assert {event.report.model for event in events} == {"churn"}
 
     def test_prebuilt_schedule_is_accepted(self):
         from repro.dynamics import DynamicsSchedule
 
-        simulation = Simulation.from_config(QUICK.with_options(initial="category"))
+        simulation = Simulation(QUICK.with_options(initial="category"))
         schedule = DynamicsSchedule.from_dict({"model": "churn", "options": {"departures": 2}})
         result = simulation.run_maintenance(1, schedule=schedule)
         assert len(result.extras["drift"][0]["peer_ids"]) == 2
@@ -291,61 +293,43 @@ class TestDeclarativeDynamics:
         costs = [self._simulation().run_maintenance(3).social_cost_trace for _ in range(2)]
         assert costs[0] == costs[1]
 
-    def test_builder_dynamics_setter(self):
-        config = Simulation.builder().scale("quick").dynamics(self.DRIFT).config()
-        assert config.dynamics == self.DRIFT
 
+class TestOneConstructor:
+    """``Simulation(config, *, data, hooks, **overrides)`` is the only way in."""
 
-class TestBuilder:
-    def test_fluent_construction_matches_from_config(self):
-        built = (
-            Simulation.builder()
-            .scenario("same_category")
-            .strategy("selfish")
-            .scale("quick")
-            .initial("singletons")
-            .build()
-        )
-        assert built.config == QUICK
-        assert built.run().final_social_cost == Simulation.from_config(QUICK).run().final_social_cost
+    def test_the_constructor_takes_only_config_data_hooks_and_overrides(self):
+        parameters = inspect.signature(Simulation.__init__).parameters
+        assert list(parameters) == ["self", "config", "data", "hooks", "overrides"]
 
-    def test_builder_accepts_strategy_instances(self):
-        strategy = SelfishStrategy()
-        simulation = Simulation.builder().scale("quick").strategy(strategy).build()
-        assert simulation.strategy is strategy
-        assert simulation.config.strategy == "selfish"
+    def test_a_strategy_name_is_an_ordinary_override(self):
+        simulation = Simulation(SessionConfig(scale="quick"), strategy="altruistic")
+        result = simulation.run()
+        assert isinstance(simulation.strategy, AltruisticStrategy)
+        assert result.config["strategy"] == "altruistic"
+        expected = Simulation(SessionConfig(scale="quick", strategy="altruistic")).run()
+        assert result.to_dict() == expected.to_dict()
 
-    def test_builder_rejects_options_with_a_strategy_instance(self):
-        from repro.errors import ConfigurationError
+    def test_a_configuration_keyword_is_an_unknown_config_key(self):
+        configuration = Simulation(QUICK).configuration
+        with pytest.raises(ConfigurationError, match=r"unknown session config keys \['configuration'\]"):
+            Simulation(QUICK, configuration=configuration)
 
-        with pytest.raises(ConfigurationError):
-            Simulation.builder().strategy(SelfishStrategy(), weight=0.9)
-
-    def test_builder_later_strategy_call_replaces_an_instance(self):
-        simulation = (
-            Simulation.builder()
-            .scale("quick")
-            .strategy(SelfishStrategy())
-            .strategy("hybrid", weight=0.25)
-            .build()
-        )
-        assert simulation.config.strategy == "hybrid"
-        assert simulation.strategy.weight == 0.25
-
-    def test_builder_options_and_observers(self):
+    def test_config_options_and_hook_subscriptions(self):
         seen = []
-        simulation = (
-            Simulation.builder()
-            .scale("quick")
-            .initial("random", num_clusters=5)
-            .theta("linear")
-            .alpha(1.5)
-            .max_rounds(30)
-            .seed(11)
-            .router("probe-k", k=2)
-            .on_round_end(lambda event: seen.append(event))
-            .build()
+        simulation = Simulation(
+            SessionConfig(
+                scale="quick",
+                initial="random",
+                num_clusters=5,
+                theta="linear",
+                alpha=1.5,
+                max_rounds=30,
+                seed=11,
+                router="probe-k",
+                router_options={"k": 2},
+            )
         )
+        simulation.hooks.on_round_end(seen.append)
         config = simulation.config
         assert config.num_clusters == 5
         assert config.alpha == 1.5
@@ -356,12 +340,11 @@ class TestBuilder:
         simulation.run()
         assert seen
 
-    def test_protocol_options(self):
-        config = (
-            Simulation.builder()
-            .scale("quick")
-            .protocol_options(allow_cluster_creation=False, restrict_to_nonempty=True)
-            .config()
-        )
-        assert config.allow_cluster_creation is False
-        assert config.restrict_to_nonempty is True
+    def test_injected_hooks_are_the_sessions_hub(self):
+        hooks = EventHooks()
+        rounds = []
+        hooks.on_round_end(rounds.append)
+        simulation = Simulation(QUICK, hooks=hooks)
+        assert simulation.hooks is hooks
+        result = simulation.run()
+        assert len(rounds) == len(result.protocol_result.rounds)

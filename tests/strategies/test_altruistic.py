@@ -184,7 +184,7 @@ class TestExactTiesOnTheLabelsPath:
     @pytest.fixture(scope="class")
     def tied_context(self):
         seed = 199829066
-        simulation = Simulation.from_config(
+        simulation = Simulation(
             SessionConfig(
                 scale="quick",
                 scenario="same-category",

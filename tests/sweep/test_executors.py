@@ -210,7 +210,7 @@ class TestPoolSizing:
 
     def test_the_window_is_not_an_option(self):
         # The in-flight window is always twice the pool size.
-        with pytest.raises(TypeError, match="window"):
+        with pytest.raises(ConfigurationError, match="window"):
             resolve_executor(
                 {"name": "process-pool", "options": {"max_workers": 2, "window": 4}}
             )
@@ -378,6 +378,23 @@ class TestEventOrderingUnderFaults:
         )
         with pytest.raises(ConfigurationError, match="PolynomialTheta exponent .* got -1"):
             run_sweep(spec, executor=executor, retries=3)
+
+    @pytest.mark.parametrize("executor, seeds", CONTRACT_CASES[:2])
+    def test_an_option_the_router_does_not_take_aborts_the_sweep(self, executor, seeds):
+        # The observed mode builds the router for its observation period.
+        spec = tiny_spec(
+            seeds=seeds,
+            strategies=("selfish",),
+            overrides={
+                "scenario_overrides": dict(TINY_SCENARIO),
+                "router": "broadcast",
+                "router_options": {"k": 3},
+                "strategy_mode": "observed",
+            },
+        )
+        assert len(spec.expand()) == 2
+        with pytest.raises(ConfigurationError, match=r"router 'broadcast': unexpected keys \['k'\]"):
+            run_sweep(spec, executor=executor)
 
     @pytest.mark.parametrize("executor, seeds", POOL_CASES)
     def test_contract_holds_through_a_pool_crash(self, executor, seeds):

@@ -166,6 +166,61 @@ class TestFaultRules:
             trigger_fault(rule)
 
 
+#: Rule inputs that used to crash without a named error, be misread or be
+#: ignored, with the field each ConfigurationError names.
+BAD_RULES = [
+    pytest.param({"fault": "task-exception", "attempts": "x"}, r"attempts='x'", id="attempts-string"),
+    pytest.param({"fault": "task-exception", "attempts": "12"}, r"attempts='12'", id="attempts-digits"),
+    pytest.param({"fault": "task-exception", "attempts": 2}, r"attempts=2", id="attempts-int"),
+    pytest.param({"fault": "task-exception", "attempts": [0, -1]}, r"attempts=\[0, -1\]", id="attempts-below-1"),
+    pytest.param({"fault": "task-exception", "attempts": [True]}, r"attempts=\[True\]", id="attempts-bool"),
+    pytest.param({"fault": "task-exception", "index": -3}, r"index=-3", id="index-negative"),
+    pytest.param({"fault": "task-exception", "index": "2"}, r"index='2'", id="index-string"),
+    pytest.param({"fault": "task-exception", "task_hash": 7}, r"task_hash=7", id="task-hash-int"),
+    pytest.param({"fault": "task-hang", "options": {"seconds": "long"}}, r"options.seconds='long'", id="hang-seconds-string"),
+    pytest.param({"fault": "task-hang", "options": {"seconds": float("inf")}}, r"options.seconds=inf", id="hang-seconds-inf"),
+    pytest.param({"fault": "task-hang", "options": {"seconds": -1}}, r"options.seconds=-1", id="hang-seconds-negative"),
+    pytest.param({"fault": "task-hang", "options": {"secs": 5}}, r"\['secs'\].*'seconds'", id="hang-unknown-option"),
+    pytest.param({"fault": "worker-kill", "options": {"exit_code": 1.5}}, r"options.exit_code=1.5", id="kill-exit-code-float"),
+    pytest.param({"fault": "worker-kill", "options": {"seconds": 1}}, r"\['seconds'\].*'exit_code'", id="kill-unknown-option"),
+    pytest.param({"fault": "task-exception", "options": {"message": 3}}, r"options.message=3", id="exception-message-int"),
+    pytest.param({"fault": "task-exception", "options": {"exit_code": 3}}, r"\['exit_code'\].*'message'", id="exception-unknown-option"),
+    pytest.param({"fault": "task-exception", "options": ["message"]}, r"options=\['message'\]", id="options-list"),
+]
+
+
+class TestFaultRuleInputs:
+    @pytest.mark.parametrize("mapping, named", BAD_RULES)
+    def test_a_bad_field_raises_a_named_error(self, mapping, named):
+        with pytest.raises(ConfigurationError, match=named):
+            FaultRule.from_dict(mapping)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # The plans of the CI chaos jobs.
+            '{"rules": [{"fault": "worker-kill", "index": 2, "attempts": [1]}]}',
+            '{"rules": [{"fault": "worker-kill", "index": 2, "attempts": [1, 2, 3, 4]}]}',
+            '{"rules": [{"fault": "task-hang", "task_hash": "ab", "attempts": null,'
+            ' "options": {"seconds": 0.5}}, {"fault": "task-exception", "index": 0,'
+            ' "options": {"message": "boom"}}, {"fault": "worker-kill",'
+            ' "options": {"exit_code": 3}}]}',
+        ],
+    )
+    def test_valid_plans_parse_unchanged(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_FAULTS, raw)
+        plan = FaultPlan.from_env()
+        expected = json.loads(raw)["rules"]
+        for rule, mapping in zip(plan.rules, expected):
+            attempts = mapping.get("attempts", [1])
+            assert rule.fault == mapping["fault"]
+            assert rule.index == mapping.get("index")
+            assert rule.task_hash == mapping.get("task_hash")
+            assert rule.attempts == (() if attempts is None else tuple(attempts))
+            assert rule.options == mapping.get("options", {})
+        assert FaultPlan.from_any(plan.to_dict()) == plan
+
+
 class TestTaskFailure:
     def test_round_trip(self):
         failure = TaskFailure(

@@ -60,7 +60,7 @@ def fresh_results(spec: SweepSpec):
     """Each task of *spec* run on a scenario built for it alone, with no memo."""
     results = []
     for task in spec.expand():
-        simulation = Simulation.from_config(task.session_config())
+        simulation = Simulation(task.session_config())
         result = resolve_runner(task.runner)(simulation, dict(task.options))
         result.protocol_result = None
         results.append(result.to_dict())

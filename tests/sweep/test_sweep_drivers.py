@@ -30,7 +30,7 @@ def serial_table1_rows(config, scenarios=SCENARIOS, initial_kinds=INITIAL_KINDS,
         data = build_scenario(scenario, config.scenario)
         for initial_kind in initial_kinds:
             for strategy_name in strategies:
-                simulation = Simulation.from_config(
+                simulation = Simulation(
                     SessionConfig.from_experiment_config(
                         config,
                         scenario=data.scenario,

@@ -6,7 +6,10 @@ import pytest
 
 from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, ScenarioConfig, build_scenario
 from repro.dynamics.periodic import PeriodicMaintenanceLoop
+from repro.errors import ConfigurationError
 from repro.events import (
+    EVENT_NAMES,
+    ROUND_END,
     CostTraceRecorder,
     EventHooks,
     PeriodEndEvent,
@@ -34,30 +37,52 @@ class TestEventHooks:
     def test_emit_delivers_in_subscription_order(self):
         hooks = EventHooks()
         seen = []
-        hooks.subscribe("ping", lambda payload: seen.append(("a", payload)))
-        hooks.subscribe("ping", lambda payload: seen.append(("b", payload)))
-        hooks.emit("ping", 1)
+        hooks.subscribe(ROUND_END, lambda payload: seen.append(("a", payload)))
+        hooks.subscribe(ROUND_END, lambda payload: seen.append(("b", payload)))
+        hooks.emit(ROUND_END, 1)
         assert seen == [("a", 1), ("b", 1)]
 
     def test_unsubscribe_stops_delivery(self):
         hooks = EventHooks()
         seen = []
-        unsubscribe = hooks.subscribe("ping", seen.append)
-        hooks.emit("ping", 1)
+        unsubscribe = hooks.subscribe(ROUND_END, seen.append)
+        hooks.emit(ROUND_END, 1)
         unsubscribe()
         unsubscribe()  # idempotent
-        hooks.emit("ping", 2)
+        hooks.emit(ROUND_END, 2)
         assert seen == [1]
-        assert hooks.subscriber_count("ping") == 0
+        assert hooks.subscriber_count(ROUND_END) == 0
 
     def test_emit_without_subscribers_is_a_no_op(self):
-        EventHooks().emit("ping", 1)
+        EventHooks().emit(ROUND_END, 1)
 
     def test_subscriber_errors_propagate(self):
         hooks = EventHooks()
-        hooks.subscribe("ping", lambda payload: 1 / 0)
+        hooks.subscribe(ROUND_END, lambda payload: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            hooks.emit("ping", 1)
+            hooks.emit(ROUND_END, 1)
+
+
+class TestEventNames:
+    def test_an_unknown_name_is_refused_with_the_valid_ones(self):
+        hooks = EventHooks()
+        with pytest.raises(ConfigurationError, match="'round_ned'") as excinfo:
+            hooks.subscribe("round_ned", lambda payload: None)
+        assert all(name in str(excinfo.value) for name in EVENT_NAMES)
+        assert hooks.subscriber_count("round_ned") == 0
+
+    def test_there_are_sixteen_distinct_names(self):
+        assert len(set(EVENT_NAMES)) == len(EVENT_NAMES) == 16
+
+    @pytest.mark.parametrize("name", EVENT_NAMES)
+    def test_every_name_subscribes_and_its_registrar_matches(self, name):
+        hooks = EventHooks()
+        seen = []
+        hooks.subscribe(name, seen.append)
+        getattr(hooks, f"on_{name}")(seen.append)
+        hooks.emit(name, name)
+        assert seen == [name, name]
+        assert hooks.subscriber_count(name) == 2
 
 
 class TestProtocolEvents:

@@ -6,19 +6,23 @@ import pytest
 
 from repro import baselines  # noqa: F401  (registers the baseline strategies)
 from repro.core.theta import LogarithmicTheta, theta_from_name
-from repro.errors import DuplicateComponentError, UnknownComponentError
+from repro.errors import ConfigurationError, DuplicateComponentError, UnknownComponentError
 from repro.registry import (
     ComponentRegistry,
+    executor_registry,
     initializer_registry,
     register_strategy,
     router_registry,
     scenario_registry,
     strategy_registry,
     theta_registry,
+    workload_registry,
 )
 from repro.strategies import build_strategy
 from repro.strategies.base import RelocationStrategy
 from repro.strategies.selfish import SelfishStrategy
+
+from tests.conftest import make_tiny_network
 
 
 class TestComponentRegistry:
@@ -90,6 +94,65 @@ class TestComponentRegistry:
         registry.unregister("gear")
         assert "gear" not in registry
         assert "cog" not in registry
+
+
+class TestInvalidOptions:
+    """An option the component does not take fails in ``create``, named."""
+
+    @pytest.mark.parametrize(
+        "build, component, key, accepted",
+        [
+            pytest.param(
+                lambda: router_registry.create("broadcast", make_tiny_network(), k=3),
+                "router 'broadcast'", "k", [], id="router",
+            ),
+            pytest.param(
+                lambda: theta_registry.create("linear", slop=2.0),
+                "theta function 'linear'", "slop", ["slope"], id="theta",
+            ),
+            pytest.param(
+                lambda: strategy_registry.create("selfish", weight=0.5),
+                "strategy 'selfish'", "weight", ["mode"], id="strategy",
+            ),
+            pytest.param(
+                lambda: workload_registry.create("zipf", expo=2.0),
+                "traffic workload 'zipf'", "expo", ["exponent"], id="workload",
+            ),
+            pytest.param(
+                lambda: executor_registry.create("process-pool", window=4),
+                "sweep executor 'process-pool'", "window", ["max_workers"], id="executor",
+            ),
+        ],
+    )
+    def test_an_unknown_key_names_itself_and_the_accepted_ones(self, build, component, key, accepted):
+        with pytest.raises(ConfigurationError) as excinfo:
+            build()
+        assert str(excinfo.value) == (
+            f"invalid options for {component}: unexpected keys [{key!r}]; "
+            f"accepted keywords: {accepted}"
+        )
+
+    def test_build_strategy_goes_through_create(self):
+        with pytest.raises(ConfigurationError, match=r"strategy 'hybrid': unexpected keys \['wieght'\]"):
+            build_strategy("hybrid", wieght=0.25)
+
+    def test_a_type_error_inside_a_component_stays_a_type_error(self):
+        @register_strategy("test-brittle")
+        class BrittleStrategy(RelocationStrategy):
+            name = "test-brittle"
+
+            def __init__(self, depth=1):
+                super().__init__()
+                raise TypeError("depth arithmetic failed inside the constructor")
+
+            def propose(self, peer_id, context):
+                return None
+
+        try:
+            with pytest.raises(TypeError, match="depth arithmetic failed"):
+                build_strategy("test-brittle", depth=2)
+        finally:
+            strategy_registry.unregister("test-brittle")
 
 
 class TestBuiltinRegistrations:

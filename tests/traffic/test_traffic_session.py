@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import SessionConfig, Simulation, SimulationBuilder
+from repro import SessionConfig, Simulation
 from repro.cli import main
 from repro.errors import ConfigurationError, UnknownComponentError
 from repro.session.config import TRAFFIC_KEYS
@@ -33,7 +33,7 @@ QUICK = SessionConfig(
 
 class TestRunTraffic:
     def test_run_traffic_returns_a_traffic_kind_result(self):
-        simulation = Simulation.from_config(QUICK)
+        simulation = Simulation(QUICK)
         result = simulation.run_traffic(num_events=500, seed=3)
         assert result.kind == KIND_TRAFFIC
         assert result.queries_routed == 500
@@ -48,23 +48,23 @@ class TestRunTraffic:
         config = QUICK.with_options(
             traffic={"workload": "zipf", "num_events": 200, "seed": 5}
         )
-        simulation = Simulation.from_config(config)
+        simulation = Simulation(config)
         result = simulation.run_traffic()
         assert result.extras["traffic"]["workload"] == "zipf"
         assert result.queries_routed == 200
 
     def test_overrides_shadow_the_config_bag(self):
         config = QUICK.with_options(traffic={"num_events": 200})
-        result = Simulation.from_config(config).run_traffic(num_events=50)
+        result = Simulation(config).run_traffic(num_events=50)
         assert result.queries_routed == 50
 
     def test_unknown_setting_is_rejected_with_the_valid_keys(self):
         with pytest.raises(ConfigurationError, match="unknown traffic settings"):
-            Simulation.from_config(QUICK).run_traffic(warp_factor=9)
+            Simulation(QUICK).run_traffic(warp_factor=9)
 
     def test_num_queries_is_not_an_alias(self):
         with pytest.raises(ConfigurationError, match=r"\['num_queries'\].*'num_events'"):
-            Simulation.from_config(QUICK).run_traffic(num_queries=64)
+            Simulation(QUICK).run_traffic(num_queries=64)
 
 
 class TestTrafficSettingsAtConstruction:
@@ -90,8 +90,8 @@ class TestTrafficSettingsAtConstruction:
         assert SessionConfig(scale="quick", traffic=settings).traffic == settings
 
     def test_same_seed_reproduces_the_report(self):
-        first = Simulation.from_config(QUICK).run_traffic(num_events=300, seed=8)
-        second = Simulation.from_config(QUICK).run_traffic(num_events=300, seed=8)
+        first = Simulation(QUICK).run_traffic(num_events=300, seed=8)
+        second = Simulation(QUICK).run_traffic(num_events=300, seed=8)
         assert first.extras["traffic"] == second.extras["traffic"]
 
     def test_traffic_config_round_trips_through_json(self):
@@ -102,17 +102,13 @@ class TestTrafficSettingsAtConstruction:
         assert "traffic" not in QUICK.to_dict()
 
 
-class TestBuilder:
-    def test_builder_traffic_settings_and_hooks(self):
+class TestSessionHooks:
+    def test_config_traffic_settings_and_summary_hook(self):
         summaries = []
-        simulation = (
-            SimulationBuilder()
-            .scenario("same_category", **TINY_SCENARIO)
-            .scale("quick")
-            .traffic(workload="uniform", num_events=150, seed=2)
-            .on_traffic_summary(summaries.append)
-            .build()
+        simulation = Simulation(
+            QUICK.with_options(traffic={"workload": "uniform", "num_events": 150, "seed": 2})
         )
+        simulation.hooks.on_traffic_summary(summaries.append)
         result = simulation.run_traffic()
         assert result.queries_routed == 150
         assert len(summaries) == 1
@@ -120,13 +116,8 @@ class TestBuilder:
 
     def test_on_query_routed_streams_batches(self):
         batches = []
-        simulation = (
-            SimulationBuilder()
-            .scenario("same_category", **TINY_SCENARIO)
-            .scale("quick")
-            .on_query_routed(batches.append)
-            .build()
-        )
+        simulation = Simulation(QUICK)
+        simulation.hooks.on_query_routed(batches.append)
         simulation.run_traffic(num_events=300, batch_size=64, seed=1)
         assert sum(event.events for event in batches) == 300
 
