@@ -168,9 +168,18 @@ class ComponentRegistry:
         try:
             return component(*args, **kwargs)
         except TypeError:
-            problem = _binding_problem(component, args, kwargs)
-            if problem is None:
-                raise
+            self.check_options(name, *args, **kwargs)
+            raise
+
+    def check_options(self, name: str, *args: Any, **kwargs: Any) -> None:
+        """Check that *args* and *kwargs* bind to the signature of *name*'s component.
+
+        Options it does not take raise a :class:`~repro.errors.ConfigurationError`
+        naming them and the accepted keywords.  Nothing is built, so a sweep
+        can check its tasks' options before it runs any of them.
+        """
+        problem = _binding_problem(self.get(name), args, kwargs)
+        if problem is not None:
             raise ConfigurationError(f"invalid options for {self.kind} {name!r}: {problem}") from None
 
     def names(self) -> List[str]:

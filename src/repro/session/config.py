@@ -194,6 +194,11 @@ class SessionConfig:
         # the CLI and sweep specs.
         if not _plainly_valid(self):
             _check_protocol_settings(self)
+        if self.router_options and self.router is None:
+            raise ConfigurationError(
+                f"session config router_options={self.router_options!r} needs a router, "
+                "but router=None; name the router these options are for"
+            )
         if self.scenario_overrides:
             _reject_unknown_keys(self.scenario_overrides, ScenarioConfig, "scenario_overrides")
         if self.traffic:

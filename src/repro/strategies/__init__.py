@@ -8,7 +8,7 @@ Strategies are registered in :data:`repro.registry.strategy_registry`;
 from __future__ import annotations
 
 import inspect
-from typing import Any
+from typing import Any, Dict, Mapping
 
 from repro.registry import strategy_registry
 from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
@@ -31,6 +31,7 @@ __all__ = [
     "HybridStrategy",
     "exact_contributions",
     "build_strategy",
+    "strategy_keywords",
 ]
 
 
@@ -57,11 +58,19 @@ def build_strategy(name: str, *, mode: str = "exact", **kwargs: object) -> Reloc
     is forwarded only to strategies that take it (the paper's strategies
     distinguish ``exact`` and ``observed`` evaluation; baselines do not).
     """
+    return strategy_registry.create(name, **strategy_keywords(name, mode, kwargs))
+
+
+def strategy_keywords(name: str, mode: str, options: Mapping[str, Any]) -> Dict[str, Any]:
+    """The keywords :func:`build_strategy` passes to *name*'s component.
+
+    That is *options* plus *mode*, when the component takes one.
+    """
     if name not in strategy_registry:
         # The baseline strategies register on import of repro.baselines; pull
         # them in before giving up so e.g. "static" resolves from a cold start.
         import repro.baselines  # noqa: F401  (registration side effect)
-    options = dict(kwargs)
+    keywords = dict(options)
     if _accepts_keyword(strategy_registry.get(name), "mode"):
-        options.setdefault("mode", mode)
-    return strategy_registry.create(name, **options)
+        keywords.setdefault("mode", mode)
+    return keywords

@@ -21,11 +21,17 @@ Coordinator (:class:`DistributedSweepExecutor`, registered as
   observations: a lease appearing is a started attempt, a failure record is
   a failed attempt, an entry gone from both queue directories with a stored
   result (or quarantine record) is the terminal outcome;
+* keeps one :class:`~repro.sweep.faults.AttemptRecord` per task, the record
+  the serial and pool executors decide by: each failure record a worker
+  journals is charged to it as well, so it stays in step with the
+  ``(attempt, failures, crashes)`` triple the queue entries carry;
 * reclaims expired leases: a worker that stops heartbeating loses its
-  claim, the attempt is charged one crash against the retry policy's
-  ``crash_requeues`` budget (exactly like a pool worker death), the task is
-  requeued — or quarantined once the budget is spent — and a
-  ``lease_reclaimed`` event is emitted.
+  claim, and the attempt is charged to the record as one crash (exactly
+  like a pool worker death), which requeues the task or, once the retry
+  policy's ``crash_requeues`` budget is spent, quarantines it; a
+  ``lease_reclaimed`` event is emitted.  An entry that leaves the queue
+  with no stored result and no quarantine record is charged the same way
+  after one lease timeout.
 
 Because workers always claim the lowest-index pending entry, observing any
 activity for task *i* proves every lower-index first attempt was already
@@ -37,8 +43,9 @@ Worker daemon (:func:`run_worker`, the ``repro sweep-worker`` CLI): polls
 the queue, claims entries, renews its lease heartbeat on a background
 thread while :func:`~repro.sweep.executors.execute_task` runs the task
 (store persistence included, identical to every other executor), journals
-failed attempts, re-enqueues them while the retry policy allows, and
-quarantines terminal failures into the store.  Deterministic
+each failed attempt and charges it to the record rebuilt from the claimed
+entry, then re-enqueues the task or quarantines it into the store as the
+record decides.  Deterministic
 misconfigurations (:func:`~repro.sweep.faults.is_fatal_error`) are recorded
 as a fatal payload the coordinator re-raises, matching the serial path.
 
@@ -75,13 +82,12 @@ from repro.sweep.executors import (
     execute_task,
 )
 from repro.sweep.faults import (
-    KIND_CRASH,
+    AttemptRecord,
     FaultPlan,
     RetryPolicy,
-    failure_from_payload,
+    crash_payload,
     failure_payload,
     fatal_error_from_payload,
-    is_fatal_error,
 )
 from repro.sweep.queue import (
     DEFAULT_LEASE_TIMEOUT,
@@ -100,18 +106,6 @@ logger = logging.getLogger("repro.sweep.distributed")
 #: Local daemons spawned when ``workers=None`` never exceed this, however
 #: many cores the host has — each one is a full interpreter, not a pool fork.
 MAX_DEFAULT_SPAWN = 8
-
-
-def _crash_payload(message: str, attempt: int) -> Dict[str, Any]:
-    """The wire form of a coordinator-detected worker loss."""
-    return {
-        "type": "WorkerLostError",
-        "message": message,
-        "kind": KIND_CRASH,
-        "injected": False,
-        "attempt": attempt,
-        "traceback": "",
-    }
 
 
 # -- worker daemon ---------------------------------------------------------------
@@ -153,7 +147,6 @@ def _run_claimed(store: ResultStore, queue: TaskQueue, lease: Lease, worker_id: 
     config = queue.read_config()
     entry = lease.entry
     task = SweepTask.from_dict(entry.task)
-    attempt = entry.attempt
     policy = RetryPolicy.from_any(config.get("retry_policy"))
     faults = FaultPlan.from_any(config.get("faults")) if config.get("faults") else None
     heartbeat = float(config.get("heartbeat_interval") or max(0.5, queue.lease_timeout / 4.0))
@@ -165,38 +158,37 @@ def _run_claimed(store: ResultStore, queue: TaskQueue, lease: Lease, worker_id: 
             store=store,
             timeout=config.get("task_timeout"),
             faults=faults,
-            attempt=attempt,
+            attempt=entry.attempt,
         )
     except Exception as error:
         renewer.stop()
-        if is_fatal_error(error):
-            queue.record_fatal(failure_payload(error, attempt))
+        payload = failure_payload(error, entry.attempt)
+        if payload["fatal"]:
+            queue.record_fatal(payload)
             lease.release()
             return "fatal"
         if lease.lost:
             return "lost"
-        payload = failure_payload(error, attempt)
-        failures = entry.failures + 1
-        will_retry = failures < policy.max_attempts
-        delay = policy.delay(entry.task_hash, attempt) if will_retry else 0.0
+        record = AttemptRecord(entry.attempt, entry.failures, entry.crashes)
+        delay, failure = record.charge(policy, task, entry.task_hash, payload)
         # Journal first, re-enqueue second, release last: the entry is never
         # absent from the queue without its failure having been recorded,
         # which is what lets the coordinator order events correctly.
-        queue.record_failure(entry, payload, will_retry=will_retry, delay=delay)
-        if will_retry:
+        queue.record_failure(entry, payload, will_retry=failure is None, delay=delay)
+        if failure is None:
             queue.enqueue(
                 QueueEntry(
                     task=entry.task,
                     task_hash=entry.task_hash,
                     index=entry.index,
-                    attempt=attempt + 1,
-                    failures=failures,
-                    crashes=entry.crashes,
+                    attempt=record.attempt,
+                    failures=record.failures,
+                    crashes=record.crashes,
                     not_before=time.time() + delay if delay > 0 else 0.0,
                 )
             )
         else:
-            store.put_failure(task, failure_from_payload(task, entry.task_hash, payload))
+            store.put_failure(task, failure)
         lease.release()
         return "failed"
     renewer.stop()
@@ -270,10 +262,7 @@ class _TaskState:
         "task_hash",
         "name",
         "started",
-        "failed_attempts",
-        "next_attempt",
-        "failures",
-        "crashes",
+        "record",
         "resolved",
         "lease_first_seen",
         "gone_since",
@@ -285,11 +274,10 @@ class _TaskState:
         self.name = QueueEntry(task={}, task_hash=hash_hex, index=task.index).name
         #: Attempt numbers whose ``task_started`` was emitted.
         self.started: Set[int] = set()
-        #: Attempt numbers whose failure record was processed.
-        self.failed_attempts: Set[int] = set()
-        self.next_attempt = 1
-        self.failures = 0
-        self.crashes = 0
+        #: This coordinator's copy of the task's attempt record: every
+        #: attempt below ``record.attempt`` has been charged, by replaying a
+        #: worker's failure record or by reclaiming a lost worker's lease.
+        self.record = AttemptRecord()
         self.resolved = False
         #: When the coordinator first observed a lease, per attempt — the
         #: expiry baseline, so a lease claimed before the coordinator looked
@@ -333,14 +321,16 @@ class _CoordinatorRun:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def _fresh_entry(self, state: _TaskState, *, attempt: int = 1) -> QueueEntry:
+    def _entry(self, state: _TaskState) -> QueueEntry:
+        """The queue entry for the next attempt of *state*'s record."""
+        record = state.record
         return QueueEntry(
             task=state.task.to_dict(),
             task_hash=state.task_hash,
             index=state.task.index,
-            attempt=attempt,
-            failures=state.failures,
-            crashes=state.crashes,
+            attempt=record.attempt,
+            failures=record.failures,
+            crashes=record.crashes,
         )
 
     def _startup(self) -> None:
@@ -364,11 +354,12 @@ class _CoordinatorRun:
                 except OSError:
                     mtime = 0.0
                 if entry is None or now - mtime > queue.lease_timeout:
-                    queue.requeue_from_lease(state.name, self._fresh_entry(state))
+                    queue.requeue_from_lease(state.name, self._entry(state))
                 else:
+                    state.record = AttemptRecord(entry.attempt, entry.failures, entry.crashes)
                     state.lease_first_seen[entry.attempt] = now
                 continue
-            queue.enqueue(self._fresh_entry(state))
+            queue.enqueue(self._entry(state))
         self._spawn_workers()
 
     def _spawn_workers(self) -> None:
@@ -447,7 +438,6 @@ class _CoordinatorRun:
             if number not in state.started:
                 state.started.add(number)
                 self.context.on_started(state.task, number)
-        state.next_attempt = max(state.next_attempt, attempt)
 
     def _ensure_first_starts(self, index: int) -> None:
         """Emit first-attempt starts for every task up to *index*, in order.
@@ -480,48 +470,50 @@ class _CoordinatorRun:
         except (KeyError, ValueError, TypeError):
             return False
         state = self.by_index.get(index)
-        if state is None or state.resolved or attempt in state.failed_attempts:
+        if state is None or state.resolved or attempt < state.record.attempt:
             return False
-        state.failed_attempts.add(attempt)
-        state.failures += 1
+        error = dict(record.get("error") or {})
+        # The worker already charged its copy of the record and acted on it;
+        # charging this one too keeps the two in step.
+        state.record.charge(self.policy, state.task, state.task_hash, error)
         self._ensure_first_starts(index)
         self._emit_started(state, attempt)
         will_retry = bool(record.get("will_retry"))
         self.context.on_task_failed(
-            state.task,
-            attempt,
-            dict(record.get("error") or {}),
-            will_retry,
-            float(record.get("delay", 0.0)),
+            state.task, attempt, error, will_retry, float(record.get("delay", 0.0))
         )
-        if will_retry:
-            state.next_attempt = max(state.next_attempt, attempt + 1)
         return True
 
-    def _reclaim(self, state: _TaskState, entry: QueueEntry, attempt: int) -> None:
-        worker = entry.worker or "unknown"
-        state.crashes += 1
-        will_retry = state.crashes <= self.policy.crash_requeues
-        payload = _crash_payload(
-            f"worker {worker!r} stopped heartbeating; its lease expired after "
-            f"{self.queue.lease_timeout:g}s",
-            attempt,
-        )
+    def _charge_crash(self, state: _TaskState, message: str, worker: str) -> bool:
+        """Charge the attempt a lost worker held as one crash; whether it is requeued.
+
+        Reports the crash (``task_failed`` and ``lease_reclaimed``) and, once
+        the crash budget is spent, resolves the task as quarantined.
+        """
+        attempt = state.record.attempt
+        payload = crash_payload("WorkerLostError", message, attempt)
+        _, failure = state.record.charge(self.policy, state.task, state.task_hash, payload)
         self._ensure_first_starts(state.task.index)
         self._emit_started(state, attempt)
-        self.context.on_task_failed(state.task, attempt, payload, will_retry, 0.0)
-        self.context.on_lease_reclaimed(state.task, attempt, worker, will_retry)
-        state.lease_first_seen.pop(attempt, None)
-        if will_retry:
-            entry.attempt = attempt + 1
-            entry.crashes = state.crashes
-            entry.not_before = 0.0
-            self.queue.requeue_from_lease(state.name, entry)
-            state.next_attempt = max(state.next_attempt, attempt + 1)
+        self.context.on_task_failed(state.task, attempt, payload, failure is None, 0.0)
+        self.context.on_lease_reclaimed(state.task, attempt, worker, failure is None)
+        if failure is not None:
+            outcome = TaskOutcome(state.task, None, 0.0, failure=failure, attempt=attempt)
+            self._resolve(state, outcome)
+            return False
+        return True
+
+    def _reclaim(self, state: _TaskState, entry: QueueEntry) -> None:
+        worker = entry.worker or "unknown"
+        state.lease_first_seen.pop(entry.attempt, None)
+        message = (
+            f"worker {worker!r} stopped heartbeating; its lease expired after "
+            f"{self.queue.lease_timeout:g}s"
+        )
+        if self._charge_crash(state, message, worker):
+            self.queue.requeue_from_lease(state.name, self._entry(state))
         else:
             self.queue.discard_lease(state.name)
-            failure = failure_from_payload(state.task, state.task_hash, payload)
-            self._resolve(state, TaskOutcome(state.task, None, 0.0, failure=failure, attempt=attempt))
 
     def _scan_leases(self, lease_names: Iterable[str], now: float) -> bool:
         progressed = False
@@ -534,14 +526,13 @@ class _CoordinatorRun:
             if entry is None:
                 continue  # vanished or half-transitioned; next poll settles it
             attempt = entry.attempt
-            if attempt > 1 and (attempt - 1) not in state.failed_attempts:
+            if attempt > state.record.attempt:
                 # Contract rule 2: the prior attempt's failure must be
                 # reported before this retry's start.  Crash requeues were
                 # reported by this coordinator already; worker-side failures
                 # sit in the journal — process the specific record directly.
                 prior = self.queue.failure_name(state.task.index, attempt - 1)
-                if (self.queue.failed_dir / prior).exists():
-                    progressed = self._process_failure_record(prior) or progressed
+                progressed = self._process_failure_record(prior) or progressed
             if attempt not in state.started:
                 self._ensure_first_starts(state.task.index)
                 self._emit_started(state, attempt)
@@ -553,7 +544,7 @@ class _CoordinatorRun:
             except OSError:
                 continue
             if now > max(mtime, state.lease_first_seen[attempt]) + self.queue.lease_timeout:
-                self._reclaim(state, entry, attempt)
+                self._reclaim(state, entry)
                 progressed = True
         return progressed
 
@@ -567,7 +558,7 @@ class _CoordinatorRun:
                 continue
             stored = self.store.get(state.task_hash)
             if stored is not None:
-                attempt = max(state.next_attempt, max(state.started, default=1))
+                attempt = max(state.record.attempt, max(state.started, default=1))
                 self._ensure_first_starts(state.task.index)
                 self._emit_started(state, attempt)
                 self._resolve(
@@ -593,26 +584,9 @@ class _CoordinatorRun:
                 state.gone_since = now
             elif now - state.gone_since > self.queue.lease_timeout:
                 state.gone_since = None
-                state.crashes += 1
-                attempt = max(state.next_attempt, max(state.started, default=1))
-                will_retry = state.crashes <= self.policy.crash_requeues
-                payload = _crash_payload(
-                    "task entry vanished from the queue without a stored result",
-                    attempt,
-                )
-                self._ensure_first_starts(state.task.index)
-                self._emit_started(state, attempt)
-                self.context.on_task_failed(state.task, attempt, payload, will_retry, 0.0)
-                self.context.on_lease_reclaimed(state.task, attempt, "unknown", will_retry)
-                if will_retry:
-                    state.next_attempt = attempt + 1
-                    self.queue.enqueue(self._fresh_entry(state, attempt=attempt + 1))
-                else:
-                    terminal = failure_from_payload(state.task, state.task_hash, payload)
-                    self._resolve(
-                        state,
-                        TaskOutcome(state.task, None, 0.0, failure=terminal, attempt=attempt),
-                    )
+                message = "task entry vanished from the queue without a stored result"
+                if self._charge_crash(state, message, "unknown"):
+                    self.queue.enqueue(self._entry(state))
                 progressed = True
         return progressed
 

@@ -54,16 +54,19 @@ guarantee, and the built-ins do:
 Without retries (the default policy) attempt numbers are all 1 and rules
 1–3 reduce to the original one-start/one-finish contract.
 
-Fault tolerance (:mod:`repro.sweep.faults`): a failed attempt (exception or
-worker-side timeout) is reported through the context's ``on_task_failed``
-callback and re-enqueued while the :class:`~repro.sweep.faults.RetryPolicy`
-allows, then surfaced as a quarantine outcome (``outcome.failure`` set,
-``outcome.result`` ``None``) instead of aborting the sweep.  The process
-pool additionally survives worker death: on ``BrokenProcessPool`` it
-respawns the pool and requeues only the in-flight attempts (budgeted by
-``RetryPolicy.crash_requeues``, separate from failure retries), each of
-which then runs alone, so only the attempt that really kills its worker is
-charged again.
+Fault tolerance (:mod:`repro.sweep.faults`): every executor charges a failed
+attempt (exception or worker-side timeout) or a crashed one (its worker
+died) to the task's :class:`~repro.sweep.faults.AttemptRecord`, the one
+place that decides, under the :class:`~repro.sweep.faults.RetryPolicy`,
+whether the task retries, is requeued or is quarantined.  Each failed
+attempt is reported through the context's ``on_task_failed`` callback; a
+quarantined task is surfaced as a quarantine outcome (``outcome.failure``
+set, ``outcome.result`` ``None``) instead of aborting the sweep.  The
+process pool additionally survives worker death: on ``BrokenProcessPool``
+it respawns the pool and requeues only the in-flight attempts (each
+charged one crash, budgeted by ``RetryPolicy.crash_requeues`` separately
+from failure retries), each of which then runs alone, so only the attempt
+that really kills its worker is charged again.
 
 Determinism: executors only schedule — every task carries its own seed and
 nothing about placement, completion order or retry history feeds back into
@@ -88,11 +91,11 @@ from repro.registry import executor_registry, register_executor
 from repro.session.result import RunResult
 from repro.session.simulation import Simulation
 from repro.sweep.faults import (
+    AttemptRecord,
     FaultPlan,
     RetryPolicy,
     TaskFailure,
     crash_payload,
-    failure_from_payload,
     failure_payload,
     fatal_error_from_payload,
     is_fatal_error,
@@ -248,7 +251,6 @@ def _execute_payload_envelope(
     rule takes the real ``os._exit`` path.
     """
     mark_worker_process()
-    started = time.perf_counter()
     try:
         result, duration = execute_task(
             SweepTask.from_dict(payload),
@@ -258,11 +260,7 @@ def _execute_payload_envelope(
             attempt=attempt,
         )
     except Exception as error:
-        return {
-            "status": "error",
-            "duration": time.perf_counter() - started,
-            "error": failure_payload(error, attempt),
-        }
+        return {"status": "error", "error": failure_payload(error, attempt)}
     return {"status": "ok", "result": result, "duration": duration}
 
 
@@ -313,14 +311,12 @@ class SerialExecutor(SweepExecutor):
     ) -> Iterator[TaskOutcome]:
         from repro.sweep.store import task_hash
 
-        policy = context.retry_policy
         for task in tasks:
-            attempt = 1
-            failures = 0
-            cached_hash: Optional[str] = None
-            while True:
+            record = AttemptRecord()
+            outcome: Optional[TaskOutcome] = None
+            while outcome is None:
+                attempt = record.attempt
                 context.on_started(task, attempt)
-                started = time.perf_counter()
                 try:
                     result, duration = execute_task(
                         task,
@@ -329,33 +325,22 @@ class SerialExecutor(SweepExecutor):
                         faults=context.faults,
                         attempt=attempt,
                     )
+                    outcome = TaskOutcome(task, result, duration, attempt=attempt)
                 except Exception as error:
                     if is_fatal_error(error):
                         # Deterministic misconfiguration: abort the sweep
                         # instead of burning retries or quarantining.
                         raise
                     payload = failure_payload(error, attempt)
-                    failures += 1
-                    if cached_hash is None:
-                        cached_hash = task_hash(task)
-                    will_retry = failures < policy.max_attempts
-                    delay = policy.delay(cached_hash, attempt) if will_retry else 0.0
-                    context.on_task_failed(task, attempt, payload, will_retry, delay)
-                    if will_retry:
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    yield TaskOutcome(
-                        task,
-                        None,
-                        time.perf_counter() - started,
-                        failure=failure_from_payload(task, cached_hash, payload),
-                        attempt=attempt,
+                    delay, failure = record.charge(
+                        context.retry_policy, task, task_hash(task), payload
                     )
-                    break
-                yield TaskOutcome(task, result, duration, attempt=attempt)
-                break
+                    context.on_task_failed(task, attempt, payload, failure is None, delay)
+                    if failure is None:
+                        time.sleep(delay)
+                    else:
+                        outcome = TaskOutcome(task, None, 0.0, failure=failure, attempt=attempt)
+            yield outcome
 
 
 def _effective_workers(max_workers: Optional[int], total: int) -> int:
@@ -365,25 +350,15 @@ def _effective_workers(max_workers: Optional[int], total: int) -> int:
     return max(1, min(limit, total))
 
 
-class _Attempt:
-    """Mutable per-task retry state inside a pool run."""
+class _Attempt(AttemptRecord):
+    """One task's attempt record inside a pool run, plus its pending backoff."""
 
-    __slots__ = ("task", "attempt", "failures", "crashes", "delay", "task_hash")
+    __slots__ = ("task", "delay")
 
     def __init__(self, task: SweepTask) -> None:
+        super().__init__()
         self.task = task
-        self.attempt = 1
-        self.failures = 0
-        self.crashes = 0
         self.delay = 0.0
-        self.task_hash: Optional[str] = None
-
-    def hash(self) -> str:
-        if self.task_hash is None:
-            from repro.sweep.store import task_hash
-
-            self.task_hash = task_hash(self.task)
-        return self.task_hash
 
 
 class _PoolRun:
@@ -463,9 +438,7 @@ class _PoolRun:
                 if self.ready[0].crashes and self.pending:
                     return
                 state = self.ready.popleft()
-                if state.delay > 0:
-                    time.sleep(state.delay)
-                    state.delay = 0.0
+                time.sleep(state.delay)
             else:
                 task = next(self.iterator, None)
                 if task is None:
@@ -512,24 +485,20 @@ class _PoolRun:
         payload = envelope["error"]
         if payload.get("fatal"):
             raise fatal_error_from_payload(payload)
-        state.failures += 1
-        will_retry = state.failures < self.policy.max_attempts
-        delay = self.policy.delay(state.hash(), state.attempt) if will_retry else 0.0
-        self.context.on_task_failed(state.task, state.attempt, payload, will_retry, delay)
-        if will_retry:
-            state.attempt += 1
+        self._charge(state, payload)
+
+    def _charge(self, state: _Attempt, payload: Dict[str, Any]) -> None:
+        """Report a failed or crashed attempt, then queue its retry or quarantine it."""
+        from repro.sweep.store import task_hash
+
+        attempt = state.attempt
+        delay, failure = state.charge(self.policy, state.task, task_hash(state.task), payload)
+        self.context.on_task_failed(state.task, attempt, payload, failure is None, delay)
+        if failure is None:
             state.delay = delay
             self.ready.append(state)
-            return
-        self.out.append(
-            TaskOutcome(
-                state.task,
-                None,
-                envelope["duration"],
-                failure=failure_from_payload(state.task, state.hash(), payload),
-                attempt=state.attempt,
-            )
-        )
+        else:
+            self.out.append(TaskOutcome(state.task, None, 0.0, failure=failure, attempt=attempt))
 
     def _recover(self, crashed: List[Tuple[_Attempt, BaseException]]) -> None:
         """Salvage a broken pool: drain its futures, respawn, requeue crashes."""
@@ -547,26 +516,7 @@ class _PoolRun:
         self.pool = ProcessPoolExecutor(max_workers=self.workers)
         crashed.sort(key=lambda pair: (pair[0].task.index, pair[0].attempt))
         for state, error in crashed:
-            payload = crash_payload(error, state.attempt)
-            state.crashes += 1
-            will_retry = state.crashes <= self.policy.crash_requeues
-            self.context.on_task_failed(
-                state.task, state.attempt, payload, will_retry, 0.0
-            )
-            if will_retry:
-                state.attempt += 1
-                state.delay = 0.0
-                self.ready.append(state)
-            else:
-                self.out.append(
-                    TaskOutcome(
-                        state.task,
-                        None,
-                        0.0,
-                        failure=failure_from_payload(state.task, state.hash(), payload),
-                        attempt=state.attempt,
-                    )
-                )
+            self._charge(state, crash_payload(type(error).__name__, str(error), state.attempt))
 
 
 @register_executor("process-pool", aliases=("pool",))

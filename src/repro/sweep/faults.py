@@ -29,10 +29,12 @@ resilience.  Three pieces:
   to subprocess workers inside the executor context and can also be injected
   from the environment (:data:`ENV_FAULTS`) for CLI/CI runs.
 
-Quarantine: a task that exhausts its retry budget is recorded as a
-:class:`TaskFailure` — in ``SweepResult.failures`` and, when a store is
-attached, under the task's canonical hash in the store's ``quarantine/``
-tier — and the sweep completes with partial results instead of aborting.
+Quarantine: :class:`AttemptRecord` charges each failed or crashed attempt
+against the policy, for every executor alike.  A task that exhausts its
+retry budget is recorded as a :class:`TaskFailure` — in
+``SweepResult.failures`` and, when a store is attached, under the task's
+canonical hash in the store's ``quarantine/`` tier — and the sweep
+completes with partial results instead of aborting.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import threading
 import time
 import traceback as traceback_module
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +61,7 @@ from repro.errors import (
 
 __all__ = [
     "RetryPolicy",
+    "AttemptRecord",
     "FaultPlan",
     "FaultRule",
     "TaskFailure",
@@ -302,11 +305,11 @@ def failure_payload(error: BaseException, attempt: int) -> Dict[str, Any]:
     }
 
 
-def crash_payload(error: BaseException, attempt: int) -> Dict[str, Any]:
-    """The failure payload for a worker-death (``BrokenProcessPool``) event."""
+def crash_payload(error_type: str, message: str, attempt: int) -> Dict[str, Any]:
+    """The failure payload for an attempt whose worker died: a broken pool or a lost lease."""
     return {
-        "type": type(error).__name__,
-        "message": str(error) or "a sweep worker process died",
+        "type": error_type,
+        "message": message or "a sweep worker process died",
         "kind": KIND_CRASH,
         "injected": False,
         "attempt": attempt,
@@ -314,18 +317,54 @@ def crash_payload(error: BaseException, attempt: int) -> Dict[str, Any]:
     }
 
 
-def failure_from_payload(task: Any, task_hash: str, payload: Mapping[str, Any]) -> TaskFailure:
-    """A terminal :class:`TaskFailure` from one attempt's wire payload."""
-    return TaskFailure(
-        index=task.index,
-        task_hash=task_hash,
-        attempts=int(payload.get("attempt", 1)),
-        error_type=str(payload.get("type", "Exception")),
-        message=str(payload.get("message", "")),
-        kind=str(payload.get("kind", KIND_EXCEPTION)),
-        injected=bool(payload.get("injected", False)),
-        traceback=str(payload.get("traceback", "")),
-    )
+@dataclass
+class AttemptRecord:
+    """One task's place in its retry budget: ``(attempt, failures, crashes)``.
+
+    The one rule that turns a failed or crashed attempt into a retry, a
+    requeue or a quarantine.  The serial and pool executors keep one record
+    per task in memory; the distributed queue carries the same triple in
+    every :class:`~repro.sweep.queue.QueueEntry`, so a worker rebuilds the
+    record of the entry it claimed and the coordinator keeps its own copy.
+    """
+
+    #: The attempt number the task runs as next.
+    attempt: int = 1
+    failures: int = 0
+    crashes: int = 0
+
+    def charge(
+        self, policy: RetryPolicy, task: Any, task_hash: str, payload: Mapping[str, Any]
+    ) -> Tuple[float, Optional[TaskFailure]]:
+        """Charge the failed attempt *payload* describes; returns ``(delay, quarantine)``.
+
+        A ``"crash"`` payload (the worker died, not the task) spends one of
+        ``policy.crash_requeues`` and retries at once; any other spends one
+        of ``policy.max_attempts`` and retries after
+        ``policy.delay(task_hash, attempt)``.  ``attempt`` advances either
+        way.  Once the budget is spent, ``quarantine`` is the task's terminal
+        :class:`TaskFailure` (and ``delay`` 0.0); otherwise it is ``None``.
+        """
+        failed = self.attempt
+        self.attempt += 1
+        if payload.get("kind") == KIND_CRASH:
+            self.crashes += 1
+            if self.crashes <= policy.crash_requeues:
+                return 0.0, None
+        else:
+            self.failures += 1
+            if self.failures < policy.max_attempts:
+                return policy.delay(task_hash, failed), None
+        return 0.0, TaskFailure(
+            index=task.index,
+            task_hash=task_hash,
+            attempts=failed,
+            error_type=str(payload.get("type", "Exception")),
+            message=str(payload.get("message", "")),
+            kind=str(payload.get("kind", KIND_EXCEPTION)),
+            injected=bool(payload.get("injected", False)),
+            traceback=str(payload.get("traceback", "")),
+        )
 
 
 # -- worker-side timeout ---------------------------------------------------------
@@ -506,10 +545,6 @@ class FaultPlan:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable mapping that round-trips through :meth:`from_any`."""
         return {"rules": [rule.to_dict() for rule in self.rules]}
-
-    def with_rules(self, *rules: FaultRule) -> "FaultPlan":
-        """A copy of this plan with *rules* appended."""
-        return replace(self, rules=self.rules + tuple(rules))
 
     @classmethod
     def from_any(cls, value: Optional[Any]) -> Optional["FaultPlan"]:

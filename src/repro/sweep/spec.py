@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -447,7 +447,8 @@ class SweepSpec:
 
         Unknown component names raise
         :class:`~repro.errors.UnknownComponentError` with the registry's
-        listing of what *is* registered; malformed configs raise
+        listing of what *is* registered; malformed configs, and router,
+        strategy or theta options their component does not take, raise
         :class:`~repro.errors.ConfigurationError`.  Returns the expanded
         task list so callers validate and expand in one pass.
         """
@@ -461,6 +462,7 @@ class SweepSpec:
         )
 
         expanded = self.expand()
+        checked: Set[Tuple[Any, ...]] = set()
         for task in expanded:
             config = task.session_config()
             scenario_registry.canonical_name(config.scenario)
@@ -482,4 +484,33 @@ class SweepSpec:
                 DynamicsSchedule.from_dict(task.options["dynamics"]).validate()
             if resolve_runner(task.runner) is run_traffic_workload:
                 check_traffic_options(task.options)
+            _check_component_options(config, checked)
         return expanded
+
+
+def _check_component_options(config: SessionConfig, checked: Set[Tuple[Any, ...]]) -> None:
+    """Bind *config*'s non-empty router, strategy and theta options to their components.
+
+    Nothing is built, and each distinct ``(component, mode, options)`` in
+    *checked* is bound once, so a task without options binds nothing.
+    """
+    bindings = (
+        # A router is built around its network, passed first.
+        (router_registry, config.router, (None,), config.router_options, None),
+        (strategy_registry, config.strategy, (), config.strategy_options, config.strategy_mode),
+        (theta_registry, config.theta, (), config.theta_options, None),
+    )
+    for registry, name, args, options, mode in bindings:
+        if not options:
+            continue
+        if name is None:  # options for the preset's theta function
+            name = config.experiment_config().theta_name
+        key = (registry.kind, name, mode, repr(options))
+        if key in checked:
+            continue
+        checked.add(key)
+        if mode is not None:
+            from repro.strategies import strategy_keywords
+
+            options = strategy_keywords(name, mode, options)
+        registry.check_options(name, *args, **options)

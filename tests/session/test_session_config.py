@@ -212,3 +212,12 @@ class TestProtocolSettingsValidation:
 
         config = SessionConfig(gain_threshold=np.float64(0.01), max_rounds=np.int64(5))
         assert config.gain_threshold == 0.01 and config.max_rounds == 5
+
+    def test_router_options_without_a_router_are_refused(self):
+        # Without a router the session observes through broadcast and would
+        # drop the options without a word.
+        with pytest.raises(ConfigurationError, match=r"router_options=\{'k': 3\}.*router=None"):
+            SessionConfig(
+                scale="quick", router_options={"k": 3}, strategy_mode="observed", initial="category"
+            )
+        assert SessionConfig(router="probe-k", router_options={"k": 3}).router_options == {"k": 3}

@@ -59,6 +59,12 @@ EXECUTOR_CASES = (
     pytest.param(ALL_EXECUTORS[1], (7, 11, 13), id="process-pool-refill"),
 )
 POOL_CASES = EXECUTOR_CASES[1:]
+#: Two spawned worker daemons: the killed one's lease is reclaimed after 3 s.
+DISTRIBUTED_CASE = pytest.param(
+    {"name": "distributed", "options": {"workers": 2, "lease_timeout": 3, "poll_interval": 0.05}},
+    (7, 11),
+    id="distributed",
+)
 
 #: One rule per fault model that a retry can absorb: a first-attempt
 #: exception, a first-attempt worker kill and a first-attempt hang cut
@@ -77,7 +83,7 @@ def payload(sweep_result):
 
 
 class TestChaosParity:
-    @pytest.mark.parametrize("executor, seeds", EXECUTOR_CASES)
+    @pytest.mark.parametrize("executor, seeds", EXECUTOR_CASES + (DISTRIBUTED_CASE,))
     def test_every_executor_is_byte_identical_under_the_combined_plan(self, executor, seeds):
         spec = tiny_spec(seeds=seeds)
         reference = run_sweep(spec)  # fault-free serial

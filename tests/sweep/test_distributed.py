@@ -332,3 +332,85 @@ class TestLeaseReclaimWithoutWorkers:
         assert ("lease_reclaimed", 0, 1) in events
         crash = next(event for event in events if event[0] == "task_failed")
         assert crash == ("task_failed", 0, 1)
+
+    def test_a_reclaim_past_the_crash_budget_quarantines_as_a_crash(self, tmp_path):
+        spec = tiny_spec(seeds=(7,))
+        store_path = str(tmp_path / "store")
+        tasks = spec.validate()
+        queue = TaskQueue(store_path, lease_timeout=1.0)
+        from repro.sweep.queue import QueueEntry
+        from repro.sweep.store import task_hash
+
+        victim = tasks[0]
+        queue.enqueue(
+            QueueEntry(task=victim.to_dict(), task_hash=task_hash(victim), index=victim.index)
+        )
+        queue.claim("dead-worker")  # fresh heartbeat, but never renewed
+
+        hooks, events = recording_hooks()
+        result = run_with_thread_workers(
+            spec,
+            store_path,
+            lease_timeout=1.0,
+            retries={"crash_requeues": 0},
+            hooks=hooks,
+        )
+        (failure,) = result.failures
+        assert (failure.index, failure.attempts, failure.kind) == (0, 1, KIND_CRASH)
+        assert failure.error_type == "WorkerLostError"
+        assert "'dead-worker' stopped heartbeating" in failure.message
+        assert len(result.results) == len(tasks) - 1
+        assert ("lease_reclaimed", 0, 1) in events
+        assert ("task_quarantined", 0, None) in events
+        assert not [event for event in events if event[0] == "task_retried"]
+        assert ResultStore(store_path).get_failure(failure.task_hash) == failure
+        assert TaskQueue(store_path).empty()
+
+    def test_an_entry_that_vanishes_is_charged_one_crash_and_requeued(self, tmp_path):
+        """An entry that leaves the queue with no result and no quarantine
+        record (here a thread claims it and drops the lease without running
+        it) is charged one crash after a lease timeout and runs as attempt 2."""
+        spec = tiny_spec(strategies=("selfish",), seeds=(7,))
+        store_path = str(tmp_path / "store")
+        reference = run_sweep(spec)
+
+        def drop_one_claim_then_work():
+            queue = TaskQueue(store_path, lease_timeout=1.0)
+            deadline = time.monotonic() + 30.0
+            lease = None
+            while lease is None and time.monotonic() < deadline:
+                lease = queue.claim("claim-dropper")
+                time.sleep(0.01)
+            if lease is not None:
+                lease.release()
+            run_worker(store_path, worker_id="after-drop", poll_interval=0.02)
+
+        worker = threading.Thread(target=drop_one_claim_then_work, daemon=True)
+        worker.start()
+        hooks, events = recording_hooks()
+        failed = []
+        hooks.on_task_failed(lambda event: failed.append(dict(event.error)))
+        try:
+            result = run_sweep(
+                spec,
+                executor={
+                    "name": "distributed",
+                    "options": {"workers": 0, "lease_timeout": 1.0, "poll_interval": 0.02},
+                },
+                store=store_path,
+                hooks=hooks,
+            )
+        finally:
+            TaskQueue(store_path).request_stop()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert payload(result) == payload(reference)
+        assert not result.failures
+        (error,) = failed
+        assert (error["type"], error["kind"], error["attempt"]) == ("WorkerLostError", "crash", 1)
+        assert "vanished" in error["message"]
+        assert ("lease_reclaimed", 0, 1) in events
+        assert ("task_retried", 0, 2) in events
+        assert events.index(("task_failed", 0, 1)) < events.index(("task_started", 0, 2))
+        assert ("task_finished", 0, 2) in events
+

@@ -6,12 +6,17 @@ from __future__ import annotations
 import json
 import time
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InjectedFaultError, TaskTimeoutError
 from repro.sweep.faults import (
     ENV_FAULTS,
     FAULT_MODELS,
+    AttemptRecord,
     FaultPlan,
     FaultRule,
     RetryPolicy,
@@ -86,6 +91,67 @@ class TestRetryPolicy:
             delay = policy.delay(HASH_A, attempt)
             base = min(1.0 * 2.0 ** (attempt - 1), policy.max_backoff)
             assert base * 0.75 <= delay <= base * 1.25
+
+
+POLICIES = st.builds(
+    RetryPolicy,
+    max_attempts=st.integers(1, 5),
+    backoff=st.sampled_from((0.0, 0.5)),
+    jitter=st.sampled_from((0.0, 0.5)),
+    crash_requeues=st.integers(0, 4),
+)
+KINDS = ("exception", "timeout", "crash")
+
+
+class TestAttemptRecord:
+    @given(policy=POLICIES, kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12))
+    def test_each_charge_follows_the_retry_policy_rule(self, policy, kinds):
+        task = SimpleNamespace(index=3)
+        record = AttemptRecord()
+        failures = crashes = 0
+        for kind in kinds:
+            failed = record.attempt
+            payload = {
+                "type": "Boom",
+                "message": f"attempt {failed}",
+                "kind": kind,
+                "injected": True,
+                "attempt": failed,
+                "traceback": "trace",
+            }
+            delay, quarantine = record.charge(policy, task, HASH_A, payload)
+            if kind == "crash":
+                crashes += 1
+                exhausted = crashes == policy.crash_requeues + 1
+            else:
+                failures += 1
+                exhausted = failures == policy.max_attempts
+            if exhausted:
+                assert delay == 0.0
+                assert quarantine == TaskFailure(
+                    index=3,
+                    task_hash=HASH_A,
+                    attempts=failed,
+                    error_type="Boom",
+                    message=f"attempt {failed}",
+                    kind=kind,
+                    injected=True,
+                    traceback="trace",
+                )
+                return
+            assert quarantine is None
+            assert record.attempt == 1 + failures + crashes == failed + 1
+            assert (record.failures, record.crashes) == (failures, crashes)
+            assert delay == (0.0 if kind == "crash" else policy.delay(HASH_A, failed))
+
+    def test_a_record_resumes_from_a_queue_entry_triple(self):
+        # A distributed worker rebuilds the record from the entry it claimed.
+        record = AttemptRecord(attempt=3, failures=1, crashes=1)
+        crash = {"kind": "crash", "attempt": 3}
+        policy = RetryPolicy(crash_requeues=1)
+        delay, quarantine = record.charge(policy, SimpleNamespace(index=0), HASH_A, crash)
+        assert (delay, record.attempt, record.crashes) == (0.0, 4, 2)
+        assert quarantine is not None and quarantine.attempts == 3 and quarantine.kind == "crash"
 
 
 class TestFaultRules:

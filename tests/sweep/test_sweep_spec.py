@@ -216,6 +216,47 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="'rest'"):
             SweepSpec(tasks=(task,)).validate()
 
+    @pytest.mark.parametrize(
+        ("overrides", "named"),
+        [
+            (
+                {"router": "broadcast", "router_options": {"k": 3}, "strategy_mode": "observed"},
+                r"router 'broadcast': unexpected keys \['k'\]",
+            ),
+            ({"strategy_options": {"wieght": 3}}, r"'selfish': unexpected keys \['wieght'\]"),
+            ({"theta_options": {"slop": 2}}, r"'linear': unexpected keys \['slop'\]"),
+        ],
+        ids=("router", "strategy", "theta"),
+    )
+    def test_component_options_are_bound_before_anything_runs(self, overrides, named):
+        spec = SweepSpec(scale="quick", strategies=("selfish",), seeds=(7,), overrides=overrides)
+        with pytest.raises(ConfigurationError, match=named):
+            spec.validate()
+
+    def test_each_distinct_options_mapping_is_bound_once(self, monkeypatch):
+        from repro.registry import ComponentRegistry
+
+        bound = []
+        check = ComponentRegistry.check_options
+
+        def counting(registry, name, *args, **kwargs):
+            bound.append((registry.kind, name))
+            return check(registry, name, *args, **kwargs)
+
+        monkeypatch.setattr(ComponentRegistry, "check_options", counting)
+        overrides = {
+            "router": "probe-k",
+            "router_options": {"k": 2},
+            "theta_options": {"slope": 2.0},
+        }
+        strategies = ("selfish", "altruistic")
+        spec = SweepSpec(scale="quick", strategies=strategies, seeds=(1, 2, 3), overrides=overrides)
+        assert len(spec.validate()) == 6
+        assert sorted(bound) == [("router", "probe-k"), ("theta function", "linear")]
+        bound.clear()
+        SweepSpec(scale="quick", strategies=("selfish",), seeds=(1, 2)).validate()
+        assert bound == []
+
     def test_valid_traffic_spec_validates(self):
         options = {"after": "maintenance", "periods": 2, "num_events": 100, "workload": "zipf"}
         spec = SweepSpec(scale="quick", runner="traffic", runner_options=options, seeds=(3,))

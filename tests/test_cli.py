@@ -45,6 +45,11 @@ class TestCommands:
         assert main([*arguments, "--router-options", '{"k": 0}']) == 2
         assert "error: probe-k router k must be an integer >= 1, got 0" in capsys.readouterr().err
 
+    def test_router_options_without_a_router_are_a_clean_error(self, capsys):
+        assert main(["traffic", "--scale", "quick", "--router-options", '{"k": 3}']) == 2
+        error = capsys.readouterr().err
+        assert "error: session config router_options={'k': 3} needs a router" in error
+
     def test_figure4_command(self, capsys):
         assert main(["figure4", "--scale", "quick"]) == 0
         assert "alpha=1" in capsys.readouterr().out
