@@ -2,7 +2,7 @@
 
 Usage (from the repository root, with ``src`` importable)::
 
-    python -m benchmarks.parity quick|paper|restricted|traffic|maintain [--limit N] [--dump FILE]
+    python -m benchmarks.parity quick|paper|restricted|traffic|maintain|serve [--limit N] [--dump FILE]
     python -m benchmarks.parity diff OLD NEW
 
 Each run's line is the sha256 of ``json.dumps(RunResult.to_dict(),
@@ -44,6 +44,13 @@ The sets:
   ``uniform_workload``, ``category`` initial, :data:`MAINTENANCE_DRIFT`),
   for selfish and altruistic peers in exact and observed mode, at seeds
   :data:`MAINTAIN_SEEDS`.
+* ``serve`` (20 runs): the whole of steadybench's maintain-serve workload,
+  bit for bit.  At each of :data:`MAINTAIN_SEEDS`, one observed selfish
+  ``run_maintenance(10)`` in the ``maintain`` set's shape serves a
+  :data:`SERVE_EVENTS`-event ``zipf`` stream after every period, with
+  serve seed ``seed * 1000 + period + 1``.  One run per (seed, period),
+  whose payload is that serve's traffic ``RunResult``; the first run of a
+  seed runs the seed's whole maintenance.
 """
 
 from __future__ import annotations
@@ -96,6 +103,8 @@ TRAFFIC_EVENTS = 5000
 #: Seeds and period count of the paper-scale maintenance set.
 MAINTAIN_SEEDS = (7, 11)
 MAINTAIN_PERIODS = 10
+#: Events per serve of the serve set.
+SERVE_EVENTS = 100_000
 
 Run = Tuple[str, Callable[[], Any]]
 
@@ -209,23 +218,59 @@ def traffic_runs() -> Iterator[Run]:
     yield "maintain/selfish/observed/traffic", maintained_traffic
 
 
+def _maintain_config(seed: int, strategy: str, mode: str) -> SessionConfig:
+    return SessionConfig(
+        scenario="same-category",
+        initial="category",
+        strategy=strategy,
+        strategy_mode=mode,
+        seed=seed,
+        scenario_overrides={"seed": seed, "uniform_workload": True},
+        dynamics=MAINTENANCE_DRIFT,
+    )
+
+
 def maintain_runs() -> Iterator[Run]:
     for seed in MAINTAIN_SEEDS:
         for strategy in ("selfish", "altruistic"):
             for mode in ("exact", "observed"):
-                config = SessionConfig(
-                    scenario="same-category",
-                    initial="category",
-                    strategy=strategy,
-                    strategy_mode=mode,
-                    seed=seed,
-                    scenario_overrides={"seed": seed, "uniform_workload": True},
-                    dynamics=MAINTENANCE_DRIFT,
-                )
+                config = _maintain_config(seed, strategy, mode)
                 yield (
                     f"{seed}/{strategy}/{mode}",
                     lambda config=config: Simulation(config).run_maintenance(MAINTAIN_PERIODS),
                 )
+
+
+def _served_maintenance(seed: int) -> List[Any]:
+    """The traffic ``RunResult`` served after each period of one maintenance."""
+    simulation = Simulation(_maintain_config(seed, "selfish", "observed"))
+    served: List[Any] = []
+
+    def serve(event: Any) -> None:
+        served.append(
+            simulation.run_traffic(
+                workload="zipf",
+                num_events=SERVE_EVENTS,
+                seed=seed * 1000 + event.record.period + 1,
+            )
+        )
+
+    simulation.hooks.on_period_end(serve)
+    simulation.run_maintenance(MAINTAIN_PERIODS)
+    return served
+
+
+def serve_runs() -> Iterator[Run]:
+    for seed in MAINTAIN_SEEDS:
+        served: List[Any] = []
+
+        def result(period: int, seed: int = seed, served: List[Any] = served) -> Any:
+            if not served:
+                served.extend(_served_maintenance(seed))
+            return served[period]
+
+        for period in range(MAINTAIN_PERIODS):
+            yield f"{seed}/period-{period}", lambda result=result, period=period: result(period)
 
 
 SETS: Dict[str, Callable[[], Iterator[Run]]] = {
@@ -234,6 +279,7 @@ SETS: Dict[str, Callable[[], Iterator[Run]]] = {
     "restricted": restricted_runs,
     "traffic": traffic_runs,
     "maintain": maintain_runs,
+    "serve": serve_runs,
 }
 
 

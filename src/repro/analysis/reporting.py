@@ -15,6 +15,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 __all__ = [
     "format_table",
     "format_series",
@@ -23,6 +25,7 @@ __all__ = [
     "summary_statistics",
     "DistributionSummary",
     "distribution_summary",
+    "weighted_distribution_summary",
 ]
 
 
@@ -92,8 +95,10 @@ class SummaryStats:
 class DistributionSummary:
     """Percentile/histogram condensation of one metric over many observations.
 
-    Built by :func:`distribution_summary` from the raw per-event samples of a
-    traffic run; only scalars and plain lists, so it serialises as-is.
+    Built by :func:`distribution_summary` from a sample, or by
+    :func:`weighted_distribution_summary` from its values and their counts,
+    as a traffic run summarises its per-event metrics; only scalars and
+    plain lists, so it serialises as-is.
     """
 
     count: int
@@ -103,7 +108,8 @@ class DistributionSummary:
     p50: float
     p95: float
     p99: float
-    #: ``len(bin_counts) + 1`` bin edges spanning ``[minimum, maximum]``.
+    #: ``len(bin_counts) + 1`` bin edges spanning ``[minimum, maximum]``
+    #: (``[minimum - 0.5, maximum + 0.5]`` for a range too narrow to split).
     bin_edges: Tuple[float, ...] = ()
     bin_counts: Tuple[int, ...] = ()
 
@@ -141,15 +147,19 @@ class DistributionSummary:
         return (self.count, self.mean, self.p50, self.p95, self.p99, self.maximum)
 
 
+#: The percentiles a summary reports, and the quantiles numpy reads them as.
+_PERCENTILES = (50.0, 95.0, 99.0)
+_QUANTILES = np.true_divide(_PERCENTILES, 100)
+
+
 def distribution_summary(values: Iterable[float], *, bins: int = 20) -> DistributionSummary:
     """Summarise a sample as mean, p50/p95/p99 percentiles and a histogram.
 
     Percentiles use numpy's default linear interpolation; the histogram has
-    *bins* equal-width bins over ``[min, max]`` (a single degenerate bin when
-    all values coincide).  Raises :class:`ValueError` on an empty sample.
+    *bins* equal-width bins over ``[min, max]``, widened to ``[min - 0.5,
+    max + 0.5]`` when the values coincide or lie a few ulps apart.  Raises
+    :class:`ValueError` on an empty sample or when *bins* is below 1.
     """
-    import numpy as np
-
     data = np.asarray(
         values if isinstance(values, np.ndarray) else list(values), dtype=float
     ).ravel()
@@ -157,27 +167,113 @@ def distribution_summary(values: Iterable[float], *, bins: int = 20) -> Distribu
         raise ValueError("distribution_summary requires at least one value")
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
-    p50, p95, p99 = np.percentile(data, (50.0, 95.0, 99.0))
-    try:
-        counts, edges = np.histogram(data, bins=bins)
-    except ValueError:
-        # Near-constant data: the sample range is a few float ulps wide, so
-        # the equal bin width underflows the float spacing and numpy refuses.
-        # Treat it like the exactly-constant case numpy handles itself: widen
-        # the range by ±0.5 around the (degenerate) sample.
-        counts, edges = np.histogram(
-            data, bins=bins, range=(float(data.min()) - 0.5, float(data.max()) + 0.5)
-        )
-    return DistributionSummary(
+    lowest, highest = float(data.min()), float(data.max())
+    return _summary(
         count=int(data.size),
         mean=float(data.mean()),
-        minimum=float(data.min()),
-        maximum=float(data.max()),
+        lowest=lowest,
+        highest=highest,
+        percentiles=np.percentile(data, _PERCENTILES),
+        histogram=_histogram(data, bins, lowest, highest),
+    )
+
+
+def weighted_distribution_summary(
+    support: Sequence[float], counts: Sequence[int], *, mean: float, bins: int = 20
+) -> DistributionSummary:
+    """Summarise the sample that holds each *support* value ``counts`` times.
+
+    Equals :func:`distribution_summary` of ``np.repeat(support, counts)``
+    field by field, bit for bit, without expanding the sample: count,
+    minimum and maximum come off the values with a positive count, the
+    percentiles are the order statistics numpy's ``linear`` method reads,
+    found through the cumulative counts and interpolated with numpy's
+    arithmetic, and the histogram weighs each value by its count.  The
+    *mean* is taken as given: the caller has it as the pairwise mean of the
+    expanded sample, which a count-weighted mean would miss in the last
+    bits.  Raises :class:`ValueError` when the counts hold no event.
+    """
+    values = np.asarray(support, dtype=float).ravel()
+    weights = np.asarray(counts, dtype=np.int64).ravel()
+    if values.shape != weights.shape:
+        raise ValueError(
+            f"support and counts must have the same length, got {values.size} and {weights.size}"
+        )
+    if weights.size and weights.min() < 0:
+        raise ValueError("counts must be non-negative")
+    total = int(weights.sum())
+    if total == 0:
+        raise ValueError("weighted_distribution_summary requires at least one event")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    held = weights > 0
+    order = np.argsort(values[held], kind="stable")
+    values, weights = values[held][order], weights[held][order]
+    ranks = np.cumsum(weights)  # ranks[k]: sample positions up to values[k]
+
+    # numpy's linear method: the order statistics at floor(v) and floor(v) + 1
+    # around the virtual index v = (n - 1) * q; from v >= n - 1 on numpy reads
+    # both at index -1, the maximum, and measures the weight from that -1.
+    virtual = (total - 1) * _QUANTILES
+    floor = np.floor(virtual)
+    top = virtual >= total - 1
+    gamma = virtual - np.where(top, -1.0, floor)
+    lower_rank = np.where(top, total - 1, floor).astype(np.int64)
+    upper_rank = np.where(top, total - 1, floor + 1).astype(np.int64)
+    lower = values[np.searchsorted(ranks, lower_rank, side="right")]
+    upper = values[np.searchsorted(ranks, upper_rank, side="right")]
+    # numpy's two-sided _lerp.
+    step = upper - lower
+    percentiles = np.where(gamma >= 0.5, upper - step * (1 - gamma), lower + step * gamma)
+    lowest, highest = float(values[0]), float(values[-1])
+    return _summary(
+        count=total,
+        mean=float(mean),
+        lowest=lowest,
+        highest=highest,
+        percentiles=percentiles,
+        histogram=_histogram(values, bins, lowest, highest, weights=weights),
+    )
+
+
+def _histogram(
+    values: Any, bins: int, lowest: float, highest: float, weights: Any = None
+) -> Tuple[Any, Any]:
+    """``np.histogram`` of *values* over ``[lowest, highest]`` in *bins* equal bins.
+
+    Numpy widens an exactly constant sample to ``[x - 0.5, x + 0.5]``.  A
+    range a few float ulps wide makes the equal bin width underflow the
+    float spacing, and numpy refuses it; widen it by ±0.5 the same way.
+    """
+    try:
+        return np.histogram(values, bins=bins, range=(lowest, highest), weights=weights)
+    except ValueError:
+        return np.histogram(
+            values, bins=bins, range=(lowest - 0.5, highest + 0.5), weights=weights
+        )
+
+
+def _summary(
+    *,
+    count: int,
+    mean: float,
+    lowest: float,
+    highest: float,
+    percentiles: Any,
+    histogram: Tuple[Any, Any],
+) -> DistributionSummary:
+    p50, p95, p99 = percentiles
+    bin_counts, bin_edges = histogram
+    return DistributionSummary(
+        count=count,
+        mean=mean,
+        minimum=lowest,
+        maximum=highest,
         p50=float(p50),
         p95=float(p95),
         p99=float(p99),
-        bin_edges=tuple(float(edge) for edge in edges),
-        bin_counts=tuple(int(count) for count in counts),
+        bin_edges=tuple(float(edge) for edge in bin_edges),
+        bin_counts=tuple(int(tally) for tally in bin_counts),
     )
 
 

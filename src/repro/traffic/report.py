@@ -1,8 +1,9 @@
 """The :class:`TrafficReport`: what a traffic run measured.
 
 A report condenses a full event replay into four per-query distributions
-(latency, hops, bandwidth, recall — p50/p95/p99 plus histograms via
-:func:`repro.analysis.reporting.distribution_summary`), message/byte totals
+(latency, hops, bandwidth, recall — p50/p95/p99 plus histograms, each equal
+to :func:`repro.analysis.reporting.distribution_summary` of the per-event
+sample), message/byte totals
 that follow the :class:`~repro.overlay.messages.MessageBus` conventions, and
 the per-(issuer, cluster) observed recall the paper's Eq. 6 observation
 model aggregates.  Everything except the observation matrices is
@@ -17,11 +18,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.reporting import (
-    DistributionSummary,
-    distribution_summary,
-    format_table,
-)
+from repro.analysis.reporting import DistributionSummary, format_table
 
 __all__ = ["TrafficReport", "empty_distribution"]
 
@@ -42,12 +39,6 @@ def empty_distribution() -> DistributionSummary:
         bin_edges=(),
         bin_counts=(),
     )
-
-
-def _summarise(values: np.ndarray, bins: int) -> DistributionSummary:
-    if values.size == 0:
-        return empty_distribution()
-    return distribution_summary(values, bins=bins)
 
 
 @dataclass

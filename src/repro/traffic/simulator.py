@@ -27,12 +27,21 @@ gathers; no per-provider Python loop survives on the hot path.
 :class:`~repro.overlay.messages.MessageBus` convention — one query message
 per reached cluster, one result message per provider holding results — with
 latency and bandwidth charged through a pluggable
-:class:`~repro.traffic.link.LinkModel`.  Every served event lands in a
-:class:`~repro.traffic.events.TrafficLog` whose per-issuer/per-query indexes
-stay in lockstep with the append stream, and the per-(issuer, cluster)
-observed recall of the paper's Eq. 6 observation model is accumulated as an
-event-count matrix multiplied back through ``R @ M`` at the end, one
-cluster column at a time.
+:class:`~repro.traffic.link.LinkModel`.  An event's latency, hops,
+bandwidth and recall depend on its (group, query) cell alone, so a run
+counts its events per cell with one ``np.bincount`` and evaluates each
+metric once per occupied cell, of which there are at most
+``min(events, groups x queries)``.  Each distribution is summarised from
+those per-cell values and their event counts by
+:func:`~repro.analysis.reporting.weighted_distribution_summary`, which
+equals :func:`~repro.analysis.reporting.distribution_summary` of the
+per-event sample bit for bit; the per-event values, gathered back in event
+order, give each mean and the bandwidth total.  With ``keep_log`` every
+served event also lands in a :class:`~repro.traffic.events.TrafficLog`
+whose per-issuer/per-query indexes stay in lockstep with the append stream.
+The per-(issuer, cluster) observed recall of the paper's Eq. 6 observation
+model is an (issuer, query) event-count matrix, counted the same way and
+multiplied back through ``R @ M`` at the end, one cluster column at a time.
 
 **Observation.**  :func:`observe_period` builds the same routing tables for
 one observation period ``T`` and returns its
@@ -78,7 +87,7 @@ from repro.traffic.workloads import (
     WorkloadGenerator,
     build_workload,
 )
-from repro.analysis.reporting import distribution_summary
+from repro.analysis.reporting import weighted_distribution_summary
 
 __all__ = ["TrafficSimulator", "observe_period"]
 
@@ -408,49 +417,36 @@ class TrafficSimulator:
         self.log = log
         num_peers = len(context.peers)
         num_queries = len(context.queries)
-        event_matrix = np.zeros((num_peers, num_queries), dtype=np.int64)
-        latency_chunks: List[np.ndarray] = []
-        hops_chunks: List[np.ndarray] = []
-        bandwidth_chunks: List[np.ndarray] = []
-        recall_chunks: List[np.ndarray] = []
+        num_cells = len(tables.group_columns) * num_queries
+        # Each event's (group, query) cell and (issuer, query) entry, in event
+        # order: the loop drains every event of every stream.
+        num_events = sum(len(stream) for stream in streams)
+        event_cells = np.empty(num_events, dtype=np.int64)
+        event_entries = np.empty(num_events, dtype=np.int64)
+        batch_ends: List[int] = []
         total_events = 0
         total_query_messages = 0
         total_result_messages = 0
         total_result_items = 0
-        batches = 0
 
-        link = self.link
         for times, issuers, queries in self._drain_batches(streams):
+            start, total_events = total_events, total_events + times.size
             groups = tables.group_of[issuers]
-            recall_e = tables.recall_table[groups, queries]
-            providers_e = tables.provider_table[groups, queries]
-            items_e = tables.item_table[groups, queries]
-            messages_e = tables.query_messages[groups]
-            hops_e = tables.hops[groups]
-            latency_e = tables.base_latency_ms[groups] + link.result_latency_ms * items_e
-            bandwidth_e = (
-                link.query_bytes * messages_e
-                + link.result_message_bytes * providers_e
-                + link.result_item_bytes * items_e
-            )
-            np.add.at(event_matrix, (issuers, queries), 1)
+            cells = event_cells[start:total_events]
+            cells[:] = groups * num_queries + queries
+            event_entries[start:total_events] = issuers * num_queries + queries
             if log is not None:
                 log.append_batch(times, issuers, queries)
-            latency_chunks.append(latency_e)
-            hops_chunks.append(hops_e)
-            bandwidth_chunks.append(bandwidth_e)
-            recall_chunks.append(recall_e)
-            batch_query_messages = int(round(messages_e.sum()))
-            batch_result_messages = int(round(providers_e.sum()))
-            batch_result_items = int(round(items_e.sum()))
-            total_events += times.size
+            batch_query_messages = int(round(tables.query_messages[groups].sum()))
+            batch_result_messages = int(round(tables.provider_table.take(cells).sum()))
+            batch_result_items = int(round(tables.item_table.take(cells).sum()))
             total_query_messages += batch_query_messages
             total_result_messages += batch_result_messages
             total_result_items += batch_result_items
             self.hooks.emit(
                 QUERY_ROUTED,
                 QueryRoutedEvent(
-                    batch_index=batches,
+                    batch_index=len(batch_ends),
                     events=int(times.size),
                     time_start=float(times[0]),
                     time_end=float(times[-1]),
@@ -459,16 +455,44 @@ class TrafficSimulator:
                     result_items=batch_result_items,
                 ),
             )
-            batches += 1
+            batch_ends.append(total_events)
 
-        def summarise(chunks: List[np.ndarray]):
-            if not chunks:
+        # Every value of an event depends on its (group, query) cell alone, so
+        # each metric is evaluated once per occupied cell and summarised over
+        # the cells weighted by their event counts.
+        cell_counts = np.bincount(event_cells, minlength=num_cells)
+        occupied = np.flatnonzero(cell_counts)
+        weights = cell_counts[occupied]
+        cell_groups, cell_queries = np.divmod(occupied, num_queries)
+        link = self.link
+        items = tables.item_table[cell_groups, cell_queries]
+        per_cell = {
+            "latency_ms": tables.base_latency_ms[cell_groups] + link.result_latency_ms * items,
+            "hops": tables.hops[cell_groups],
+            "bandwidth_bytes": (
+                link.query_bytes * tables.query_messages[cell_groups]
+                + link.result_message_bytes * tables.provider_table[cell_groups, cell_queries]
+                + link.result_item_bytes * items
+            ),
+            "recall": tables.recall_table[cell_groups, cell_queries],
+        }
+        # Each event's position among the occupied cells gathers the per-event
+        # values back in event order: a mean is their pairwise mean, and the
+        # bandwidth total sums them batch by batch.
+        slots = (np.cumsum(cell_counts > 0) - 1)[event_cells]
+
+        def summarise(values: np.ndarray):
+            if not total_events:
                 return empty_distribution()
-            return distribution_summary(
-                np.concatenate(chunks), bins=self.histogram_bins
+            return weighted_distribution_summary(
+                values, weights, mean=float(values.take(slots).mean()), bins=self.histogram_bins
             )
 
-        bandwidth = summarise(bandwidth_chunks)
+        batch_bandwidth = np.split(per_cell["bandwidth_bytes"].take(slots), batch_ends[:-1])
+
+        event_matrix = np.bincount(
+            event_entries, minlength=num_peers * num_queries
+        ).reshape(num_peers, num_queries)
         # One product per cluster column: a column's sums do not depend on
         # how many columns the tables carry.
         events = event_matrix.astype(np.float64)
@@ -481,17 +505,12 @@ class TrafficSimulator:
             horizon=context.horizon,
             router=type(self.router).__name__,
             workload=workload_label,
-            batches=batches,
-            latency_ms=summarise(latency_chunks),
-            hops=summarise(hops_chunks),
-            bandwidth_bytes=bandwidth,
-            recall=summarise(recall_chunks),
+            batches=len(batch_ends),
+            **{name: summarise(values) for name, values in per_cell.items()},
             query_messages=total_query_messages,
             result_messages=total_result_messages,
             result_items=total_result_items,
-            total_bandwidth_bytes=float(
-                sum(float(chunk.sum()) for chunk in bandwidth_chunks)
-            ),
+            total_bandwidth_bytes=float(sum(float(chunk.sum()) for chunk in batch_bandwidth)),
             cluster_order=list(tables.cluster_order),
             peer_order=list(context.peers),
             issuer_recall_sums=issuer_recall_sums,

@@ -78,20 +78,52 @@ COMBINED_PLAN = FaultPlan(
 )
 
 
+#: :data:`COMBINED_PLAN` without its worker kill.  On a pool the kill breaks
+#: every in-flight task's first attempt, so the exception and hang rules
+#: never fire there; without it the pool must retry both.
+RETRY_PLAN = FaultPlan(
+    rules=tuple(rule for rule in COMBINED_PLAN.rules if rule.fault != "worker-kill")
+)
+
+#: Each chaos case with the plan it runs and the failure kinds it must record.
+CHAOS_CASES = tuple(
+    pytest.param(*case.values, COMBINED_PLAN, frozenset(), id=case.id)
+    for case in EXECUTOR_CASES + (DISTRIBUTED_CASE,)
+) + (
+    pytest.param(
+        ALL_EXECUTORS[1],
+        (7, 11),
+        RETRY_PLAN,
+        frozenset({"exception", "timeout"}),
+        id="process-pool-retries",
+    ),
+)
+
+
 def payload(sweep_result):
     return [result.to_dict() for result in sweep_result.results]
 
 
 class TestChaosParity:
-    @pytest.mark.parametrize("executor, seeds", EXECUTOR_CASES + (DISTRIBUTED_CASE,))
-    def test_every_executor_is_byte_identical_under_the_combined_plan(self, executor, seeds):
+    @pytest.mark.parametrize("executor, seeds, plan, kinds", CHAOS_CASES)
+    def test_every_executor_is_byte_identical_under_the_combined_plan(
+        self, executor, seeds, plan, kinds
+    ):
+        from repro.sweep.faults import timeout_enforcement_available
+
+        if "timeout" in kinds and not timeout_enforcement_available():
+            pytest.skip("needs SIGALRM on the main thread")
         spec = tiny_spec(seeds=seeds)
         reference = run_sweep(spec)  # fault-free serial
+        recorded = set()
+        hooks = EventHooks()
+        hooks.on_task_failed(lambda event: recorded.add(event.error["kind"]))
         chaotic = run_sweep(
-            spec, executor=executor, retries=2, task_timeout=3.0, faults=COMBINED_PLAN
+            spec, executor=executor, retries=2, task_timeout=3.0, faults=plan, hooks=hooks
         )
         assert not chaotic.failures
         assert payload(chaotic) == payload(reference)
+        assert kinds <= recorded
 
     def test_env_variable_injects_the_plan(self, monkeypatch):
         from repro.sweep.faults import ENV_FAULTS

@@ -75,6 +75,20 @@ def test_the_maintain_set_runs_ten_paper_scale_periods(tmp_path, capsys):
     assert result["config"]["scenario_overrides"] == {"seed": 7, "uniform_workload": True}
 
 
+def test_the_serve_set_serves_after_each_maintenance_period(tmp_path, capsys):
+    dump = tmp_path / "serve.json"
+    assert main(["serve", "--limit", "1", "--dump", str(dump)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(LINE.match(line) for line in lines)
+    assert [line.split("  ")[1] for line in lines] == ["7/period-0", "total"]
+    (result,) = json.loads(dump.read_text(encoding="utf-8")).values()
+    assert result["kind"] == "traffic"
+    assert result["queries_routed"] == 100_000
+    assert result["extras"]["traffic"]["workload"] == "zipf"
+    assert result["config"]["strategy_mode"] == "observed"
+    assert result["config"]["scenario_overrides"] == {"seed": 7, "uniform_workload": True}
+
+
 def test_diff_prints_each_differing_field_path(tmp_path, capsys):
     old = {
         "a": {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.reporting import distribution_summary
 from repro.datasets.scenarios import (
     SCENARIO_DIFFERENT_CATEGORY,
     SCENARIO_SAME_CATEGORY,
@@ -20,6 +21,7 @@ from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter
 from repro.traffic.simulator import TrafficSimulator, observe_period
 from repro.traffic.workloads import ReplayWorkload
+from tests import traffic_oracle
 
 #: Small enough that a broadcast replay runs in milliseconds per scenario.
 PARITY_CONFIG = ScenarioConfig(
@@ -135,6 +137,62 @@ class TestBatchInvariance:
             TrafficSimulator(tiny_network, tiny_configuration, batch_size=0)
 
 
+class OpaqueBroadcast(BroadcastRouter):
+    """Same targets, but hides the cluster-invariance contract: one group per issuer."""
+
+    cluster_invariant = False
+
+
+class TestPerEventOracle:
+    """Every report field equals its per-event reference from ``tests/traffic_oracle.py``."""
+
+    ROUTERS = {
+        "broadcast": BroadcastRouter,
+        "probe-1": lambda network: ProbeKRouter(network, k=1),
+        "per-issuer": OpaqueBroadcast,
+    }
+
+    @pytest.fixture(scope="class")
+    def overlay(self):
+        data = build_scenario(SCENARIO_SAME_CATEGORY, ExperimentConfig.quick().scenario)
+        return data.network, initial_configuration(data, "random")
+
+    @pytest.mark.parametrize("router", sorted(ROUTERS))
+    @pytest.mark.parametrize("workload", ["uniform", "flash-crowd"])
+    @pytest.mark.parametrize("batch_size", [7, 8192])
+    def test_report_equals_the_per_event_reference(self, overlay, router, workload, batch_size):
+        network, configuration = overlay
+        hooks = EventHooks()
+        routed = []
+        hooks.on_query_routed(routed.append)
+        simulator = TrafficSimulator(
+            network,
+            configuration,
+            router=self.ROUTERS[router](network),
+            hooks=hooks,
+            batch_size=batch_size,
+            keep_log=True,
+        )
+        report = simulator.run(workload=workload, num_events=3000, seed=13)
+        events = traffic_oracle.per_event_arrays(simulator)
+        assert events["recall"].size == report.events == 3000
+        for name in ("latency_ms", "hops", "bandwidth_bytes", "recall"):
+            assert getattr(report, name) == distribution_summary(events[name]), name
+        sizes = [batch.events for batch in routed]
+        assert report.total_bandwidth_bytes == float(
+            sum(traffic_oracle.batch_sums(events["bandwidth_bytes"], sizes))
+        )
+        for name in ("query_messages", "result_messages", "result_items"):
+            expected = [int(round(total)) for total in traffic_oracle.batch_sums(events[name], sizes)]
+            assert [getattr(batch, name) for batch in routed] == expected, name
+            assert getattr(report, name) == sum(expected), name
+        matrix = traffic_oracle.event_matrix(simulator)
+        assert np.array_equal(report.issuer_event_counts, matrix.sum(axis=1))
+        assert np.array_equal(
+            report.issuer_recall_sums, traffic_oracle.issuer_recall_sums(simulator, matrix)
+        )
+
+
 class TestEventLoop:
     def test_multi_stream_drain_preserves_global_time_order(
         self, tiny_network, tiny_configuration
@@ -185,11 +243,6 @@ class TestRouters:
     def test_non_invariant_router_falls_back_to_per_peer_groups(
         self, tiny_network, tiny_configuration
     ):
-        class OpaqueBroadcast(BroadcastRouter):
-            """Same targets, but hides the cluster-invariance contract."""
-
-            cluster_invariant = False
-
         fast = TrafficSimulator(tiny_network, tiny_configuration).run(
             workload="replay"
         )
