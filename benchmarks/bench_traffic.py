@@ -1,10 +1,13 @@
 """Benchmark — 100k queries against a 200-peer clustered overlay.
 
-Times the :class:`~repro.traffic.simulator.TrafficSimulator` serving a
-100 000-event uniform workload against the paper's 200-peer same-category
-setting (ground-truth clustering), once with the broadcast router and once
-with ``probe-k`` — the batched ``R @ M`` routing path end to end, including
-workload generation and the heap-ordered event loop.
+Times the :class:`~repro.traffic.simulator.TrafficSimulator` serving
+100 000 events against the paper's 200-peer same-category setting
+(ground-truth clustering): a uniform workload with the broadcast router and
+with ``probe-k``, and a two-stream ``flash-crowd`` workload with the
+broadcast router, the one case that merges streams
+(:func:`~repro.traffic.events.merge_streams`) before serving them in fixed
+batches.  Each is the batched ``R @ M`` routing path end to end, including
+workload generation.
 
 Run with ``--benchmark-json BENCH_traffic.json`` (CI does) to produce the
 artifact the trend job compares across runs.
@@ -44,11 +47,9 @@ def overlay():
     return data.network, initial_configuration(data, "category")
 
 
-def replay(network, configuration, router=None):
-    simulator = TrafficSimulator(
-        network, configuration, router=router, keep_log=False
-    )
-    return simulator.run(num_events=NUM_EVENTS, workload="uniform", seed=0)
+def replay(network, configuration, router=None, workload="uniform"):
+    simulator = TrafficSimulator(network, configuration, router=router)
+    return simulator.run(num_events=NUM_EVENTS, workload=workload, seed=0)
 
 
 def test_traffic_broadcast_100k(benchmark, overlay):
@@ -72,5 +73,19 @@ def test_traffic_probe_k_100k(benchmark, overlay):
         rounds=3,
     )
     assert report.events == NUM_EVENTS
+    benchmark.extra_info["events"] = report.events
+    benchmark.extra_info["query_messages"] = report.query_messages
+
+
+def test_traffic_flash_crowd_100k(benchmark, overlay):
+    """100k broadcast queries from two streams, a base and a burst, merged in time order."""
+    network, configuration = overlay
+    report = benchmark.pedantic(
+        lambda: replay(network, configuration, workload="flash-crowd"),
+        iterations=1,
+        rounds=3,
+    )
+    assert report.events == NUM_EVENTS
+    assert report.workload == "flash-crowd"
     benchmark.extra_info["events"] = report.events
     benchmark.extra_info["query_messages"] = report.query_messages

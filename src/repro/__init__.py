@@ -178,7 +178,6 @@ from repro.registry import register_workload
 from repro.traffic import (
     LinkModel,
     QueryEventStream,
-    TrafficLog,
     TrafficReport,
     TrafficSimulator,
     WorkloadContext,
@@ -219,7 +218,6 @@ __all__ = [
     # traffic
     "TrafficSimulator",
     "TrafficReport",
-    "TrafficLog",
     "QueryEventStream",
     "LinkModel",
     "WorkloadContext",

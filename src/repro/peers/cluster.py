@@ -1,12 +1,12 @@
-"""Clusters: named groups of peers with a representative.
+"""Clusters: named groups of peers.
 
 Every cluster has a unique identifier ``cid`` known to all of its members
-(the paper assumes exactly this), a member set and a *representative* peer
-that gathers and serves relocation requests on behalf of the cluster.  Which
-member represents a cluster does not change a protocol round's outcome, so
-the protocol elects none per round: it only names the peer that creates a
-cluster as its representative.  The class keeps a simple deterministic
-election helper for that and for callers that want one.
+(the paper assumes exactly this) and a member set.  In the paper one member
+acts as the cluster's *representative*, gathering and serving relocation
+requests on its behalf; which member that is does not change a protocol
+round's outcome, so a cluster names none (the protocol counts the
+representatives' messages without one, see
+:mod:`repro.protocol.representative`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Cluster:
         self._ordered: List[PeerId] = sorted(self._members, key=repr)
         self._members_view: Optional[FrozenSet[PeerId]] = None
         self._sorted_view: Optional[Tuple[PeerId, ...]] = None
-        self._representative: Optional[PeerId] = None
 
     # -- membership -----------------------------------------------------------
 
@@ -70,7 +69,7 @@ class Cluster:
         self._sorted_view = None
 
     def remove(self, peer_id: PeerId) -> None:
-        """Remove *peer_id* from the cluster, clearing the representative if it leaves."""
+        """Remove *peer_id* from the cluster."""
         if peer_id not in self._members:
             raise ConfigurationError(
                 f"peer {peer_id!r} is not a member of cluster {self.cluster_id!r}"
@@ -82,8 +81,6 @@ class Cluster:
         del ordered[ordered.index(peer_id, bisect_left(ordered, repr(peer_id), key=repr))]
         self._members_view = None
         self._sorted_view = None
-        if self._representative == peer_id:
-            self._representative = None
 
     def __contains__(self, peer_id: PeerId) -> bool:
         return peer_id in self._members
@@ -93,33 +90,6 @@ class Cluster:
 
     def __iter__(self):
         return iter(self.sorted_members())
-
-    # -- representative ----------------------------------------------------------
-
-    @property
-    def representative(self) -> Optional[PeerId]:
-        """The peer currently acting as the cluster representative (if any)."""
-        return self._representative
-
-    def elect_representative(self, peer_id: Optional[PeerId] = None) -> Optional[PeerId]:
-        """Elect a representative.
-
-        If *peer_id* is given it must be a member; otherwise the smallest
-        member id (deterministic) is elected.  Returns the elected peer, or
-        ``None`` for an empty cluster.
-        """
-        if peer_id is not None:
-            if peer_id not in self._members:
-                raise ConfigurationError(
-                    f"cannot elect non-member {peer_id!r} as representative of {self.cluster_id!r}"
-                )
-            self._representative = peer_id
-            return peer_id
-        if not self._members:
-            self._representative = None
-            return None
-        self._representative = min(self._members, key=repr)
-        return self._representative
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cluster):

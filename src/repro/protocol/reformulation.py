@@ -11,10 +11,10 @@ Two behaviours of the paper are configurable:
 * **gain threshold ε** — a peer only issues a request if its gain exceeds ε;
 * **cluster creation** — a peer whose cost increased significantly since the
   previous period and that cannot improve by joining any existing cluster may
-  move to an empty cluster slot, becoming its representative.  Section 4.2
-  keeps the number of clusters fixed: ``restrict_to_nonempty=True`` limits
-  every peer's candidates to the non-empty clusters, so the cluster count
-  cannot rise whatever ``allow_cluster_creation`` says.
+  move to an empty cluster slot.  Section 4.2 keeps the number of clusters
+  fixed: ``restrict_to_nonempty=True`` limits every peer's candidates to the
+  non-empty clusters, so the cluster count cannot rise whatever
+  ``allow_cluster_creation`` says.
 
 One :class:`~repro.game.model.ClusterGame` serves a protocol for all its
 rounds; its kernel follows the configuration's moves incrementally.

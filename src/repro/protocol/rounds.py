@@ -20,8 +20,7 @@ counts the advertisements, and
 reports, which only it can see.
 
 Requests whose target is :data:`~repro.core.costs.NEW_CLUSTER` are resolved
-to a concrete empty cluster slot at grant time (the relocating peer becomes
-the representative of the newly formed cluster).
+to a concrete empty cluster slot at grant time.
 """
 
 from __future__ import annotations
@@ -125,8 +124,6 @@ def execute_round(
             result.discarded.append(request)
             continue
         configuration.move(request.peer_id, request.source_cluster, target_cluster)
-        if created_cluster:
-            configuration.cluster(target_cluster).elect_representative(request.peer_id)
         # Lock using the *resolved* target so later NEW_CLUSTER requests do
         # not collapse onto a cluster that was just created this round.
         locks.lock_for(

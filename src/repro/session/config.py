@@ -46,7 +46,7 @@ _CHOICES = {
 #: The settings a ``traffic`` mapping, or :meth:`Simulation.run_traffic`'s
 #: keyword arguments, may name.
 TRAFFIC_KEYS = (
-    "batch_size", "horizon", "keep_log", "link", "num_events", "seed", "workload", "workload_options",
+    "batch_size", "horizon", "link", "num_events", "seed", "workload", "workload_options",
 )
 
 
@@ -175,7 +175,7 @@ class SessionConfig:
     #: Declarative query-traffic settings for :meth:`Simulation.run_traffic`:
     #: a plain mapping of its keyword arguments (:data:`TRAFFIC_KEYS`:
     #: ``workload``, ``workload_options``, ``num_events``, ``horizon``,
-    #: ``link``, ``batch_size``, ``keep_log``, ``seed``).  ``None`` = the
+    #: ``link``, ``batch_size``, ``seed``).  ``None`` = the
     #: traffic defaults.  Kept as a plain bag so traffic runs sweep and
     #: JSON-round-trip like the rest.
     traffic: Optional[Dict[str, Any]] = None

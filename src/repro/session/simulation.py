@@ -51,7 +51,7 @@ from repro.session.result import (
 from repro.strategies import build_strategy
 from repro.strategies.base import RelocationStrategy
 from repro.traffic.report import TrafficReport
-from repro.traffic.simulator import TrafficSimulator, observe_period
+from repro.traffic.simulator import DEFAULT_BATCH_SIZE, TrafficSimulator, observe_period
 
 __all__ = ["Simulation"]
 
@@ -346,7 +346,7 @@ class Simulation:
         keyword arguments: ``workload`` (registered generator name, default
         ``uniform``), ``workload_options``, ``num_events``, ``horizon``,
         ``link`` (a :class:`~repro.traffic.link.LinkModel` or mapping),
-        ``batch_size``, ``keep_log`` and ``seed`` (defaults to the session
+        ``batch_size`` and ``seed`` (defaults to the session
         seed, so traffic replays are as reproducible as everything else).
         Any other keyword raises a
         :class:`~repro.errors.ConfigurationError` naming it, as an unknown
@@ -369,8 +369,7 @@ class Simulation:
             router=factory(self.network) if factory is not None else None,
             link=settings.get("link"),
             hooks=self.hooks,
-            batch_size=int(settings.get("batch_size", 8192)),
-            keep_log=bool(settings.get("keep_log", False)),
+            batch_size=int(settings.get("batch_size", DEFAULT_BATCH_SIZE)),
         )
         seed = settings.get("seed")
         if seed is None:

@@ -9,7 +9,7 @@ bandwidth and recall distributions.
 
 Entry points:
 
-* :class:`TrafficSimulator` — the batched event loop (or
+* :class:`TrafficSimulator` — serves the merged events in fixed batches (or
   ``Simulation.run_traffic`` / the ``repro traffic`` CLI for the high-level path).
 * :func:`observe_period` — one observation period ``T`` over the same
   routing tables: every recorded workload occurrence routed once, returned
@@ -22,7 +22,7 @@ Entry points:
   per-(issuer, cluster) recall.
 """
 
-from repro.traffic.events import QueryEvent, QueryEventStream, TrafficLog, merge_streams
+from repro.traffic.events import QueryEventStream, merge_streams
 from repro.traffic.link import LinkModel
 from repro.traffic.report import TrafficReport
 from repro.traffic.simulator import TrafficSimulator, observe_period
@@ -37,9 +37,7 @@ from repro.traffic.workloads import (
 )
 
 __all__ = [
-    "QueryEvent",
     "QueryEventStream",
-    "TrafficLog",
     "merge_streams",
     "LinkModel",
     "TrafficReport",

@@ -1,41 +1,22 @@
-"""Query events, time-ordered event streams and the indexed traffic log.
+"""Time-ordered query event streams and the one rule that merges them.
 
 The traffic simulator works in *index space*: peers and distinct queries are
 numbered once (by the surrounding :class:`~repro.traffic.workloads.WorkloadContext`)
 and every event is three scalars — a timestamp, an issuer index and a query
 index.  A :class:`QueryEventStream` is one time-sorted, array-backed source
-of such events; the simulator heap-merges any number of streams (a base
-arrival process plus e.g. a flash-crowd burst) and drains them in global
-time order.
-
-:class:`TrafficLog` is the append-only record of every event the simulator
-served.  Its per-key secondary indexes (events by issuer, events by query)
-are maintained *in lockstep with the append stream* — each appended batch
-immediately lands in the indexes and in a new-events trigger buffer that
-observers drain with :meth:`TrafficLog.consume_new`, so a consumer never
-scans the whole log to find what changed.
+of such events.  :func:`merge_streams` is the one definition of global event
+order over any number of streams (a base arrival process plus e.g. a
+flash-crowd burst): by time, ties by stream position, then by position
+within the stream.  The simulator serves its output in fixed slices.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["QueryEvent", "QueryEventStream", "TrafficLog", "merge_streams"]
-
-PeerId = Hashable
-
-
-@dataclass(frozen=True)
-class QueryEvent:
-    """One query arrival: *issuer* poses *query* at simulated *time*."""
-
-    time: float
-    issuer: object
-    query: object
+__all__ = ["QueryEventStream", "merge_streams"]
 
 
 class QueryEventStream:
@@ -44,7 +25,7 @@ class QueryEventStream:
     Parameters
     ----------
     times:
-        Non-decreasing event timestamps (simulated seconds).
+        Finite, non-decreasing event timestamps (simulated seconds).
     issuers, queries:
         Per-event issuer / distinct-query indexes into the owning
         :class:`~repro.traffic.workloads.WorkloadContext` orders.
@@ -72,22 +53,15 @@ class QueryEventStream:
             )
         if self.times.ndim != 1:
             raise ValueError(f"event arrays must be one-dimensional, got {self.times.ndim}D")
+        # NaN compares false either way, so the order check below cannot see it.
+        if not np.isfinite(self.times).all():
+            raise ValueError(f"stream {label!r} has a NaN or infinite time")
         if self.times.size > 1 and np.any(np.diff(self.times) < 0):
             raise ValueError(f"stream {label!r} is not sorted by time")
         self.label = label
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def event(
-        self, position: int, peers: Sequence[PeerId], queries: Sequence[object]
-    ) -> QueryEvent:
-        """Materialise event *position* against the context's peer/query orders."""
-        return QueryEvent(
-            time=float(self.times[position]),
-            issuer=peers[int(self.issuers[position])],
-            query=queries[int(self.queries[position])],
-        )
 
     def __repr__(self) -> str:
         return f"QueryEventStream(label={self.label!r}, events={len(self)})"
@@ -96,138 +70,22 @@ class QueryEventStream:
 def merge_streams(streams: Sequence[QueryEventStream]) -> QueryEventStream:
     """Merge several sorted streams into one globally time-sorted stream.
 
-    Ties are broken by stream position (earlier stream first), so the merge
-    is deterministic: it is exactly the order the heap-driven event loop
-    drains the sources in.
+    Events are ordered by time; equal times resolve by stream position
+    (earlier stream first) and then by position within the stream, so the
+    merge is deterministic.  A lone non-empty stream is returned as is,
+    without a copy.
     """
     live = [stream for stream in streams if len(stream)]
+    if len(live) == 1:
+        return live[0]
     if not live:
         empty = np.empty(0)
         return QueryEventStream(empty, empty, empty, label="merged")
     times = np.concatenate([stream.times for stream in live])
     issuers = np.concatenate([stream.issuers for stream in live])
     queries = np.concatenate([stream.queries for stream in live])
-    # A stable sort on time reproduces the heap's tie-breaking rule.
+    # A stable sort on time keeps stream order, then stream position, on ties.
     order = np.argsort(times, kind="stable")
     return QueryEventStream(
         times[order], issuers[order], queries[order], label="merged"
     )
-
-
-class TrafficLog:
-    """Append-only event log with live secondary indexes (the ``IEPCol`` idiom).
-
-    Events are appended in batches of parallel arrays and assigned dense
-    event ids.  Two per-key indexes — events by issuer and events by query —
-    are updated in the same call, as is the new-events trigger buffer, so
-    index reads never lag behind the append stream.  Chunks are kept as-is
-    (no quadratic re-concatenation); accessors concatenate on demand.
-    """
-
-    def __init__(self) -> None:
-        self._time_chunks: List[np.ndarray] = []
-        self._issuer_chunks: List[np.ndarray] = []
-        self._query_chunks: List[np.ndarray] = []
-        self._by_issuer: Dict[int, List[np.ndarray]] = {}
-        self._by_query: Dict[int, List[np.ndarray]] = {}
-        self._size = 0
-        #: Half-open id ranges appended since the last :meth:`consume_new`.
-        self._fresh: List[Tuple[int, int]] = []
-
-    def __len__(self) -> int:
-        return self._size
-
-    # -- appending -----------------------------------------------------------------
-
-    def append_batch(
-        self, times: np.ndarray, issuers: np.ndarray, queries: np.ndarray
-    ) -> Tuple[int, int]:
-        """Append one batch; returns the half-open event-id range assigned to it.
-
-        The per-issuer and per-query indexes and the new-events buffer are
-        updated before returning — the log is never observable in a state
-        where the append stream and its indexes disagree.
-        """
-        count = int(np.asarray(times).size)
-        if count == 0:
-            return (self._size, self._size)
-        times = np.ascontiguousarray(times, dtype=np.float64)
-        issuers = np.ascontiguousarray(issuers, dtype=np.int64)
-        queries = np.ascontiguousarray(queries, dtype=np.int64)
-        start = self._size
-        event_ids = np.arange(start, start + count, dtype=np.int64)
-        self._time_chunks.append(times)
-        self._issuer_chunks.append(issuers)
-        self._query_chunks.append(queries)
-        self._index_batch(self._by_issuer, issuers, event_ids)
-        self._index_batch(self._by_query, queries, event_ids)
-        self._size = start + count
-        self._fresh.append((start, self._size))
-        return (start, self._size)
-
-    @staticmethod
-    def _index_batch(
-        index: Dict[int, List[np.ndarray]], keys: np.ndarray, event_ids: np.ndarray
-    ) -> None:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        for segment in np.split(order, boundaries):
-            index.setdefault(int(keys[segment[0]]), []).append(event_ids[segment])
-
-    # -- reads ---------------------------------------------------------------------
-
-    @staticmethod
-    def _concatenate(chunks: List[np.ndarray], dtype: type) -> np.ndarray:
-        if not chunks:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(chunks)
-
-    def times(self) -> np.ndarray:
-        """All event timestamps, in append (= time) order."""
-        return self._concatenate(self._time_chunks, np.float64)
-
-    def issuers(self) -> np.ndarray:
-        """All per-event issuer indexes, in append order."""
-        return self._concatenate(self._issuer_chunks, np.int64)
-
-    def queries(self) -> np.ndarray:
-        """All per-event distinct-query indexes, in append order."""
-        return self._concatenate(self._query_chunks, np.int64)
-
-    def event_ids_for_issuer(self, issuer_index: int) -> np.ndarray:
-        """Event ids issued by *issuer_index*, ascending (live index read)."""
-        return self._concatenate(self._by_issuer.get(int(issuer_index), []), np.int64)
-
-    def event_ids_for_query(self, query_index: int) -> np.ndarray:
-        """Event ids that posed *query_index*, ascending (live index read)."""
-        return self._concatenate(self._by_query.get(int(query_index), []), np.int64)
-
-    def issuer_counts(self) -> Dict[int, int]:
-        """Events per issuer index (from the live index, not a scan)."""
-        return {
-            key: int(sum(chunk.size for chunk in chunks))
-            for key, chunks in self._by_issuer.items()
-        }
-
-    # -- new-events trigger buffer ---------------------------------------------------
-
-    def has_new(self) -> bool:
-        """Whether events were appended since the last :meth:`consume_new`."""
-        return bool(self._fresh)
-
-    def consume_new(self) -> np.ndarray:
-        """Drain and return the ids appended since the last call (resets the trigger)."""
-        if not self._fresh:
-            return np.empty(0, dtype=np.int64)
-        ranges = self._fresh
-        self._fresh = []
-        return np.concatenate(
-            [np.arange(start, stop, dtype=np.int64) for start, stop in ranges]
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TrafficLog(events={self._size}, issuers={len(self._by_issuer)}, "
-            f"queries={len(self._by_query)}, fresh={self.has_new()})"
-        )

@@ -53,7 +53,7 @@ class TrafficReport:
     router: str
     #: Workload generator label the run replayed.
     workload: str
-    #: Vectorised batches the event loop drained.
+    #: Fixed ``batch_size`` slices of the merged events served (the last may be short).
     batches: int
     latency_ms: DistributionSummary = field(default_factory=empty_distribution)
     hops: DistributionSummary = field(default_factory=empty_distribution)

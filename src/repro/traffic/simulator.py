@@ -7,13 +7,14 @@ load: per-query latency, hops, bandwidth and recall distributions.
 Design
 ------
 
-**Heap-ordered event loop.**  Workload generators emit one or more sorted
-:class:`~repro.traffic.events.QueryEventStream`\\ s (e.g. a base arrival
-process plus a flash-crowd burst).  The loop keeps the head timestamp of
-every live stream in a heap and repeatedly drains the earliest stream's
-contiguous run of events up to the next other-stream head (ties broken by
-stream order), collecting runs until a batch is full — so events are
-processed in exact global time order without ever merging streams up front.
+**One event order, fixed slices.**  Workload generators emit one or more
+sorted :class:`~repro.traffic.events.QueryEventStream`\\ s (e.g. a base
+arrival process plus a flash-crowd burst).
+:func:`~repro.traffic.events.merge_streams` puts them in global time order
+(a lone stream is served as is, without a copy), and the simulator serves
+the merged events in fixed slices: batch ``k`` is events
+``[k * batch_size, (k + 1) * batch_size)``.  Only the report's ``batches``
+count and the per-batch ``query_routed`` events depend on the batch size.
 
 **Batched routing.**  Per batch, events are grouped by issuer cluster (for
 routers whose targets depend only on the issuer's cluster — both built-ins —
@@ -36,12 +37,10 @@ those per-cell values and their event counts by
 :func:`~repro.analysis.reporting.weighted_distribution_summary`, which
 equals :func:`~repro.analysis.reporting.distribution_summary` of the
 per-event sample bit for bit; the per-event values, gathered back in event
-order, give each mean and the bandwidth total.  With ``keep_log`` every
-served event also lands in a :class:`~repro.traffic.events.TrafficLog`
-whose per-issuer/per-query indexes stay in lockstep with the append stream.
-The per-(issuer, cluster) observed recall of the paper's Eq. 6 observation
-model is an (issuer, query) event-count matrix, counted the same way and
-multiplied back through ``R @ M`` at the end, one cluster column at a time.
+order, give each mean and the bandwidth total.  The per-(issuer, cluster)
+observed recall of the paper's Eq. 6 observation model is an (issuer,
+query) event-count matrix, counted the same way and multiplied back
+through ``R @ M`` at the end, one cluster column at a time.
 
 **Observation.**  :func:`observe_period` builds the same routing tables for
 one observation period ``T`` and returns its
@@ -58,10 +57,9 @@ order.  So both go stale exactly when the cost model does: when a peer's
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections.abc import Hashable
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,7 +77,7 @@ from repro.overlay.topology import ClusterTopology, FullMeshTopology
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.network import PeerNetwork
 from repro.peers.statistics import PeriodStatistics, shares_of
-from repro.traffic.events import QueryEventStream, TrafficLog
+from repro.traffic.events import QueryEventStream, merge_streams
 from repro.traffic.link import LinkModel
 from repro.traffic.report import TrafficReport, empty_distribution
 from repro.traffic.workloads import (
@@ -118,7 +116,7 @@ class _RoutingTables:
     queries as that matrix, as :meth:`WorkloadContext.from_network` on the
     current network does.  :func:`observe_period` works on this state
     alone; :meth:`build_serving_tables` adds the per-group tables the
-    event loop gathers from.
+    served batches gather from.
     """
 
     def __init__(
@@ -336,10 +334,8 @@ class TrafficSimulator:
         Event hub receiving ``query_routed`` (per batch) and
         ``traffic_summary`` (once per run).
     batch_size:
-        Events resolved per vectorised step; results are independent of it.
-    keep_log:
-        Maintain the indexed :class:`~repro.traffic.events.TrafficLog`
-        (disable for maximum-throughput benchmarking).
+        Merged events per ``query_routed`` batch; every report field but
+        ``batches`` is independent of it.
     """
 
     def __init__(
@@ -352,7 +348,6 @@ class TrafficSimulator:
         topology: Optional[ClusterTopology] = None,
         hooks: Optional[EventHooks] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        keep_log: bool = True,
         histogram_bins: int = 20,
     ) -> None:
         if batch_size < 1:
@@ -364,10 +359,7 @@ class TrafficSimulator:
         self.topology = topology if topology is not None else FullMeshTopology()
         self.hooks = hooks if hooks is not None else EventHooks()
         self.batch_size = int(batch_size)
-        self.keep_log = keep_log
         self.histogram_bins = int(histogram_bins)
-        #: The indexed log of the most recent run (when ``keep_log``).
-        self.log: Optional[TrafficLog] = None
 
     # -- entry points ----------------------------------------------------------------
 
@@ -413,30 +405,27 @@ class TrafficSimulator:
         started = time.perf_counter()
         tables = _RoutingTables(self.network, self.configuration, self.router, context)
         tables.build_serving_tables(self.link, self.topology)
-        log = TrafficLog() if self.keep_log else None
-        self.log = log
+        merged = merge_streams(streams)
+        num_events = len(merged)
         num_peers = len(context.peers)
         num_queries = len(context.queries)
         num_cells = len(tables.group_columns) * num_queries
-        # Each event's (group, query) cell and (issuer, query) entry, in event
-        # order: the loop drains every event of every stream.
-        num_events = sum(len(stream) for stream in streams)
+        # Each event's (group, query) cell and (issuer, query) entry, in
+        # merged order, filled batch by batch.
         event_cells = np.empty(num_events, dtype=np.int64)
         event_entries = np.empty(num_events, dtype=np.int64)
-        batch_ends: List[int] = []
-        total_events = 0
+        batch_starts = range(0, num_events, self.batch_size)
         total_query_messages = 0
         total_result_messages = 0
         total_result_items = 0
 
-        for times, issuers, queries in self._drain_batches(streams):
-            start, total_events = total_events, total_events + times.size
+        for batch_index, start in enumerate(batch_starts):
+            end = min(start + self.batch_size, num_events)
+            issuers, queries = merged.issuers[start:end], merged.queries[start:end]
             groups = tables.group_of[issuers]
-            cells = event_cells[start:total_events]
+            cells = event_cells[start:end]
             cells[:] = groups * num_queries + queries
-            event_entries[start:total_events] = issuers * num_queries + queries
-            if log is not None:
-                log.append_batch(times, issuers, queries)
+            event_entries[start:end] = issuers * num_queries + queries
             batch_query_messages = int(round(tables.query_messages[groups].sum()))
             batch_result_messages = int(round(tables.provider_table.take(cells).sum()))
             batch_result_items = int(round(tables.item_table.take(cells).sum()))
@@ -446,16 +435,15 @@ class TrafficSimulator:
             self.hooks.emit(
                 QUERY_ROUTED,
                 QueryRoutedEvent(
-                    batch_index=len(batch_ends),
-                    events=int(times.size),
-                    time_start=float(times[0]),
-                    time_end=float(times[-1]),
+                    batch_index=batch_index,
+                    events=end - start,
+                    time_start=float(merged.times[start]),
+                    time_end=float(merged.times[end - 1]),
                     query_messages=batch_query_messages,
                     result_messages=batch_result_messages,
                     result_items=batch_result_items,
                 ),
             )
-            batch_ends.append(total_events)
 
         # Every value of an event depends on its (group, query) cell alone, so
         # each metric is evaluated once per occupied cell and summarised over
@@ -478,17 +466,15 @@ class TrafficSimulator:
         }
         # Each event's position among the occupied cells gathers the per-event
         # values back in event order: a mean is their pairwise mean, and the
-        # bandwidth total sums them batch by batch.
+        # bandwidth total their sum.
         slots = (np.cumsum(cell_counts > 0) - 1)[event_cells]
 
         def summarise(values: np.ndarray):
-            if not total_events:
+            if not num_events:
                 return empty_distribution()
             return weighted_distribution_summary(
                 values, weights, mean=float(values.take(slots).mean()), bins=self.histogram_bins
             )
-
-        batch_bandwidth = np.split(per_cell["bandwidth_bytes"].take(slots), batch_ends[:-1])
 
         event_matrix = np.bincount(
             event_entries, minlength=num_peers * num_queries
@@ -501,16 +487,16 @@ class TrafficSimulator:
             issuer_recall_sums[:, column] = events @ recall
         issuer_recall_sums *= tables.target_mask[tables.group_of]
         report = TrafficReport(
-            events=total_events,
+            events=num_events,
             horizon=context.horizon,
             router=type(self.router).__name__,
             workload=workload_label,
-            batches=len(batch_ends),
+            batches=len(batch_starts),
             **{name: summarise(values) for name, values in per_cell.items()},
             query_messages=total_query_messages,
             result_messages=total_result_messages,
             result_items=total_result_items,
-            total_bandwidth_bytes=float(sum(float(chunk.sum()) for chunk in batch_bandwidth)),
+            total_bandwidth_bytes=float(per_cell["bandwidth_bytes"].take(slots).sum()),
             cluster_order=list(tables.cluster_order),
             peer_order=list(context.peers),
             issuer_recall_sums=issuer_recall_sums,
@@ -519,69 +505,6 @@ class TrafficSimulator:
         )
         self.hooks.emit(TRAFFIC_SUMMARY, TrafficSummaryEvent(report=report))
         return report
-
-    # -- the heap-ordered event loop --------------------------------------------------
-
-    def _drain_batches(
-        self, streams: Sequence[QueryEventStream]
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Drain *streams* in global time order, yielding batched event arrays.
-
-        A heap keyed by ``(head timestamp, stream order)`` always knows which
-        stream owns the next event; the owner's contiguous run up to the next
-        other-stream head (equal timestamps resolve by stream order) is taken
-        in one slice.  Runs accumulate until at least ``batch_size`` events
-        are pending, then flush as one batch — the vectorised step never sees
-        the stream structure, only time-ordered arrays.
-        """
-        cursors = [0] * len(streams)
-        heap: List[Tuple[float, int]] = [
-            (float(stream.times[0]), order)
-            for order, stream in enumerate(streams)
-            if len(stream)
-        ]
-        heapq.heapify(heap)
-        pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        pending_count = 0
-        while heap:
-            _, order = heapq.heappop(heap)
-            stream = streams[order]
-            start = cursors[order]
-            if heap:
-                limit_time, limit_order = heap[0]
-                side = "right" if order < limit_order else "left"
-                end = int(np.searchsorted(stream.times, limit_time, side=side))
-            else:
-                end = len(stream)
-            end = min(max(end, start + 1), len(stream), start + self.batch_size)
-            pending.append(
-                (
-                    stream.times[start:end],
-                    stream.issuers[start:end],
-                    stream.queries[start:end],
-                )
-            )
-            pending_count += end - start
-            cursors[order] = end
-            if end < len(stream):
-                heapq.heappush(heap, (float(stream.times[end]), order))
-            if pending_count >= self.batch_size:
-                yield self._flush(pending)
-                pending, pending_count = [], 0
-        if pending:
-            yield self._flush(pending)
-
-    @staticmethod
-    def _flush(
-        pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if len(pending) == 1:
-            return pending[0]
-        return (
-            np.concatenate([piece[0] for piece in pending]),
-            np.concatenate([piece[1] for piece in pending]),
-            np.concatenate([piece[2] for piece in pending]),
-        )
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,7 @@ axis like every other component:
   volume), modelling a few peers generating most of the traffic;
 * ``flash-crowd`` — a uniform base stream plus a concentrated burst window
   in which everyone hammers the globally hottest queries (two streams, so
-  the simulator's heap merge is exercised);
+  the simulator serves them through :func:`~repro.traffic.events.merge_streams`);
 * ``replay`` — every occurrence of every peer's recorded workload exactly
   once per pass, evenly spaced; with a broadcast router this reproduces the
   exact recall model (the parity tests rely on it).
@@ -95,8 +95,8 @@ class WorkloadContext:
         """
         if num_events < 0:
             raise ConfigurationError(f"num_events must be non-negative, got {num_events}")
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
+        if not (horizon > 0 and np.isfinite(horizon)):
+            raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
         matrix = network.recall_matrix()
         factored = matrix.factored()
         counts = np.zeros((len(matrix), len(factored.queries)), dtype=np.int64)
@@ -206,7 +206,7 @@ class FlashCrowdWorkload(WorkloadGenerator):
     ``[burst_start, burst_start + burst_duration]`` (fractions of the
     horizon) and all pose one of the ``hot_queries`` globally most frequent
     distinct queries; the rest behave like ``uniform``.  Emitted as two
-    streams so the event loop genuinely merges concurrent sources.
+    streams, so the simulator genuinely merges concurrent sources.
     """
 
     name = "flash-crowd"

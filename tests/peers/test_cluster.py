@@ -1,4 +1,4 @@
-"""Tests for the Cluster class (membership and representative election)."""
+"""Tests for the Cluster class (membership and its member order)."""
 
 from __future__ import annotations
 
@@ -62,28 +62,3 @@ class TestMembership:
             ordered = cluster.sorted_members()
             assert set(ordered) == set(cluster.members) and len(ordered) == cluster.size
             assert [repr(peer) for peer in ordered] == sorted(map(repr, cluster.members))
-
-
-class TestRepresentative:
-    def test_default_election_is_deterministic(self):
-        cluster = Cluster("c1", ["p2", "p1"])
-        assert cluster.elect_representative() == "p1"
-        assert cluster.representative == "p1"
-
-    def test_explicit_election(self):
-        cluster = Cluster("c1", ["p1", "p2"])
-        assert cluster.elect_representative("p2") == "p2"
-
-    def test_cannot_elect_non_member(self):
-        with pytest.raises(ConfigurationError):
-            Cluster("c1", ["p1"]).elect_representative("ghost")
-
-    def test_empty_cluster_has_no_representative(self):
-        cluster = Cluster("c1")
-        assert cluster.elect_representative() is None
-
-    def test_departing_representative_is_cleared(self):
-        cluster = Cluster("c1", ["p1", "p2"])
-        cluster.elect_representative("p1")
-        cluster.remove("p1")
-        assert cluster.representative is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import NEW_CLUSTER
+from repro.game.equilibrium import build_two_peer_counterexample
 from repro.game.model import ClusterGame
 from repro.peers.configuration import ClusterConfiguration
 from repro.protocol.reformulation import ReformulationProtocol
@@ -176,6 +177,39 @@ class TestScenarioRuns:
             if move.created_cluster
         ]
         assert created == []
+
+
+class TestNoEquilibrium:
+    """The paper's two-peer instance from its ``split`` configuration.
+
+    At ``alpha=1`` the game has no pure equilibrium, so selfish rounds must
+    not report convergence; at ``alpha=2.5`` ``split`` is an equilibrium.
+    """
+
+    @staticmethod
+    def _protocol(alpha):
+        instance = build_two_peer_counterexample(alpha=alpha)
+        configuration = instance.configurations()["split"]
+        return ReformulationProtocol(instance.cost_model, configuration, SelfishStrategy())
+
+    def test_a_repeated_configuration_stops_the_run(self):
+        result = self._protocol(1.0).run(max_rounds=12)
+        assert (result.converged, result.cycle_detected) == (False, True)
+        assert len(result.rounds) == 4
+
+    def test_without_cycle_detection_the_round_budget_stops_the_run(self):
+        result = self._protocol(1.0).run(max_rounds=12, detect_cycles=False)
+        assert (result.converged, result.cycle_detected) == (False, False)
+        assert len(result.rounds) == 12
+        assert result.cluster_count_trace == [2, 1] * 6 + [2]
+
+    def test_with_an_equilibrium_the_first_round_converges(self):
+        protocol = self._protocol(2.5)
+        result = protocol.run(max_rounds=12)
+        assert (result.converged, result.cycle_detected) == (True, False)
+        assert len(result.rounds) == 1
+        assert result.total_moves == 0
+        assert protocol.game.is_nash_equilibrium()
 
 
 class NewClusterStrategy(RelocationStrategy):

@@ -94,8 +94,7 @@ class TestNewClusterCreation:
         assert move.created_cluster
         assert move.target_cluster == "c4"
         assert configuration.cluster_of("p2") == "c4"
-        # The relocating peer becomes the new cluster's representative.
-        assert configuration.cluster("c4").representative == "p2"
+        assert set(configuration.cluster("c4").members) == {"p2"}
 
     def test_new_cluster_request_discarded_without_empty_slot(self):
         configuration = ClusterConfiguration(["c1", "c2"], {"p1": "c1", "p2": "c2"})

@@ -1,11 +1,13 @@
-"""Tests for query event streams, stream merging and the indexed traffic log."""
+"""Tests for query event streams and the one rule that merges them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.traffic.events import QueryEvent, QueryEventStream, TrafficLog, merge_streams
+from repro.traffic.events import QueryEventStream, merge_streams
+from tests import traffic_oracle
 
 
 def make_stream(times, issuers, queries, label="events"):
@@ -38,10 +40,11 @@ class TestQueryEventStream:
         with pytest.raises(ValueError, match="not sorted"):
             make_stream([0.2, 0.1], [0, 1], [0, 1], label="bad")
 
-    def test_event_materialises_against_context_orders(self):
-        stream = make_stream([0.5], [1], [0])
-        event = stream.event(0, ["alice", "bob"], ["q0", "q1"])
-        assert event == QueryEvent(time=0.5, issuer="bob", query="q0")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # A NaN compares false either way, so it would pass the order check.
+        with pytest.raises(ValueError, match="'bad'.*NaN or infinite"):
+            make_stream([0.3, bad, 0.1], [0, 1, 2], [0, 0, 0], label="bad")
 
     def test_equal_timestamps_are_allowed(self):
         stream = make_stream([0.1, 0.1, 0.1], [0, 1, 2], [0, 0, 0])
@@ -67,70 +70,39 @@ class TestMergeStreams:
         empty = make_stream([], [], [])
         events = make_stream([0.2], [3], [1])
         merged = merge_streams([empty, events])
-        assert len(merged) == 1
-        assert merged.issuers.tolist() == [3]
+        # A lone non-empty stream is served as is, without a copy.
+        assert merged is events
 
     def test_merging_nothing_yields_an_empty_stream(self):
         merged = merge_streams([])
         assert len(merged) == 0
         assert merged.label == "merged"
 
+    def test_merge_of_two_streams_leaves_both_untouched(self):
+        first = make_stream([0.1, 0.4], [0, 0], [0, 1], label="base")
+        second = make_stream([0.2, 0.3], [1, 1], [2, 3], label="burst")
+        merged = merge_streams([first, second])
+        assert merged is not first and merged is not second
+        assert merged.label == "merged"
+        assert first.times.tolist() == [0.1, 0.4] and first.queries.tolist() == [0, 1]
+        assert second.times.tolist() == [0.2, 0.3] and second.queries.tolist() == [2, 3]
 
-class TestTrafficLog:
-    def test_append_returns_the_assigned_id_range(self):
-        log = TrafficLog()
-        first = log.append_batch(
-            np.array([0.1, 0.2]), np.array([0, 1]), np.array([0, 0])
-        )
-        second = log.append_batch(np.array([0.3]), np.array([0]), np.array([1]))
-        assert first == (0, 2)
-        assert second == (2, 3)
-        assert len(log) == 3
+    #: A handful of times, so that ties fall within and across streams.
+    TIMES = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=8).map(sorted)
 
-    def test_indexes_stay_in_lockstep_with_appends(self):
-        log = TrafficLog()
-        log.append_batch(np.array([0.1, 0.2]), np.array([0, 1]), np.array([5, 5]))
-        # The very same call updated both secondary indexes: no flush needed.
-        assert log.event_ids_for_issuer(0).tolist() == [0]
-        assert log.event_ids_for_issuer(1).tolist() == [1]
-        assert log.event_ids_for_query(5).tolist() == [0, 1]
-        log.append_batch(np.array([0.3]), np.array([0]), np.array([7]))
-        assert log.event_ids_for_issuer(0).tolist() == [0, 2]
-        assert log.event_ids_for_query(7).tolist() == [2]
-
-    def test_unknown_keys_read_empty(self):
-        log = TrafficLog()
-        assert log.event_ids_for_issuer(42).size == 0
-        assert log.event_ids_for_query(42).size == 0
-
-    def test_issuer_counts_come_from_the_live_index(self):
-        log = TrafficLog()
-        log.append_batch(
-            np.array([0.1, 0.2, 0.3]), np.array([1, 0, 1]), np.array([0, 1, 2])
-        )
-        assert log.issuer_counts() == {0: 1, 1: 2}
-
-    def test_append_order_is_preserved_in_column_reads(self):
-        log = TrafficLog()
-        log.append_batch(np.array([0.1]), np.array([2]), np.array([4]))
-        log.append_batch(np.array([0.2, 0.3]), np.array([0, 1]), np.array([3, 4]))
-        assert log.times().tolist() == [0.1, 0.2, 0.3]
-        assert log.issuers().tolist() == [2, 0, 1]
-        assert log.queries().tolist() == [4, 3, 4]
-
-    def test_empty_batch_is_a_noop(self):
-        log = TrafficLog()
-        assert log.append_batch(np.array([]), np.array([]), np.array([])) == (0, 0)
-        assert len(log) == 0
-        assert not log.has_new()
-
-    def test_consume_new_drains_the_trigger_buffer(self):
-        log = TrafficLog()
-        log.append_batch(np.array([0.1]), np.array([0]), np.array([0]))
-        log.append_batch(np.array([0.2]), np.array([1]), np.array([1]))
-        assert log.has_new()
-        assert log.consume_new().tolist() == [0, 1]
-        assert not log.has_new()
-        assert log.consume_new().size == 0
-        log.append_batch(np.array([0.3]), np.array([0]), np.array([0]))
-        assert log.consume_new().tolist() == [2]
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TIMES, max_size=4))
+    def test_merge_equals_the_reference_order(self, stream_times):
+        # Issuer = stream index and query = position tag every event uniquely.
+        streams = [
+            make_stream(times, [index] * len(times), range(len(times)), label=f"s{index}")
+            for index, times in enumerate(stream_times)
+        ]
+        merged = merge_streams(streams)
+        times, issuers, queries = traffic_oracle.reference_merge(streams)
+        assert merged.times.tolist() == times.tolist()
+        assert merged.issuers.tolist() == issuers.tolist()
+        assert merged.queries.tolist() == queries.tolist()
+        live = [stream for stream in streams if len(stream)]
+        if len(live) == 1:
+            assert merged is live[0]

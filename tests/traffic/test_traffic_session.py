@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError, UnknownComponentError
 from repro.session.config import TRAFFIC_KEYS
 from repro.session.result import KIND_TRAFFIC
 from repro.sweep import SweepSpec, run_sweep
+from repro.traffic.simulator import DEFAULT_BATCH_SIZE
 
 #: Scenario small enough that one task runs in a few milliseconds.
 TINY_SCENARIO = {
@@ -65,6 +66,19 @@ class TestRunTraffic:
     def test_num_queries_is_not_an_alias(self):
         with pytest.raises(ConfigurationError, match=r"\['num_queries'\].*'num_events'"):
             Simulation(QUICK).run_traffic(num_queries=64)
+
+    def test_keep_log_is_not_a_traffic_setting(self):
+        # The simulator keeps no event log, so the old switch fails by name.
+        with pytest.raises(ConfigurationError, match=r"\['keep_log'\]"):
+            Simulation(QUICK).run_traffic(num_events=10, keep_log=False)
+
+    def test_batch_size_defaults_to_the_simulator_default(self):
+        batches = []
+        simulation = Simulation(QUICK)
+        simulation.hooks.on_query_routed(batches.append)
+        result = simulation.run_traffic(num_events=DEFAULT_BATCH_SIZE + 1, seed=4)
+        assert result.extras["traffic"]["batches"] == 2
+        assert [event.events for event in batches] == [DEFAULT_BATCH_SIZE, 1]
 
 
 class TestTrafficSettingsAtConstruction:

@@ -20,7 +20,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.overlay.messages import MessageBus
 from repro.overlay.routing import BroadcastRouter, ProbeKRouter
 from repro.traffic.simulator import TrafficSimulator, observe_period
-from repro.traffic.workloads import ReplayWorkload
+from repro.traffic.workloads import ReplayWorkload, WorkloadContext, build_workload
 from tests import traffic_oracle
 
 #: Small enough that a broadcast replay runs in milliseconds per scenario.
@@ -143,6 +143,27 @@ class OpaqueBroadcast(BroadcastRouter):
     cluster_invariant = False
 
 
+@pytest.fixture(scope="module")
+def quick_overlay():
+    """The quick same-category scenario's network under its random configuration."""
+    data = build_scenario(SCENARIO_SAME_CATEGORY, ExperimentConfig.quick().scenario)
+    return data.network, initial_configuration(data, "random")
+
+
+def generated_streams(network, workload, *, num_events, seed):
+    """The streams *workload* emits on *network*, with their context."""
+    context = WorkloadContext.from_network(network, num_events=num_events, seed=seed)
+    return build_workload(workload).streams(context), context
+
+
+def routed_batches(network, configuration, **options):
+    """A simulator on the overlay and the list its ``query_routed`` events land in."""
+    hooks = EventHooks()
+    routed = []
+    hooks.on_query_routed(routed.append)
+    return TrafficSimulator(network, configuration, hooks=hooks, **options), routed
+
+
 class TestPerEventOracle:
     """Every report field equals its per-event reference from ``tests/traffic_oracle.py``."""
 
@@ -152,41 +173,30 @@ class TestPerEventOracle:
         "per-issuer": OpaqueBroadcast,
     }
 
-    @pytest.fixture(scope="class")
-    def overlay(self):
-        data = build_scenario(SCENARIO_SAME_CATEGORY, ExperimentConfig.quick().scenario)
-        return data.network, initial_configuration(data, "random")
-
     @pytest.mark.parametrize("router", sorted(ROUTERS))
     @pytest.mark.parametrize("workload", ["uniform", "flash-crowd"])
     @pytest.mark.parametrize("batch_size", [7, 8192])
-    def test_report_equals_the_per_event_reference(self, overlay, router, workload, batch_size):
-        network, configuration = overlay
-        hooks = EventHooks()
-        routed = []
-        hooks.on_query_routed(routed.append)
-        simulator = TrafficSimulator(
-            network,
-            configuration,
-            router=self.ROUTERS[router](network),
-            hooks=hooks,
-            batch_size=batch_size,
-            keep_log=True,
+    def test_report_equals_the_per_event_reference(
+        self, quick_overlay, router, workload, batch_size
+    ):
+        network, configuration = quick_overlay
+        simulator, routed = routed_batches(
+            network, configuration, router=self.ROUTERS[router](network), batch_size=batch_size
         )
-        report = simulator.run(workload=workload, num_events=3000, seed=13)
-        events = traffic_oracle.per_event_arrays(simulator)
+        streams, context = generated_streams(network, workload, num_events=3000, seed=13)
+        report = simulator.run_streams(streams, context, workload_label=workload)
+        _, issuers, queries = traffic_oracle.reference_merge(streams)
+        events = traffic_oracle.per_event_arrays(simulator, issuers, queries)
         assert events["recall"].size == report.events == 3000
         for name in ("latency_ms", "hops", "bandwidth_bytes", "recall"):
             assert getattr(report, name) == distribution_summary(events[name]), name
+        assert report.total_bandwidth_bytes == float(events["bandwidth_bytes"].sum())
         sizes = [batch.events for batch in routed]
-        assert report.total_bandwidth_bytes == float(
-            sum(traffic_oracle.batch_sums(events["bandwidth_bytes"], sizes))
-        )
         for name in ("query_messages", "result_messages", "result_items"):
             expected = [int(round(total)) for total in traffic_oracle.batch_sums(events[name], sizes)]
             assert [getattr(batch, name) for batch in routed] == expected, name
             assert getattr(report, name) == sum(expected), name
-        matrix = traffic_oracle.event_matrix(simulator)
+        matrix = traffic_oracle.event_matrix(simulator, issuers, queries)
         assert np.array_equal(report.issuer_event_counts, matrix.sum(axis=1))
         assert np.array_equal(
             report.issuer_recall_sums, traffic_oracle.issuer_recall_sums(simulator, matrix)
@@ -197,26 +207,60 @@ class TestEventLoop:
     def test_multi_stream_drain_preserves_global_time_order(
         self, tiny_network, tiny_configuration
     ):
-        simulator = TrafficSimulator(
-            tiny_network, tiny_configuration, batch_size=16, keep_log=True
-        )
+        simulator, routed = routed_batches(tiny_network, tiny_configuration, batch_size=16)
         report = simulator.run(workload="flash-crowd", num_events=400, seed=2)
-        assert report.events == 400
-        times = simulator.log.times()
-        assert times.size == 400
-        assert np.all(np.diff(times) >= 0)
+        assert report.events == sum(batch.events for batch in routed) == 400
+        windows = [(batch.time_start, batch.time_end) for batch in routed]
+        assert all(start <= end for start, end in windows)
+        assert all(
+            previous[1] <= following[0] for previous, following in zip(windows, windows[1:])
+        )
 
-    def test_log_indexes_agree_with_the_report(self, tiny_network, tiny_configuration):
-        simulator = TrafficSimulator(tiny_network, tiny_configuration, keep_log=True)
-        report = simulator.run(num_events=200, seed=4)
-        counts = simulator.log.issuer_counts()
-        for row, peer_id in enumerate(report.peer_order):
-            assert counts.get(row, 0) == int(report.issuer_event_counts[row])
+    def test_two_streams_are_served_in_fixed_slices(self, quick_overlay):
+        network, configuration = quick_overlay
+        batch_size = 7
+        simulator, routed = routed_batches(network, configuration, batch_size=batch_size)
+        streams, context = generated_streams(network, "flash-crowd", num_events=3000, seed=13)
+        assert len(streams) == 2
+        report = simulator.run_streams(streams, context)
+        times, _, _ = traffic_oracle.reference_merge(streams)
+        starts = range(0, times.size, batch_size)
+        assert report.batches == len(routed) == len(starts)
+        assert all(batch.events == batch_size for batch in routed[:-1])
+        for batch_index, (batch, start) in enumerate(zip(routed, starts)):
+            window = times[start : start + batch_size]
+            assert batch.batch_index == batch_index
+            assert batch.events == window.size
+            assert (batch.time_start, batch.time_end) == (window[0], window[-1])
 
-    def test_keep_log_false_skips_the_log(self, tiny_network, tiny_configuration):
-        simulator = TrafficSimulator(tiny_network, tiny_configuration, keep_log=False)
-        simulator.run(num_events=50)
-        assert simulator.log is None
+    def test_a_single_stream_is_served_in_fixed_slices(self, tiny_network, tiny_configuration):
+        # A lone stream is served as is: batch k is its events [7k, 7k + 7).
+        batch_size = 7
+        simulator, routed = routed_batches(tiny_network, tiny_configuration, batch_size=batch_size)
+        streams, context = generated_streams(tiny_network, "uniform", num_events=100, seed=3)
+        assert len(streams) == 1
+        times = streams[0].times
+        report = simulator.run_streams(streams, context)
+        starts = range(0, times.size, batch_size)
+        assert report.batches == len(routed) == len(starts)
+        for batch_index, (batch, start) in enumerate(zip(routed, starts)):
+            window = times[start : start + batch_size]
+            assert batch.batch_index == batch_index
+            assert batch.events == window.size
+            assert (batch.time_start, batch.time_end) == (window[0], window[-1])
+        assert [batch.events for batch in routed] == [7] * 14 + [2]
+
+    @pytest.mark.parametrize(
+        "batch_size, batches", [(1, 400), (50, 8), (400, 1), (401, 1)]
+    )
+    def test_batch_count_is_events_over_batch_size_rounded_up(
+        self, tiny_network, tiny_configuration, batch_size, batches
+    ):
+        simulator, routed = routed_batches(tiny_network, tiny_configuration, batch_size=batch_size)
+        report = simulator.run(workload="flash-crowd", num_events=400, seed=2)
+        assert report.batches == len(routed) == batches
+        assert max(batch.events for batch in routed) == min(batch_size, 400)
+        assert sum(batch.events for batch in routed) == 400
 
     def test_zero_events_yield_an_empty_report(self, tiny_network, tiny_configuration):
         report = TrafficSimulator(tiny_network, tiny_configuration).run(num_events=0)

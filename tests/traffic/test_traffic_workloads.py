@@ -63,6 +63,12 @@ class TestWorkloadContext:
         with pytest.raises(ConfigurationError, match="horizon"):
             make_context(tiny_network, horizon=0.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, tiny_network, horizon):
+        # Event times over such a horizon would not be finite.
+        with pytest.raises(ConfigurationError, match="horizon"):
+            make_context(tiny_network, horizon=horizon)
+
     def test_uniform_times_are_sorted_within_the_window(self, tiny_network):
         context = make_context(tiny_network)
         times = context.uniform_times(100, 0.25, 0.5)

@@ -3,10 +3,11 @@
 :meth:`repro.traffic.simulator.TrafficSimulator.run_streams` evaluates each
 metric once per occupied (group, query) cell and summarises the cells
 weighted by their event counts; this module is the per-event definition it
-must reproduce.  It reads a run's events back from its
-:class:`~repro.traffic.events.TrafficLog` (``keep_log=True``), rebuilds the
-run's routing and serving tables, and evaluates every event's latency, hops,
-bandwidth and recall with the per-event expressions, so that
+must reproduce.  :func:`reference_merge` puts the streams a test generated
+in global event order one event at a time, with ``heapq.merge`` (not through
+:func:`~repro.traffic.events.merge_streams`).  :func:`per_event_arrays`
+rebuilds the run's routing and serving tables and evaluates every event's
+latency, hops, bandwidth and recall with the per-event expressions, so that
 ``distribution_summary`` of each array is the reference report field.  The
 (issuer, query) event matrix is counted one event at a time with
 ``np.add.at``.
@@ -14,12 +15,35 @@ bandwidth and recall with the per-event expressions, so that
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import heapq
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.traffic.events import QueryEventStream
 from repro.traffic.simulator import _RoutingTables
 from repro.traffic.workloads import WorkloadContext
+
+
+def reference_merge(
+    streams: Sequence[QueryEventStream],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(times, issuers, queries)`` of every event of *streams* in global order.
+
+    The order is ``heapq.merge`` of ``(time, stream index, position)`` keys:
+    by time, equal times by stream index, then by position in the stream.
+    """
+    keys = heapq.merge(
+        *(
+            [(float(time), index, position) for position, time in enumerate(stream.times)]
+            for index, stream in enumerate(streams)
+        )
+    )
+    order = [(index, position) for _, index, position in keys]
+    times = np.array([streams[i].times[p] for i, p in order], dtype=np.float64)
+    issuers = np.array([streams[i].issuers[p] for i, p in order], dtype=np.int64)
+    queries = np.array([streams[i].queries[p] for i, p in order], dtype=np.int64)
+    return times, issuers, queries
 
 
 def serving_tables(simulator) -> _RoutingTables:
@@ -32,8 +56,10 @@ def serving_tables(simulator) -> _RoutingTables:
     return tables
 
 
-def per_event_arrays(simulator) -> Dict[str, np.ndarray]:
-    """Each logged event's metrics and message counts, in event order.
+def per_event_arrays(
+    simulator, issuers: np.ndarray, queries: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The metrics and message counts of the events ``(issuers, queries)``, in order.
 
     Keys are the report's distribution fields (``latency_ms``, ``hops``,
     ``bandwidth_bytes``, ``recall``) and the per-event ``query_messages``,
@@ -41,7 +67,6 @@ def per_event_arrays(simulator) -> Dict[str, np.ndarray]:
     """
     tables = serving_tables(simulator)
     link = simulator.link
-    issuers, queries = simulator.log.issuers(), simulator.log.queries()
     groups = tables.group_of[issuers]
     providers = tables.provider_table[groups, queries]
     items = tables.item_table[groups, queries]
@@ -67,11 +92,11 @@ def batch_sums(values: np.ndarray, batch_sizes: Sequence[int]) -> List[float]:
     return [float(chunk.sum()) for chunk in np.split(values, ends)]
 
 
-def event_matrix(simulator) -> np.ndarray:
-    """The (issuer, query) event counts of the logged run, one event at a time."""
+def event_matrix(simulator, issuers: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The (issuer, query) event counts of the events, one event at a time."""
     context = WorkloadContext.from_network(simulator.network, num_events=0)
     matrix = np.zeros((len(context.peers), len(context.queries)), dtype=np.int64)
-    np.add.at(matrix, (simulator.log.issuers(), simulator.log.queries()), 1)
+    np.add.at(matrix, (issuers, queries), 1)
     return matrix
 
 
